@@ -195,6 +195,7 @@ func (s *Session) nextChunk() {
 		Duration: 10 * 60 * sim.Second, // byte limit governs
 		Bytes:    chunkBytes,
 		AckDelay: s.cfg.AckDelay,
+		NoTrace:  true, // only the completion time is used
 		OnComplete: func(at sim.Time) {
 			s.advanceBuffer()
 			s.buffer += s.cfg.ChunkDur

@@ -101,6 +101,10 @@ type FlowConfig struct {
 	// OnLossDetected, when non-nil, observes every packet the harness
 	// declares lost (dupack gap or RTO), after the sender's OnLoss ran.
 	OnLossDetected func(at sim.Time, seq int64)
+	// NoTrace stops the flow recording its packet trace, for callers that
+	// never read Trace(): a long-lived flow (a live session, a competing
+	// cross-traffic flow) otherwise grows by one record per packet forever.
+	NoTrace bool
 }
 
 func (c *FlowConfig) withDefaults() FlowConfig {
@@ -125,22 +129,27 @@ func (c *FlowConfig) withDefaults() FlowConfig {
 
 // Flow is the transport harness: it ack-clocks or paces a Sender over a
 // Network, detects losses, and records the input–output packet trace.
+//
+// In steady state sending a packet allocates nothing: the per-packet state
+// (outPacket) is recycled through a free list and carries the callbacks it
+// hands to the Network and the scheduler as method values bound once.
 type Flow struct {
 	sched  *sim.Scheduler
 	net    Network
 	sender Sender
 	cfg    FlowConfig
 
-	nextSeq     int64
-	outstanding map[int64]*outPacket
-	// sendOrder lists sequence numbers in send order; front is the index
-	// of the oldest possibly-outstanding entry. Gap-based loss detection
-	// scans from front, which is amortized O(1) per packet regardless of
-	// window size (a naive per-ack scan of the outstanding map is
-	// quadratic for large windows).
-	sendOrder   []int64
-	front       int
-	inflight    int
+	nextSeq int64
+	// window holds the outstanding packets, indexed by sequence number
+	// modulo its (power-of-two) length; a slot is nil once its packet was
+	// acked or declared lost. front is the lowest sequence number that may
+	// still be outstanding. Sequence numbers are sent in order, so
+	// gap-based loss detection scans up from front, visiting each packet
+	// once over the flow's lifetime, and an RTO finds the outstanding
+	// packets already in sequence order.
+	window      []*outPacket
+	front       int64
+	inflight    int // packets in window
 	highestAck  int64
 	delivered   int64 // cumulative delivered bytes
 	srtt        sim.Time
@@ -150,16 +159,34 @@ type Flow struct {
 	pacingNext  sim.Time
 	pacingArmed bool
 	done        bool
+	free        *outPacket
+
+	onRTOFn    func()
+	onPacingFn func()
 
 	trace trace.Trace
 }
 
+// outPacket is one packet's transport state, from transmit until both
+// parties are finished with it: the flow (it was acked or declared lost)
+// and the network (it reported the drop, or the delivery whose ack has
+// since arrived). The Network contract — exactly one of onDeliver/onDrop
+// fires, once — is what makes recycling it safe.
 type outPacket struct {
+	flow     *Flow
 	seq      int64
 	size     int
 	sendTime sim.Time
 	delAtSnd int64
 	traceIdx int
+	recv     sim.Time // receiver timestamp, once delivered
+	tracked  bool     // still in the flow's window
+	inNet    bool     // the network (or the returning ack) still holds it
+	next     *outPacket
+
+	deliveredFn func(recv sim.Time)
+	droppedFn   func()
+	ackedFn     func()
 }
 
 // NewFlow builds a harness for one sender over one network.
@@ -168,13 +195,14 @@ func NewFlow(sched *sim.Scheduler, net Network, sender Sender, cfg FlowConfig) *
 		panic(fmt.Sprintf("cc: flow duration must be positive, got %v", cfg.Duration))
 	}
 	f := &Flow{
-		sched:       sched,
-		net:         net,
-		sender:      sender,
-		cfg:         cfg.withDefaults(),
-		outstanding: map[int64]*outPacket{},
-		highestAck:  -1,
+		sched:      sched,
+		net:        net,
+		sender:     sender,
+		cfg:        cfg.withDefaults(),
+		window:     make([]*outPacket, 64),
+		highestAck: -1,
 	}
+	f.onRTOFn, f.onPacingFn = f.onRTO, f.onPacing
 	f.trace.Protocol = sender.Name()
 	return f
 }
@@ -191,9 +219,10 @@ func (f *Flow) Start() {
 	})
 }
 
-// Trace returns the packet trace recorded so far. The returned pointer
-// aliases the flow's internal state; read it only after the simulation has
-// been driven past the flow's end.
+// Trace returns the packet trace recorded so far (empty under
+// FlowConfig.NoTrace). The returned pointer aliases the flow's internal
+// state; read it only after the simulation has been driven past the flow's
+// end.
 func (f *Flow) Trace() *trace.Trace { return &f.trace }
 
 // Done reports whether the flow has finished sending and has no packets
@@ -284,10 +313,54 @@ func (f *Flow) armPacing() {
 		return
 	}
 	f.pacingArmed = true
-	f.sched.At(f.pacingNext, func() {
-		f.pacingArmed = false
-		f.trySend()
-	})
+	f.sched.At(f.pacingNext, f.onPacingFn)
+}
+
+func (f *Flow) onPacing() {
+	f.pacingArmed = false
+	f.trySend()
+}
+
+// getPacket takes a packet object off the free list, or makes one.
+func (f *Flow) getPacket() *outPacket {
+	pkt := f.free
+	if pkt == nil {
+		pkt = &outPacket{flow: f}
+		pkt.deliveredFn, pkt.droppedFn, pkt.ackedFn = pkt.delivered, pkt.dropped, pkt.acked
+		return pkt
+	}
+	f.free = pkt.next
+	return pkt
+}
+
+// slot is the window index of sequence number seq.
+func (f *Flow) slot(seq int64) int { return int(seq & int64(len(f.window)-1)) }
+
+// untrack takes pkt out of the window: it was acked or declared lost.
+func (f *Flow) untrack(pkt *outPacket) {
+	f.window[f.slot(pkt.seq)] = nil
+	pkt.tracked = false
+	f.inflight--
+}
+
+// recycle frees pkt once neither the flow nor the network holds it.
+func (f *Flow) recycle(pkt *outPacket) {
+	if pkt.tracked || pkt.inNet {
+		return
+	}
+	pkt.next = f.free
+	f.free = pkt
+}
+
+// growWindow doubles the window, re-placing the outstanding packets.
+func (f *Flow) growWindow() {
+	old := f.window
+	f.window = make([]*outPacket, 2*len(old))
+	for _, pkt := range old {
+		if pkt != nil {
+			f.window[f.slot(pkt.seq)] = pkt
+		}
+	}
 }
 
 // transmit sends one packet and records it.
@@ -295,39 +368,57 @@ func (f *Flow) transmit() {
 	now := f.sched.Now()
 	seq := f.nextSeq
 	f.nextSeq++
-	pkt := &outPacket{
-		seq:      seq,
-		size:     f.cfg.PacketSize,
-		sendTime: now,
-		delAtSnd: f.delivered,
-		traceIdx: len(f.trace.Packets),
+	if seq-f.front >= int64(len(f.window)) {
+		f.growWindow()
 	}
-	f.outstanding[seq] = pkt
-	f.sendOrder = append(f.sendOrder, seq)
+	pkt := f.getPacket()
+	pkt.seq, pkt.size, pkt.sendTime, pkt.delAtSnd = seq, f.cfg.PacketSize, now, f.delivered
+	pkt.tracked, pkt.inNet = true, true
+	f.window[f.slot(seq)] = pkt
 	f.inflight++
-	f.trace.Packets = append(f.trace.Packets, trace.Packet{
-		Seq: seq, Size: pkt.size, SendTime: now, Lost: true, // until delivered
-	})
+	if !f.cfg.NoTrace {
+		pkt.traceIdx = len(f.trace.Packets)
+		f.trace.Packets = append(f.trace.Packets, trace.Packet{
+			Seq: seq, Size: pkt.size, SendTime: now, Lost: true, // until delivered
+		})
+	}
 	f.armRTO()
-	f.net.Send(pkt.size, func(recv sim.Time) {
-		// The packet reached the receiver; the ack returns after AckDelay.
+	f.net.Send(pkt.size, pkt.deliveredFn, pkt.droppedFn)
+}
+
+// delivered is the Network's onDeliver: the packet reached the receiver;
+// the ack returns after AckDelay.
+func (pkt *outPacket) delivered(recv sim.Time) {
+	f := pkt.flow
+	if !f.cfg.NoTrace {
 		f.trace.Packets[pkt.traceIdx].RecvTime = recv
 		f.trace.Packets[pkt.traceIdx].Lost = false
-		f.sched.After(f.cfg.AckDelay, func() { f.onAckArrived(pkt, recv) })
-	}, func() {
-		// Dropped in the network. The trace already marks it lost; the
-		// sender finds out via dupacks or RTO, not via this callback.
-	})
+	}
+	pkt.recv = recv
+	f.sched.After(f.cfg.AckDelay, pkt.ackedFn)
+}
+
+// dropped is the Network's onDrop. The trace already marks the packet
+// lost; the sender finds out via dupacks or RTO, not via this callback.
+func (pkt *outPacket) dropped() {
+	pkt.inNet = false
+	pkt.flow.recycle(pkt)
+}
+
+// acked fires when the receiver's acknowledgment reaches the sender.
+func (pkt *outPacket) acked() {
+	f := pkt.flow
+	pkt.inNet = false
+	if pkt.tracked { // else already declared lost by RTO
+		f.onAckArrived(pkt)
+	}
+	f.recycle(pkt)
 }
 
 // onAckArrived processes the receiver's acknowledgment for pkt.
-func (f *Flow) onAckArrived(pkt *outPacket, recv sim.Time) {
+func (f *Flow) onAckArrived(pkt *outPacket) {
 	now := f.sched.Now()
-	if _, ok := f.outstanding[pkt.seq]; !ok {
-		return // already declared lost by RTO
-	}
-	delete(f.outstanding, pkt.seq)
-	f.inflight--
+	f.untrack(pkt)
 	f.delivered += int64(pkt.size)
 	if pkt.seq > f.highestAck {
 		f.highestAck = pkt.seq
@@ -336,7 +427,7 @@ func (f *Flow) onAckArrived(pkt *outPacket, recv sim.Time) {
 
 	ack := Ack{
 		Seq: pkt.seq, Size: pkt.size,
-		SendTime: pkt.sendTime, RecvTime: recv, AckTime: now,
+		SendTime: pkt.sendTime, RecvTime: pkt.recv, AckTime: now,
 		DeliveredAtSend: pkt.delAtSnd, Delivered: f.delivered,
 	}
 	f.sender.OnAck(now, ack)
@@ -349,35 +440,31 @@ func (f *Flow) onAckArrived(pkt *outPacket, recv sim.Time) {
 	f.maybeComplete()
 }
 
+// declareLost removes pkt from the window and reports the loss.
+func (f *Flow) declareLost(now sim.Time, pkt *outPacket) {
+	f.untrack(pkt)
+	seq, sendTime := pkt.seq, pkt.sendTime
+	f.recycle(pkt)
+	f.sender.OnLoss(now, seq, sendTime)
+	if f.cfg.OnLossDetected != nil {
+		f.cfg.OnLossDetected(now, seq)
+	}
+}
+
 // detectLosses declares packets lost once DupAckThreshold higher-sequence
-// packets have been acked (SACK-style gap detection). Because sequence
-// numbers are sent in order and the threshold only advances, scanning from
-// the front of the send-order list visits each packet once over the
-// flow's lifetime.
+// packets have been acked (SACK-style gap detection). The threshold only
+// advances, so front does too.
 func (f *Flow) detectLosses(now sim.Time) {
 	thresh := f.highestAck - int64(f.cfg.DupAckThreshold)
-	for f.front < len(f.sendOrder) {
-		seq := f.sendOrder[f.front]
-		pkt, ok := f.outstanding[seq]
-		if !ok {
-			f.front++ // already acked or declared lost
-			continue
+	for ; f.front < f.nextSeq; f.front++ {
+		pkt := f.window[f.slot(f.front)]
+		if pkt == nil {
+			continue // already acked or declared lost
 		}
-		if seq >= thresh {
+		if pkt.seq >= thresh {
 			break
 		}
-		f.front++
-		delete(f.outstanding, seq)
-		f.inflight--
-		f.sender.OnLoss(now, pkt.seq, pkt.sendTime)
-		if f.cfg.OnLossDetected != nil {
-			f.cfg.OnLossDetected(now, pkt.seq)
-		}
-	}
-	// Reclaim consumed prefix occasionally so memory stays bounded.
-	if f.front > 4096 && f.front*2 > len(f.sendOrder) {
-		f.sendOrder = append([]int64(nil), f.sendOrder[f.front:]...)
-		f.front = 0
+		f.declareLost(now, pkt)
 	}
 }
 
@@ -410,7 +497,7 @@ func (f *Flow) armRTO() {
 		return
 	}
 	f.rtoArmed = true
-	f.rtoTimer = f.sched.After(f.rto(), f.onRTO)
+	f.rtoTimer = f.sched.After(f.rto(), f.onRTOFn)
 }
 
 func (f *Flow) rearmRTO() {
@@ -418,32 +505,19 @@ func (f *Flow) rearmRTO() {
 		f.sched.Cancel(f.rtoTimer)
 		f.rtoArmed = false
 	}
-	if len(f.outstanding) > 0 {
+	if f.inflight > 0 {
 		f.armRTO()
 	}
 }
 
 // onRTO fires when no ack has arrived for a full RTO: every outstanding
-// packet is declared lost (tail-loss recovery).
+// packet is declared lost, in sequence order (tail-loss recovery).
 func (f *Flow) onRTO() {
 	f.rtoArmed = false
 	now := f.sched.Now()
-	var seqs []int64
-	for seq := range f.outstanding {
-		seqs = append(seqs, seq)
-	}
-	for i := 1; i < len(seqs); i++ {
-		for j := i; j > 0 && seqs[j] < seqs[j-1]; j-- {
-			seqs[j], seqs[j-1] = seqs[j-1], seqs[j]
-		}
-	}
-	for _, seq := range seqs {
-		pkt := f.outstanding[seq]
-		delete(f.outstanding, seq)
-		f.inflight--
-		f.sender.OnLoss(now, pkt.seq, pkt.sendTime)
-		if f.cfg.OnLossDetected != nil {
-			f.cfg.OnLossDetected(now, pkt.seq)
+	for ; f.front < f.nextSeq; f.front++ {
+		if pkt := f.window[f.slot(f.front)]; pkt != nil {
+			f.declareLost(now, pkt)
 		}
 	}
 	f.trySend()

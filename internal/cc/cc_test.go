@@ -393,3 +393,50 @@ func TestByteLimitedFlowCompletesDespiteLoss(t *testing.T) {
 		t.Error("OnComplete never fired on a lossy path")
 	}
 }
+
+// steadyFlow runs a trace-less cubic flow over a 10 Mbit/s netsim path
+// through ten seconds of warm-up (several loss cycles, so the window, the
+// packet pools and the scheduler have reached their working size).
+func steadyFlow() (*sim.Scheduler, *Flow) {
+	sched := sim.NewScheduler()
+	path := netsim.New(sched, tenMbps())
+	flow := NewFlow(sched, path.Port("main"), NewCubic(), FlowConfig{
+		Duration: 3600 * sim.Second,
+		AckDelay: 20 * sim.Millisecond,
+		NoTrace:  true,
+	})
+	flow.Start()
+	sched.RunUntil(10 * sim.Second)
+	return sched, flow
+}
+
+// TestFlowSteadyStateAllocs: a packet's whole life — transmit, netsim
+// propagation, queueing and service, delivery, ack, loss detection, RTO
+// re-arm — allocates nothing once the flow is warm.
+func TestFlowSteadyStateAllocs(t *testing.T) {
+	sched, flow := steadyFlow()
+	sent := flow.Sent()
+	const rounds = 20
+	allocs := testing.AllocsPerRun(rounds, func() {
+		sched.RunUntil(sched.Now() + sim.Second)
+	})
+	perRound := float64(flow.Sent()-sent) / (rounds + 1) // AllocsPerRun adds a warm-up call
+	if perRound < 500 {
+		t.Fatalf("flow sent only %.0f packets per simulated second", perRound)
+	}
+	if perPacket := allocs / perRound; perPacket > 0.01 {
+		t.Errorf("%.3f allocations per packet in steady state (%.1f per %.0f packets), want amortised 0",
+			perPacket, allocs, perRound)
+	}
+}
+
+// BenchmarkFlowPacket is the cost of one packet through cc.Flow (cubic)
+// over a netsim.Path, everything included.
+func BenchmarkFlowPacket(b *testing.B) {
+	sched, flow := steadyFlow()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for target := flow.Sent() + int64(b.N); flow.Sent() < target; {
+		sched.Step()
+	}
+}

@@ -49,7 +49,7 @@ func adaptiveGT(sender cc.Sender, dur sim.Time, seed int64) *trace.Trace {
 		Duration: dur, AckDelay: cfg.PropDelay,
 	})
 	ct := cc.NewFlow(sched, path.Port("ct"), cc.NewCubic(), cc.FlowConfig{
-		Start: dur / 3, Duration: dur / 3, AckDelay: cfg.PropDelay,
+		Start: dur / 3, Duration: dur / 3, AckDelay: cfg.PropDelay, NoTrace: true,
 	})
 	main.Start()
 	ct.Start()

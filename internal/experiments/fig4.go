@@ -66,7 +66,7 @@ func runInstance(sender cc.Sender, dur sim.Time, ctStart, ctDur sim.Time, pathSe
 		Start: jitter, Duration: dur, AckDelay: cfg.PropDelay,
 	})
 	ct := cc.NewFlow(sched, path.Port("ct"), cc.NewCubic(), cc.FlowConfig{
-		Start: ctStart, Duration: ctDur, AckDelay: cfg.PropDelay,
+		Start: ctStart, Duration: ctDur, AckDelay: cfg.PropDelay, NoTrace: true,
 	})
 	main.Start()
 	ct.Start()

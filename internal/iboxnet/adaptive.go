@@ -125,6 +125,7 @@ func (p Params) EmulateAdaptive(sched *sim.Scheduler, seed int64) *netsim.Path {
 					Start:    iv.Start,
 					Duration: dur,
 					AckDelay: p.PropDelay,
+					NoTrace:  true, // cross traffic: only its load matters
 				})
 			flow.Start()
 		}

@@ -65,6 +65,7 @@ type pfCell struct {
 	// Per-user state: Rayleigh channel (two Gaussian taps) and PF average.
 	i, q  []float64 // in-phase / quadrature tap per user
 	avg   []float64 // smoothed throughput per user (PF denominator)
+	rates []float64 // this TTI's instantaneous rate per user (scratch)
 	share float64   // smoothed rate of user 0 (ours), bytes/sec
 }
 
@@ -75,6 +76,7 @@ func startPFCell(sched *sim.Scheduler, l *link, cfg PFCellModel, rng *randSource
 	c := &pfCell{
 		cfg: cfg, link: l, sched: sched, rng: rng,
 		i: make([]float64, n), q: make([]float64, n), avg: make([]float64, n),
+		rates: make([]float64, n),
 	}
 	for u := 0; u < n; u++ {
 		c.i[u] = gaussian(rng)
@@ -98,8 +100,7 @@ func (c *pfCell) step() {
 	rho := math.Exp(-2 * math.Pi * c.cfg.DopplerHz * c.cfg.TTI.Seconds())
 	s := math.Sqrt(1 - rho*rho)
 	best, bestMetric := 0, math.Inf(-1)
-	n := len(c.i)
-	rates := make([]float64, n)
+	n, rates := len(c.i), c.rates
 	for u := 0; u < n; u++ {
 		c.i[u] = rho*c.i[u] + s*gaussian(c.rng)
 		c.q[u] = rho*c.q[u] + s*gaussian(c.rng)

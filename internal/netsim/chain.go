@@ -95,6 +95,6 @@ func (c *Chain) AddCrossTraffic(hop int, src CrossTraffic) {
 	}
 	l := c.hops[hop]
 	src.start(injector{sched: c.sched, enqueue: func(size int) {
-		l.enqueue(size, func() {})
+		l.enqueue(size, nil)
 	}})
 }

@@ -155,35 +155,89 @@ type Replay struct {
 }
 
 func (c Replay) start(p injector) {
-	size := c.PacketSize
-	if size <= 0 {
-		size = 1500
+	if c.PacketSize <= 0 {
+		c.PacketSize = 1500
 	}
 	if c.Step <= 0 {
 		return
 	}
-	for i, b := range c.Bytes {
-		n := int(b / float64(size))
-		rem := int(b) - n*size
-		winStart := c.Start + sim.Time(i)*c.Step
-		if n == 0 && rem < 40 {
-			continue
+	r := &replayer{Replay: c, inj: p, floor: p.sched.Now()}
+	r.fireFn = r.fire
+	r.rewind()
+	// Count the schedule, then rewind: the sequence block makes the lazy
+	// schedule fire in the order an eager one (every packet queued here
+	// and now, in schedule order) would have.
+	total := 0
+	for r.advance() {
+		total++
+	}
+	r.rewind()
+	r.seq = p.sched.ReserveSeq(total)
+	r.scheduleNext()
+}
+
+// replayer walks a Replay's packet schedule keeping only the next packet
+// on the scheduler: a long series costs one pending event, not one per
+// packet.
+type replayer struct {
+	Replay
+	inj   injector
+	floor sim.Time // when the replay started; earlier send times clamp to it
+	seq   uint64   // tie-break sequence number of the next packet
+
+	// Cursor: packet j of count in window win, n of them full-sized and
+	// (when count > n) a last one of rem bytes, gap apart.
+	win, j, count, n, rem int
+	gap                   sim.Time
+
+	at     sim.Time // the pending packet's send time
+	size   int      // and its size
+	fireFn func()
+}
+
+// rewind puts the cursor before the first packet of the schedule.
+func (r *replayer) rewind() { r.win, r.j, r.count = -1, 0, 0 }
+
+// advance moves the cursor to the next packet of the schedule and loads
+// its send time and size; false once the series is exhausted.
+func (r *replayer) advance() bool {
+	r.j++
+	for r.j >= r.count {
+		r.win++
+		if r.win >= len(r.Bytes) {
+			return false
 		}
-		total := n
-		if rem >= 40 {
-			total++
+		b := r.Bytes[r.win]
+		r.n = int(b / float64(r.PacketSize))
+		r.rem = int(b) - r.n*r.PacketSize
+		r.count = r.n
+		if r.rem >= 40 { // a remainder too small to be a packet is dropped
+			r.count++
 		}
-		gap := c.Step / sim.Time(total)
-		for j := 0; j < total; j++ {
-			at := winStart + sim.Time(j)*gap
-			if at < p.sched.Now() {
-				at = p.sched.Now()
-			}
-			sz := size
-			if j == n { // the remainder packet
-				sz = rem
-			}
-			p.sched.At(at, func() { p.enqueue(sz) })
+		r.j = 0
+		if r.count > 0 {
+			r.gap = r.Step / sim.Time(r.count)
 		}
 	}
+	r.at = r.Start + sim.Time(r.win)*r.Step + sim.Time(r.j)*r.gap
+	if r.at < r.floor {
+		r.at = r.floor
+	}
+	r.size = r.PacketSize
+	if r.j == r.n { // the remainder packet
+		r.size = r.rem
+	}
+	return true
+}
+
+func (r *replayer) scheduleNext() {
+	if r.advance() {
+		r.inj.sched.AtSeq(r.at, r.seq, r.fireFn)
+		r.seq++
+	}
+}
+
+func (r *replayer) fire() {
+	r.inj.enqueue(r.size)
+	r.scheduleNext()
 }

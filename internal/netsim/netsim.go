@@ -151,6 +151,7 @@ type Path struct {
 	// lastDeliver is the latest scheduled main-path delivery, used to keep
 	// jittered deliveries FIFO.
 	lastDeliver sim.Time
+	freePkts    *pkt
 }
 
 type randState struct {
@@ -267,17 +268,8 @@ func (pt *Port) Now() sim.Time { return pt.path.sched.Now() }
 // scheduler. Either callback may be nil.
 func (pt *Port) Send(size int, onDeliver func(recv sim.Time), onDrop func()) {
 	p := pt.path
-	half := p.cfg.PropDelay / 2
-	deliver := func() {
-		if onDeliver != nil {
-			onDeliver(p.sched.Now())
-		}
-	}
-	drop := func() {
-		if onDrop != nil {
-			onDrop()
-		}
-	}
+	k := p.getPkt()
+	k.size, k.onDeliver, k.onDrop = size, onDeliver, onDrop
 
 	// Multipath: some packets bypass the bottleneck entirely.
 	if rm := p.cfg.Reorder; rm != nil && p.rng.reorder.Float64() < rm.Prob {
@@ -285,35 +277,91 @@ func (pt *Port) Send(size int, onDeliver func(recv sim.Time), onDrop func()) {
 		if rm.ExtraMax > rm.ExtraMin {
 			extra += sim.Time(p.rng.reorder.Float64() * float64(rm.ExtraMax-rm.ExtraMin))
 		}
-		p.sched.After(p.cfg.PropDelay+extra, deliver)
+		p.sched.After(p.cfg.PropDelay+extra, k.deliverFn)
 		return
 	}
 
 	// Main path: pre-propagation, queue, post-propagation (+ optional
 	// jitter and random loss).
-	p.sched.After(half, func() {
-		ok := p.link.enqueue(size, func() {
-			if p.cfg.LossProb > 0 && p.rng.loss.Float64() < p.cfg.LossProb {
-				drop()
-				return
-			}
-			post := half
-			if p.cfg.Jitter > 0 {
-				post += sim.Time(math.Abs(gaussian(p.rng.jitter)) * float64(p.cfg.Jitter))
-			}
-			at := p.sched.Now() + post
-			// FIFO clamp: a small jitter draw must not overtake an earlier
-			// large one.
-			if at <= p.lastDeliver {
-				at = p.lastDeliver + 1
-			}
-			p.lastDeliver = at
-			p.sched.At(at, deliver)
-		})
-		if !ok {
-			drop()
-		}
-	})
+	p.sched.After(p.cfg.PropDelay/2, k.arriveFn)
+}
+
+// pkt is one packet in flight on a Path. Packets are recycled through the
+// path's free list and carry their three stage callbacks as method values
+// bound once, when the object is first made, so sending a packet schedules
+// no fresh closure. A pkt is released the moment its fate is known —
+// immediately before the caller's onDeliver/onDrop runs — which is safe
+// because nothing refers to it afterwards: each stage hands the object to
+// exactly one successor (scheduler event or link queue slot).
+type pkt struct {
+	path      *Path
+	size      int
+	onDeliver func(recv sim.Time)
+	onDrop    func()
+	next      *pkt // free-list link
+
+	arriveFn  func() // reached the bottleneck after the access half of PropDelay
+	servedFn  func() // finished serialization at the bottleneck
+	deliverFn func() // reached the receiver
+}
+
+func (p *Path) getPkt() *pkt {
+	k := p.freePkts
+	if k == nil {
+		k = &pkt{path: p}
+		k.arriveFn, k.servedFn, k.deliverFn = k.arrive, k.served, k.deliver
+		return k
+	}
+	p.freePkts = k.next
+	return k
+}
+
+func (p *Path) putPkt(k *pkt) {
+	k.onDeliver, k.onDrop = nil, nil
+	k.next = p.freePkts
+	p.freePkts = k
+}
+
+func (k *pkt) arrive() {
+	if !k.path.link.enqueue(k.size, k.servedFn) {
+		k.drop()
+	}
+}
+
+func (k *pkt) served() {
+	p := k.path
+	if p.cfg.LossProb > 0 && p.rng.loss.Float64() < p.cfg.LossProb {
+		k.drop()
+		return
+	}
+	post := p.cfg.PropDelay / 2
+	if p.cfg.Jitter > 0 {
+		post += sim.Time(math.Abs(gaussian(p.rng.jitter)) * float64(p.cfg.Jitter))
+	}
+	at := p.sched.Now() + post
+	// FIFO clamp: a small jitter draw must not overtake an earlier
+	// large one.
+	if at <= p.lastDeliver {
+		at = p.lastDeliver + 1
+	}
+	p.lastDeliver = at
+	p.sched.At(at, k.deliverFn)
+}
+
+func (k *pkt) deliver() {
+	p, onDeliver := k.path, k.onDeliver
+	p.putPkt(k)
+	if onDeliver != nil {
+		onDeliver(p.sched.Now())
+	}
+}
+
+func (k *pkt) drop() {
+	onDrop := k.onDrop
+	k.path.putPkt(k)
+	if onDrop != nil {
+		onDrop()
+	}
 }
 
 // AddCrossTraffic attaches an open-loop cross-traffic source whose packets
@@ -322,7 +370,7 @@ func (pt *Port) Send(size int, onDeliver func(recv sim.Time), onDrop func()) {
 // access propagation; overflowing cross-traffic packets drop silently.
 func (p *Path) AddCrossTraffic(src CrossTraffic) {
 	src.start(injector{sched: p.sched, enqueue: func(size int) {
-		p.link.enqueue(size, func() {})
+		p.link.enqueue(size, nil)
 	}})
 }
 
@@ -330,15 +378,24 @@ func (p *Path) AddCrossTraffic(src CrossTraffic) {
 // bytes/sec. Rate changes take effect at the next packet's service start.
 // With a token bucket attached, each packet additionally waits until the
 // bucket holds its size in tokens before serialization begins.
+//
+// The waiting packets sit in a power-of-two ring (head, n); the one being
+// serialized has left the ring for the single inService slot. The two
+// callbacks the link schedules are bound once, in newLink.
 type link struct {
 	sched       *sim.Scheduler
 	rate        float64
 	capacity    int
-	queuedBytes int
+	queuedBytes int // waiting + in service
 	queue       []queued
+	head, n     int
+	inService   queued
 	busy        bool
 	tb          *tokenBucket
 	red         *redState
+
+	finishFn    func()
+	serveNextFn func()
 }
 
 // tokenBucket tracks shaper state; tokens refill lazily on access.
@@ -371,11 +428,13 @@ func (tb *tokenBucket) take(now sim.Time, size int) sim.Time {
 
 type queued struct {
 	size int
-	done func() // invoked when the packet finishes service
+	done func() // invoked when the packet finishes service; may be nil
 }
 
 func newLink(sched *sim.Scheduler, rate float64, capacity int) *link {
-	return &link{sched: sched, rate: rate, capacity: capacity}
+	l := &link{sched: sched, rate: rate, capacity: capacity}
+	l.finishFn, l.serveNextFn = l.finish, l.serveNext
+	return l
 }
 
 func (l *link) setRate(r float64) {
@@ -394,15 +453,28 @@ func (l *link) enqueue(size int, done func()) bool {
 		return false
 	}
 	l.queuedBytes += size
-	l.queue = append(l.queue, queued{size, done})
+	if l.n == len(l.queue) {
+		l.growQueue()
+	}
+	l.queue[(l.head+l.n)&(len(l.queue)-1)] = queued{size, done}
+	l.n++
 	if !l.busy {
 		l.serveNext()
 	}
 	return true
 }
 
+// growQueue doubles the ring, unrolling it so the head is at index 0.
+func (l *link) growQueue() {
+	grown := make([]queued, max(2*len(l.queue), 16))
+	for i := 0; i < l.n; i++ {
+		grown[i] = l.queue[(l.head+i)&(len(l.queue)-1)]
+	}
+	l.queue, l.head = grown, 0
+}
+
 func (l *link) serveNext() {
-	if len(l.queue) == 0 {
+	if l.n == 0 {
 		l.busy = false
 		if l.red != nil {
 			l.red.markIdle(l.sched.Now())
@@ -410,22 +482,33 @@ func (l *link) serveNext() {
 		return
 	}
 	l.busy = true
-	head := l.queue[0]
+	head := &l.queue[l.head]
 	if l.tb != nil {
 		if wait := l.tb.take(l.sched.Now(), head.size); wait > 0 {
 			// Not enough tokens yet: hold the head until the bucket refills.
-			l.sched.After(wait, l.serveNext)
+			l.sched.After(wait, l.serveNextFn)
 			return
 		}
 	}
-	l.queue = l.queue[1:]
-	service := sim.Time(float64(head.size) / l.rate * float64(sim.Second))
+	l.inService = *head
+	*head = queued{}
+	l.head = (l.head + 1) & (len(l.queue) - 1)
+	l.n--
+	service := sim.Time(float64(l.inService.size) / l.rate * float64(sim.Second))
 	if service < 1 {
 		service = 1
 	}
-	l.sched.After(service, func() {
-		l.queuedBytes -= head.size
-		head.done()
-		l.serveNext()
-	})
+	l.sched.After(service, l.finishFn)
+}
+
+// finish completes the in-service packet: it leaves the backlog, its
+// owner is told, and the next waiting packet (if any) starts service.
+func (l *link) finish() {
+	done := l.inService.done
+	l.queuedBytes -= l.inService.size
+	l.inService = queued{}
+	if done != nil {
+		done()
+	}
+	l.serveNext()
 }

@@ -1,12 +1,21 @@
 package session
 
+import (
+	"encoding/json"
+	"math"
+	"strconv"
+)
+
 // The telemetry stream. A session emits a totally ordered sequence of
-// events; each event is JSON-encoded exactly once, at publish time, and
-// the encoded bytes are what every subscriber sees — so the stream a
-// client receives is byte-identical across runs with the same
-// (checkpoint, sender, seed), whether the session stepped on the shared
-// pool or inline, and regardless of how many subscribers watched or
-// when they attached (modulo the ring buffer's retention window).
+// events. The run goroutine publishes them as flat value records (see
+// record) and a subscriber's read encodes them to JSON, so a session
+// nobody watches never formats a byte. The encoding is a pure function
+// of the record and its sequence number — appendEvent, whose output is
+// byte for byte encoding/json's — so the stream a client receives is
+// byte-identical across runs with the same (checkpoint, sender, seed),
+// whether the session stepped on the shared pool or inline, and
+// regardless of how many subscribers watched or when they attached
+// (modulo the ring buffer's retention window).
 //
 // Event content depends only on *virtual* time: the simulated clock,
 // packet sequence numbers, and sender state. Wall-clock pacing decides
@@ -84,4 +93,244 @@ type AppliedMutation struct {
 	ReorderExtraMs float64 `json:"reorder_extra_ms,omitempty"`
 	ReorderBurstS  float64 `json:"reorder_burst_s,omitempty"`
 	Checkpoint     string  `json:"checkpoint,omitempty"` // swapped-in model
+}
+
+// recordKind says which event a record holds.
+type recordKind uint8
+
+const (
+	recPacket recordKind = iota + 1
+	recLoss
+	recSummary
+	// recEncoded is a state or mutate event. They are rare and carry
+	// strings, so they are encoded when they happen and the record keeps
+	// the bytes (everything after the sequence number, which is only
+	// assigned at publish).
+	recEncoded
+)
+
+// record is one published event in the ring: a compact union of the
+// per-packet event kinds. By kind, n and x hold
+//
+//	packet:  n = pkt, cwnd, inflight, delivered_bytes    x = delay_ms, rtt_ms
+//	loss:    n = pkt, cwnd
+//	summary: n = cwnd, inflight, sent, delivered_bytes, lost
+//	         x = srtt_ms, throughput_bps
+type record struct {
+	kind recordKind
+	vt   float64
+	n    [5]int64
+	x    [2]float64
+	raw  []byte // recEncoded only
+}
+
+// encodable reports whether appendRecord can encode r: JSON has no
+// NaN or infinity (an encoded record was checked when it was encoded).
+func (r *record) encodable() bool {
+	return isFinite(r.vt) && isFinite(r.x[0]) && isFinite(r.x[1])
+}
+
+func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// seqPrefix opens every encoded event; the sequence number follows.
+const seqPrefix = `{"seq":`
+
+// encodedRecord encodes a state or mutate event into a record, or reports
+// false if the event cannot be encoded.
+func encodedRecord(ev *Event) (record, bool) {
+	ev.Seq = 0
+	b, ok := appendEvent(nil, ev)
+	if !ok {
+		return record{}, false
+	}
+	return record{kind: recEncoded, raw: b[len(seqPrefix)+1:]}, true
+}
+
+// appendRecord appends the JSON encoding of r as event number seq.
+func appendRecord(dst []byte, seq int64, r *record) []byte {
+	if r.kind == recEncoded {
+		dst = append(dst, seqPrefix...)
+		dst = strconv.AppendInt(dst, seq, 10)
+		return append(dst, r.raw...)
+	}
+	ev := Event{Seq: seq, VT: r.vt}
+	var (
+		pk PacketEvent
+		ls LossEvent
+		sm SummaryEvent
+	)
+	switch r.kind {
+	case recPacket:
+		pk = PacketEvent{
+			Seq: r.n[0], DelayMs: r.x[0], RTTMs: r.x[1],
+			Cwnd: int(r.n[1]), Inflight: int(r.n[2]), Delivered: r.n[3],
+		}
+		ev.Type, ev.Packet = EventPacket, &pk
+	case recLoss:
+		ls = LossEvent{Seq: r.n[0], Cwnd: int(r.n[1])}
+		ev.Type, ev.Loss = EventLoss, &ls
+	case recSummary:
+		sm = SummaryEvent{
+			Cwnd: int(r.n[0]), Inflight: int(r.n[1]), SRTTMs: r.x[0], ThroughputBps: r.x[1],
+			Sent: r.n[2], Delivered: r.n[3], Lost: r.n[4],
+		}
+		ev.Type, ev.Summary = EventSummary, &sm
+	}
+	dst, _ = appendEvent(dst, &ev) // records are checked encodable before they are published
+	return dst
+}
+
+// appendEvent appends ev's JSON encoding to dst. The output is byte for
+// byte what json.Marshal(ev) produces (TestAppendEventMatchesJSON,
+// FuzzEventEncode), and like json.Marshal it refuses — returning dst
+// unchanged and false — an event holding a NaN or an infinity.
+func appendEvent(dst []byte, ev *Event) ([]byte, bool) {
+	e := encoder{buf: dst, ok: true}
+	e.raw(seqPrefix)
+	e.buf = strconv.AppendInt(e.buf, ev.Seq, 10)
+	e.raw(`,"type":`)
+	e.str(ev.Type)
+	e.raw(`,"vt":`)
+	e.float(ev.VT)
+	if ev.State != "" {
+		e.raw(`,"state":`)
+		e.str(ev.State)
+	}
+	if ev.Reason != "" {
+		e.raw(`,"reason":`)
+		e.str(ev.Reason)
+	}
+	if p := ev.Packet; p != nil {
+		e.raw(`,"packet":{"pkt":`)
+		e.int(p.Seq)
+		e.raw(`,"delay_ms":`)
+		e.float(p.DelayMs)
+		e.raw(`,"rtt_ms":`)
+		e.float(p.RTTMs)
+		e.raw(`,"cwnd":`)
+		e.int(int64(p.Cwnd))
+		e.raw(`,"inflight":`)
+		e.int(int64(p.Inflight))
+		e.raw(`,"delivered_bytes":`)
+		e.int(p.Delivered)
+		e.raw(`}`)
+	}
+	if l := ev.Loss; l != nil {
+		e.raw(`,"loss":{"pkt":`)
+		e.int(l.Seq)
+		e.raw(`,"cwnd":`)
+		e.int(int64(l.Cwnd))
+		e.raw(`}`)
+	}
+	if s := ev.Summary; s != nil {
+		e.raw(`,"summary":{"cwnd":`)
+		e.int(int64(s.Cwnd))
+		e.raw(`,"inflight":`)
+		e.int(int64(s.Inflight))
+		e.raw(`,"srtt_ms":`)
+		e.float(s.SRTTMs)
+		e.raw(`,"throughput_bps":`)
+		e.float(s.ThroughputBps)
+		e.raw(`,"sent":`)
+		e.int(s.Sent)
+		e.raw(`,"delivered_bytes":`)
+		e.int(s.Delivered)
+		e.raw(`,"lost":`)
+		e.int(s.Lost)
+		e.raw(`}`)
+	}
+	if m := ev.Mutation; m != nil {
+		e.raw(`,"mutation":{`)
+		open := len(e.buf)
+		e.optFloat(open, `"bandwidth_scale":`, m.BandwidthScale)
+		e.optFloat(open, `"bandwidth_bps":`, m.BandwidthBps)
+		e.optFloat(open, `"loss_rate":`, m.LossRate)
+		e.optFloat(open, `"loss_burst_s":`, m.LossBurstS)
+		e.optFloat(open, `"reorder_rate":`, m.ReorderRate)
+		e.optFloat(open, `"reorder_extra_ms":`, m.ReorderExtraMs)
+		e.optFloat(open, `"reorder_burst_s":`, m.ReorderBurstS)
+		if m.Checkpoint != "" {
+			e.sep(open)
+			e.raw(`"checkpoint":`)
+			e.str(m.Checkpoint)
+		}
+		e.raw(`}`)
+	}
+	e.raw(`}`)
+	if !e.ok {
+		return dst, false
+	}
+	return e.buf, true
+}
+
+// encoder is appendEvent's output buffer; ok turns false at the first
+// value JSON cannot represent.
+type encoder struct {
+	buf []byte
+	ok  bool
+}
+
+func (e *encoder) raw(s string) { e.buf = append(e.buf, s...) }
+
+func (e *encoder) int(v int64) { e.buf = strconv.AppendInt(e.buf, v, 10) }
+
+// float formats like encoding/json: shortest round-trip digits, exponent
+// form only below 1e-6 or from 1e21, with a two-digit negative exponent's
+// leading zero removed (e-09 → e-9).
+func (e *encoder) float(f float64) {
+	if !isFinite(f) {
+		e.ok = false
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(e.buf); n >= 4 && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
+			e.buf[n-2] = e.buf[n-1]
+			e.buf = e.buf[:n-1]
+		}
+	}
+}
+
+// sep writes the comma between object members: every member but the one
+// that starts at open (just past the brace) is preceded by one.
+func (e *encoder) sep(open int) {
+	if len(e.buf) > open {
+		e.buf = append(e.buf, ',')
+	}
+}
+
+// optFloat writes an `omitempty` float member (±0 is empty).
+func (e *encoder) optFloat(open int, key string, f float64) {
+	if f == 0 {
+		return
+	}
+	e.sep(open)
+	e.raw(key)
+	e.float(f)
+}
+
+// str writes a JSON string. Printable ASCII that encoding/json copies
+// through verbatim is copied here; anything it would escape (quotes,
+// backslashes, control bytes, HTML-sensitive characters, non-ASCII) is
+// handed to it, which only the free-text fields of rare state and mutate
+// events can ever need.
+func (e *encoder) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, err := json.Marshal(s)
+			if err != nil {
+				e.ok = false
+				return
+			}
+			e.buf = append(e.buf, b...)
+			return
+		}
+	}
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, s...)
+	e.buf = append(e.buf, '"')
 }

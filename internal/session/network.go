@@ -116,6 +116,23 @@ type mlNet struct {
 	h          *iboxml.HierarchicalPredictor
 	delayScale float64 // bandwidth scale s ⇒ delays × 1/s
 	score      func(pit, nll float64)
+	free       *mlPkt
+}
+
+// mlPkt is one packet waiting out its predicted delay: a recycled object
+// whose timer callback is bound once, like netsim's packets.
+type mlPkt struct {
+	net       *mlNet
+	onDeliver func(recv sim.Time)
+	next      *mlPkt
+	arriveFn  func()
+}
+
+func (k *mlPkt) arrive() {
+	n, onDeliver := k.net, k.onDeliver
+	k.onDeliver, k.next = nil, n.free
+	n.free = k
+	onDeliver(n.sched.Now())
 }
 
 func (n *mlNet) Now() sim.Time { return n.sched.Now() }
@@ -131,7 +148,15 @@ func (n *mlNet) Send(size int, onDeliver func(recv sim.Time), onDrop func()) {
 	if dt < 1 {
 		dt = 1
 	}
-	n.sched.After(dt, func() { onDeliver(n.sched.Now()) })
+	k := n.free
+	if k == nil {
+		k = &mlPkt{net: n}
+		k.arriveFn = k.arrive
+	} else {
+		n.free = k.next
+	}
+	k.onDeliver = onDeliver
+	n.sched.After(dt, k.arriveFn)
 }
 
 // trimCrossTraffic drops the windows of a cross-traffic series that lie

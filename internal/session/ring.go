@@ -6,77 +6,122 @@ import (
 	"sync"
 )
 
-// ring is the session's bounded replay buffer of encoded events. The
-// run goroutine publishes; any number of subscribers read by cursor.
-// A subscriber that falls more than RingSize events behind loses the
-// overwritten prefix and is told about the gap (SSE clients see it as
-// a jump in event ids and can re-request state).
+// ring is the session's bounded replay buffer of published events. The
+// run goroutine publishes records; any number of subscribers read by
+// cursor, and reading is what encodes. Event sequence numbers are
+// contiguous from 1, so the ring addresses its contents by arithmetic on
+// last rather than storing or searching them. A subscriber that falls
+// more than the ring's capacity behind loses the overwritten prefix and
+// is told about the gap (SSE clients see it as a jump in event ids and
+// can re-request state).
 type ring struct {
 	mu     sync.Mutex
-	buf    []entry // circular
-	start  int     // index of the oldest entry
-	n      int
-	notify chan struct{} // closed and replaced on every publish
+	buf    []record // grows on demand to max, then wraps
+	max    int
+	start  int           // index of the oldest record
+	n      int           // records held
+	last   int64         // seq of the newest record ever published
+	notify chan struct{} // made by a reader that found nothing new; closed by the next publish
 	closed bool
 }
 
-type entry struct {
-	seq  int64
-	data []byte
-}
+// ringInitial is the capacity a ring starts with; most sessions are
+// created long before anyone looks at their events.
+const ringInitial = 64
+
+// bytesPerEvent sizes a read's output buffer: packet events, the bulk of
+// any stream, encode to about 150 bytes.
+const bytesPerEvent = 160
 
 func newRing(capacity int) *ring {
-	return &ring{
-		buf:    make([]entry, capacity),
-		notify: make(chan struct{}),
-	}
+	return &ring{max: capacity}
 }
 
-// add publishes one encoded event and wakes all waiters.
-func (r *ring) add(seq int64, data []byte) {
-	r.mu.Lock()
-	if r.n == len(r.buf) {
-		r.buf[r.start] = entry{seq: seq, data: data}
-		r.start = (r.start + 1) % len(r.buf)
-	} else {
-		r.buf[(r.start+r.n)%len(r.buf)] = entry{seq: seq, data: data}
-		r.n++
+// publish appends recs as the next len(recs) events and wakes waiting
+// readers: one lock and at most one wake-up per batch.
+func (r *ring) publish(recs []record) {
+	if len(recs) == 0 {
+		return
 	}
-	ch := r.notify
-	r.notify = make(chan struct{})
+	r.mu.Lock()
+	for i := range recs {
+		switch {
+		case r.n < len(r.buf):
+			r.buf[(r.start+r.n)%len(r.buf)] = recs[i]
+			r.n++
+		case len(r.buf) < r.max:
+			// Full but not yet at capacity, so not yet wrapped: start is 0.
+			grown := make([]record, min(max(2*len(r.buf), ringInitial), r.max))
+			copy(grown, r.buf)
+			r.buf = grown
+			r.buf[r.n] = recs[i]
+			r.n++
+		default:
+			r.buf[r.start] = recs[i]
+			r.start = (r.start + 1) % len(r.buf)
+		}
+	}
+	r.last += int64(len(recs))
+	if r.notify != nil {
+		close(r.notify)
+		r.notify = nil
+	}
 	r.mu.Unlock()
-	close(ch)
 }
 
 // closeRing marks the stream complete and wakes all waiters for good.
 func (r *ring) closeRing() {
 	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
+	r.closed = true
+	if r.notify != nil {
 		close(r.notify)
+		r.notify = nil
 	}
 	r.mu.Unlock()
 }
 
-// since returns every buffered event with seq > after, the cursor to
-// resume from, whether events were lost to overwrite (gap), whether the
-// stream is complete, and a channel that closes on the next publish.
+// since encodes every buffered event with seq > after and returns them
+// with the cursor to resume from, whether events were lost to overwrite
+// (gap) and whether the stream is complete. When there is nothing new on
+// a live stream it also returns a channel that closes on the next publish.
+// Only the copy of the records happens under the lock; the publisher never
+// waits for a reader's formatting.
 func (r *ring) since(after int64) (batch [][]byte, next int64, gap, closed bool, wait <-chan struct{}) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	next = after
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.start+i)%len(r.buf)]
-		if e.seq <= after {
-			continue
-		}
-		if len(batch) == 0 && e.seq != after+1 {
-			gap = true
-		}
-		batch = append(batch, e.data)
-		next = e.seq
+	next, closed = after, r.closed
+	oldest := r.last - int64(r.n) + 1
+	from := after + 1
+	if from < oldest {
+		from, gap = oldest, r.n > 0
 	}
-	return batch, next, gap, r.closed, r.notify
+	var recs []record
+	if count := int(r.last - from + 1); count > 0 {
+		recs = make([]record, count)
+		first := (r.start + int(from-oldest)) % len(r.buf)
+		k := copy(recs, r.buf[first:])
+		copy(recs[k:], r.buf) // the part that wrapped, if any
+		next = r.last
+	} else if !closed {
+		if r.notify == nil {
+			r.notify = make(chan struct{})
+		}
+		wait = r.notify
+	}
+	r.mu.Unlock()
+
+	if len(recs) > 0 {
+		batch = make([][]byte, len(recs))
+		buf := make([]byte, 0, len(recs)*bytesPerEvent)
+		for i := range recs {
+			at := len(buf)
+			buf = appendRecord(buf, from+int64(i), &recs[i])
+			// If buf was just reallocated the earlier events keep the old
+			// array; each is capped so an append by the caller cannot run
+			// into its neighbour.
+			batch[i] = buf[at:len(buf):len(buf)]
+		}
+	}
+	return batch, next, gap, closed, wait
 }
 
 // Subscription is one subscriber's cursor into a session's event
@@ -97,10 +142,10 @@ func (s *Session) Subscribe(after int64) *Subscription {
 }
 
 // Next blocks until events are available and returns them in order
-// (encoded JSON, one per element), with gap reporting whether events
-// were lost to ring overwrite since the last call. It returns io.EOF
-// once the session is terminal and the stream fully drained, or ctx's
-// error.
+// (JSON, one per element, encoded by this call), with gap reporting
+// whether events were lost to ring overwrite since the last call. It
+// returns io.EOF once the session is terminal and the stream fully
+// drained, or ctx's error.
 func (sub *Subscription) Next(ctx context.Context) (batch [][]byte, gap bool, err error) {
 	for {
 		batch, next, gap, closed, wait := sub.s.ring.since(sub.cursor)

@@ -24,7 +24,6 @@ package session
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -120,8 +119,8 @@ type Config struct {
 	// AckDelay is the return-path delay; default Net.PropDelay for
 	// iboxnet artifacts, the cc harness default otherwise.
 	AckDelay sim.Time
-	// RingSize bounds the replay buffer of encoded events a late or
-	// slow subscriber can catch up from; default 4096.
+	// RingSize bounds the replay buffer of events a late or slow
+	// subscriber can catch up from; default 4096.
 	RingSize int
 
 	// Pool, when non-nil, runs each tick's simulation work on the shared
@@ -202,8 +201,7 @@ type Session struct {
 	bwScale  float64
 	rebuilds int
 	end      sim.Time
-	pending  []Event
-	nextSeq  int64
+	pending  []record // emitted since the last publish
 	acks     int64
 	lost     int64
 	sumBase  int64 // delivered bytes at the last summary event
@@ -215,6 +213,13 @@ type Session struct {
 	infoMu     sync.Mutex
 	kind       string
 	checkpoint string
+
+	// Run-loop scratch: the tick's target and the job that steps to it
+	// (bound once, so handing a tick to the pool allocates nothing), and
+	// the pacing timer.
+	stepTarget sim.Time
+	stepFn     func() error
+	timer      *time.Timer
 
 	// Control plane.
 	ctl  chan ctlOp
@@ -265,6 +270,10 @@ func New(cfg Config) (*Session, error) {
 		createdAt:  time.Now(),
 	}
 	s.touch()
+	s.stepFn = func() error {
+		s.sched.RunUntil(s.stepTarget)
+		return nil
+	}
 	s.shim = &pathShim{sched: s.sched, rng: sim.NewRand(cfg.Seed, 911)}
 	inner, err := s.buildNetwork(0)
 	if err != nil {
@@ -277,6 +286,7 @@ func New(cfg Config) (*Session, error) {
 		Duration:       cfg.Duration,
 		OnAck:          s.onAck,
 		OnLossDetected: s.onLoss,
+		NoTrace:        true, // telemetry is the event stream; a trace would grow for the session's whole life
 	})
 	s.flow.Start()
 	var sumTick func()
@@ -408,7 +418,7 @@ func (s *Session) Mutate(mu Mutation) error {
 		if s.cfg.onMutate != nil {
 			s.cfg.onMutate()
 		}
-		s.pending = append(s.pending, Event{
+		s.emitEncoded(Event{
 			Type:     EventMutate,
 			VT:       s.sched.Now().Seconds(),
 			Mutation: applied,
@@ -531,10 +541,22 @@ func (s *Session) sleepUntil(deadline time.Time) bool {
 		if d <= 0 {
 			return !s.State().terminal()
 		}
-		timer := time.NewTimer(d)
+		if s.timer == nil {
+			s.timer = time.NewTimer(d)
+		} else {
+			s.timer.Reset(d)
+		}
 		select {
 		case op := <-s.ctl:
-			timer.Stop()
+			if !s.timer.Stop() {
+				// Already fired: empty the channel so the next Reset starts
+				// clean. (Should a stale tick slip through anyway, the loop
+				// just finds the deadline not reached and re-arms.)
+				select {
+				case <-s.timer.C:
+				default:
+				}
+			}
 			op.reply <- op.fn()
 			if s.State().terminal() {
 				return false
@@ -542,8 +564,7 @@ func (s *Session) sleepUntil(deadline time.Time) bool {
 			if s.State() == Paused {
 				return true // run loop re-enters its paused branch
 			}
-		case <-timer.C:
-			return !s.State().terminal()
+		case <-s.timer.C:
 		}
 	}
 }
@@ -553,17 +574,10 @@ func (s *Session) sleepUntil(deadline time.Time) bool {
 // request work without oversubscribing cores). A closed pool — the
 // server is past drain — steps inline so the session can still finish.
 func (s *Session) step(target sim.Time) {
-	run := func() error {
-		s.sched.RunUntil(target)
-		return nil
+	s.stepTarget = target
+	if s.cfg.Pool == nil || s.cfg.Pool.Do(context.Background(), s.stepFn) != nil {
+		s.stepFn()
 	}
-	if s.cfg.Pool != nil {
-		if err := s.cfg.Pool.Do(context.Background(), run); err == nil {
-			s.vt.Store(int64(s.sched.Now()))
-			return
-		}
-	}
-	run()
 	s.vt.Store(int64(s.sched.Now()))
 }
 
@@ -579,23 +593,34 @@ func (s *Session) finish(st State, reason string) {
 
 // Event generation (run goroutine / sim callbacks only).
 
+// emit buffers one event for the next publish. An event JSON cannot
+// carry (a NaN or an infinity) is dropped here, before it is numbered,
+// so the published sequence stays contiguous.
+func (s *Session) emit(r record) {
+	if r.encodable() {
+		s.pending = append(s.pending, r)
+	}
+}
+
+// emitEncoded is emit for the rare events that are encoded as they
+// happen (state, mutate).
+func (s *Session) emitEncoded(ev Event) {
+	if r, ok := encodedRecord(&ev); ok {
+		s.pending = append(s.pending, r)
+	}
+}
+
 // onAck is the cc.Flow per-ack telemetry hook.
 func (s *Session) onAck(ack cc.Ack) {
 	s.acks++
 	if s.cfg.PacketEvery < 0 || s.acks%int64(s.cfg.PacketEvery) != 0 {
 		return
 	}
-	s.pending = append(s.pending, Event{
-		Type: EventPacket,
-		VT:   ack.AckTime.Seconds(),
-		Packet: &PacketEvent{
-			Seq:       ack.Seq,
-			DelayMs:   ack.OWD().Millis(),
-			RTTMs:     ack.RTT().Millis(),
-			Cwnd:      s.sender.Window(),
-			Inflight:  s.flow.Inflight(),
-			Delivered: ack.Delivered,
-		},
+	s.emit(record{
+		kind: recPacket,
+		vt:   ack.AckTime.Seconds(),
+		n:    [5]int64{ack.Seq, int64(s.sender.Window()), int64(s.flow.Inflight()), ack.Delivered},
+		x:    [2]float64{ack.OWD().Millis(), ack.RTT().Millis()},
 	})
 }
 
@@ -605,10 +630,10 @@ func (s *Session) onLoss(at sim.Time, seq int64) {
 	if s.cfg.PacketEvery < 0 {
 		return
 	}
-	s.pending = append(s.pending, Event{
-		Type: EventLoss,
-		VT:   at.Seconds(),
-		Loss: &LossEvent{Seq: seq, Cwnd: s.sender.Window()},
+	s.emit(record{
+		kind: recLoss,
+		vt:   at.Seconds(),
+		n:    [5]int64{seq, int64(s.sender.Window())},
 	})
 }
 
@@ -617,24 +642,17 @@ func (s *Session) emitSummary() {
 	delivered := s.flow.DeliveredBytes()
 	thr := float64(delivered-s.sumBase) * 8 / s.cfg.Summary.Seconds()
 	s.sumBase = delivered
-	s.pending = append(s.pending, Event{
-		Type: EventSummary,
-		VT:   s.sched.Now().Seconds(),
-		Summary: &SummaryEvent{
-			Cwnd:          s.sender.Window(),
-			Inflight:      s.flow.Inflight(),
-			SRTTMs:        s.flow.SRTT().Millis(),
-			ThroughputBps: thr,
-			Sent:          s.flow.Sent(),
-			Delivered:     delivered,
-			Lost:          s.lost,
-		},
+	s.emit(record{
+		kind: recSummary,
+		vt:   s.sched.Now().Seconds(),
+		n:    [5]int64{int64(s.sender.Window()), int64(s.flow.Inflight()), s.flow.Sent(), delivered, s.lost},
+		x:    [2]float64{s.flow.SRTT().Millis(), thr},
 	})
 }
 
 // emitState appends a lifecycle event.
 func (s *Session) emitState(st State, reason string) {
-	s.pending = append(s.pending, Event{
+	s.emitEncoded(Event{
 		Type:   EventState,
 		VT:     s.sched.Now().Seconds(),
 		State:  st.String(),
@@ -642,22 +660,14 @@ func (s *Session) emitState(st State, reason string) {
 	})
 }
 
-// publishPending encodes and publishes the buffered events in order.
+// publishPending publishes the buffered events, in order, as the next
+// events of the stream.
 func (s *Session) publishPending() {
-	if len(s.pending) == 0 {
+	n := len(s.pending)
+	if n == 0 {
 		return
 	}
-	n := len(s.pending)
-	for i := range s.pending {
-		ev := &s.pending[i]
-		s.nextSeq++
-		ev.Seq = s.nextSeq
-		b, err := json.Marshal(ev)
-		if err != nil {
-			continue // cannot happen: Event is a plain struct
-		}
-		s.ring.add(ev.Seq, b)
-	}
+	s.ring.publish(s.pending)
 	s.pending = s.pending[:0]
 	s.vt.Store(int64(s.sched.Now()))
 	s.events.Add(int64(n))

@@ -165,11 +165,13 @@ func TestSessionDeterministic(t *testing.T) {
 // the sender's cwnd respond, pause, resume, close.
 func TestSessionLifecycleAndMutation(t *testing.T) {
 	// Paced at 100× so the session visibly runs but cannot complete its
-	// 10-minute virtual duration inside the test.
+	// 10-minute virtual duration inside the test; one packet event in ten
+	// so the reader below (which decodes every event) keeps up with it
+	// even under the race detector.
 	s, err := New(Config{
 		ID: "life", Kind: KindIBoxNet, Net: testNetParams(),
 		Protocol: "cubic", Seed: 1, Duration: 600 * sim.Second,
-		Speed: 100, RingSize: 1 << 16,
+		Speed: 100, RingSize: 1 << 16, PacketEvery: 10,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -186,7 +188,11 @@ func TestSessionLifecycleAndMutation(t *testing.T) {
 
 	// Let it run, then mutate: halve the bandwidth and inject a loss
 	// burst — the sender's window must come down.
-	waitSummaries := func(n int) (cwndSum float64, count int) {
+	// waitSummaries reads on until it has seen n summaries — counting, when
+	// afterMutate is set, only those that follow the mutate event in the
+	// stream: the session does not wait for its subscriber, so how far the
+	// reader lags behind the mutation is a matter of scheduling.
+	waitSummaries := func(n int, afterMutate bool) (cwndSum float64, count int) {
 		for count < n {
 			batch, _, err := sub.Next(ctx)
 			if err != nil {
@@ -197,7 +203,10 @@ func TestSessionLifecycleAndMutation(t *testing.T) {
 				if err := json.Unmarshal(b, &ev); err != nil {
 					t.Fatalf("bad event %s: %v", b, err)
 				}
-				if ev.Type == EventSummary {
+				switch {
+				case ev.Type == EventMutate:
+					afterMutate = false
+				case ev.Type == EventSummary && !afterMutate:
 					cwndSum += float64(ev.Summary.Cwnd)
 					count++
 				}
@@ -205,7 +214,7 @@ func TestSessionLifecycleAndMutation(t *testing.T) {
 		}
 		return cwndSum, count
 	}
-	beforeSum, beforeN := waitSummaries(20)
+	beforeSum, beforeN := waitSummaries(20, false)
 
 	loss := 0.2
 	if err := s.Mutate(Mutation{
@@ -218,7 +227,7 @@ func TestSessionLifecycleAndMutation(t *testing.T) {
 	if got := s.Info().Mutations; got != 1 {
 		t.Fatalf("Mutations = %d, want 1", got)
 	}
-	afterSum, afterN := waitSummaries(20)
+	afterSum, afterN := waitSummaries(20, true)
 	before, after := beforeSum/float64(beforeN), afterSum/float64(afterN)
 	if after >= before {
 		t.Errorf("mean cwnd did not drop after bandwidth×0.5 + loss burst: before %.1f, after %.1f", before, after)
@@ -239,7 +248,7 @@ func TestSessionLifecycleAndMutation(t *testing.T) {
 	if err := s.Resume(); err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
-	waitSummaries(2) // proves it advances again
+	waitSummaries(2, false) // proves it advances again
 
 	if err := s.Close("client"); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -630,7 +639,7 @@ func TestManagerCheckpointAndDrain(t *testing.T) {
 func TestRingGapReporting(t *testing.T) {
 	r := newRing(4)
 	for seq := int64(1); seq <= 10; seq++ {
-		r.add(seq, []byte{byte(seq)})
+		r.publish([]record{{kind: recLoss, n: [5]int64{seq}}})
 	}
 	batch, next, gap, _, _ := r.since(0)
 	if !gap {
@@ -642,5 +651,65 @@ func TestRingGapReporting(t *testing.T) {
 	// A current subscriber sees no gap.
 	if _, _, gap, _, _ := r.since(10); gap {
 		t.Fatal("caught-up subscriber reported a gap")
+	}
+}
+
+// TestRingIndexArithmetic checks since against a plain model through
+// growth, the switch to overwriting at capacity, and wrap-around: for any
+// cursor it must return exactly the retained events after it, in order,
+// numbered contiguously, flagging a gap only when the cursor's successor
+// has been overwritten.
+func TestRingIndexArithmetic(t *testing.T) {
+	const capacity = 100 // not a power of two, and above ringInitial: grows 64 → 100
+	r := newRing(capacity)
+	rng := sim.NewRand(3, 1)
+	var last int64
+	check := func(after int64) {
+		t.Helper()
+		batch, next, gap, closed, wait := r.since(after)
+		oldest := max(last-capacity+1, 1)
+		from := max(after+1, oldest)
+		wantN := max(int(last-from+1), 0)
+		if len(batch) != wantN || closed {
+			t.Fatalf("since(%d) with events %d..%d: %d events, closed=%v; want %d", after, oldest, last, len(batch), closed, wantN)
+		}
+		if wantGap := wantN > 0 && after+1 < oldest; gap != wantGap {
+			t.Fatalf("since(%d) with events %d..%d: gap=%v", after, oldest, last, gap)
+		}
+		if wantN == 0 {
+			if next != after || wait == nil {
+				t.Fatalf("since(%d) with nothing new: next=%d, wait=%v", after, next, wait)
+			}
+			return
+		}
+		if next != last {
+			t.Fatalf("since(%d): next=%d, want %d", after, next, last)
+		}
+		for i, b := range batch {
+			var ev Event
+			if err := json.Unmarshal(b, &ev); err != nil {
+				t.Fatalf("bad event %s: %v", b, err)
+			}
+			// Each record was published carrying its own number.
+			if seq := from + int64(i); ev.Seq != seq || ev.Loss == nil || ev.Loss.Seq != seq {
+				t.Fatalf("since(%d) event %d: %s, want seq %d", after, i, b, seq)
+			}
+		}
+	}
+	check(0)
+	for last < 1000 {
+		n := 1 + rng.Intn(40)
+		recs := make([]record, n)
+		for i := range recs {
+			recs[i] = record{kind: recLoss, n: [5]int64{last + int64(i) + 1}}
+		}
+		r.publish(recs)
+		last += int64(n)
+		for _, after := range []int64{0, last - capacity - 1, last - capacity, last - capacity + 1, last - int64(rng.Intn(capacity)), last - 1, last, last + 5} {
+			check(max(after, 0))
+		}
+	}
+	if len(r.buf) != capacity {
+		t.Fatalf("ring grew to %d records, capacity is %d", len(r.buf), capacity)
 	}
 }

@@ -8,10 +8,7 @@
 // drawn from explicitly seeded sources (see NewRand).
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulation timestamp in nanoseconds since the start of the run.
 // Using a fixed-point integer representation (rather than float64 seconds)
@@ -38,54 +35,60 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 // FromSeconds converts floating-point seconds to a Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// event is a scheduled callback.
+// event is the node behind one scheduled callback. Nodes are recycled
+// through the scheduler's free list, so a node outlives the event it
+// carried: seq names its current (or, once fired or cancelled, its last)
+// occupant and doubles as the generation that invalidates stale EventIDs.
 type event struct {
-	at   Time
-	seq  uint64 // tie-breaker: insertion order for equal timestamps
 	fn   func()
-	dead bool // cancelled
-	idx  int  // heap index, -1 once popped
+	seq  uint64
+	idx  int    // position in the heap, -1 when not queued
+	next *event // free-list link
 }
 
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ ev *event }
+// EventID identifies a scheduled event so it can be cancelled. The zero
+// value identifies no event. An id goes stale when its event fires or is
+// cancelled; cancelling a stale id is a no-op even after the node behind
+// it has been reused for a later event.
+type EventID struct {
+	ev  *event
+	seq uint64
+}
 
-// eventQueue is a min-heap over (at, seq).
-type eventQueue []*event
+// entry is one heap slot. The ordering key (at, seq) lives in the slot by
+// value, so sifting compares without touching the nodes; seq is the
+// tie-breaker that fires equal timestamps in insertion order.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*q = old[:n-1]
-	return ev
-}
+
+// eventChunk is how many nodes the scheduler allocates at a time once its
+// free list runs dry (the first chunks are smaller, so a scheduler that
+// only ever holds a handful of events stays small).
+const eventChunk = 256
 
 // Scheduler is a discrete-event scheduler. The zero value is not usable;
 // call NewScheduler.
+//
+// In steady state scheduling and firing allocate nothing: event nodes are
+// recycled, and the scheduler stores the callback it is given as is — so
+// a caller that passes a method value bound once (rather than a fresh
+// closure per event) schedules for free.
 type Scheduler struct {
 	now   Time
-	queue eventQueue
+	heap  []entry // binary min-heap over (at, seq)
 	seq   uint64
+	free  *event
+	chunk int // size of the next node allocation
 }
 
 // NewScheduler returns a scheduler with the clock at zero and no events.
@@ -99,13 +102,9 @@ func (s *Scheduler) Now() Time { return s.now }
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a simulator bug rather than a recoverable condition.
 func (s *Scheduler) At(t Time, fn func()) EventID {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	ev := &event{at: t, seq: s.seq, fn: fn}
+	seq := s.seq
 	s.seq++
-	heap.Push(&s.queue, ev)
-	return EventID{ev}
+	return s.schedule(t, seq, fn)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -113,35 +112,96 @@ func (s *Scheduler) After(d Time, fn func()) EventID {
 	return s.At(s.now+d, fn)
 }
 
+// ReserveSeq sets aside n consecutive tie-break sequence numbers and
+// returns the first. Together with AtSeq it lets a source that knows its
+// whole schedule up front (netsim.Replay) keep only its next event
+// queued, yet fire in exactly the order it would have had it scheduled
+// all n events at the moment of the reservation.
+func (s *Scheduler) ReserveSeq(n int) uint64 {
+	first := s.seq
+	s.seq += uint64(n)
+	return first
+}
+
+// AtSeq is At with an explicit tie-break sequence number, which must come
+// from a ReserveSeq block and be used at most once.
+func (s *Scheduler) AtSeq(t Time, seq uint64, fn func()) EventID {
+	return s.schedule(t, seq, fn)
+}
+
+func (s *Scheduler) schedule(t Time, seq uint64, fn func()) EventID {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	ev := s.free
+	if ev == nil {
+		ev = s.grow()
+	}
+	s.free = ev.next
+	ev.fn, ev.seq, ev.next = fn, seq, nil
+	s.heap = append(s.heap, entry{at: t, seq: seq, ev: ev})
+	s.up(len(s.heap) - 1)
+	return EventID{ev, seq}
+}
+
+// grow refills the free list with a freshly allocated chunk of nodes.
+func (s *Scheduler) grow() *event {
+	switch {
+	case s.chunk == 0:
+		s.chunk = 8
+	case s.chunk < eventChunk:
+		s.chunk *= 2
+	}
+	nodes := make([]event, s.chunk)
+	for i := range nodes {
+		nodes[i].idx = -1
+		if i+1 < len(nodes) {
+			nodes[i].next = &nodes[i+1]
+		}
+	}
+	s.free = &nodes[0]
+	return s.free
+}
+
+// release returns a fired or cancelled node to the free list. Its seq is
+// left in place: until the node is reused, a stale id still matches it and
+// is told apart by idx == -1.
+func (s *Scheduler) release(ev *event) {
+	ev.fn = nil
+	ev.idx = -1
+	ev.next = s.free
+	s.free = ev
+}
+
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (s *Scheduler) Cancel(id EventID) {
 	ev := id.ev
-	if ev == nil || ev.dead {
+	if ev == nil || ev.seq != id.seq || ev.idx < 0 {
 		return
 	}
-	ev.dead = true
-	if ev.idx >= 0 {
-		heap.Remove(&s.queue, ev.idx)
-	}
+	s.remove(ev.idx)
+	s.release(ev)
 }
 
 // Pending reports the number of live scheduled events.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // Step runs the earliest pending event, advancing the clock to its
 // timestamp. It reports false when no events remain.
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.dead {
-			continue
-		}
-		s.now = ev.at
-		ev.fn()
-		return true
+	if len(s.heap) == 0 {
+		return false
 	}
-	return false
+	s.now = s.heap[0].at
+	ev := s.heap[0].ev
+	s.remove(0)
+	// Recycle before running: the callback's own scheduling then reuses
+	// the node while it is still in cache.
+	fn := ev.fn
+	s.release(ev)
+	fn()
+	return true
 }
 
 // RunUntil executes events in timestamp order until the queue is empty or
@@ -149,16 +209,7 @@ func (s *Scheduler) Step() bool {
 // deadline if it was reached, so successive RunUntil calls see monotonic
 // time.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for len(s.queue) > 0 {
-		// Peek at the earliest live event.
-		ev := s.queue[0]
-		if ev.dead {
-			heap.Pop(&s.queue)
-			continue
-		}
-		if ev.at > deadline {
-			break
-		}
+	for len(s.heap) > 0 && s.heap[0].at <= deadline {
 		s.Step()
 	}
 	if s.now < deadline {
@@ -170,4 +221,62 @@ func (s *Scheduler) RunUntil(deadline Time) {
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
+}
+
+// remove deletes heap slot i, restoring the heap order.
+func (s *Scheduler) remove(i int) {
+	h := s.heap
+	n := len(h) - 1
+	if i != n {
+		h[i] = h[n]
+		h[i].ev.idx = i
+	}
+	h[n] = entry{}
+	s.heap = h[:n]
+	if i != n && !s.down(i) {
+		s.up(i)
+	}
+}
+
+// up sifts slot i towards the root.
+func (s *Scheduler) up(i int) {
+	h := s.heap
+	e := h[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].ev.idx = i
+		i = parent
+	}
+	h[i] = e
+	e.ev.idx = i
+}
+
+// down sifts slot i towards the leaves and reports whether it moved.
+func (s *Scheduler) down(i int) bool {
+	h := s.heap
+	n := len(h)
+	e := h[i]
+	start := i
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&e) {
+			break
+		}
+		h[i] = h[child]
+		h[i].ev.idx = i
+		i = child
+	}
+	h[i] = e
+	e.ev.idx = i
+	return i != start
 }
