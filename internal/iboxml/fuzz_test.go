@@ -2,15 +2,22 @@ package iboxml
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"ibox/internal/sim"
 )
 
-// corpusModelBytes serializes one small trained model for corruption.
-func corpusModelBytes(t testing.TB) []byte {
+// corpusModel trains one small model for the serializer tests to corrupt.
+func corpusModel(t testing.TB) *Model {
 	t.Helper()
 	m, err := Train(trainSamples(1, 2*sim.Second), Config{
 		Hidden: 4, Layers: 1, Epochs: 1, Seed: 3,
@@ -18,6 +25,12 @@ func corpusModelBytes(t testing.TB) []byte {
 	if err != nil {
 		t.Fatalf("train: %v", err)
 	}
+	return m
+}
+
+// artifactBytes serializes m in the current layout.
+func artifactBytes(t testing.TB, m *Model) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Write(&buf); err != nil {
 		t.Fatalf("write: %v", err)
@@ -25,12 +38,50 @@ func corpusModelBytes(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// mutate decodes the model JSON to a generic map, applies fn, and
-// re-encodes — the easiest way to corrupt a single field.
+// legacyBytes serializes m the way Write did before artifacts had a raw
+// weight section: one JSON document with the weights inline.
+// TestLegacyCheckpoint pins it byte for byte against a file the old
+// writer produced.
+func legacyBytes(t testing.TB, m *Model) []byte {
+	t.Helper()
+	net := m.Net.Header()
+	net.Weights, net.CRC32C = 0, 0
+	for _, p := range m.Net.Params() {
+		net.Params = append(net.Params, p.W)
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(modelJSON{
+		Cfg: m.Cfg, Net: &net,
+		XMean: m.xScale.Mean, XStd: m.xScale.Std,
+		YMean: m.yMean, YStd: m.yStd,
+		OutlierRate: m.outlierRate, MinDelayMs: m.minDelayMs,
+		Envelope: m.env, Calibration: m.baseline,
+	}); err != nil {
+		t.Fatalf("encode legacy artifact: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// splitArtifact cuts an artifact after its first line: the header and the
+// weight section of the current layout, the whole document and nothing of
+// a legacy one.
+func splitArtifact(t testing.TB, data []byte) (header, section []byte) {
+	t.Helper()
+	i := bytes.IndexByte(data, '\n')
+	if i < 0 {
+		t.Fatal("artifact has no newline")
+	}
+	return data[:i+1], data[i+1:]
+}
+
+// mutate decodes the artifact's JSON part to a generic map, applies fn,
+// and re-encodes — the easiest way to corrupt a single field. The weight
+// section, if any, is carried over untouched.
 func mutate(t *testing.T, data []byte, fn func(map[string]any)) []byte {
 	t.Helper()
+	header, section := splitArtifact(t, data)
 	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
+	if err := json.Unmarshal(header, &doc); err != nil {
 		t.Fatalf("unmarshal corpus model: %v", err)
 	}
 	fn(doc)
@@ -38,15 +89,21 @@ func mutate(t *testing.T, data []byte, fn func(map[string]any)) []byte {
 	if err != nil {
 		t.Fatalf("marshal mutated model: %v", err)
 	}
-	return out
+	return append(append(out, '\n'), section...)
 }
+
+// unsized hides a reader's Len method, so Read cannot learn how much
+// input remains and has to take its buffering path.
+type unsized struct{ io.Reader }
 
 // FuzzRead checks the model deserializer never panics, and that any model
 // it accepts is fully usable: Validate passes and closed-loop inference
 // runs without panicking. This is the registry's warm-load guarantee — a
 // checkpoint either loads into a working model or is rejected.
 func FuzzRead(f *testing.F) {
-	good := corpusModelBytes(f)
+	m := corpusModel(f)
+	good, legacy := artifactBytes(f, m), legacyBytes(f, m)
+	header, section := splitArtifact(f, good)
 	f.Add(string(good))
 	f.Add("")
 	f.Add("{}")
@@ -55,9 +112,19 @@ func FuzzRead(f *testing.F) {
 	f.Add(`{"config":{"Window":0},"net":null}`)
 	f.Add("IBOX1\x00\x01\x02 not json at all")
 	f.Add(string(good[:len(good)/2]))
+	f.Add(string(legacy))
+	f.Add(string(legacy[:len(legacy)/2]))
+	f.Add(string(header))
+	f.Add(string(good) + "\n")
+	f.Add(string(header[:len(header)-1]) + string(section))
+	f.Add(`{"format":2,"net":{"kind":0,"in":4096,"hidden":4096,"layers":64,"weights":8590991362}}` + "\n12345678")
+	f.Add(`{"format":3,"net":{"kind":0,"in":4,"hidden":2,"layers":1}}` + "\n")
 	tr := synthTrace(9, 500*sim.Millisecond)
 	f.Fuzz(func(t *testing.T, s string) {
 		m, err := Read(strings.NewReader(s))
+		if _, uerr := Read(unsized{strings.NewReader(s)}); (uerr == nil) != (err == nil) {
+			t.Fatalf("sized read: %v; unsized read: %v", err, uerr)
+		}
 		if err != nil {
 			return
 		}
@@ -73,57 +140,180 @@ func FuzzRead(f *testing.F) {
 
 // TestReadRejectsCorruptModels walks the corruption taxonomy the serving
 // registry must survive: truncation, wrong format, missing network,
-// impossible shapes, non-finite or nonsensical statistics.
+// impossible shapes, non-finite or nonsensical statistics — in the JSON
+// part of both layouts — and every way a weight section can disagree with
+// its header.
 func TestReadRejectsCorruptModels(t *testing.T) {
-	good := corpusModelBytes(t)
+	m := corpusModel(t)
+	raw, legacy := artifactBytes(t, m), legacyBytes(t, m)
+	both := [][]byte{raw, legacy}
+
+	// field corrupts one field of the JSON part.
+	field := func(fn func(map[string]any)) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, good []byte) []byte { return mutate(t, good, fn) }
+	}
+	net := func(fn func(net map[string]any)) func(*testing.T, []byte) []byte {
+		return field(func(d map[string]any) { fn(d["net"].(map[string]any)) })
+	}
+	fixed := func(data string) func(*testing.T, []byte) []byte {
+		return func(*testing.T, []byte) []byte { return []byte(data) }
+	}
+	// withWeight overwrites weight i of the section and re-stamps the CRC,
+	// so only a check on the values themselves can object.
+	withWeight := func(i int, v float64) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, good []byte) []byte {
+			header, section := splitArtifact(t, good)
+			section = append([]byte(nil), section...)
+			binary.LittleEndian.PutUint64(section[8*i:], math.Float64bits(v))
+			crc := crc32.Checksum(section, crc32.MakeTable(crc32.Castagnoli))
+			return mutate(t, append(append([]byte(nil), header...), section...), func(d map[string]any) {
+				d["net"].(map[string]any)["crc32c"] = crc
+			})
+		}
+	}
 	cases := []struct {
 		name string
-		data []byte
+		on   [][]byte // the pristine artifacts the corruption applies to
+		fn   func(t *testing.T, good []byte) []byte
 	}{
-		{"empty", nil},
-		{"not-json", []byte("IBOX1\x00binary junk")},
-		{"truncated", good[:len(good)/2]},
-		{"empty-object", []byte("{}")},
-		{"null-net", mutate(t, good, func(d map[string]any) { d["net"] = nil })},
-		{"empty-net", mutate(t, good, func(d map[string]any) { d["net"] = map[string]any{} })},
-		{"zero-y-std", mutate(t, good, func(d map[string]any) { d["y_std"] = 0.0 })},
-		{"nan-y-mean-as-string", mutate(t, good, func(d map[string]any) { d["y_mean"] = "NaN" })},
-		{"wrong-x-std-len", mutate(t, good, func(d map[string]any) { d["x_std"] = []any{1.0} })},
-		{"negative-feature-std", mutate(t, good, func(d map[string]any) {
+		{"empty", both, fixed("")},
+		{"not-json", both, fixed("IBOX1\x00binary junk")},
+		{"truncated", both, func(_ *testing.T, good []byte) []byte { return good[:len(good)/2] }},
+		{"empty-object", both, fixed("{}")},
+		{"null-net", both, field(func(d map[string]any) { d["net"] = nil })},
+		{"empty-net", both, field(func(d map[string]any) { d["net"] = map[string]any{} })},
+		{"zero-y-std", both, field(func(d map[string]any) { d["y_std"] = 0.0 })},
+		{"nan-y-mean-as-string", both, field(func(d map[string]any) { d["y_mean"] = "NaN" })},
+		{"wrong-x-std-len", both, field(func(d map[string]any) { d["x_std"] = []any{1.0} })},
+		{"negative-feature-std", both, field(func(d map[string]any) {
 			d["x_std"].([]any)[0] = -1.0
 		})},
-		{"outlier-rate-above-one", mutate(t, good, func(d map[string]any) { d["outlier_rate"] = 1.5 })},
-		{"negative-min-delay", mutate(t, good, func(d map[string]any) { d["min_delay_ms"] = -3.0 })},
-		{"zero-window", mutate(t, good, func(d map[string]any) {
+		{"outlier-rate-above-one", both, field(func(d map[string]any) { d["outlier_rate"] = 1.5 })},
+		{"negative-min-delay", both, field(func(d map[string]any) { d["min_delay_ms"] = -3.0 })},
+		{"zero-window", both, field(func(d map[string]any) {
 			d["config"].(map[string]any)["Window"] = 0
 		})},
-		{"ct-flag-vs-4dim-net", mutate(t, good, func(d map[string]any) {
+		{"ct-flag-vs-4dim-net", both, field(func(d map[string]any) {
 			d["config"].(map[string]any)["UseCrossTraffic"] = true
 		})},
-		{"wrong-tensor-count", mutate(t, good, func(d map[string]any) {
-			net := d["net"].(map[string]any)
-			net["params"] = net["params"].([]any)[:1]
+		{"huge-hidden", both, net(func(n map[string]any) { n["hidden"] = 1 << 30 })},
+		{"binary-head-net", both, net(func(n map[string]any) { n["kind"] = 1 })},
+		{"unknown-format", both, field(func(d map[string]any) { d["format"] = 3 })},
+
+		// Legacy layout: the inline tensors against the shape.
+		{"wrong-tensor-count", both[1:], net(func(n map[string]any) {
+			n["params"] = n["params"].([]any)[:1]
 		})},
-		{"wrong-tensor-len", mutate(t, good, func(d map[string]any) {
-			p := d["net"].(map[string]any)["params"].([]any)
+		{"wrong-tensor-len", both[1:], net(func(n map[string]any) {
+			p := n["params"].([]any)
 			p[0] = p[0].([]any)[:1]
 		})},
-		{"huge-hidden", mutate(t, good, func(d map[string]any) {
-			d["net"].(map[string]any)["hidden"] = 1 << 30
+		{"legacy-declares-section", both[1:], net(func(n map[string]any) { n["weights"] = 5 })},
+		{"legacy-marked-raw", both[1:], field(func(d map[string]any) { d["format"] = formatRaw })},
+
+		// Current layout: the weight section against the header.
+		{"section-missing", both[:1], func(t *testing.T, good []byte) []byte {
+			header, _ := splitArtifact(t, good)
+			return header
+		}},
+		{"section-truncated", both[:1], func(_ *testing.T, good []byte) []byte { return good[:len(good)-8] }},
+		{"section-truncated-mid-value", both[:1], func(_ *testing.T, good []byte) []byte { return good[:len(good)-3] }},
+		{"section-longer-than-declared", both[:1], func(_ *testing.T, good []byte) []byte {
+			return append(append([]byte(nil), good...), make([]byte, 8)...)
+		}},
+		{"trailing-byte", both[:1], func(_ *testing.T, good []byte) []byte {
+			return append(append([]byte(nil), good...), '\n')
+		}},
+		{"crc-mismatch", both[:1], net(func(n map[string]any) { n["crc32c"] = n["crc32c"].(float64) + 1 })},
+		{"section-bit-flip", both[:1], func(_ *testing.T, good []byte) []byte {
+			out := append([]byte(nil), good...)
+			out[len(out)-20] ^= 0x10
+			return out
+		}},
+		{"nan-weight", both[:1], withWeight(3, math.NaN())},
+		{"inf-weight", both[:1], withWeight(0, math.Inf(1))},
+		{"count-below-shape", both[:1], func(t *testing.T, good []byte) []byte {
+			return net(func(n map[string]any) { n["weights"] = n["weights"].(float64) - 1 })(t, good[:len(good)-8])
+		}},
+		{"count-above-shape", both[:1], func(t *testing.T, good []byte) []byte {
+			longer := append(append([]byte(nil), good...), make([]byte, 8)...)
+			return net(func(n map[string]any) { n["weights"] = n["weights"].(float64) + 1 })(t, longer)
+		}},
+		{"zero-count", both[:1], net(func(n map[string]any) { delete(n, "weights") })},
+		{"shape-grows-count-stays", both[:1], net(func(n map[string]any) { n["layers"] = 2 })},
+		{"section-and-inline-params", both[:1], net(func(n map[string]any) { n["params"] = []any{} })},
+		{"header-over-prefix-cap", both[:1], field(func(d map[string]any) {
+			d["padding"] = strings.Repeat("x", maxHeaderBytes)
 		})},
-		{"binary-head-net", mutate(t, good, func(d map[string]any) {
-			d["net"].(map[string]any)["kind"] = 1
-		})},
+		{"header-without-newline", both[:1], func(t *testing.T, good []byte) []byte {
+			header, section := splitArtifact(t, good)
+			return append(append([]byte(nil), header[:len(header)-1]...), section...)
+		}},
+		{"raw-marked-legacy", both[:1], field(func(d map[string]any) { delete(d, "format") })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Read(bytes.NewReader(tc.data)); err == nil {
-				t.Fatal("Read accepted a corrupt model")
+			for _, good := range tc.on {
+				data := tc.fn(t, good)
+				if _, err := Read(bytes.NewReader(data)); err == nil {
+					t.Error("Read accepted a corrupt model")
+				}
+				if _, err := Read(unsized{bytes.NewReader(data)}); err == nil {
+					t.Error("Read accepted a corrupt model from an unsized reader")
+				}
 			}
 		})
 	}
-	// Sanity: the uncorrupted bytes still load.
-	if _, err := Read(bytes.NewReader(good)); err != nil {
-		t.Fatalf("Read rejected the pristine model: %v", err)
+	// Sanity: the uncorrupted bytes still load, and survive a mutate that
+	// changes nothing (so the cases above fail for the reason they name).
+	for _, good := range both {
+		for _, data := range [][]byte{good, mutate(t, good, func(map[string]any) {})} {
+			if _, err := Read(bytes.NewReader(data)); err != nil {
+				t.Fatalf("Read rejected the pristine model: %v", err)
+			}
+			if _, err := Read(unsized{bytes.NewReader(data)}); err != nil {
+				t.Fatalf("Read rejected the pristine model from an unsized reader: %v", err)
+			}
+		}
+	}
+}
+
+// TestReadChecksLengthBeforeAllocating: a file of under 1 KiB whose header
+// consistently declares the largest shape the caps allow (hidden 4096 × 64
+// layers, ≈64 GiB of weights) is refused from its length, whichever way it
+// arrives, without anything of that size being allocated.
+func TestReadChecksLengthBeforeAllocating(t *testing.T) {
+	good := artifactBytes(t, corpusModel(t))
+	data := mutate(t, good[:bytes.IndexByte(good, '\n')+1+64], func(d map[string]any) {
+		n := d["net"].(map[string]any)
+		n["in"], n["hidden"], n["layers"] = 4096, 4096, 64
+		n["weights"] = 4*4096*(4096+4096+1)*64 + 2*(4096+1)
+	})
+	if len(data) > 1<<10 {
+		t.Fatalf("hostile artifact is %d bytes, want ≤ 1 KiB", len(data))
+	}
+	path := filepath.Join(t.TempDir(), "hostile.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loads := map[string]func() error{
+		"sized":   func() error { _, err := Read(bytes.NewReader(data)); return err },
+		"unsized": func() error { _, err := Read(unsized{bytes.NewReader(data)}); return err },
+		"file":    func() error { _, err := Load(path); return err },
+	}
+	for name, load := range loads {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := load()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: oversized header accepted", name)
+		}
+		if !strings.Contains(err.Error(), "weight section is") {
+			t.Errorf("%s: rejected for the wrong reason: %v", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%s: rejecting it allocated %d bytes, want < 1 MiB", name, d)
+		}
 	}
 }

@@ -2,11 +2,17 @@ package iboxml
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
+	"math"
+	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
+	"ibox/internal/nn"
 	"ibox/internal/sim"
+	"ibox/internal/trace"
 )
 
 func TestModelSerializationRoundTrip(t *testing.T) {
@@ -110,23 +116,14 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Fatalf("baseline after round trip: %+v, want %+v", b, cal)
 	}
 
-	// A legacy artifact — the same document with the calibration field
-	// deleted — still loads, with no baseline.
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	delete(doc, "calibration")
-	legacy, err := json.Marshal(doc)
+	// An artifact from before baselines existed — the same header with
+	// the calibration field deleted — still loads, with no baseline.
+	old, err := Read(bytes.NewReader(mutate(t, raw, func(d map[string]any) { delete(d, "calibration") })))
 	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Read(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy artifact rejected: %v", err)
+		t.Fatalf("artifact without a calibration field rejected: %v", err)
 	}
 	if old.Baseline() != nil {
-		t.Fatal("legacy artifact should have nil baseline")
+		t.Fatal("artifact without a calibration field should have nil baseline")
 	}
 }
 
@@ -163,6 +160,222 @@ func TestScoreWindowsMatchesCalibrate(t *testing.T) {
 	for b := range bins {
 		if got := bins[b] / float64(n); got != cal.PIT[b] {
 			t.Fatalf("PIT bin %d: %v vs Calibrate %v", b, got, cal.PIT[b])
+		}
+	}
+}
+
+// sameBits fails unless a and b are the same model down to the bit
+// pattern of every weight and statistic.
+func sameBits(t *testing.T, a, b *Model) {
+	t.Helper()
+	bits := func(m *Model) [][]uint64 {
+		var out [][]uint64
+		add := func(vs ...float64) {
+			row := make([]uint64, len(vs))
+			for i, v := range vs {
+				row[i] = math.Float64bits(v)
+			}
+			out = append(out, row)
+		}
+		for _, p := range m.Net.Params() {
+			add(p.W...)
+		}
+		add(m.xScale.Mean...)
+		add(m.xScale.Std...)
+		add(m.yMean, m.yStd, m.outlierRate, m.minDelayMs)
+		add(m.env.Min...)
+		add(m.env.Max...)
+		return out
+	}
+	if !reflect.DeepEqual(bits(a), bits(b)) {
+		t.Fatal("weights, scaler or envelope differ in some bit")
+	}
+	if a.Cfg != b.Cfg || a.Net.Kind != b.Net.Kind {
+		t.Fatalf("config or head kind differ: %+v vs %+v", a.Cfg, b.Cfg)
+	}
+	if !reflect.DeepEqual(a.Baseline(), b.Baseline()) {
+		t.Fatalf("baselines differ: %+v vs %+v", a.Baseline(), b.Baseline())
+	}
+}
+
+// traceBytes is the JSON a SimulateTrace result is served as.
+func traceBytes(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLegacyCheckpoint loads testdata/legacy-h6x2.json — written by
+// `iboxml train` at the last commit whose artifacts were a single JSON
+// document — and checks that it still means exactly what it meant:
+// re-saving it in the current layout and loading that back gives the
+// same bits, and legacy-loaded, re-loaded and in-memory models simulate
+// byte-identical traces.
+func TestLegacyCheckpoint(t *testing.T) {
+	const legacyPath = "testdata/legacy-h6x2.json"
+	legacy, err := Load(legacyPath)
+	if err != nil {
+		t.Fatalf("legacy checkpoint rejected: %v", err)
+	}
+	if legacy.NumParams() != 590 || legacy.Baseline() == nil || legacy.Baseline().Windows != 60 {
+		t.Fatalf("legacy checkpoint loaded as %d params, baseline %+v", legacy.NumParams(), legacy.Baseline())
+	}
+	onDisk, err := os.ReadFile(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The test-side legacy encoder reproduces the old writer exactly,
+	// which is what lets the other tests stand in for old files with it.
+	if !bytes.Equal(legacyBytes(t, legacy), onDisk) {
+		t.Fatal("legacyBytes no longer reproduces the old writer's output")
+	}
+
+	path := filepath.Join(t.TempDir(), "resaved.json")
+	if err := legacy.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, legacy, resaved)
+	if fi, err := os.Stat(path); err != nil || fi.Size() >= int64(len(onDisk)) {
+		t.Fatalf("re-saved artifact is %d bytes, legacy %d: %v", fi.Size(), len(onDisk), err)
+	}
+
+	in := synthTrace(11, 3*sim.Second)
+	want := traceBytes(t, legacy.SimulateTrace(in, nil, 42))
+	if got := traceBytes(t, resaved.SimulateTrace(in, nil, 42)); !bytes.Equal(got, want) {
+		t.Fatal("re-saved checkpoint simulates a different trace")
+	}
+	// And from the other side: a model that has never been serialized
+	// against both of its serialized forms.
+	m, err := Train(trainSamples(1, 3*sim.Second), Config{Hidden: 6, Layers: 2, Epochs: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetBaseline(m.Calibrate(trainSamples(1, 3*sim.Second)))
+	want = traceBytes(t, m.SimulateTrace(in, nil, 42))
+	for name, data := range map[string][]byte{"legacy": legacyBytes(t, m), "current": artifactBytes(t, m)} {
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameBits(t, m, got)
+		if !bytes.Equal(traceBytes(t, got.SimulateTrace(in, nil, 42)), want) {
+			t.Fatalf("%s-loaded model simulates a different trace than the in-memory one", name)
+		}
+	}
+}
+
+// TestSaveReplacesAtomically: Save never exposes a partial artifact under
+// the final name — it writes beside it and renames — so a load racing a
+// re-save sees the old model or the new one, and nothing is left behind.
+func TestSaveReplacesAtomically(t *testing.T) {
+	m := corpusModel(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "m.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	before, _ := old.Stat()
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.SameFile(before, after) {
+		t.Fatal("Save rewrote the artifact in place")
+	}
+	// The descriptor opened before the re-save still reads a whole model.
+	if _, err := Read(old); err != nil {
+		t.Fatalf("reader that opened before the re-save: %v", err)
+	}
+	if des, _ := os.ReadDir(dir); len(des) != 1 {
+		t.Fatalf("Save left %d files in the directory, want 1", len(des))
+	}
+	if err := m.Save(filepath.Join(dir, "missing", "m.json")); err == nil {
+		t.Fatal("Save into a missing directory succeeded")
+	}
+}
+
+// syntheticModel is a loadable model of the given shape with random
+// weights — the serializers do not care whether it was trained.
+func syntheticModel(hidden, layers int) *Model {
+	return &Model{
+		Cfg:     Config{Hidden: hidden, Layers: layers, Window: 100 * sim.Millisecond},
+		Net:     nn.NewSequenceModel(nn.GaussianHead, 4, hidden, layers, 1),
+		xScale:  scaler{Mean: make([]float64, 4), Std: []float64{1, 1, 1, 1}},
+		yStd:    1,
+		trained: true,
+	}
+}
+
+// TestLoadAllocBound: loading a paper-scale (256×4) checkpoint allocates
+// the network's own tensors and under 1 MiB more — no whole-file buffer,
+// no decoded copy of the weights.
+func TestLoadAllocBound(t *testing.T) {
+	m := syntheticModel(256, 4)
+	path := filepath.Join(t.TempDir(), "paper.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	var tensors uint64 // W, Grad and the two Adam moments of every tensor
+	for _, p := range m.Net.Params() {
+		tensors += 4 * 8 * uint64(len(p.W))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Load(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumParams() != m.NumParams() {
+		t.Fatalf("loaded %d params, saved %d", got.NumParams(), m.NumParams())
+	}
+	if extra := int64(after.TotalAlloc-before.TotalAlloc) - int64(tensors); extra > 1<<20 {
+		t.Fatalf("Load allocated %d bytes beyond the %d of the tensors, want ≤ 1 MiB", extra, tensors)
+	}
+}
+
+// BenchmarkLoad times Load per shape and layout; the legacy files are what
+// the old writer would have produced for the same model.
+func BenchmarkLoad(b *testing.B) {
+	for _, shape := range []struct{ hidden, layers int }{{96, 1}, {256, 4}} {
+		m := syntheticModel(shape.hidden, shape.layers)
+		dir := b.TempDir()
+		paths := map[string]string{"legacy": filepath.Join(dir, "legacy.json"), "new": filepath.Join(dir, "new.json")}
+		if err := os.WriteFile(paths["legacy"], legacyBytes(b, m), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.Save(paths["new"]); err != nil {
+			b.Fatal(err)
+		}
+		for _, layout := range []string{"legacy", "new"} {
+			b.Run(fmt.Sprintf("%dx%d/%s", shape.hidden, shape.layers, layout), func(b *testing.B) {
+				fi, err := os.Stat(paths[layout])
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(fi.Size())
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Load(paths[layout]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"io"
 	"math"
 	"os"
+
+	"ibox/internal/atomicfile"
 )
 
 // Validate checks that parameters — typically ones just deserialized from
@@ -60,18 +62,10 @@ func ReadParams(r io.Reader) (Params, error) {
 	return p, nil
 }
 
-// Save writes the parameters to a file.
+// Save writes the parameters to a file, replacing any previous one
+// atomically.
 func (p Params) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	if err := p.Write(w); err != nil {
-		return err
-	}
-	return w.Flush()
+	return atomicfile.Write(path, p.Write)
 }
 
 // LoadParams reads parameters from a file.

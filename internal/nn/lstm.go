@@ -22,14 +22,19 @@ type LSTMLayer struct {
 	B          *Param // 4H
 }
 
-// NewLSTMLayer returns a layer with Xavier-uniform weights.
-func NewLSTMLayer(in, hidden int, seed int64) *LSTMLayer {
-	l := &LSTMLayer{
+// newLSTMLayer allocates a layer with all-zero weights.
+func newLSTMLayer(in, hidden int) *LSTMLayer {
+	return &LSTMLayer{
 		In: in, Hidden: hidden,
 		Wx: newParam(4 * hidden * in),
 		Wh: newParam(4 * hidden * hidden),
 		B:  newParam(4 * hidden),
 	}
+}
+
+// NewLSTMLayer returns a layer with Xavier-uniform weights.
+func NewLSTMLayer(in, hidden int, seed int64) *LSTMLayer {
+	l := newLSTMLayer(in, hidden)
 	rng := sim.NewRand(seed, 202)
 	bx := math.Sqrt(6.0 / float64(in+hidden))
 	for i := range l.Wx.W {

@@ -116,14 +116,10 @@ func (m *SequenceModel) invalidateKernels() {
 // NewSequenceModel builds an LSTM stack (in→hidden ×layers) with the
 // appropriate head.
 func NewSequenceModel(kind HeadKind, in, hidden, layers int, seed int64) *SequenceModel {
-	outDim := 2
-	if kind == BinaryHead {
-		outDim = 1
-	}
 	return &SequenceModel{
 		Kind: kind,
 		LSTM: NewLSTM(in, hidden, layers, seed),
-		Head: NewDense(hidden, outDim, seed+997),
+		Head: NewDense(hidden, headOut(kind), seed+997),
 	}
 }
 

@@ -93,9 +93,14 @@ type Dense struct {
 	B       *Param // Out
 }
 
+// newDense allocates a dense layer with all-zero weights.
+func newDense(in, out int) *Dense {
+	return &Dense{In: in, Out: out, W: newParam(in * out), B: newParam(out)}
+}
+
 // NewDense returns a dense layer with Xavier-uniform initialization.
 func NewDense(in, out int, seed int64) *Dense {
-	d := &Dense{In: in, Out: out, W: newParam(in * out), B: newParam(out)}
+	d := newDense(in, out)
 	rng := sim.NewRand(seed, 101)
 	bound := math.Sqrt(6.0 / float64(in+out))
 	for i := range d.W.W {

@@ -1,73 +1,206 @@
 package nn
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 )
 
-// sequenceModelJSON is the serialized form of a SequenceModel.
-type sequenceModelJSON struct {
-	Kind   HeadKind    `json:"kind"`
-	In     int         `json:"in"`
-	Hidden int         `json:"hidden"`
-	Layers int         `json:"layers"`
-	Params [][]float64 `json:"params"` // flattened weights in Params() order
+// Header is the JSON description of a serialized SequenceModel: the
+// architecture, and where the weight values are. Artifacts written today
+// declare Weights and CRC32C and keep the values out of the JSON, in a raw
+// section of exactly 8·Weights bytes (little-endian IEEE-754 float64 in
+// Params() order; see WriteWeights and ReadWeights). Legacy artifacts carry
+// the values inline as Params and declare neither.
+type Header struct {
+	Kind   HeadKind `json:"kind"`
+	In     int      `json:"in"`
+	Hidden int      `json:"hidden"`
+	Layers int      `json:"layers"`
+
+	Weights int64  `json:"weights,omitempty"` // float64 count of the raw section
+	CRC32C  uint32 `json:"crc32c,omitempty"`  // Castagnoli CRC of the section's bytes
+
+	Params [][]float64 `json:"params,omitempty"` // legacy: one inline array per tensor
 }
 
-// MarshalJSON serializes the model's architecture and weights.
-func (m *SequenceModel) MarshalJSON() ([]byte, error) {
-	out := sequenceModelJSON{
-		Kind:   m.Kind,
-		In:     m.LSTM.Layers[0].In,
-		Hidden: m.LSTM.Hidden(),
-		Layers: len(m.LSTM.Layers),
-	}
-	for _, p := range m.Params() {
-		out.Params = append(out.Params, p.W)
-	}
-	return json.Marshal(out)
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// UnmarshalJSON restores a model serialized by MarshalJSON.
-func (m *SequenceModel) UnmarshalJSON(data []byte) error {
-	var in sequenceModelJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("nn: decode sequence model: %w", err)
+// weightChunk is the staging buffer both directions of the raw section
+// stream through; it is the only memory a load needs beyond the tensors.
+const weightChunk = 64 << 10
+
+// expMask is the float64 exponent field; all ones means NaN or ±Inf.
+const expMask = 0x7ff << 52
+
+// validate rejects architectures no model of this codebase has, before
+// anything is sized from them: building an impossible shape would panic,
+// and a corrupt or truncated checkpoint must surface as an error.
+func (h Header) validate() error {
+	if h.Kind != GaussianHead && h.Kind != BinaryHead {
+		return fmt.Errorf("nn: serialized model has unknown head kind %d", h.Kind)
 	}
-	// Validate the architecture before building it: NewSequenceModel
-	// panics on impossible shapes, and a corrupt or truncated checkpoint
-	// must surface as an error, not a crash.
-	if in.Kind != GaussianHead && in.Kind != BinaryHead {
-		return fmt.Errorf("nn: serialized model has unknown head kind %d", in.Kind)
-	}
-	if in.In <= 0 || in.Hidden <= 0 || in.Layers <= 0 {
+	if h.In <= 0 || h.Hidden <= 0 || h.Layers <= 0 {
 		return fmt.Errorf("nn: serialized model has impossible shape in=%d hidden=%d layers=%d",
-			in.In, in.Hidden, in.Layers)
+			h.In, h.Hidden, h.Layers)
 	}
 	// Cap the shape well above any model this codebase trains (the paper's
 	// largest is ≈2M parameters) so a corrupted size field cannot demand a
 	// multi-gigabyte allocation before the weight count check runs.
-	if in.In > 4096 || in.Hidden > 4096 || in.Layers > 64 {
+	if h.In > 4096 || h.Hidden > 4096 || h.Layers > 64 {
 		return fmt.Errorf("nn: serialized model shape in=%d hidden=%d layers=%d is implausibly large",
-			in.In, in.Hidden, in.Layers)
+			h.In, h.Hidden, h.Layers)
 	}
-	restored := NewSequenceModel(in.Kind, in.In, in.Hidden, in.Layers, 0)
-	params := restored.Params()
-	if len(params) != len(in.Params) {
-		return fmt.Errorf("nn: serialized model has %d tensors, want %d", len(in.Params), len(params))
-	}
-	for i, p := range params {
-		if len(p.W) != len(in.Params[i]) {
-			return fmt.Errorf("nn: tensor %d has %d weights, want %d", i, len(in.Params[i]), len(p.W))
-		}
-		copy(p.W, in.Params[i])
-	}
-	// Field-wise assignment: SequenceModel carries a mutex guarding its
-	// compiled-kernel cache, so the struct must not be copied wholesale.
-	// The fresh weights also mean any cached kernels are stale.
-	m.Kind = restored.Kind
-	m.LSTM = restored.LSTM
-	m.Head = restored.Head
-	m.invalidateKernels()
 	return nil
+}
+
+// headOut is the width of the dense head for an output distribution.
+func headOut(kind HeadKind) int {
+	if kind == BinaryHead {
+		return 1
+	}
+	return 2
+}
+
+// tensorSizes lists the length of every tensor of the (validated)
+// architecture in Params() order, without allocating any of them.
+func (h Header) tensorSizes() []int64 {
+	H, in, out := int64(h.Hidden), int64(h.In), int64(headOut(h.Kind))
+	sizes := make([]int64, 0, 3*h.Layers+2)
+	for l := 0; l < h.Layers; l++ {
+		sizes = append(sizes, 4*H*in, 4*H*H, 4*H)
+		in = H
+	}
+	return append(sizes, out*H, out)
+}
+
+// empty allocates the architecture with all-zero weights: the shell a
+// reader fills, without the random init NewSequenceModel would run only
+// to have it overwritten.
+func (h Header) empty() *SequenceModel {
+	m := &SequenceModel{Kind: h.Kind, LSTM: &LSTM{}, Head: newDense(h.Hidden, headOut(h.Kind))}
+	for l := 0; l < h.Layers; l++ {
+		in := h.Hidden
+		if l == 0 {
+			in = h.In
+		}
+		m.LSTM.Layers = append(m.LSTM.Layers, newLSTMLayer(in, h.Hidden))
+	}
+	return m
+}
+
+// Inline restores a model from a legacy header, whose weights are the
+// inline Params arrays.
+func (h Header) Inline() (*SequenceModel, error) {
+	if err := h.validate(); err != nil {
+		return nil, err
+	}
+	if h.Weights != 0 {
+		return nil, fmt.Errorf("nn: serialized model declares a %d-weight raw section where inline params were expected", h.Weights)
+	}
+	sizes := h.tensorSizes()
+	if len(sizes) != len(h.Params) {
+		return nil, fmt.Errorf("nn: serialized model has %d tensors, want %d", len(h.Params), len(sizes))
+	}
+	for i, n := range sizes {
+		if n != int64(len(h.Params[i])) {
+			return nil, fmt.Errorf("nn: tensor %d has %d weights, want %d", i, len(h.Params[i]), n)
+		}
+	}
+	m := h.empty()
+	for i, p := range m.Params() {
+		copy(p.W, h.Params[i])
+	}
+	return m, nil
+}
+
+// ReadWeights restores a model from a raw-section header and r, which must
+// hold exactly the section: size is the byte count r will deliver, and it
+// is compared with the declared count before any tensor is allocated, so a
+// small file cannot claim a large model. The section is then read in
+// weightChunk pieces straight into the tensors. Truncation, trailing
+// bytes, a CRC mismatch and non-finite values are errors.
+func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
+	if err := h.validate(); err != nil {
+		return nil, err
+	}
+	if h.Params != nil {
+		return nil, fmt.Errorf("nn: serialized model carries inline params where a raw section was expected")
+	}
+	var n int64
+	for _, sz := range h.tensorSizes() {
+		n += sz
+	}
+	if h.Weights != n {
+		return nil, fmt.Errorf("nn: serialized model declares %d weights, its shape has %d", h.Weights, n)
+	}
+	if size != 8*h.Weights {
+		return nil, fmt.Errorf("nn: weight section is %d bytes, want %d for %d weights", size, 8*h.Weights, h.Weights)
+	}
+	m := h.empty()
+	buf := make([]byte, weightChunk)
+	var crc uint32
+	for i, p := range m.Params() {
+		for w := p.W; len(w) > 0; {
+			n := min(len(w), len(buf)/8)
+			b := buf[:8*n]
+			if _, err := io.ReadFull(r, b); err != nil {
+				return nil, fmt.Errorf("nn: weight section ends inside tensor %d: %w", i, err)
+			}
+			crc = crc32.Update(crc, castagnoli, b)
+			for j := range w[:n] {
+				bits := binary.LittleEndian.Uint64(b[8*j:])
+				if bits&expMask == expMask {
+					return nil, fmt.Errorf("nn: tensor %d holds a non-finite weight", i)
+				}
+				w[j] = math.Float64frombits(bits)
+			}
+			w = w[n:]
+		}
+	}
+	if n, err := io.ReadFull(r, buf[:1]); n != 0 {
+		return nil, fmt.Errorf("nn: bytes follow the %d-weight section", h.Weights)
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("nn: reading past the weight section: %w", err)
+	}
+	if crc != h.CRC32C {
+		return nil, fmt.Errorf("nn: weight section CRC-32C is %08x, header declares %08x", crc, h.CRC32C)
+	}
+	return m, nil
+}
+
+// WriteWeights writes the raw weight section: every tensor in Params()
+// order as little-endian float64.
+func (m *SequenceModel) WriteWeights(w io.Writer) error {
+	buf := make([]byte, 0, weightChunk)
+	for _, p := range m.Params() {
+		for _, v := range p.W {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			if len(buf) == cap(buf) {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
+		}
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// Header describes the model for the raw-section layout, including the
+// section's checksum (one pass over the weights).
+func (m *SequenceModel) Header() Header {
+	sum := crc32.New(castagnoli)
+	m.WriteWeights(sum) // a hash never fails a write
+	return Header{
+		Kind:    m.Kind,
+		In:      m.LSTM.Layers[0].In,
+		Hidden:  m.LSTM.Hidden(),
+		Layers:  len(m.LSTM.Layers),
+		Weights: int64(m.NumParams()),
+		CRC32C:  sum.Sum32(),
+	}
 }

@@ -1,51 +1,233 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 )
 
+// inlineHeader is the legacy serialized form of m: weights inside the JSON.
+func inlineHeader(m *SequenceModel) Header {
+	h := m.Header()
+	h.Weights, h.CRC32C = 0, 0
+	for _, p := range m.Params() {
+		h.Params = append(h.Params, p.W)
+	}
+	return h
+}
+
+// rawSection is the weight section WriteWeights emits for m.
+func rawSection(t testing.TB, m *SequenceModel) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.WriteWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSequenceModelJSONRoundTrip: a model survives both serialized forms —
+// header JSON with inline params, and header JSON plus raw section — with
+// bit-identical weights and outputs.
 func TestSequenceModelJSONRoundTrip(t *testing.T) {
 	m := NewSequenceModel(GaussianHead, 3, 5, 2, 7)
-	data, err := json.Marshal(m)
+	// viaJSON is what a reader gets back after the header has been
+	// through an artifact's JSON part.
+	viaJSON := func(h Header) Header {
+		data, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out Header
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	inline, err := viaJSON(inlineHeader(m)).Inline()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("inline: %v", err)
 	}
-	var got SequenceModel
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
+	sec := rawSection(t, m)
+	raw, err := viaJSON(m.Header()).ReadWeights(bytes.NewReader(sec), int64(len(sec)))
+	if err != nil {
+		t.Fatalf("raw: %v", err)
 	}
-	if got.NumParams() != m.NumParams() || got.Kind != m.Kind {
-		t.Fatalf("architecture changed: %d vs %d params", got.NumParams(), m.NumParams())
+	for name, got := range map[string]*SequenceModel{"inline": inline, "raw": raw} {
+		if got.NumParams() != m.NumParams() || got.Kind != m.Kind {
+			t.Fatalf("%s: architecture changed: %d vs %d params", name, got.NumParams(), m.NumParams())
+		}
+		for i, p := range m.Params() {
+			for j, w := range p.W {
+				if math.Float64bits(w) != math.Float64bits(got.Params()[i].W[j]) {
+					t.Fatalf("%s: tensor %d weight %d differs", name, i, j)
+				}
+			}
+		}
+		// Identical outputs.
+		xs := [][]float64{{0.1, -0.2, 0.3}, {0.5, 0.5, -0.5}}
+		a := m.PredictSequence(xs)
+		b := got.PredictSequence(xs)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: output %d differs: %v vs %v", name, i, a[i], b[i])
+			}
+		}
 	}
-	// Identical outputs.
-	xs := [][]float64{{0.1, -0.2, 0.3}, {0.5, 0.5, -0.5}}
-	a := m.PredictSequence(xs)
-	b := got.PredictSequence(xs)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("output %d differs: %v vs %v", i, a[i], b[i])
+}
+
+// TestTensorSizesMatchArchitecture pins the shape arithmetic the readers
+// check counts with against the tensors the constructors really allocate.
+func TestTensorSizesMatchArchitecture(t *testing.T) {
+	for _, h := range []Header{
+		{Kind: GaussianHead, In: 4, Hidden: 8, Layers: 1},
+		{Kind: GaussianHead, In: 5, Hidden: 16, Layers: 4},
+		{Kind: BinaryHead, In: 2, Hidden: 3, Layers: 2},
+	} {
+		sizes := h.tensorSizes()
+		params := NewSequenceModel(h.Kind, h.In, h.Hidden, h.Layers, 1).Params()
+		if len(sizes) != len(params) {
+			t.Fatalf("%+v: %d sizes, %d tensors", h, len(sizes), len(params))
+		}
+		for i, p := range params {
+			if sizes[i] != int64(len(p.W)) {
+				t.Fatalf("%+v: tensor %d is %d long, tensorSizes says %d", h, i, len(p.W), sizes[i])
+			}
 		}
 	}
 }
 
 func TestSequenceModelUnmarshalRejectsCorrupt(t *testing.T) {
-	var m SequenceModel
-	if err := json.Unmarshal([]byte(`{"kind":0,"in":2,"hidden":3,"layers":1,"params":[[1,2]]}`), &m); err == nil {
+	var h Header
+	if err := json.Unmarshal([]byte(`{"kind":0,"in":2,"hidden":3,"layers":1,"params":[[1,2]]}`), &h); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Inline(); err == nil {
 		t.Error("wrong tensor count accepted")
 	}
-	if err := json.Unmarshal([]byte(`not json`), &m); err == nil {
+	if err := json.Unmarshal([]byte(`not json`), &h); err == nil {
 		t.Error("garbage accepted")
 	}
 	good := NewSequenceModel(BinaryHead, 2, 3, 1, 0)
-	data, _ := json.Marshal(good)
 	// Truncate one tensor.
-	var raw map[string]any
-	json.Unmarshal(data, &raw)
-	params := raw["params"].([]any)
-	params[0] = []any{1.0}
-	broken, _ := json.Marshal(raw)
-	if err := json.Unmarshal(broken, &m); err == nil {
+	h = inlineHeader(good)
+	h.Params[0] = []float64{1}
+	if _, err := h.Inline(); err == nil {
 		t.Error("wrong tensor size accepted")
 	}
+	if _, err := inlineHeader(good).Inline(); err != nil {
+		t.Fatalf("pristine inline header rejected: %v", err)
+	}
+
+	// The raw-section layout: every way the section can disagree with
+	// the header.
+	sec := rawSection(t, good)
+	setWeight := func(i int, v float64) []byte {
+		out := append([]byte(nil), sec...)
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		return out
+	}
+	// A non-finite weight whose CRC matches, so only the finiteness check
+	// can catch it.
+	nanSec := setWeight(3, math.NaN())
+	nanHdr := good.Header()
+	nanHdr.CRC32C = crc32.Checksum(nanSec, castagnoli)
+	cases := []struct {
+		name string
+		hdr  func(*Header)
+		sec  []byte
+		size int64 // 0: len(sec)
+	}{
+		{"truncated section", nil, sec[:len(sec)-8], 0},
+		{"truncated mid-value", nil, sec[:len(sec)-3], 0},
+		{"truncated, size lies", nil, sec[:len(sec)/2], int64(len(sec))},
+		{"empty section", nil, nil, 0},
+		{"section longer than declared", nil, append(append([]byte(nil), sec...), make([]byte, 8)...), 0},
+		{"trailing byte, size lies", nil, append(append([]byte(nil), sec...), 0), int64(len(sec))},
+		{"crc mismatch in header", func(h *Header) { h.CRC32C ^= 1 }, sec, 0},
+		{"bit flip in section", nil, setWeight(5, 0.125), 0},
+		{"nan weight", func(h *Header) { *h = nanHdr }, nanSec, 0},
+		{"inf weight", nil, setWeight(0, math.Inf(-1)), 0},
+		{"count below shape", func(h *Header) { h.Weights-- }, sec[:len(sec)-8], 0},
+		{"count above shape", func(h *Header) { h.Weights++ }, append(append([]byte(nil), sec...), make([]byte, 8)...), 0},
+		{"zero count", func(h *Header) { h.Weights = 0 }, nil, 0},
+		{"shape grows, count stays", func(h *Header) { h.Hidden++ }, sec, 0},
+		{"inline params too", func(h *Header) { h.Params = [][]float64{} }, sec, 0},
+		{"unknown kind", func(h *Header) { h.Kind = 7 }, sec, 0},
+		{"zero layers", func(h *Header) { h.Layers = 0 }, sec, 0},
+		{"huge hidden", func(h *Header) { h.Hidden = 1 << 30 }, sec, 0},
+	}
+	for _, tc := range cases {
+		h := good.Header()
+		if tc.hdr != nil {
+			tc.hdr(&h)
+		}
+		size := tc.size
+		if size == 0 {
+			size = int64(len(tc.sec))
+		}
+		if _, err := h.ReadWeights(bytes.NewReader(tc.sec), size); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	h = good.Header()
+	if _, err := h.ReadWeights(bytes.NewReader(sec), int64(len(sec))); err != nil {
+		t.Fatalf("pristine section rejected: %v", err)
+	}
+}
+
+// TestReadWeightsChecksLengthBeforeAllocating: a header may declare the
+// largest shape the caps allow (hidden 4096 × 64 layers, ≈64 GiB of
+// tensors), consistently, over an input of a few bytes. Both layouts must
+// refuse it from the lengths alone, before building anything.
+func TestReadWeightsChecksLengthBeforeAllocating(t *testing.T) {
+	h := Header{Kind: GaussianHead, In: 4096, Hidden: 4096, Layers: 64}
+	for _, n := range h.tensorSizes() {
+		h.Weights += n
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, rawErr := h.ReadWeights(strings.NewReader("12345678"), 8)
+	inline := h
+	inline.Weights = 0
+	inline.Params = make([][]float64, len(h.tensorSizes()))
+	_, inlineErr := inline.Inline()
+	runtime.ReadMemStats(&after)
+	if rawErr == nil || inlineErr == nil {
+		t.Fatalf("oversized header accepted: raw %v, inline %v", rawErr, inlineErr)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("rejecting an oversized header allocated %d bytes, want < 1 MiB", d)
+	}
+}
+
+// FuzzReadWeights checks the raw-section reader never panics and never
+// accepts a section its own writer would not reproduce byte for byte.
+func FuzzReadWeights(f *testing.F) {
+	good := NewSequenceModel(GaussianHead, 2, 3, 1, 1)
+	hdr, _ := json.Marshal(good.Header())
+	sec := rawSection(f, good)
+	f.Add(hdr, sec)
+	f.Add(hdr, sec[:len(sec)-1])
+	f.Add(hdr, append(append([]byte(nil), sec...), 0))
+	f.Add([]byte(`{"kind":0,"in":4096,"hidden":4096,"layers":64,"weights":1}`), []byte{})
+	f.Add([]byte(`{}`), sec)
+	f.Fuzz(func(t *testing.T, hdr, sec []byte) {
+		var h Header
+		if json.Unmarshal(hdr, &h) != nil {
+			return
+		}
+		m, err := h.ReadWeights(bytes.NewReader(sec), int64(len(sec)))
+		if err != nil {
+			return
+		}
+		if got := rawSection(t, m); !bytes.Equal(got, sec) {
+			t.Fatal("accepted section does not round-trip")
+		}
+	})
 }

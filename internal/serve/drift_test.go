@@ -76,8 +76,11 @@ func writeCalibratedML(t testing.TB, dir, id string) []byte {
 // whose standardized residuals explode.)
 func perturbSigma(t testing.TB, artifact []byte, factor float64, path string) {
 	t.Helper()
+	// The header is the artifact's first line; the weight section after
+	// it is carried over untouched.
+	header, section, _ := bytes.Cut(artifact, []byte("\n"))
 	var doc map[string]any
-	if err := json.Unmarshal(artifact, &doc); err != nil {
+	if err := json.Unmarshal(header, &doc); err != nil {
 		t.Fatal(err)
 	}
 	ystd, ok := doc["y_std"].(float64)
@@ -89,6 +92,7 @@ func perturbSigma(t testing.TB, artifact []byte, factor float64, path string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	out = append(append(out, '\n'), section...)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)
 	}

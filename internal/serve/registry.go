@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -333,40 +334,96 @@ func (r *Registry) List() ([]ModelInfo, error) {
 	return out, nil
 }
 
-// loadModel reads one artifact from disk, sniffing its kind from the JSON
-// top level: an iBoxML checkpoint has a "net" object, an iBoxNet profile
-// a "Bandwidth" field. Both deserializers validate, so a corrupt file is
-// rejected here and never enters the cache.
+// sniffBytes is how much of an artifact loadModel inspects to tell its
+// kind. The discriminating keys come first in what the writers emit (an
+// iBoxML header line is under 2 KiB, and "config" leads it), so a file
+// whose first 64 KiB names neither is not a model.
+const sniffBytes = 64 << 10
+
+// sniffKind tells an artifact's kind from its leading bytes by walking the
+// top-level keys of the JSON object that starts there: an iBoxML checkpoint
+// (header or legacy document) has "net" and "config", an iBoxNet profile
+// "Bandwidth". Only the prefix is looked at; values are skipped, not kept.
+func sniffKind(prefix []byte, id string) (Kind, error) {
+	dec := json.NewDecoder(bytes.NewReader(prefix))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return "", fmt.Errorf("serve: model %s is not a JSON object", id)
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			break
+		}
+		switch key {
+		case "net", "config":
+			return KindIBoxML, nil
+		case "Bandwidth":
+			return KindIBoxNet, nil
+		}
+		var skip json.RawMessage
+		if dec.Decode(&skip) != nil {
+			break
+		}
+	}
+	return "", fmt.Errorf("serve: model %s is neither an iBoxML checkpoint (no \"net\") nor an iBoxNet profile (no \"Bandwidth\")", id)
+}
+
+// artifactFile streams an open artifact to a deserializer through the
+// size cap, counting what it delivers: the cap and Model.SizeBytes are
+// about the bytes actually read, not about a stat taken earlier.
+type artifactFile struct {
+	f *os.File
+	r io.Reader // f, limited to one byte past the cap
+	n int64
+}
+
+func (a *artifactFile) Read(p []byte) (int, error) {
+	n, err := a.r.Read(p)
+	a.n += int64(n)
+	return n, err
+}
+
+// Len reports how much of the file is still unread. iboxml.Read checks a
+// checkpoint's declared weight count against it before allocating.
+func (a *artifactFile) Len() int {
+	fi, err := a.f.Stat()
+	if err != nil || fi.Size() < a.n {
+		return 0
+	}
+	return int(fi.Size() - a.n)
+}
+
+// loadModel reads one artifact from disk in a single streaming pass, its
+// kind decided from the leading bytes. Both deserializers validate, so a
+// corrupt file is rejected here and never enters the cache.
 func loadModel(path, id string) (*Model, error) {
-	fi, err := os.Stat(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	if fi.Size() > maxModelFileBytes {
-		return nil, fmt.Errorf("serve: model %s is %d bytes, over the %d-byte limit", id, fi.Size(), int64(maxModelFileBytes))
+	defer f.Close()
+	prefix := make([]byte, sniffBytes)
+	n, err := f.ReadAt(prefix, 0)
+	if err != nil && err != io.EOF {
+		return nil, err
 	}
-	data, err := os.ReadFile(path)
+	kind, err := sniffKind(prefix[:n], id)
 	if err != nil {
 		return nil, err
 	}
-	var top map[string]json.RawMessage
-	if err := json.Unmarshal(data, &top); err != nil {
-		return nil, fmt.Errorf("serve: model %s is not a JSON object: %w", id, err)
+	a := &artifactFile{f: f, r: io.LimitReader(f, maxModelFileBytes+1)}
+	m := &Model{ID: id, Kind: kind}
+	if kind == KindIBoxML {
+		m.ML, err = iboxml.Read(a)
+	} else {
+		m.Net, err = iboxnet.ReadParams(a)
 	}
-	switch {
-	case top["net"] != nil || top["config"] != nil:
-		ml, err := iboxml.Read(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("serve: model %s: %w", id, err)
-		}
-		return &Model{ID: id, Kind: KindIBoxML, ML: ml, SizeBytes: fi.Size()}, nil
-	case top["Bandwidth"] != nil:
-		p, err := iboxnet.ReadParams(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("serve: model %s: %w", id, err)
-		}
-		return &Model{ID: id, Kind: KindIBoxNet, Net: p, SizeBytes: fi.Size()}, nil
-	default:
-		return nil, fmt.Errorf("serve: model %s is neither an iBoxML checkpoint (no \"net\") nor an iBoxNet profile (no \"Bandwidth\")", id)
+	if a.n > maxModelFileBytes {
+		return nil, fmt.Errorf("serve: model %s is over the %d-byte limit", id, int64(maxModelFileBytes))
 	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: model %s: %w", id, err)
+	}
+	m.SizeBytes = a.n
+	return m, nil
 }

@@ -453,43 +453,62 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestRegistryLRU checks lazy loading, eviction order, and reload after
 // eviction.
+// artifactWriters are the two kinds of file a registry serves: an iBoxNet
+// profile (plain JSON) and an iBoxML checkpoint (JSON header line + raw
+// weight section). The registry tests run against both.
+var artifactWriters = []struct {
+	kind  Kind
+	write func(t testing.TB, dir, id string)
+}{
+	{KindIBoxNet, func(t testing.TB, dir, id string) { writeNetModel(t, dir, id) }},
+	{KindIBoxML, writeMLModel},
+}
+
 func TestRegistryLRU(t *testing.T) {
-	dir := t.TempDir()
-	for _, id := range []string{"a.json", "b.json", "c.json"} {
-		writeNetModel(t, dir, id)
-	}
-	r := NewRegistry(dir, 2)
-	ma, err := r.Get("a.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get("b.json"); err != nil {
-		t.Fatal(err)
-	}
-	// Touch a so b becomes least-recently-used.
-	if _, err := r.Get("a.json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Get("c.json"); err != nil {
-		t.Fatal(err)
-	}
-	r.mu.Lock()
-	_, aWarm := r.entries["a.json"]
-	_, bWarm := r.entries["b.json"]
-	_, cWarm := r.entries["c.json"]
-	n := r.lru.Len()
-	r.mu.Unlock()
-	if n != 2 || !aWarm || bWarm || !cWarm {
-		t.Fatalf("after eviction: warm a=%v b=%v c=%v len=%d; want a,c warm only", aWarm, bWarm, cWarm, n)
-	}
-	// Evicted model reloads on demand; previously handed-out entries stay
-	// usable.
-	mb, err := r.Get("b.json")
-	if err != nil {
-		t.Fatalf("reload after eviction: %v", err)
-	}
-	if mb.Kind != KindIBoxNet || ma.Kind != KindIBoxNet {
-		t.Fatal("wrong kinds after reload")
+	for _, aw := range artifactWriters {
+		t.Run(string(aw.kind), func(t *testing.T) {
+			dir := t.TempDir()
+			for _, id := range []string{"a.json", "b.json", "c.json"} {
+				aw.write(t, dir, id)
+			}
+			r := NewRegistry(dir, 2)
+			ma, err := r.Get("a.json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Get("b.json"); err != nil {
+				t.Fatal(err)
+			}
+			// Touch a so b becomes least-recently-used.
+			if _, err := r.Get("a.json"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Get("c.json"); err != nil {
+				t.Fatal(err)
+			}
+			r.mu.Lock()
+			_, aWarm := r.entries["a.json"]
+			_, bWarm := r.entries["b.json"]
+			_, cWarm := r.entries["c.json"]
+			n := r.lru.Len()
+			r.mu.Unlock()
+			if n != 2 || !aWarm || bWarm || !cWarm {
+				t.Fatalf("after eviction: warm a=%v b=%v c=%v len=%d; want a,c warm only", aWarm, bWarm, cWarm, n)
+			}
+			// Evicted model reloads on demand; previously handed-out entries
+			// stay usable.
+			mb, err := r.Get("b.json")
+			if err != nil {
+				t.Fatalf("reload after eviction: %v", err)
+			}
+			if mb.Kind != aw.kind || ma.Kind != aw.kind {
+				t.Fatal("wrong kinds after reload")
+			}
+			// SizeBytes is what the load read, which is the whole file.
+			if fi, err := os.Stat(filepath.Join(dir, "b.json")); err != nil || mb.SizeBytes != fi.Size() {
+				t.Fatalf("SizeBytes = %d, file is %d bytes (%v)", mb.SizeBytes, fi.Size(), err)
+			}
+		})
 	}
 }
 
@@ -610,24 +629,28 @@ func TestModelsAndHealthRoutes(t *testing.T) {
 // TestRegistrySingleFlight checks concurrent first loads of one model
 // share a single disk read.
 func TestRegistrySingleFlight(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	dir := t.TempDir()
-	writeNetModel(t, dir, "a.json")
-	r := NewRegistry(dir, 4)
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := r.Get("a.json"); err != nil {
-				t.Errorf("Get: %v", err)
+	for _, aw := range artifactWriters {
+		t.Run(string(aw.kind), func(t *testing.T) {
+			obs.Enable()
+			defer obs.Disable()
+			dir := t.TempDir()
+			aw.write(t, dir, "a.json")
+			r := NewRegistry(dir, 4)
+			var wg sync.WaitGroup
+			for i := 0; i < 16; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := r.Get("a.json"); err != nil {
+						t.Errorf("Get: %v", err)
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	if misses := r.misses.Value(); misses != 1 {
-		t.Fatalf("%d loads for 16 concurrent gets, want 1", misses)
+			wg.Wait()
+			if misses := r.misses.Value(); misses != 1 {
+				t.Fatalf("%d loads for 16 concurrent gets, want 1", misses)
+			}
+		})
 	}
 }
 
@@ -654,6 +677,18 @@ func TestRegistryNegativeCache(t *testing.T) {
 		}},
 		{"corrupt checkpoint", func(t *testing.T, path string) {
 			if err := os.WriteFile(path, []byte(`{"net": {}}`), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// What a daemon saw when it loaded while an in-place writer was
+		// still going: a good header, and a weight section cut short.
+		{"truncated checkpoint", func(t *testing.T, path string) {
+			writeMLModel(t, filepath.Dir(path), filepath.Base(path))
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()-100); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -689,13 +724,17 @@ func TestRegistryNegativeCache(t *testing.T) {
 			}
 			// Fixing the artifact changes its stat signature, so the next
 			// Get loads fresh instead of serving the stale failure.
-			writeNetModel(t, dir, id)
+			fix := artifactWriters[0]
+			if tc.name == "truncated checkpoint" {
+				fix = artifactWriters[1]
+			}
+			fix.write(t, dir, id)
 			m, err := r.Get(id)
 			if err != nil {
 				t.Fatalf("Get after fixing the file: %v", err)
 			}
-			if m.Kind != KindIBoxNet {
-				t.Fatalf("Kind = %q after fix, want %q", m.Kind, KindIBoxNet)
+			if m.Kind != fix.kind {
+				t.Fatalf("Kind = %q after fix, want %q", m.Kind, fix.kind)
 			}
 			if got := r.misses.Value(); got != 2 {
 				t.Fatalf("misses = %d after fix, want 2 (exactly one reload)", got)
@@ -741,5 +780,67 @@ func TestRegistryNegativeCacheBounded(t *testing.T) {
 	r.mu.Unlock()
 	if n > 2 || total > 2 {
 		t.Fatalf("negative cache grew to %d list / %d map entries, cap 2", n, total)
+	}
+}
+
+// TestLegacyArtifactServesIdentically: a checkpoint written before
+// artifacts had a raw weight section (the all-JSON file committed under
+// iboxml/testdata) still serves, and serves byte for byte what the same
+// model re-saved in the current layout does.
+func TestLegacyArtifactServesIdentically(t *testing.T) {
+	const legacyPath = "../iboxml/testdata/legacy-h6x2.json"
+	legacy, err := os.ReadFile(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := iboxml.Load(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := synthTrace(3, 2*sim.Second)
+	var bodies [][]byte
+	for _, install := range []func(path string) error{
+		func(path string) error { return os.WriteFile(path, legacy, 0o644) },
+		m.Save,
+	} {
+		s, dir := newTestServer(t, nil)
+		if err := install(filepath.Join(dir, "m.json")); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		code, _, body := postSimulate(t, ts.URL, SimulateRequest{Model: "m.json", Input: in, Seed: 7})
+		ts.Close()
+		if code != http.StatusOK {
+			t.Fatalf("simulate: %d (%s)", code, body)
+		}
+		bodies = append(bodies, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatal("legacy and current artifacts of one model served different bytes")
+	}
+}
+
+// TestSniffKind: the kind comes from the top-level keys in the leading
+// bytes, whatever their order, without needing the document to be whole.
+func TestSniffKind(t *testing.T) {
+	for _, tc := range []struct {
+		prefix string
+		want   Kind // "" = error
+	}{
+		{`{"format":2,"config":{"Hidden":4},"net":{"kind":0}}` + "\n\x00\x01binary", KindIBoxML},
+		{`{"config":{"Hidden":4},"net":{"kind":0,"params":[[0.1,0.2`, KindIBoxML},
+		{`{"calibration":{"pit":[0.1]},"x_mean":[1,2],"net":{"params":[[`, KindIBoxML},
+		{`{"Bandwidth":1.25e6,"PropDelay":20000000`, KindIBoxNet},
+		{`{"LossRate":0.01,"CrossTraffic":null,"Bandwidth":1}`, KindIBoxNet},
+		{`{"neither":true}`, ""},
+		{`{"x":[1,2,3`, ""},
+		{`["net"]`, ""},
+		{`not json`, ""},
+		{``, ""},
+	} {
+		got, err := sniffKind([]byte(tc.prefix), "m.json")
+		if got != tc.want || (err == nil) != (tc.want != "") {
+			t.Errorf("sniffKind(%q) = %q, %v; want %q", tc.prefix, got, err, tc.want)
+		}
 	}
 }
