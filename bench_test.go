@@ -32,7 +32,6 @@ import (
 	"ibox/internal/iboxml"
 	"ibox/internal/iboxnet"
 	"ibox/internal/netsim"
-	"ibox/internal/nn"
 	"ibox/internal/obs"
 	"ibox/internal/par"
 	"ibox/internal/sim"
@@ -355,44 +354,6 @@ func BenchmarkAblationAdaptiveCT(b *testing.B) {
 			b.Logf("\n%s", r)
 		}
 	}
-}
-
-// BenchmarkAblationCellKind compares the recurrent cell kinds (LSTM vs
-// GRU) on one training epoch of identical size — the "cheaper recurrent
-// models" direction of §4.2's speed discussion.
-func BenchmarkAblationCellKind(b *testing.B) {
-	xs := make([][]float64, 200)
-	ys := make([]float64, 200)
-	for t := range xs {
-		xs[t] = []float64{float64(t % 7), float64(t % 3)}
-		ys[t] = float64(t%5) / 5
-	}
-	b.Run("lstm", func(b *testing.B) {
-		m := nn.NewLSTM(2, 32, 2, 1)
-		head := nn.NewDense(32, 1, 2)
-		for i := 0; i < b.N; i++ {
-			outs, caches := m.ForwardSequence(xs)
-			dOut := make([][]float64, len(xs))
-			for t := range xs {
-				d := head.Forward(outs[t])[0] - ys[t]
-				dOut[t] = head.Backward(outs[t], []float64{d})
-			}
-			m.BackwardSequence(caches, dOut)
-		}
-	})
-	b.Run("gru", func(b *testing.B) {
-		m := nn.NewGRU(2, 32, 2, 1)
-		head := nn.NewDense(32, 1, 2)
-		for i := 0; i < b.N; i++ {
-			outs, caches := m.ForwardSequence(xs)
-			dOut := make([][]float64, len(xs))
-			for t := range xs {
-				d := head.Forward(outs[t])[0] - ys[t]
-				dOut[t] = head.Backward(outs[t], []float64{d})
-			}
-			m.BackwardSequence(caches, dOut)
-		}
-	})
 }
 
 // BenchmarkRealism regenerates the §6 application-performance realism

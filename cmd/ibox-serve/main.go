@@ -67,8 +67,6 @@ func main() {
 		warm         = flag.String("warm", "", "comma-separated model ids to preload at startup")
 		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch dispatch window")
 		batchMax     = flag.Int("batch-max", 16, "flush a micro-batch early at this many requests")
-		noBatch      = flag.Bool("no-batch", false, "disable request micro-batching (responses are byte-identical either way)")
-		batchPerCkpt = flag.Bool("batch-per-checkpoint", false, "only co-batch requests hitting the same checkpoint (default groups by model shape across checkpoints)")
 		streamChunk  = flag.Int("stream-chunk", 0, "windows per streamed /v1/replay chunk; 0 = default 64")
 		workers      = flag.Int("workers", 0, "simulation pool width; 0 = one worker per CPU")
 		maxConc      = flag.Int("max-concurrency", 0, "max simulate requests executing at once; 0 = 2x workers")
@@ -119,8 +117,6 @@ func main() {
 		Workers:              *workers,
 		BatchWindow:          *batchWindow,
 		BatchMax:             *batchMax,
-		NoBatch:              *noBatch,
-		BatchPerCheckpoint:   *batchPerCkpt,
 		StreamChunk:          *streamChunk,
 		MaxConcurrent:        *maxConc,
 		MaxQueue:             *maxQueue,

@@ -59,8 +59,8 @@ type Scale struct {
 	// per-call goroutine pools, so nested fan-outs (Fig 3's variants ×
 	// traces) share a single concurrency budget rather than
 	// oversubscribing the cores. Results are byte-identical with or
-	// without it (see par.PoolMap); ibox-experiments and ibox-bench own
-	// the pool and set it here.
+	// without it (see par.PoolMap); ibox-experiments and the bench/
+	// harness's offline_pipeline workload own the pool and set it here.
 	Pool *par.Pool
 }
 

@@ -63,7 +63,7 @@ func (m *Model) NewHierarchical(seed int64) *HierarchicalPredictor {
 		model:    m,
 		rng:      sim.NewRand(seed, 83),
 		window:   m.Cfg.Window,
-		pred:     m.newPredictor(),
+		pred:     m.Net.NewPredictor(),
 		lastSend: -1,
 		x:        make([]float64, dim),
 		row:      make([]float64, dim),

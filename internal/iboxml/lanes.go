@@ -44,10 +44,7 @@ import (
 // reordering any addition (bias first, then input terms ascending k, then
 // recurrent terms ascending k). Batched results therefore equal unbatched
 // results float-for-float regardless of batch composition or order —
-// including across distinct checkpoints in one batch. (With EnableInt8
-// the kernel itself is not bitwise-exact and pre-projection is skipped,
-// but batched still equals unbatched on the same kernel; quantization is
-// part of the Shape, so float and int8 lanes never mix.)
+// including across distinct checkpoints in one batch.
 
 // feedbackCol is the index of the closed-loop d_{t−1} feature — the only
 // input column not known before the unroll begins.
@@ -60,26 +57,20 @@ const defaultLaneChunk = 64
 // Shape is the co-batching compatibility key for cross-checkpoint lane
 // batching: two models whose Shapes are equal can advance side by side in
 // one lockstep batch (different weights are fine — that is the point).
-// In/Hidden/Layers pin the compiled kernel architecture, Window pins the
-// feature extraction cadence, and Quantized separates the opt-in int8
-// kernel from the bitwise-exact float path.
+// In/Hidden/Layers pin the compiled kernel architecture and Window pins
+// the feature extraction cadence.
 type Shape struct {
-	In        int
-	Hidden    int
-	Layers    int
-	Window    sim.Time
-	Quantized bool
+	In     int
+	Hidden int
+	Layers int
+	Window sim.Time
 }
 
-// String renders the shape as a compact label, e.g. "in4_h96_l1_w100ms"
-// (with an "_int8" suffix on the quantized kernel) — used as the metric
-// label of the serving layer's per-shape batch-occupancy histogram.
+// String renders the shape as a compact label, e.g. "in4_h96_l1_w100ms" —
+// used as the metric label of the serving layer's per-shape
+// batch-occupancy histogram.
 func (s Shape) String() string {
-	q := ""
-	if s.Quantized {
-		q = "_int8"
-	}
-	return fmt.Sprintf("in%d_h%d_l%d_w%s%s", s.In, s.Hidden, s.Layers, time.Duration(s.Window), q)
+	return fmt.Sprintf("in%d_h%d_l%d_w%s", s.In, s.Hidden, s.Layers, time.Duration(s.Window))
 }
 
 // Shape returns the model's co-batching key. The architecture part is
@@ -88,11 +79,10 @@ func (s Shape) String() string {
 func (m *Model) Shape() Shape {
 	ls := m.Net.LSTM.Layers
 	return Shape{
-		In:        ls[0].In,
-		Hidden:    ls[0].Hidden,
-		Layers:    len(ls),
-		Window:    m.Cfg.Window,
-		Quantized: m.useInt8,
+		In:     ls[0].In,
+		Hidden: ls[0].Hidden,
+		Layers: len(ls),
+		Window: m.Cfg.Window,
 	}
 }
 
@@ -134,7 +124,7 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 	if chunk <= 0 {
 		chunk = defaultLaneChunk
 	}
-	shape := laneShape(lanes)
+	checkLaneShapes(lanes)
 
 	// Per-lane setup, each against the lane's own model parameters:
 	// feature extraction first.
@@ -161,7 +151,7 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 	sts := make([]*nn.InferState, n)
 	maxHead := 0
 	for i := range lanes {
-		ims[i] = lanes[i].Model.inferModel()
+		ims[i] = lanes[i].Model.Net.Infer()
 		sts[i] = ims[i].NewState()
 		mus[i] = make([]float64, len(xss[i]))
 		sigmas[i] = make([]float64, len(xss[i]))
@@ -194,21 +184,15 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 	// Pre-project the known input prefix (columns k < feedbackCol) of
 	// every lane's whole window through that lane's layer 0 in blocked
 	// passes; the step loop resumes from the partials with tailOff =
-	// feedbackCol. The quantized kernel has no pre-projection support
-	// (Quantized is part of the Shape, so the group is uniform).
-	var pres [][]float64
-	tailOff := 0
+	// feedbackCol.
 	rowsPer := ims[0].InputRowsPerStep()
-	if !shape.Quantized {
-		tailOff = feedbackCol
-		pres = make([][]float64, n)
-		for i := range rowsStd {
-			if len(rowsStd[i]) == 0 {
-				continue
-			}
-			pres[i] = make([]float64, len(rowsStd[i])*rowsPer)
-			ims[i].PreProjectInput(pres[i], rowsStd[i], tailOff)
+	pres := make([][]float64, n)
+	for i := range rowsStd {
+		if len(rowsStd[i]) == 0 {
+			continue
 		}
+		pres[i] = make([]float64, len(rowsStd[i])*rowsPer)
+		ims[i].PreProjectInput(pres[i], rowsStd[i], feedbackCol)
 	}
 
 	// Lockstep unroll. Lanes whose traces span fewer windows — or whose
@@ -245,15 +229,9 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 			batchIms = append(batchIms, ims[i])
 			batchSts = append(batchSts, sts[i])
 			batchRows = append(batchRows, r)
-			if pres != nil {
-				batchPres = append(batchPres, pres[i][t*rowsPer:(t+1)*rowsPer])
-			}
+			batchPres = append(batchPres, pres[i][t*rowsPer:(t+1)*rowsPer])
 		}
-		var bp [][]float64
-		if pres != nil {
-			bp = batchPres
-		}
-		nn.StepBatchLanesInto(batchIms, batchSts, batchRows, bp, tailOff)
+		nn.StepBatchLanesInto(batchIms, batchSts, batchRows, batchPres, feedbackCol)
 		for k, i := range active {
 			m := lanes[i].Model
 			out := m.Net.HeadGaussian(batchSts[k].Top(), head[:m.Net.Head.Out])
@@ -279,9 +257,9 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 	return mus, sigmas
 }
 
-// laneShape validates the batch — every lane model trained, one shared
-// Shape — and returns that shape.
-func laneShape(lanes []ReplayLane) Shape {
+// checkLaneShapes validates the batch: every lane model trained, one
+// shared Shape.
+func checkLaneShapes(lanes []ReplayLane) {
 	for i := range lanes {
 		if lanes[i].Model == nil || !lanes[i].Model.trained {
 			panic("iboxml: model not trained")
@@ -293,7 +271,6 @@ func laneShape(lanes []ReplayLane) Shape {
 			panic(fmt.Sprintf("iboxml: lane %d shape %s incompatible with %s — lanes must share one shape", i, s, shape))
 		}
 	}
-	return shape
 }
 
 // SimulateTraceLanes produces one predicted output trace per lane, with
@@ -312,52 +289,4 @@ func SimulateTraceLanes(lanes []ReplayLane, chunk int) []*trace.Trace {
 		out[i] = lanes[i].Model.samplePackets(lanes[i].Input, mus[i], sigmas[i], lanes[i].Seed)
 	}
 	return out
-}
-
-// PredictWindowsBatch runs the closed-loop window prediction of
-// PredictWindows for several traces at once through one model — the
-// single-checkpoint special case of PredictWindowsLanes. cts may be nil
-// (no cross-traffic estimate for any member) or must have one (possibly
-// nil) entry per trace. The returned mu/sigma slices are per-trace and
-// bitwise identical to calling PredictWindows on each (trace, ct) pair.
-func (m *Model) PredictWindowsBatch(trs []*trace.Trace, cts []*trace.Series) (mus, sigmas [][]float64) {
-	if !m.trained {
-		panic("iboxml: model not trained")
-	}
-	if cts != nil && len(cts) != len(trs) {
-		panic("iboxml: PredictWindowsBatch traces/cross-traffic length mismatch")
-	}
-	lanes := make([]ReplayLane, len(trs))
-	for i := range trs {
-		lanes[i] = ReplayLane{Model: m, Input: trs[i]}
-		if cts != nil {
-			lanes[i].CT = cts[i]
-		}
-	}
-	return PredictWindowsLanes(lanes, 0)
-}
-
-// SimulateTraceBatch produces one predicted output trace per input, with
-// the closed-loop window predictions computed in one lockstep batch and
-// the per-packet sampling done per member from its own seed. cts may be
-// nil; seeds must have one entry per trace. Outputs are bitwise identical
-// to calling SimulateTrace(trs[i], cts[i], seeds[i]) one at a time.
-func (m *Model) SimulateTraceBatch(trs []*trace.Trace, cts []*trace.Series, seeds []int64) []*trace.Trace {
-	if !m.trained {
-		panic("iboxml: model not trained")
-	}
-	if len(seeds) != len(trs) {
-		panic("iboxml: SimulateTraceBatch traces/seeds length mismatch")
-	}
-	if cts != nil && len(cts) != len(trs) {
-		panic("iboxml: PredictWindowsBatch traces/cross-traffic length mismatch")
-	}
-	lanes := make([]ReplayLane, len(trs))
-	for i := range trs {
-		lanes[i] = ReplayLane{Model: m, Input: trs[i], Seed: seeds[i]}
-		if cts != nil {
-			lanes[i].CT = cts[i]
-		}
-	}
-	return SimulateTraceLanes(lanes, 0)
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ibox/internal/sim"
+	"ibox/internal/trace"
 )
 
 // laneModel trains a small model of the given architecture; distinct
@@ -28,10 +29,7 @@ func laneModel(t testing.TB, hidden, layers int, seed int64) *Model {
 // equivalence harness: three checkpoints with different weights but one
 // shape replay different traces in a single lane batch, across odd
 // hidden sizes and 1–4 layers, and every lane's output must serialize to
-// exactly the bytes of its own unbatched SimulateTrace. (The int8 kernel
-// is excluded by construction: Quantized is part of the Shape, so a
-// quantized lane can never share a batch with these — see
-// TestLanesShapeMismatchPanics.)
+// exactly the bytes of its own unbatched SimulateTrace.
 func TestSimulateTraceLanesMixedCheckpoints(t *testing.T) {
 	shapes := []struct{ hidden, layers int }{
 		{5, 1}, {7, 2}, {9, 3}, {11, 4},
@@ -47,18 +45,78 @@ func TestSimulateTraceLanesMixedCheckpoints(t *testing.T) {
 			outs := SimulateTraceLanes(lanes, 0)
 			for i := range lanes {
 				want := lanes[i].Model.SimulateTrace(lanes[i].Input, nil, lanes[i].Seed)
-				var bw, bb bytes.Buffer
-				if err := json.NewEncoder(&bw).Encode(want); err != nil {
-					t.Fatal(err)
-				}
-				if err := json.NewEncoder(&bb).Encode(outs[i]); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(bw.Bytes(), bb.Bytes()) {
+				if !bytes.Equal(encodeTrace(t, want), encodeTrace(t, outs[i])) {
 					t.Fatalf("lane %d: cross-checkpoint batched simulation differs from unbatched", i)
 				}
 			}
 		})
+	}
+}
+
+// encodeTrace renders a trace as the serving layer would put it on the
+// wire.
+func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(tr); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestPredictWindowsLanesMatchesSingle: lanes that all replay through one
+// model — N clients of one checkpoint — are bitwise identical to
+// per-trace PredictWindows, including when lanes span different window
+// counts (shorter traces drop out of the active set mid-unroll) and for
+// a batch of one (what the serving batcher degenerates to under light
+// load).
+func TestPredictWindowsLanesMatchesSingle(t *testing.T) {
+	m := laneModel(t, 8, 1, 5)
+	trs := []*trace.Trace{
+		synthTrace(11, 3*sim.Second),
+		synthTrace(12, 1*sim.Second), // shorter: exits the active set early
+		synthTrace(13, 2*sim.Second),
+		synthTrace(14, 3*sim.Second),
+		synthTrace(15, 500*sim.Millisecond),
+	}
+	for _, n := range []int{1, len(trs)} {
+		lanes := make([]ReplayLane, n)
+		for i := range lanes {
+			lanes[i] = ReplayLane{Model: m, Input: trs[i]}
+		}
+		mus, sigmas := PredictWindowsLanes(lanes, 0)
+		for i := range lanes {
+			mu, sigma := m.PredictWindows(trs[i], nil)
+			if len(mus[i]) != len(mu) {
+				t.Fatalf("n=%d trace %d: lanes %d windows, single %d", n, i, len(mus[i]), len(mu))
+			}
+			for w := range mu {
+				if math.Float64bits(mus[i][w]) != math.Float64bits(mu[w]) ||
+					math.Float64bits(sigmas[i][w]) != math.Float64bits(sigma[w]) {
+					t.Fatalf("n=%d trace %d window %d: lanes (%v,%v) != single (%v,%v)",
+						n, i, w, mus[i][w], sigmas[i][w], mu[w], sigma[w])
+				}
+			}
+		}
+	}
+}
+
+// TestSimulateTraceLanesMatchesSingle checks the full serving-path
+// contract for one shared model: lane-batched simulation serializes to
+// the same bytes as per-trace SimulateTrace.
+func TestSimulateTraceLanesMatchesSingle(t *testing.T) {
+	m := laneModel(t, 8, 1, 5)
+	lanes := []ReplayLane{
+		{Model: m, Input: synthTrace(21, 2*sim.Second), Seed: 101},
+		{Model: m, Input: synthTrace(22, 1*sim.Second), Seed: 102},
+		{Model: m, Input: synthTrace(23, 2*sim.Second), Seed: 103},
+		{Model: m, Input: synthTrace(24, 3*sim.Second), Seed: 104},
+	}
+	outs := SimulateTraceLanes(lanes, 0)
+	for i, l := range lanes {
+		if !bytes.Equal(encodeTrace(t, outs[i]), encodeTrace(t, m.SimulateTrace(l.Input, nil, l.Seed))) {
+			t.Fatalf("trace %d: lane-batched simulation differs from unbatched", i)
+		}
 	}
 }
 
@@ -137,8 +195,8 @@ func TestPredictWindowsLanesEmit(t *testing.T) {
 }
 
 // TestLanesShapeMismatchPanics: incompatible models — different
-// architecture, different window, or float vs int8 kernel — must never
-// co-batch; the lane entry point panics instead of corrupting state.
+// architecture or different window — must never co-batch; the lane entry
+// point panics instead of corrupting state.
 func TestLanesShapeMismatchPanics(t *testing.T) {
 	base := laneModel(t, 5, 1, 5)
 	tr := synthTrace(81, sim.Second)
@@ -161,9 +219,13 @@ func TestLanesShapeMismatchPanics(t *testing.T) {
 	mustPanic("hidden", laneModel(t, 7, 1, 5))
 	mustPanic("layers", laneModel(t, 5, 2, 5))
 
-	quant := laneModel(t, 5, 1, 9)
-	quant.EnableInt8(true)
-	mustPanic("int8", quant)
+	window, err := Train(trainSamples(2, 3*sim.Second), Config{
+		Hidden: 5, Layers: 1, Epochs: 1, Seed: 5, Window: 50 * sim.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("window", window)
 }
 
 // TestShapeString pins the metric-label form of the co-batching key.
@@ -171,9 +233,5 @@ func TestShapeString(t *testing.T) {
 	m := laneModel(t, 5, 1, 5)
 	if got, want := m.Shape().String(), "in4_h5_l1_w100ms"; got != want {
 		t.Fatalf("Shape.String() = %q, want %q", got, want)
-	}
-	m.EnableInt8(true)
-	if got := m.Shape().String(); !strings.HasSuffix(got, "_int8") {
-		t.Fatalf("quantized shape label %q lacks _int8 suffix", got)
 	}
 }

@@ -28,9 +28,7 @@ import "math"
 // Correctness contract: per gate row the floating-point operation order is
 // exactly LSTMLayer.step's — bias first, then input terms in ascending k,
 // then recurrent terms in ascending k — so every kernel in this file is
-// bitwise-identical to the training-path forward step. The only exception
-// is the opt-in int8 path (see infer_int8.go), which is documented as NOT
-// bitwise-identical and is off everywhere by default.
+// bitwise-identical to the training-path forward step.
 //
 // Window pre-projection: when an input window is fully known up front
 // (open-loop replay, sequence forward), the input-and-bias half
@@ -49,10 +47,6 @@ type InferLayer struct {
 	In, Hidden int
 	blkStride  int       // floats per unit block: 4*(1 + In + Hidden)
 	packed     []float64 // Hidden unit blocks (see file comment)
-
-	// Optional int8-quantized weights (see infer_int8.go); nil on the
-	// default float path.
-	q *quantLayer
 }
 
 // InferModel is a compiled inference kernel for an LSTM stack.
@@ -95,11 +89,6 @@ func compileLayer(l *LSTMLayer) *InferLayer {
 	return il
 }
 
-// Quantized reports whether this kernel uses the int8 weight path.
-func (im *InferModel) Quantized() bool {
-	return len(im.Layers) > 0 && im.Layers[0].q != nil
-}
-
 // Arch returns the compiled stack's architecture: layer 0's input width,
 // the (uniform) hidden width, and the layer count.
 func (im *InferModel) Arch() (in, hidden, layers int) {
@@ -110,11 +99,11 @@ func (im *InferModel) Arch() (in, hidden, layers int) {
 }
 
 // SameArch reports whether two compiled kernels can advance side by side
-// in one lane batch: identical per-layer (In, Hidden) shapes and the same
-// quantization mode. Weight values are free to differ — that is the whole
-// point of cross-checkpoint lane batching (StepBatchLanesInto).
+// in one lane batch: identical per-layer (In, Hidden) shapes. Weight
+// values are free to differ — that is the whole point of
+// cross-checkpoint lane batching (StepBatchLanesInto).
 func (im *InferModel) SameArch(o *InferModel) bool {
-	if len(im.Layers) != len(o.Layers) || im.Quantized() != o.Quantized() {
+	if len(im.Layers) != len(o.Layers) {
 		return false
 	}
 	for i, l := range im.Layers {
@@ -191,19 +180,16 @@ func (im *InferModel) StepInto(st *InferState, x []float64) []float64 {
 }
 
 // stepLane advances one state one timestep through this stack — the
-// shared inner body of StepInto, StepBatchInto, and StepBatchLanesInto.
-// pre/tailOff optionally carry the timestep's pre-projected layer-0
-// prefix (see PreProjectInput); pass (nil, 0) otherwise.
+// shared inner body of StepInto and StepBatchLanesInto. pre/tailOff
+// optionally carry the timestep's pre-projected layer-0 prefix (see
+// PreProjectInput); pass (nil, 0) otherwise.
 func (im *InferModel) stepLane(st *InferState, x, pre []float64, tailOff int) {
 	in := x
 	for li, l := range im.Layers {
 		h, c, hn := st.layer(im, li)
-		switch {
-		case l.q != nil:
-			l.q.step(h, c, hn, in)
-		case li == 0:
+		if li == 0 {
 			l.step(h, c, hn, in, pre, tailOff, st.pre)
-		default:
+		} else {
 			l.step(h, c, hn, in, nil, 0, st.pre)
 		}
 		in = hn
@@ -349,15 +335,11 @@ func (im *InferModel) InputRowsPerStep() int { return 4 * im.Layers[0].Hidden }
 // PreProjectInput fills dst (length len(xs)*InputRowsPerStep()) with the
 // first layer's pre-projected partial row sums over input columns
 // k < upto for every timestep: dst[t*rows+j*4+g] = bias + Σ_{k<upto}
-// Wx[row]·xs[t][k]. Pass the result as StepBatchInto's pres (sliced per
-// timestep) with tailOff = upto; closed-loop callers use upto = the
-// first feedback column, so only the unknown tail runs per step. Not
-// supported on quantized kernels.
+// Wx[row]·xs[t][k]. Pass the result as StepBatchLanesInto's pres (sliced
+// per timestep) with tailOff = upto; closed-loop callers use upto = the
+// first feedback column, so only the unknown tail runs per step.
 func (im *InferModel) PreProjectInput(dst []float64, xs [][]float64, upto int) {
 	l0 := im.Layers[0]
-	if l0.q != nil {
-		panic("nn: PreProjectInput unsupported on quantized kernels")
-	}
 	if upto < 0 || upto > l0.In {
 		panic("nn: PreProjectInput column bound out of range")
 	}
@@ -389,14 +371,6 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 		}
 		c := make([]float64, H)
 		switch {
-		case l.q != nil:
-			// The quantized path has no pre-projection (its inner loops
-			// scale whole dot products); run it sequentially.
-			h := make([]float64, H)
-			for t := 0; t < T; t++ {
-				l.q.step(h, c, outs[t], in[t])
-				h = outs[t]
-			}
 		case haveSIMD:
 			// With the vector backend, plain per-step input projection
 			// runs in SIMD and beats the scalar 4-timestep-blocked
@@ -435,43 +409,23 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 	return outs
 }
 
-// StepBatchInto advances n independent states one timestep each, feeding
-// xs[b] to sts[b]. States advance in place (read each member's top-layer
-// output from its state); results are bitwise-identical to StepInto per
-// member regardless of batch composition. pres/tailOff optionally carry
-// per-member pre-projected layer-0 prefixes, as in PreProjectInput; pass
-// (nil, 0) when inputs are not pre-projected.
-//
-// Members advance one at a time through the fused single-member kernel.
-// A member-interleaved variant (each weight load shared by four members'
-// accumulator chains) measured slower here: the single-member kernel
-// already carries four independent chains per unit — the fused gate
-// rows, SIMD lanes when available — and its weight reads are one linear
-// stream the prefetcher hides, so sharing them buys nothing while the
-// four per-member h streams cost extra loads. What batching still buys
-// is the shared per-window setup — feature standardization and layer-0
-// pre-projection — and the lockstep call shape the serving batcher
-// needs.
-func (im *InferModel) StepBatchInto(sts []*InferState, xs [][]float64, pres [][]float64, tailOff int) {
-	n := len(sts)
-	if n != len(xs) {
-		panic("nn: StepBatchInto states/inputs length mismatch")
-	}
-	for b := 0; b < n; b++ {
-		var pre []float64
-		if pres != nil {
-			pre = pres[b]
-		}
-		im.stepLane(sts[b], xs[b], pre, tailOff)
-	}
-}
-
-// StepBatchLanesInto is StepBatchInto generalized to per-lane weights:
-// lane b advances sts[b] one timestep through its *own* compiled stack
-// ims[b], fed xs[b]. This is the kernel behind cross-checkpoint shape
+// StepBatchLanesInto advances n independent states one timestep each:
+// lane b advances sts[b] through its *own* compiled stack ims[b], fed
+// xs[b]. Lanes may repeat one *InferModel (N clients of one checkpoint)
+// or mix distinct ones; this is the kernel behind cross-checkpoint shape
 // batching in the serving layer (internal/serve): many distinct trained
 // checkpoints that share one architecture advance pad-free in one
-// dispatch.
+// dispatch. States advance in place (read each lane's output from its
+// state's Top).
+//
+// Lanes advance one at a time through the fused single-lane kernel. A
+// lane-interleaved variant (each weight load shared by four lanes'
+// accumulator chains) measured slower: the single-lane kernel already
+// carries four independent chains per unit — the fused gate rows, SIMD
+// lanes when available — and its weight reads are one linear stream the
+// prefetcher hides. What batching buys is the shared per-window setup —
+// feature standardization and layer-0 pre-projection — and the lockstep
+// call shape the serving batcher needs.
 //
 // Per-lane weight pointers come for free from the fused kernel's shape:
 // the packed weight base (&packed[0]) is a per-call argument of both the
@@ -485,10 +439,10 @@ func (im *InferModel) StepBatchInto(sts []*InferState, xs [][]float64, pres [][]
 // checkpoint's packed weight stream then stays cache-resident across its
 // lanes.
 //
-// All lanes must share one architecture (SameArch: per-layer In/Hidden
-// and quantization mode); mixing shapes panics rather than corrupting
-// state. pres/tailOff optionally carry per-lane pre-projected layer-0
-// prefixes, as in StepBatchInto.
+// All lanes must share one architecture (SameArch: per-layer
+// In/Hidden); mixing shapes panics rather than corrupting state.
+// pres/tailOff optionally carry per-lane pre-projected layer-0 prefixes
+// (see PreProjectInput); pass (nil, 0) when inputs are not pre-projected.
 func StepBatchLanesInto(ims []*InferModel, sts []*InferState, xs [][]float64, pres [][]float64, tailOff int) {
 	n := len(ims)
 	if n != len(sts) || n != len(xs) {

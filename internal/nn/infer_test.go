@@ -1,14 +1,18 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"ibox/internal/sim"
 )
 
 // kernelShapes deliberately covers the awkward cases: In ≠ Hidden in both
 // directions, 1–4 layers, and Hidden values with every residue mod 4 so
 // the SIMD whole-group path, the scalar remainder path, and the
-// no-full-group path (Hidden < 4) all run.
+// no-full-group path (Hidden < 4) all run — plus the paper-scale §4.2
+// stack (5 inputs, 256 hidden, 4 layers, ≈2.1M parameters).
 var kernelShapes = []struct{ in, hidden, layers int }{
 	{3, 5, 1},
 	{4, 6, 2},
@@ -18,6 +22,20 @@ var kernelShapes = []struct{ in, hidden, layers int }{
 	{6, 13, 2},
 	{1, 1, 1},
 	{4, 8, 3},
+	{5, 256, 4},
+}
+
+// randSeq generates a deterministic pseudo-random input sequence.
+func randSeq(seed int64, steps, dim int) [][]float64 {
+	rng := sim.NewRand(seed, 11)
+	xs := make([][]float64, steps)
+	for t := range xs {
+		xs[t] = make([]float64, dim)
+		for k := range xs[t] {
+			xs[t][k] = rng.NormFloat64()
+		}
+	}
+	return xs
 }
 
 // bitsEqual fails the test unless a and b are bitwise-identical.
@@ -72,58 +90,94 @@ func TestInferForwardMatchesStepInto(t *testing.T) {
 	}
 }
 
-// TestPreProjectedStepMatchesPlain pins the prefix pre-projection path:
-// pre-projecting any prefix [0, upto) of the input columns and resuming
-// via StepBatchInto(tailOff=upto) must reproduce the plain step bitwise,
-// for every possible split point.
-func TestPreProjectedStepMatchesPlain(t *testing.T) {
+// TestStepBatchLanesMatchesStep pins the lanes kernel: every lane must
+// advance bitwise-identically to StepInto on its own model, whether the
+// lanes step distinct compiled stacks of one architecture or all share
+// one *InferModel (N clients of one checkpoint), and whether layer 0
+// runs plain or resumes from a pre-projected prefix [0, upto) of the
+// input columns — for every split point upto, including the bias-only
+// upto = 0.
+func TestStepBatchLanesMatchesStep(t *testing.T) {
+	const n, steps = 5, 6
 	for _, sh := range kernelShapes {
-		lstm := NewLSTM(sh.in, sh.hidden, sh.layers, 11)
-		im := lstm.Compile()
-		const T = 6
-		xs := randSeq(77, T, sh.in)
-		rows := im.InputRowsPerStep()
-		for upto := 0; upto <= sh.in; upto++ {
-			pre := make([]float64, T*rows)
-			im.PreProjectInput(pre, xs, upto)
-			st := im.NewState()
-			ref := im.NewState()
-			for tt, x := range xs {
-				im.StepBatchInto([]*InferState{st}, [][]float64{x},
-					[][]float64{pre[tt*rows : (tt+1)*rows]}, upto)
-				want := im.StepInto(ref, x)
-				bitsEqual(t, "pre-projected step", st.Top(), want)
+		shared := NewLSTM(sh.in, sh.hidden, sh.layers, 300).Compile()
+		sets := map[string][]*InferModel{"shared": make([]*InferModel, n)}
+		for b := range sets["shared"] {
+			sets["shared"][b] = shared
+		}
+		// n distinct copies of the paper-scale stack would hold n×70 MB of
+		// training-layout weights; its lanes run on the shared model only.
+		if sh.hidden <= 64 {
+			distinct := make([]*InferModel, n)
+			for b := range distinct {
+				// A distinct seed per lane: genuinely different weights.
+				distinct[b] = NewLSTM(sh.in, sh.hidden, sh.layers, int64(300+b)).Compile()
+			}
+			sets["distinct"] = distinct
+		}
+		seqs := make([][][]float64, n)
+		for b := range seqs {
+			seqs[b] = randSeq(int64(400+b), steps, sh.in)
+		}
+		rows := shared.InputRowsPerStep()
+		for name, ims := range sets {
+			// upto = -1: plain steps, no pre-projection.
+			for upto := -1; upto <= sh.in; upto++ {
+				what := fmt.Sprintf("%dx%dx%d %s upto=%d", sh.in, sh.hidden, sh.layers, name, upto)
+				var pres [][]float64
+				tailOff := 0
+				if upto >= 0 {
+					// Per-lane pre-projection through the lane's own layer 0.
+					tailOff = upto
+					pres = make([][]float64, n)
+					for b := range pres {
+						pres[b] = make([]float64, steps*rows)
+						ims[b].PreProjectInput(pres[b], seqs[b], upto)
+					}
+				}
+				sts := make([]*InferState, n)
+				refs := make([]*InferState, n)
+				for b := range sts {
+					sts[b] = ims[b].NewState()
+					refs[b] = ims[b].NewState()
+				}
+				xs := make([][]float64, n)
+				var lanesPre [][]float64
+				if pres != nil {
+					lanesPre = make([][]float64, n)
+				}
+				for tt := 0; tt < steps; tt++ {
+					for b := range xs {
+						xs[b] = seqs[b][tt]
+						if pres != nil {
+							lanesPre[b] = pres[b][tt*rows : (tt+1)*rows]
+						}
+					}
+					StepBatchLanesInto(ims, sts, xs, lanesPre, tailOff)
+					for b := 0; b < n; b++ {
+						want := ims[b].StepInto(refs[b], seqs[b][tt])
+						bitsEqual(t, what, sts[b].Top(), want)
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestStepBatchIntoMatchesStepInto checks member independence: a batch of
-// states over different sequences advances each exactly as it would
-// alone.
-func TestStepBatchIntoMatchesStepInto(t *testing.T) {
-	lstm := NewLSTM(4, 6, 2, 13)
-	im := lstm.Compile()
-	const n, T = 5, 8
-	seqs := make([][][]float64, n)
-	refs := make([]*InferState, n)
-	sts := make([]*InferState, n)
-	for b := range seqs {
-		seqs[b] = randSeq(int64(500+b), T, 4)
-		refs[b] = im.NewState()
-		sts[b] = im.NewState()
-	}
-	for tt := 0; tt < T; tt++ {
-		xs := make([][]float64, n)
-		for b := range xs {
-			xs[b] = seqs[b][tt]
+// TestStepBatchLanesPanicsOnMixedArch: lanes spanning incompatible
+// architectures must fail loudly instead of corrupting state.
+func TestStepBatchLanesPanicsOnMixedArch(t *testing.T) {
+	a := NewLSTM(4, 6, 2, 1).Compile()
+	b := NewLSTM(4, 7, 2, 2).Compile() // different hidden width
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for lanes over incompatible architectures")
 		}
-		im.StepBatchInto(sts, xs, nil, 0)
-		for b := 0; b < n; b++ {
-			want := im.StepInto(refs[b], seqs[b][tt])
-			bitsEqual(t, "batched step", sts[b].Top(), want)
-		}
-	}
+	}()
+	StepBatchLanesInto(
+		[]*InferModel{a, b},
+		[]*InferState{a.NewState(), b.NewState()},
+		[][]float64{{0, 0, 0, 0}, {0, 0, 0, 0}}, nil, 0)
 }
 
 // TestStepIntoNoAllocs pins the zero-allocation contract of the
@@ -147,46 +201,6 @@ func TestPredictorStepNoAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { p.StepGaussian(x) }); n != 0 {
 		t.Fatalf("StepGaussian allocates %v times per step, want 0", n)
 	}
-}
-
-// TestQuantizedKernel checks the opt-in int8 path: it must run every
-// shape, produce finite outputs in the ballpark of the float kernel
-// (NOT bitwise — that is the documented caveat), and refuse
-// pre-projection.
-func TestQuantizedKernel(t *testing.T) {
-	for _, sh := range kernelShapes {
-		lstm := NewLSTM(sh.in, sh.hidden, sh.layers, 23)
-		im := lstm.Compile()
-		qm := lstm.CompileQuantized()
-		if im.Quantized() || !qm.Quantized() {
-			t.Fatal("Quantized() flags wrong")
-		}
-		st, qst := im.NewState(), qm.NewState()
-		xs := randSeq(55, 10, sh.in)
-		for _, x := range xs {
-			want := im.StepInto(st, x)
-			got := qm.StepInto(qst, x)
-			for j := range got {
-				if math.IsNaN(got[j]) || math.IsInf(got[j], 0) {
-					t.Fatalf("quantized output not finite: %v", got[j])
-				}
-				// Hidden activations are tanh-bounded; int8 per-row scales
-				// keep the pre-activations close, so outputs stay near the
-				// float path without being equal to it.
-				if d := math.Abs(got[j] - want[j]); d > 0.15 {
-					t.Fatalf("quantized output drifted: |%v - %v| = %v", got[j], want[j], d)
-				}
-			}
-		}
-	}
-	lstm := NewLSTM(4, 8, 1, 29)
-	qm := lstm.CompileQuantized()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PreProjectInput on a quantized kernel did not panic")
-		}
-	}()
-	qm.PreProjectInput(make([]float64, qm.InputRowsPerStep()), randSeq(1, 1, 4), 2)
 }
 
 // FuzzInferKernel fuzzes shape and data seeds: whatever the dimensions,

@@ -122,43 +122,6 @@ func postSimulateSized(t testing.TB, url string, req SimulateRequest) (int, stri
 	return code, hdr.Get(batchSizeHeader), body
 }
 
-// TestPerCheckpointModeSplitsGroups: with Config.BatchPerCheckpoint the
-// same two-model burst must *not* co-batch — the legacy grouping the
-// bench suite A/Bs against.
-func TestPerCheckpointModeSplitsGroups(t *testing.T) {
-	s, dir := newTestServer(t, func(c *Config) {
-		c.Workers = 1
-		c.BatchWindow = 60 * time.Millisecond
-		c.BatchMax = 2
-		c.BatchPerCheckpoint = true
-	})
-	saveModel(t, trainedMLShape(t, 8, 1, 5), dir, "a.json")
-	saveModel(t, trainedMLShape(t, 8, 1, 6), dir, "b.json")
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	in := synthTrace(43, sim.Second)
-	var wg sync.WaitGroup
-	sizes := make([]string, 2)
-	for i, id := range []string{"a.json", "b.json"} {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			code, size, body := postSimulateSized(t, ts.URL, SimulateRequest{Model: id, Input: in, Seed: 1})
-			if code != 200 {
-				t.Errorf("%s: status %d: %s", id, code, body)
-			}
-			sizes[i] = size
-		}(i, id)
-	}
-	wg.Wait()
-	for i, size := range sizes {
-		if size != "1" {
-			t.Fatalf("request %d: batch size %q, want 1 in per-checkpoint mode", i, size)
-		}
-	}
-}
-
 // TestShapeMismatchNeverCoBatches: concurrent requests for checkpoints
 // of different shapes must land in separate batches even with room in
 // the dispatch window.
@@ -198,9 +161,9 @@ func TestShapeMismatchNeverCoBatches(t *testing.T) {
 // TestBatchGroupSurvivesReload is the regression test for the
 // pointer-keyed grouping bug: the batcher used to key pending groups by
 // *iboxml.Model, so an LRU-evicted-then-reloaded checkpoint (same
-// artifact, fresh pointer) silently split its group. Keys are artifact
-// IDs now: two submissions under one ID through two distinct pointers
-// must share a batch even in per-checkpoint mode.
+// artifact, fresh pointer) silently split its group. Keys are shapes
+// now: two submissions under one ID through two distinct pointers must
+// share a batch.
 func TestBatchGroupSurvivesReload(t *testing.T) {
 	dir := t.TempDir()
 	writeMLModel(t, dir, "m.json")
@@ -218,7 +181,7 @@ func TestBatchGroupSurvivesReload(t *testing.T) {
 
 	pool := par.NewPool(1)
 	defer pool.Close()
-	b := newBatcher(pool, 200*time.Millisecond, 2, 0, true /* per-checkpoint */)
+	b := newBatcher(pool, 200*time.Millisecond, 2, 0)
 	in := synthTrace(45, sim.Second)
 	var wg sync.WaitGroup
 	sizes := make([]int, 2)
@@ -344,11 +307,8 @@ func FuzzShapeGroup(f *testing.F) {
 			{Model: mB, Input: inB, Seed: 12},
 		}
 		if mA.Shape() != mB.Shape() {
-			// The batcher's keys differ, so these never share a group …
-			if (groupKey{shape: mA.Shape()}) == (groupKey{shape: mB.Shape()}) {
-				t.Fatalf("distinct shapes %s and %s collide as group keys", mA.Shape(), mB.Shape())
-			}
-			// … and forcing them into one batch fails loudly.
+			// The batcher keys groups by Shape, so these never share a
+			// group; forcing them into one batch fails loudly.
 			defer func() {
 				r := recover()
 				if r == nil {

@@ -15,8 +15,8 @@ import (
 
 // batcher micro-batches iBoxML replay requests across checkpoints.
 // Requests arriving within one dispatch window whose models share a
-// shape — architecture (in, hidden, layers), window cadence, and kernel
-// mode (see iboxml.Shape) — are simulated in a single
+// shape — architecture (in, hidden, layers) and window cadence (see
+// iboxml.Shape) — are simulated in a single
 // iboxml.SimulateTraceLanes call, even when they hit distinct model
 // artifacts: each lane steps through its own compiled weights
 // (nn.StepBatchLanesInto), so a multi-tenant mix of many fitted
@@ -27,18 +27,19 @@ import (
 // property streaming replay (stream.go) relies on for fair
 // time-to-first-chunk. Because the lane-batched walk is
 // bitwise-identical to the unbatched one per member, batching changes
-// only latency and throughput — never a single response byte — so it can
-// be toggled freely (Config.NoBatch) or restricted to same-checkpoint
-// groups (Config.BatchPerCheckpoint, the A/B comparison mode).
+// only latency and throughput — never a single response byte.
+//
+// Pending groups are keyed by Shape alone, never by *iboxml.Model: an
+// LRU-evicted-then-reloaded checkpoint gets a fresh pointer but must land
+// in the same open group (regression: TestBatchGroupSurvivesReload).
 type batcher struct {
-	pool          *par.Pool
-	window        time.Duration
-	max           int
-	chunk         int  // streaming emission granularity, in windows
-	perCheckpoint bool // group by artifact ID instead of by shape
+	pool   *par.Pool
+	window time.Duration
+	max    int
+	chunk  int // streaming emission granularity, in windows
 
 	mu      sync.Mutex
-	pending map[groupKey]*group
+	pending map[iboxml.Shape]*group
 
 	sizeHist     *obs.Histogram
 	batches      *obs.Counter
@@ -47,18 +48,7 @@ type batcher struct {
 	crossBatches *obs.Counter      // serve.batches_cross: batches spanning >1 checkpoint
 }
 
-// groupKey identifies one accumulating dispatch group. In the default
-// cross-checkpoint mode requests group by model shape alone; in
-// per-checkpoint mode the artifact ID joins the key. Note the ID, never
-// the *iboxml.Model pointer: an LRU-evicted-then-reloaded checkpoint gets
-// a fresh pointer but must land in the same open group (regression:
-// TestBatchGroupSurvivesReload).
-type groupKey struct {
-	shape iboxml.Shape
-	id    string
-}
-
-// group is the accumulating batch for one key.
+// group is the accumulating batch for one shape.
 type group struct {
 	jobs  []batchJob
 	timer *time.Timer
@@ -66,7 +56,7 @@ type group struct {
 
 type batchJob struct {
 	model   *iboxml.Model
-	id      string // artifact ID (lane ordering + per-checkpoint keying)
+	id      string // artifact ID (lane ordering)
 	input   *trace.Trace
 	seed    int64
 	sampled bool        // a trace-sampled request is in this job
@@ -84,7 +74,7 @@ type batchResult struct {
 // went away (client disconnect or cancel) mid-unroll.
 var errStreamClosed = errors.New("serve: stream consumer gone")
 
-func newBatcher(pool *par.Pool, window time.Duration, max, chunk int, perCheckpoint bool) *batcher {
+func newBatcher(pool *par.Pool, window time.Duration, max, chunk int) *batcher {
 	if window <= 0 {
 		window = 2 * time.Millisecond
 	}
@@ -95,12 +85,11 @@ func newBatcher(pool *par.Pool, window time.Duration, max, chunk int, perCheckpo
 		chunk = 64
 	}
 	b := &batcher{
-		pool:          pool,
-		window:        window,
-		max:           max,
-		chunk:         chunk,
-		perCheckpoint: perCheckpoint,
-		pending:       make(map[groupKey]*group),
+		pool:    pool,
+		window:  window,
+		max:     max,
+		chunk:   chunk,
+		pending: make(map[iboxml.Shape]*group),
 	}
 	if r := obs.Get(); r != nil {
 		b.sizeHist = r.Histogram("serve.batch_size")
@@ -112,9 +101,9 @@ func newBatcher(pool *par.Pool, window time.Duration, max, chunk int, perCheckpo
 	return b
 }
 
-// enqueue adds one replay to its compatibility group and returns the
-// job's result channel. The request joins the open dispatch window for
-// its key (opening one if none is open); the group flushes when the
+// enqueue adds one replay to its shape's group and returns the job's
+// result channel. The request joins the open dispatch window for its
+// shape (opening one if none is open); the group flushes when the
 // window elapses or it reaches max requests. sink, when non-nil, streams
 // the lane's window predictions incrementally as the batch runs.
 func (b *batcher) enqueue(ctx context.Context, id string, m *iboxml.Model, input *trace.Trace, seed int64, sink *streamSink) chan batchResult {
@@ -123,10 +112,7 @@ func (b *batcher) enqueue(ctx context.Context, id string, m *iboxml.Model, input
 		sampled: metaFrom(ctx).sampled(), sink: sink,
 		res: make(chan batchResult, 1),
 	}
-	key := groupKey{shape: m.Shape()}
-	if b.perCheckpoint {
-		key.id = id
-	}
+	key := m.Shape()
 	b.mu.Lock()
 	g := b.pending[key]
 	if g == nil {
@@ -158,23 +144,10 @@ func (b *batcher) submit(ctx context.Context, id string, m *iboxml.Model, input 
 	}
 }
 
-// single dispatches one replay immediately as a lane batch of one — no
-// dispatch window, no grouping. Streaming replay uses it when batching
-// is disabled (Config.NoBatch).
-func (b *batcher) single(ctx context.Context, id string, m *iboxml.Model, input *trace.Trace, seed int64, sink *streamSink) chan batchResult {
-	j := batchJob{
-		model: m, id: id, input: input, seed: seed,
-		sampled: metaFrom(ctx).sampled(), sink: sink,
-		res: make(chan batchResult, 1),
-	}
-	b.run([]batchJob{j})
-	return j.res
-}
-
 // flush closes the group's window and simulates it as one batch on the
 // pool. Safe to race between the timer and the size trigger: whoever
 // removes the group from pending runs it; the other call finds it gone.
-func (b *batcher) flush(key groupKey, g *group) {
+func (b *batcher) flush(key iboxml.Shape, g *group) {
 	b.mu.Lock()
 	if b.pending[key] != g {
 		b.mu.Unlock()
@@ -191,7 +164,7 @@ func (b *batcher) flush(key groupKey, g *group) {
 	b.sizeHist.Observe(int64(len(jobs)))
 	b.batches.Add(1)
 	if b.shapeOcc != nil {
-		b.shapeOcc.With(key.shape.String()).Observe(int64(len(jobs)))
+		b.shapeOcc.With(key.String()).Observe(int64(len(jobs)))
 	}
 	distinct := 0
 	for i, j := range jobs {

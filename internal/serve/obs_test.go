@@ -366,8 +366,8 @@ func TestStatusz(t *testing.T) {
 	}
 }
 
-// TestRollingGauges checks the collector republishes serve.win.* gauges
-// the regress gate skips by pattern.
+// TestRollingGauges checks the collector republishes the serve.win.*
+// windowed gauges.
 func TestRollingGauges(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()

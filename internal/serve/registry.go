@@ -6,9 +6,9 @@
 //
 //   - Registry: a thread-safe warm model cache over a directory of
 //     artifacts, with lazy single-flight loading and LRU eviction;
-//   - batcher: request micro-batching for iBoxML replay, amortizing the
-//     LSTM weight streaming across concurrent requests (see
-//     iboxml.SimulateTraceBatch);
+//   - batcher: shape-keyed request micro-batching for iBoxML replay,
+//     advancing concurrent requests in lockstep lanes (see
+//     iboxml.SimulateTraceLanes);
 //   - Server: the HTTP front door with admission control — bounded
 //     queue, load shedding, per-request deadlines, graceful drain.
 //

@@ -188,82 +188,70 @@ func TestServeIBoxNetDeterminism(t *testing.T) {
 }
 
 // TestServeIBoxMLDeterminism proves iBoxML replay responses are
-// byte-identical to offline iboxml.SimulateTrace, with batching enabled
-// and disabled — including a concurrent burst that actually coalesces
-// into one micro-batch.
+// byte-identical to offline iboxml.SimulateTrace for a concurrent burst
+// that actually coalesces into one micro-batch.
 func TestServeIBoxMLDeterminism(t *testing.T) {
 	input := synthTrace(99, 2*sim.Second)
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"unbatched", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			s, dir := newTestServer(t, func(c *Config) {
-				c.NoBatch = mode.noBatch
-				c.BatchWindow = 250 * time.Millisecond
-				c.BatchMax = 4
-			})
-			writeMLModel(t, dir, "ml-a.json")
-			ml, err := iboxml.Load(filepath.Join(dir, "ml-a.json"))
-			if err != nil {
-				t.Fatalf("offline load: %v", err)
-			}
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-
-			const burst = 4
-			type result struct {
-				seed      int64
-				code      int
-				batchSize string
-				body      []byte
-			}
-			results := make([]result, burst)
-			var wg sync.WaitGroup
-			for i := 0; i < burst; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					seed := int64(300 + i)
-					code, hdr, body := postSimulate(t, ts.URL, SimulateRequest{
-						Model: "ml-a.json", Input: input, Seed: seed,
-					})
-					results[i] = result{seed, code, hdr.Get(batchSizeHeader), body}
-				}(i)
-			}
-			wg.Wait()
-
-			maxBatch := 0
-			for _, r := range results {
-				if r.code != http.StatusOK {
-					t.Fatalf("status %d: %s", r.code, r.body)
-				}
-				offline := ml.SimulateTrace(input, nil, r.seed)
-				want := encodeResponse(t, SimulateResponse{
-					Model: "ml-a.json", Kind: KindIBoxML,
-					Metrics: core.MetricsOf(offline), Trace: offline,
-				})
-				if !bytes.Equal(r.body, want) {
-					t.Fatalf("seed %d: served response differs from offline simulation", r.seed)
-				}
-				if r.batchSize != "" {
-					n, err := strconv.Atoi(r.batchSize)
-					if err != nil {
-						t.Fatalf("bad %s header %q", batchSizeHeader, r.batchSize)
-					}
-					if n > maxBatch {
-						maxBatch = n
-					}
-				}
-			}
-			if mode.noBatch && maxBatch != 0 {
-				t.Fatalf("NoBatch server reported batch size %d", maxBatch)
-			}
-			if !mode.noBatch && maxBatch < 2 {
-				t.Fatalf("no request coalesced into a batch (max reported size %d)", maxBatch)
-			}
+	t.Run("batched", func(t *testing.T) {
+		s, dir := newTestServer(t, func(c *Config) {
+			c.BatchWindow = 250 * time.Millisecond
+			c.BatchMax = 4
 		})
-	}
+		writeMLModel(t, dir, "ml-a.json")
+		ml, err := iboxml.Load(filepath.Join(dir, "ml-a.json"))
+		if err != nil {
+			t.Fatalf("offline load: %v", err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+
+		const burst = 4
+		type result struct {
+			seed      int64
+			code      int
+			batchSize string
+			body      []byte
+		}
+		results := make([]result, burst)
+		var wg sync.WaitGroup
+		for i := 0; i < burst; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				seed := int64(300 + i)
+				code, hdr, body := postSimulate(t, ts.URL, SimulateRequest{
+					Model: "ml-a.json", Input: input, Seed: seed,
+				})
+				results[i] = result{seed, code, hdr.Get(batchSizeHeader), body}
+			}(i)
+		}
+		wg.Wait()
+
+		maxBatch := 0
+		for _, r := range results {
+			if r.code != http.StatusOK {
+				t.Fatalf("status %d: %s", r.code, r.body)
+			}
+			offline := ml.SimulateTrace(input, nil, r.seed)
+			want := encodeResponse(t, SimulateResponse{
+				Model: "ml-a.json", Kind: KindIBoxML,
+				Metrics: core.MetricsOf(offline), Trace: offline,
+			})
+			if !bytes.Equal(r.body, want) {
+				t.Fatalf("seed %d: served response differs from offline simulation", r.seed)
+			}
+			n, err := strconv.Atoi(r.batchSize)
+			if err != nil {
+				t.Fatalf("bad %s header %q", batchSizeHeader, r.batchSize)
+			}
+			if n > maxBatch {
+				maxBatch = n
+			}
+		}
+		if maxBatch < 2 {
+			t.Fatalf("no request coalesced into a batch (max reported size %d)", maxBatch)
+		}
+	})
 }
 
 // TestServeHierarchicalDeterminism covers the hybrid (§4.2 hierarchical)

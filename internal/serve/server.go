@@ -40,16 +40,6 @@ type Config struct {
 	// BatchMax flushes a batch early once this many requests joined it;
 	// default 16.
 	BatchMax int
-	// NoBatch disables micro-batching (each iBoxML replay simulates
-	// alone). Responses are byte-identical either way.
-	NoBatch bool
-	// BatchPerCheckpoint restricts micro-batch groups to requests for the
-	// same artifact, as before cross-checkpoint shape batching. By
-	// default requests co-batch whenever their models share a shape
-	// (architecture + window + kernel mode; see iboxml.Shape) even
-	// across distinct checkpoints. Responses are byte-identical in every
-	// mode; this is the A/B comparison knob (`ibox-bench -suite serve`).
-	BatchPerCheckpoint bool
 	// StreamChunk is the emission granularity of streaming replay
 	// (/v1/replay), in closed-loop windows per chunk; default 64.
 	StreamChunk int
@@ -270,7 +260,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		registry: NewRegistry(cfg.ModelDir, cfg.MaxModels),
 		pool:     pool,
-		batch:    newBatcher(pool, cfg.BatchWindow, cfg.BatchMax, cfg.StreamChunk, cfg.BatchPerCheckpoint),
+		batch:    newBatcher(pool, cfg.BatchWindow, cfg.BatchMax, cfg.StreamChunk),
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		idPrefix: newIDPrefix(),
@@ -585,8 +575,8 @@ func (s *Server) simulateNet(ctx context.Context, model *Model, req *SimulateReq
 }
 
 // simulateML replays a send-side input trace through an iBoxML model —
-// exactly iboxml.SimulateTrace (or SimulateTraceHierarchical), micro-
-// batched with compatible concurrent requests unless disabled.
+// exactly iboxml.SimulateTrace (or SimulateTraceHierarchical), the former
+// micro-batched with same-shape concurrent requests.
 func (s *Server) simulateML(ctx context.Context, model *Model, req *SimulateRequest) (*trace.Trace, int, error) {
 	if req.Input == nil || len(req.Input.Packets) == 0 {
 		return nil, 0, fmt.Errorf("%w: iboxml model %s requires a non-empty \"input\" trace", errBadRequest, model.ID)
@@ -600,18 +590,12 @@ func (s *Server) simulateML(ctx context.Context, model *Model, req *SimulateRequ
 	var out *trace.Trace
 	var batchSize int
 	var err error
-	switch {
-	case req.Hierarchical:
+	if req.Hierarchical {
 		err = s.pool.Do(ctx, func() error {
 			out = model.ML.SimulateTraceHierarchical(req.Input, req.Seed)
 			return nil
 		})
-	case s.cfg.NoBatch:
-		err = s.pool.Do(ctx, func() error {
-			out = model.ML.SimulateTrace(req.Input, nil, req.Seed)
-			return nil
-		})
-	default:
+	} else {
 		out, batchSize, err = s.batch.submit(ctx, model.ID, model.ML, req.Input, req.Seed)
 	}
 	if err == nil {

@@ -21,8 +21,8 @@ import (
 // republishes the windowed views as gauges under the serve.win.* prefix
 // so they flow through /metrics and expvar like everything else. The
 // serve.win.* family is machine-dependent by construction (it measures
-// the recent past of this process), so internal/regress skips it when
-// comparing run reports.
+// the recent past of this process), so nothing should compare it across
+// runs.
 //
 // The collector goroutine stops during Shutdown before the listener
 // closes; tests run under leakcheck, so a leaked ticker fails the

@@ -221,12 +221,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 
 	ssp := m.childSpan("simulate")
 	defer ssp.End()
-	var res chan batchResult
-	if s.cfg.NoBatch {
-		res = s.batch.single(ctx, model.ID, model.ML, req.Input, req.Seed, sink)
-	} else {
-		res = s.batch.enqueue(ctx, model.ID, model.ML, req.Input, req.Seed, sink)
-	}
+	res := s.batch.enqueue(ctx, model.ID, model.ML, req.Input, req.Seed, sink)
 
 	windows := 0
 	writeChunks := func() bool {

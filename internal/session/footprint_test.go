@@ -3,6 +3,7 @@ package session
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"ibox/internal/sim"
 )
@@ -83,5 +84,60 @@ func TestUnwatchedSessionAllocs(t *testing.T) {
 	if perEvent := allocs / perTick; perEvent > 0.01 {
 		t.Errorf("%.3f allocations per published event (%.1f per tick of %.0f events), want amortised 0",
 			perEvent, allocs, perTick)
+	}
+}
+
+// TestIdleSessionPopulation: the population the idle-TTL reaper exists
+// for — hundreds of paused sessions created through the Manager — costs
+// little heap per session, and the reaper then empties it on its own. An
+// idle session holds ≈33 KiB; the bound catches per-session state that
+// grows with ring capacity or lifetime (it was ≈830 KiB before the event
+// records went flat).
+func TestIdleSessionPopulation(t *testing.T) {
+	const (
+		n     = 256
+		bound = 128 << 10
+		ttl   = time.Second
+	)
+	m := NewManager(Limits{
+		MaxSessions: n,
+		TTL:         ttl,
+		ReapEvery:   25 * time.Millisecond,
+	}, nil)
+	defer m.Shutdown()
+
+	before := heapAlloc()
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		s, err := m.Create(Config{
+			Kind: KindIBoxNet, Net: testNetParams(),
+			Protocol: "cubic", Seed: int64(i), RingSize: 256,
+		})
+		if err != nil {
+			t.Fatalf("create %d: %v", i, err)
+		}
+		if err := s.Pause(); err != nil {
+			t.Fatalf("pause %d: %v", i, err)
+		}
+	}
+	after := heapAlloc()
+	// The measurement means nothing if the reaper already took some.
+	if got := m.Active(); got != n {
+		t.Fatalf("only %d of %d sessions alive after %v of creating (TTL %v)", got, n, time.Since(start), ttl)
+	}
+	per := (int64(after) - int64(before)) / n
+	t.Logf("%d sessions created in %v, %d heap bytes each", n, time.Since(start), per)
+	if per > bound {
+		t.Errorf("%d heap bytes per idle session, want under %d", per, bound)
+	}
+
+	// Every session's TTL clock started at its pause; nothing touches
+	// them again, so the reaper alone must empty the population.
+	deadline := time.Now().Add(30 * time.Second)
+	for m.Active() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("reaper left %d of %d idle sessions", m.Active(), n)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
