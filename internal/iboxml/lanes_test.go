@@ -64,41 +64,51 @@ func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
 	return b.Bytes()
 }
 
-// TestPredictWindowsLanesMatchesSingle: lanes that all replay through one
-// model — N clients of one checkpoint — are bitwise identical to
-// per-trace PredictWindows, including when lanes span different window
-// counts (shorter traces drop out of the active set mid-unroll) and for
-// a batch of one (what the serving batcher degenerates to under light
-// load).
-func TestPredictWindowsLanesMatchesSingle(t *testing.T) {
-	m := laneModel(t, 8, 1, 5)
-	trs := []*trace.Trace{
+// sharedLanesMatchSingle replays trs as lanes that all run through m —
+// N clients of one checkpoint — and fails unless every lane is bitwise
+// identical to per-trace PredictWindows.
+func sharedLanesMatchSingle(t *testing.T, m *Model, trs []*trace.Trace) {
+	t.Helper()
+	lanes := make([]ReplayLane, len(trs))
+	for i := range lanes {
+		lanes[i] = ReplayLane{Model: m, Input: trs[i]}
+	}
+	mus, sigmas := PredictWindowsLanes(lanes, 0)
+	for i := range lanes {
+		mu, sigma := m.PredictWindows(trs[i], nil)
+		if len(mus[i]) != len(mu) {
+			t.Fatalf("trace %d: lanes %d windows, single %d", i, len(mus[i]), len(mu))
+		}
+		for w := range mu {
+			if math.Float64bits(mus[i][w]) != math.Float64bits(mu[w]) ||
+				math.Float64bits(sigmas[i][w]) != math.Float64bits(sigma[w]) {
+				t.Fatalf("trace %d window %d: lanes (%v,%v) != single (%v,%v)",
+					i, w, mus[i][w], sigmas[i][w], mu[w], sigma[w])
+			}
+		}
+	}
+}
+
+// TestPredictWindowsBatchMatchesSingle: a lane batch over one shared
+// model is bitwise identical to per-trace PredictWindows, including when
+// lanes span different window counts (shorter traces drop out of the
+// active set mid-unroll).
+func TestPredictWindowsBatchMatchesSingle(t *testing.T) {
+	sharedLanesMatchSingle(t, laneModel(t, 8, 1, 5), []*trace.Trace{
 		synthTrace(11, 3*sim.Second),
 		synthTrace(12, 1*sim.Second), // shorter: exits the active set early
 		synthTrace(13, 2*sim.Second),
 		synthTrace(14, 3*sim.Second),
 		synthTrace(15, 500*sim.Millisecond),
-	}
-	for _, n := range []int{1, len(trs)} {
-		lanes := make([]ReplayLane, n)
-		for i := range lanes {
-			lanes[i] = ReplayLane{Model: m, Input: trs[i]}
-		}
-		mus, sigmas := PredictWindowsLanes(lanes, 0)
-		for i := range lanes {
-			mu, sigma := m.PredictWindows(trs[i], nil)
-			if len(mus[i]) != len(mu) {
-				t.Fatalf("n=%d trace %d: lanes %d windows, single %d", n, i, len(mus[i]), len(mu))
-			}
-			for w := range mu {
-				if math.Float64bits(mus[i][w]) != math.Float64bits(mu[w]) ||
-					math.Float64bits(sigmas[i][w]) != math.Float64bits(sigma[w]) {
-					t.Fatalf("n=%d trace %d window %d: lanes (%v,%v) != single (%v,%v)",
-						n, i, w, mus[i][w], sigmas[i][w], mu[w], sigma[w])
-				}
-			}
-		}
-	}
+	})
+}
+
+// TestPredictWindowsBatchSingleton checks a batch of one lane (what the
+// serving batcher degenerates to under light load).
+func TestPredictWindowsBatchSingleton(t *testing.T) {
+	sharedLanesMatchSingle(t, laneModel(t, 8, 1, 5), []*trace.Trace{
+		synthTrace(31, 2*sim.Second),
+	})
 }
 
 // TestSimulateTraceLanesMatchesSingle checks the full serving-path

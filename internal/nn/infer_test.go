@@ -90,76 +90,118 @@ func TestInferForwardMatchesStepInto(t *testing.T) {
 	}
 }
 
-// TestStepBatchLanesMatchesStep pins the lanes kernel: every lane must
-// advance bitwise-identically to StepInto on its own model, whether the
-// lanes step distinct compiled stacks of one architecture or all share
-// one *InferModel (N clients of one checkpoint), and whether layer 0
-// runs plain or resumes from a pre-projected prefix [0, upto) of the
-// input columns — for every split point upto, including the bias-only
-// upto = 0.
+const laneCount, laneSteps = 5, 6
+
+// laneSeqs returns one deterministic input sequence per lane.
+func laneSeqs(in int) [][][]float64 {
+	seqs := make([][][]float64, laneCount)
+	for b := range seqs {
+		seqs[b] = randSeq(int64(400+b), laneSteps, in)
+	}
+	return seqs
+}
+
+// sharedLanes returns laneCount lanes that all step one *InferModel — N
+// clients of one checkpoint.
+func sharedLanes(in, hidden, layers int) []*InferModel {
+	shared := NewLSTM(in, hidden, layers, 300).Compile()
+	ims := make([]*InferModel, laneCount)
+	for b := range ims {
+		ims[b] = shared
+	}
+	return ims
+}
+
+// lanesMatchStep steps every lane through StepBatchLanesInto and fails
+// unless each advances bitwise-identically to StepInto on its own model.
+// upto = -1 runs layer 0 plain; upto >= 0 resumes it from a per-lane
+// pre-projected prefix [0, upto) of the input columns.
+func lanesMatchStep(t *testing.T, what string, ims []*InferModel, seqs [][][]float64, upto int) {
+	t.Helper()
+	n, steps := len(ims), len(seqs[0])
+	rows := ims[0].InputRowsPerStep()
+	var pres [][]float64
+	tailOff := 0
+	if upto >= 0 {
+		// Per-lane pre-projection through the lane's own layer 0.
+		tailOff = upto
+		pres = make([][]float64, n)
+		for b := range pres {
+			pres[b] = make([]float64, steps*rows)
+			ims[b].PreProjectInput(pres[b], seqs[b], upto)
+		}
+	}
+	sts := make([]*InferState, n)
+	refs := make([]*InferState, n)
+	for b := range sts {
+		sts[b] = ims[b].NewState()
+		refs[b] = ims[b].NewState()
+	}
+	xs := make([][]float64, n)
+	var lanesPre [][]float64
+	if pres != nil {
+		lanesPre = make([][]float64, n)
+	}
+	for tt := 0; tt < steps; tt++ {
+		for b := range xs {
+			xs[b] = seqs[b][tt]
+			if pres != nil {
+				lanesPre[b] = pres[b][tt*rows : (tt+1)*rows]
+			}
+		}
+		StepBatchLanesInto(ims, sts, xs, lanesPre, tailOff)
+		for b := 0; b < n; b++ {
+			want := ims[b].StepInto(refs[b], seqs[b][tt])
+			bitsEqual(t, what, sts[b].Top(), want)
+		}
+	}
+}
+
+// TestStepBatchLanesMatchesStep pins the per-lane-weights kernel: lanes
+// over distinct compiled stacks of one architecture, plain or resuming
+// from any pre-projected prefix, each advance bitwise-identically to
+// StepInto on their own model. n distinct copies of the paper-scale
+// stack would hold n×70 MB of training-layout weights, so it runs only
+// in the shared-model tests.
 func TestStepBatchLanesMatchesStep(t *testing.T) {
-	const n, steps = 5, 6
 	for _, sh := range kernelShapes {
-		shared := NewLSTM(sh.in, sh.hidden, sh.layers, 300).Compile()
-		sets := map[string][]*InferModel{"shared": make([]*InferModel, n)}
-		for b := range sets["shared"] {
-			sets["shared"][b] = shared
+		if sh.hidden > 64 {
+			continue
 		}
-		// n distinct copies of the paper-scale stack would hold n×70 MB of
-		// training-layout weights; its lanes run on the shared model only.
-		if sh.hidden <= 64 {
-			distinct := make([]*InferModel, n)
-			for b := range distinct {
-				// A distinct seed per lane: genuinely different weights.
-				distinct[b] = NewLSTM(sh.in, sh.hidden, sh.layers, int64(300+b)).Compile()
-			}
-			sets["distinct"] = distinct
+		ims := make([]*InferModel, laneCount)
+		for b := range ims {
+			// A distinct seed per lane: genuinely different weights.
+			ims[b] = NewLSTM(sh.in, sh.hidden, sh.layers, int64(300+b)).Compile()
 		}
-		seqs := make([][][]float64, n)
-		for b := range seqs {
-			seqs[b] = randSeq(int64(400+b), steps, sh.in)
+		seqs := laneSeqs(sh.in)
+		for upto := -1; upto <= sh.in; upto++ {
+			lanesMatchStep(t, fmt.Sprintf("%dx%dx%d distinct upto=%d", sh.in, sh.hidden, sh.layers, upto),
+				ims, seqs, upto)
 		}
-		rows := shared.InputRowsPerStep()
-		for name, ims := range sets {
-			// upto = -1: plain steps, no pre-projection.
-			for upto := -1; upto <= sh.in; upto++ {
-				what := fmt.Sprintf("%dx%dx%d %s upto=%d", sh.in, sh.hidden, sh.layers, name, upto)
-				var pres [][]float64
-				tailOff := 0
-				if upto >= 0 {
-					// Per-lane pre-projection through the lane's own layer 0.
-					tailOff = upto
-					pres = make([][]float64, n)
-					for b := range pres {
-						pres[b] = make([]float64, steps*rows)
-						ims[b].PreProjectInput(pres[b], seqs[b], upto)
-					}
-				}
-				sts := make([]*InferState, n)
-				refs := make([]*InferState, n)
-				for b := range sts {
-					sts[b] = ims[b].NewState()
-					refs[b] = ims[b].NewState()
-				}
-				xs := make([][]float64, n)
-				var lanesPre [][]float64
-				if pres != nil {
-					lanesPre = make([][]float64, n)
-				}
-				for tt := 0; tt < steps; tt++ {
-					for b := range xs {
-						xs[b] = seqs[b][tt]
-						if pres != nil {
-							lanesPre[b] = pres[b][tt*rows : (tt+1)*rows]
-						}
-					}
-					StepBatchLanesInto(ims, sts, xs, lanesPre, tailOff)
-					for b := 0; b < n; b++ {
-						want := ims[b].StepInto(refs[b], seqs[b][tt])
-						bitsEqual(t, what, sts[b].Top(), want)
-					}
-				}
-			}
+	}
+}
+
+// TestStepBatchIntoMatchesStepInto checks lane independence when every
+// lane shares one model: a batch of states over different sequences
+// advances each exactly as it would alone.
+func TestStepBatchIntoMatchesStepInto(t *testing.T) {
+	for _, sh := range kernelShapes {
+		lanesMatchStep(t, fmt.Sprintf("%dx%dx%d shared", sh.in, sh.hidden, sh.layers),
+			sharedLanes(sh.in, sh.hidden, sh.layers), laneSeqs(sh.in), -1)
+	}
+}
+
+// TestPreProjectedStepMatchesPlain pins the prefix pre-projection path on
+// a shared model: pre-projecting any prefix [0, upto) of the input
+// columns and resuming with tailOff = upto must reproduce the plain step
+// bitwise, for every split point including the bias-only upto = 0.
+func TestPreProjectedStepMatchesPlain(t *testing.T) {
+	for _, sh := range kernelShapes {
+		ims := sharedLanes(sh.in, sh.hidden, sh.layers)
+		seqs := laneSeqs(sh.in)
+		for upto := 0; upto <= sh.in; upto++ {
+			lanesMatchStep(t, fmt.Sprintf("%dx%dx%d shared upto=%d", sh.in, sh.hidden, sh.layers, upto),
+				ims, seqs, upto)
 		}
 	}
 }
