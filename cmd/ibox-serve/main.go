@@ -26,8 +26,8 @@
 // stateful closed-loop emulation with POST /v1/sessions, stream its
 // telemetry with `curl -N .../events` (SSE), and mutate the live path
 // (POST .../path) like tc. -max-sessions / -max-sessions-per-tenant cap
-// concurrency, -session-ttl reaps idle sessions, and -session-state
-// checkpoints live sessions to disk during graceful drain.
+// concurrency and -session-ttl reaps idle sessions; a graceful drain
+// closes every live session.
 //
 // Model-health observability (DESIGN.md "Model-health observability"):
 // replay requests with observed delays are sampled for online drift
@@ -87,7 +87,6 @@ func main() {
 		maxSessions  = flag.Int("max-sessions", 0, "max live emulation sessions across all tenants; 0 = default 256")
 		maxSessTen   = flag.Int("max-sessions-per-tenant", 0, "max live sessions per tenant; 0 = the global cap")
 		sessionTTL   = flag.Duration("session-ttl", 0, "reap sessions idle this long (no events read, no mutations); 0 = default 15m, negative disables")
-		sessionState = flag.String("session-state", "", "checkpoint live-session state to this file during graceful drain")
 	)
 	flag.Parse()
 
@@ -132,7 +131,6 @@ func main() {
 		MaxSessions:          *maxSessions,
 		MaxSessionsPerTenant: *maxSessTen,
 		SessionTTL:           *sessionTTL,
-		SessionStatePath:     *sessionState,
 	})
 	if err != nil {
 		fatal("startup", err)

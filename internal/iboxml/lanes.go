@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ibox/internal/nn"
-	"ibox/internal/obs"
 	"ibox/internal/sim"
 	"ibox/internal/trace"
 )
@@ -159,8 +158,6 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 			maxHead = o
 		}
 	}
-	obs.Get().Histogram("iboxml.batch_members").Observe(int64(n))
-
 	// Standardize every known column of every lane's window once, with
 	// the lane's own scaler. Column feedbackCol is rewritten per step
 	// with the lane's own standardized previous prediction (t=0 keeps

@@ -17,10 +17,11 @@ import (
 // sized to the machine and funnels every CPU-bound job through it, so
 // concurrent requests — and any nested fan-outs they trigger — share a
 // single concurrency budget instead of oversubscribing the cores. The
-// serving path submits individual jobs with Do; the offline experiment
-// drivers run whole fan-outs on the pool with PoolMap (reached through
-// Options.Pool), whose help-first nested submission keeps recursive
-// fan-outs deadlock-free (see PoolMap).
+// serving path submits individual jobs with Do and hands extra work to
+// idle workers with TryGo; the offline experiment drivers run whole
+// fan-outs on the pool with PoolMap (reached through Options.Pool), whose
+// help-first nested submission keeps recursive fan-outs deadlock-free
+// (see PoolMap).
 //
 // Determinism note: a Pool schedules *independent* jobs; each job's
 // result must depend only on its own inputs (the same contract as Map).
@@ -200,6 +201,35 @@ func (p *Pool) Do(ctx context.Context, fn func() error) error {
 	}
 }
 
+// TryGo hands fn to a parked worker and returns at once, without waiting
+// for fn. It reports whether a worker took the job: false means every
+// worker is busy (or the pool is closed) and fn was not run, so the
+// caller does the work itself. Nothing is ever queued — true proves a
+// worker is running fn right now — so a caller that later waits for fn
+// waits on work in progress, never on a queue, and may do so from a
+// worker of its own.
+func (p *Pool) TryGo(fn func()) bool { return p.tryGo(0, fn) }
+
+// tryGo is the pool's one non-blocking hand-off, shared by TryGo and
+// PoolMap's dispatch loop. The job channel is unbuffered, so the send
+// succeeds only by rendezvous with a worker parked in its receive.
+func (p *Pool) tryGo(depth int, fn func()) bool {
+	j := poolJob{depth: depth, fn: fn, inst: p.queued != nil}
+	if j.inst {
+		j.enq = time.Now()
+		p.queued.Add(1)
+	}
+	select {
+	case p.jobs <- j:
+		return true
+	default:
+		if j.inst {
+			p.queued.Add(-1)
+		}
+		return false
+	}
+}
+
 // PoolMap applies fn to every index in [0, n) on the shared pool p, with
 // exactly Map's contract: results land in input order (out[i] = fn(i)),
 // a failure returns a nil slice and the error of the lowest failing
@@ -214,13 +244,12 @@ func (p *Pool) Do(ctx context.Context, fn func() error) error {
 //   - A caller that is NOT a pool worker first enters the pool (Do),
 //     so its dispatch loop itself occupies a worker slot. It holds no
 //     slot while waiting, so entry can always be granted.
-//   - The dispatcher offers each item to the pool with a non-blocking
-//     send on the unbuffered job channel. A successful send proves a
-//     parked worker received the item and is running it right now —
-//     nothing is ever queued — and when no worker is free the
-//     dispatcher runs the item inline on its own goroutine (helping
-//     first with its own work rather than blocking on a channel no one
-//     may ever drain).
+//   - The dispatcher offers each item to the pool with TryGo's
+//     non-blocking hand-off. A successful offer proves a parked worker
+//     received the item and is running it right now — nothing is ever
+//     queued — and when no worker is free the dispatcher runs the item
+//     inline on its own goroutine (helping first with its own work
+//     rather than blocking on a channel no one may ever drain).
 //
 // Deadlock-freedom follows: blocking happens only (a) at pool entry,
 // where the caller holds no worker, and (b) waiting for dispatched
@@ -316,27 +345,18 @@ func poolMapDispatch[R any](p *Pool, ws *workerState, n int, fn func(i int) (R, 
 			break
 		}
 		wg.Add(1)
-		j := poolJob{depth: depth, fn: func() { defer wg.Done(); runItem(i) }}
+		if p.tryGo(depth, func() { defer wg.Done(); runItem(i) }) {
+			continue // a parked worker has the item and is running it now
+		}
+		// All workers saturated — help first: run the item here, at the
+		// child depth, on this worker's own goroutine.
+		wg.Done()
 		if instrumented {
-			j.inst, j.enq = true, time.Now()
-			p.queued.Add(1)
+			p.inlined.Add(1)
 		}
-		select {
-		case p.jobs <- j:
-			// Rendezvous on the unbuffered channel: a parked worker has the
-			// item and is running it now.
-		default:
-			// All workers saturated — help first: run the item here, at the
-			// child depth, on this worker's own goroutine.
-			wg.Done()
-			if instrumented {
-				p.queued.Add(-1)
-				p.inlined.Add(1)
-			}
-			ws.depth = depth
-			runItem(i)
-			ws.depth = depth - 1
-		}
+		ws.depth = depth
+		runItem(i)
+		ws.depth = depth - 1
 	}
 	wg.Wait()
 	if failed.Load() {

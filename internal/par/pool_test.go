@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ibox/internal/obs"
 )
 
 func TestPoolRunsJobs(t *testing.T) {
@@ -119,6 +121,154 @@ func TestPoolCloseWaitsForInFlight(t *testing.T) {
 	p.Close()
 	if !done.Load() {
 		t.Fatal("Close returned before the in-flight job finished")
+	}
+}
+
+// tryGoUntil offers fn until a parked worker takes it. A fresh pool's
+// workers are registered before NewPool returns but may not have reached
+// their receive yet, so the first offers can legitimately miss.
+func tryGoUntil(t *testing.T, p *Pool, fn func()) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !p.TryGo(fn) {
+		if time.Now().After(deadline) {
+			t.Fatal("TryGo never found a parked worker on an idle pool")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPoolTryGoHandsOff: on an idle pool TryGo hands the job to a worker
+// goroutine (not the caller's) and returns without waiting for it.
+func TestPoolTryGoHandsOff(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	release := make(chan struct{})
+	onWorker := make(chan bool, 1)
+	tryGoUntil(t, p, func() {
+		onWorker <- p.workerIDs[goroutineID()] != nil
+		<-release // TryGo must already have returned for this to unblock
+	})
+	close(release)
+	select {
+	case ok := <-onWorker:
+		if !ok {
+			t.Fatal("TryGo job ran off the pool's workers")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handed-off job never ran")
+	}
+}
+
+// TestPoolTryGoBusy: with every worker busy TryGo refuses at once and
+// never runs fn — it neither queues nor blocks.
+func TestPoolTryGoBusy(t *testing.T) {
+	p := NewPool(1)
+	defer p.Close()
+	block := make(chan struct{})
+	started := make(chan struct{})
+	go p.Do(context.Background(), func() error {
+		close(started)
+		<-block
+		return nil
+	})
+	<-started // the only worker is now occupied
+	var ran atomic.Bool
+	for i := 0; i < 100; i++ {
+		if p.TryGo(func() { ran.Store(true) }) {
+			t.Fatal("TryGo accepted a job with every worker busy")
+		}
+	}
+	close(block)
+	// Had any refused job been queued, the freed worker would run it now.
+	if err := p.Do(context.Background(), func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if ran.Load() {
+		t.Fatal("a refused TryGo job ran")
+	}
+}
+
+func TestPoolTryGoAfterClose(t *testing.T) {
+	p := NewPool(2)
+	p.Close()
+	ran := false
+	if p.TryGo(func() { ran = true }) {
+		t.Fatal("TryGo after Close accepted a job")
+	}
+	if ran {
+		t.Fatal("TryGo after Close ran its job")
+	}
+}
+
+// TestPoolTryGoCloseWaits: Close waits for a handed-off job like any
+// in-flight job, so none outlives the pool (the package's leakcheck
+// TestMain fails the run on a stranded worker or job goroutine).
+func TestPoolTryGoCloseWaits(t *testing.T) {
+	p := NewPool(1)
+	var done atomic.Bool
+	started := make(chan struct{})
+	tryGoUntil(t, p, func() {
+		close(started)
+		time.Sleep(20 * time.Millisecond)
+		done.Store(true)
+	})
+	<-started
+	p.Close()
+	if !done.Load() {
+		t.Fatal("Close returned before the handed-off job finished")
+	}
+}
+
+// TestPoolTryGoInstrumented: TryGo jobs count in the pool's queue, wait,
+// job and busy series exactly like Do jobs, and a refused offer leaves
+// no trace in them.
+func TestPoolTryGoInstrumented(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
+	p := NewPool(1)
+	defer p.Close()
+
+	if err := p.Do(context.Background(), func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan struct{})
+	tryGoUntil(t, p, func() { close(ran) })
+	<-ran
+	block := make(chan struct{})
+	started := make(chan struct{})
+	go p.Do(context.Background(), func() error {
+		close(started)
+		<-block
+		return nil
+	})
+	<-started
+	if p.TryGo(func() {}) {
+		t.Fatal("TryGo accepted a job with the only worker busy")
+	}
+	if q := reg.Gauge("par.pool_queue").Value(); q != 0 {
+		t.Fatalf("par.pool_queue = %v after a refused offer, want 0", q)
+	}
+	close(block)
+
+	// A worker counts a job after fn returns, so poll for the third.
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Counter("par.pool_jobs").Value() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("par.pool_jobs = %d, want 3", reg.Counter("par.pool_jobs").Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := reg.Counter("par.pool_jobs").Value(); n != 3 {
+		t.Fatalf("par.pool_jobs = %d, want 3 (two Do + one TryGo)", n)
+	}
+	for _, name := range []string{"par.pool_wait_ns", obs.MetricPoolBusyNs} {
+		if n := reg.Histogram(name).Count(); n != 3 {
+			t.Fatalf("%s count = %d, want 3", name, n)
+		}
+	}
+	if q := reg.Gauge("par.pool_queue").Value(); q != 0 {
+		t.Fatalf("par.pool_queue = %v after every job ran, want 0", q)
 	}
 }
 

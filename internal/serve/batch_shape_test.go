@@ -14,6 +14,7 @@ import (
 
 	"ibox/internal/core"
 	"ibox/internal/iboxml"
+	"ibox/internal/obs"
 	"ibox/internal/par"
 	"ibox/internal/sim"
 	"ibox/internal/trace"
@@ -55,23 +56,90 @@ func saveModel(t testing.TB, m *iboxml.Model, dir, id string) {
 	}
 }
 
+// splitCase is one way a flushed batch may be scheduled on the pool: how
+// wide the pool is, the split floor, whether every other worker is held
+// busy, whether the batch has one request or two (on two checkpoints),
+// and how many pool jobs must run the batch as a result.
+type splitCase struct {
+	name     string
+	workers  int
+	floor    int64
+	saturate bool
+	single   bool
+	wantJobs int64
+}
+
+// requests is how many requests the case's batch holds.
+func (sc splitCase) requests() int {
+	if sc.single {
+		return 1
+	}
+	return 2
+}
+
+// splitCases covers both sides of every hand-off rule: an idle 2-worker
+// pool splits a 2-checkpoint batch into two pool jobs; a 1-worker pool, a
+// saturated pool, a batch below the floor and a batch of one keep it in
+// one lockstep job, exactly the unsplit schedule.
+var splitCases = []splitCase{
+	{name: "one worker", workers: 1, floor: 0, wantJobs: 1},
+	{name: "split", workers: 2, floor: 0, wantJobs: 2},
+	{name: "saturated", workers: 2, floor: 0, saturate: true, wantJobs: 1},
+	{name: "below floor", workers: 2, floor: splitFloor, wantJobs: 1},
+	{name: "batch of one", workers: 2, floor: 0, single: true, wantJobs: 1},
+}
+
+// newSplitServer builds a test server for one splitCase with
+// observability on (the pool's job counts are the assertion), drift
+// scoring off (it would add pool jobs), and batches that flush as soon
+// as the case's requests joined. It returns the server, its model dir and
+// a counter of the pool jobs run since. Saturating jobs hold their
+// workers until the test's cleanup, which frees them before the server
+// shuts down.
+func newSplitServer(t *testing.T, sc splitCase, mutate func(*Config)) (*Server, string, func() int64) {
+	t.Helper()
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
+	s, dir := newTestServer(t, func(c *Config) {
+		c.Workers = sc.workers
+		c.BatchWindow = 250 * time.Millisecond
+		c.BatchMax = sc.requests()
+		c.DriftEvery = -1
+		if mutate != nil {
+			mutate(c)
+		}
+	})
+	s.batch.floor = sc.floor
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
+	busy := int64(0)
+	if sc.saturate {
+		for w := 1; w < sc.workers; w++ {
+			started := make(chan struct{})
+			go s.pool.Do(context.Background(), func() error {
+				close(started)
+				<-block
+				return nil
+			})
+			<-started
+			busy++
+		}
+	}
+	// A job counts into par.pool_wait_ns when a worker picks it up, so
+	// once every response of a batch is in, its count is exact.
+	jobs := func() int64 { return reg.Histogram("par.pool_wait_ns").Count() - busy }
+	return s, dir, jobs
+}
+
 // TestCrossCheckpointBatchEquivalence: two concurrent requests for two
 // *different* checkpoints of one shape must share a single micro-batch
 // (X-Ibox-Batch-Size: 2 on both) and still answer byte-for-byte what the
-// offline unbatched simulation answers for each model.
+// offline unbatched simulation answers for each model — whether the
+// batch runs as one lockstep job or splits across idle workers. A batch
+// of one never hands off.
 func TestCrossCheckpointBatchEquivalence(t *testing.T) {
-	s, dir := newTestServer(t, func(c *Config) {
-		c.Workers = 1
-		c.BatchWindow = 250 * time.Millisecond
-		c.BatchMax = 2 // flush as soon as both requests joined
-	})
 	mA := trainedMLShape(t, 8, 1, 5)
 	mB := trainedMLShape(t, 8, 1, 6)
-	saveModel(t, mA, dir, "a.json")
-	saveModel(t, mB, dir, "b.json")
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
 	inputs := []*trace.Trace{synthTrace(41, 2*sim.Second), synthTrace(42, 2*sim.Second)}
 	reqs := []SimulateRequest{
 		{Model: "a.json", Input: inputs[0], Seed: 901},
@@ -90,28 +158,42 @@ func TestCrossCheckpointBatchEquivalence(t *testing.T) {
 		}),
 	}
 
-	var wg sync.WaitGroup
-	sizes := make([]string, len(reqs))
-	bodies := make([][]byte, len(reqs))
-	codes := make([]int, len(reqs))
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			codes[i], sizes[i], bodies[i] = postSimulateSized(t, ts.URL, reqs[i])
-		}(i)
-	}
-	wg.Wait()
-	for i := range reqs {
-		if codes[i] != 200 {
-			t.Fatalf("request %d: status %d: %s", i, codes[i], bodies[i])
-		}
-		if sizes[i] != "2" {
-			t.Fatalf("request %d: %s = %q, want 2 (cross-checkpoint co-batch)", i, batchSizeHeader, sizes[i])
-		}
-		if !bytes.Equal(bodies[i], want[i]) {
-			t.Fatalf("request %d: cross-checkpoint batched body differs from offline unbatched", i)
-		}
+	for _, sc := range splitCases {
+		t.Run(sc.name, func(t *testing.T) {
+			n := sc.requests()
+			s, dir, jobs := newSplitServer(t, sc, nil)
+			saveModel(t, mA, dir, "a.json")
+			saveModel(t, mB, dir, "b.json")
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			var wg sync.WaitGroup
+			sizes := make([]string, n)
+			bodies := make([][]byte, n)
+			codes := make([]int, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					codes[i], sizes[i], bodies[i] = postSimulateSized(t, ts.URL, reqs[i])
+				}(i)
+			}
+			wg.Wait()
+			if got := jobs(); got != sc.wantJobs {
+				t.Fatalf("batch ran as %d pool jobs, want %d", got, sc.wantJobs)
+			}
+			for i := 0; i < n; i++ {
+				if codes[i] != 200 {
+					t.Fatalf("request %d: status %d: %s", i, codes[i], bodies[i])
+				}
+				if sizes[i] != fmt.Sprint(n) {
+					t.Fatalf("request %d: %s = %q, want %d (cross-checkpoint co-batch)", i, batchSizeHeader, sizes[i], n)
+				}
+				if !bytes.Equal(bodies[i], want[i]) {
+					t.Fatalf("request %d: cross-checkpoint batched body differs from offline unbatched", i)
+				}
+			}
+		})
 	}
 }
 
@@ -207,56 +289,66 @@ func TestBatchGroupSurvivesReload(t *testing.T) {
 // TestServeCrossCheckpointDeterminism races a mixed burst over two
 // same-shape checkpoints through the batching front door and checks every
 // response byte against the offline serial replay — the serial-vs-batched
-// determinism half of the equivalence harness, run under -race in CI.
+// determinism half of the equivalence harness, run under -race in CI —
+// both with the serving split floor and with every multi-lane batch
+// splitting wherever a worker is idle.
 func TestServeCrossCheckpointDeterminism(t *testing.T) {
-	s, dir := newTestServer(t, func(c *Config) {
-		c.Workers = 2
-		c.BatchWindow = 5 * time.Millisecond
-		c.BatchMax = 8
-	})
-	models := map[string]*iboxml.Model{
-		"a.json": trainedMLShape(t, 8, 1, 5),
-		"b.json": trainedMLShape(t, 8, 1, 6),
-	}
-	for id, m := range models {
-		saveModel(t, m, dir, id)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	const n = 12
-	ids := []string{"a.json", "b.json"}
-	type result struct {
-		code int
-		body []byte
-	}
-	results := make([]result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			id := ids[i%len(ids)]
-			code, _, body := postSimulate(t, ts.URL, SimulateRequest{
-				Model: id, Input: synthTrace(int64(50+i%3), 2*sim.Second), Seed: int64(700 + i%3),
+	for _, tc := range []struct {
+		name  string
+		floor int64
+	}{{"default floor", splitFloor}, {"floor 0", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, dir := newTestServer(t, func(c *Config) {
+				c.Workers = 2
+				c.BatchWindow = 5 * time.Millisecond
+				c.BatchMax = 8
 			})
-			results[i] = result{code, body}
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if results[i].code != 200 {
-			t.Fatalf("request %d: status %d: %s", i, results[i].code, results[i].body)
-		}
-		id := ids[i%len(ids)]
-		m := models[id]
-		out := m.SimulateTrace(synthTrace(int64(50+i%3), 2*sim.Second), nil, int64(700+i%3))
-		want := encodeResponse(t, SimulateResponse{
-			Model: id, Kind: KindIBoxML, Metrics: core.MetricsOf(out), Trace: out,
+			s.batch.floor = tc.floor
+			models := map[string]*iboxml.Model{
+				"a.json": trainedMLShape(t, 8, 1, 5),
+				"b.json": trainedMLShape(t, 8, 1, 6),
+			}
+			for id, m := range models {
+				saveModel(t, m, dir, id)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			const n = 12
+			ids := []string{"a.json", "b.json"}
+			type result struct {
+				code int
+				body []byte
+			}
+			results := make([]result, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					id := ids[i%len(ids)]
+					code, _, body := postSimulate(t, ts.URL, SimulateRequest{
+						Model: id, Input: synthTrace(int64(50+i%3), 2*sim.Second), Seed: int64(700 + i%3),
+					})
+					results[i] = result{code, body}
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < n; i++ {
+				if results[i].code != 200 {
+					t.Fatalf("request %d: status %d: %s", i, results[i].code, results[i].body)
+				}
+				id := ids[i%len(ids)]
+				m := models[id]
+				out := m.SimulateTrace(synthTrace(int64(50+i%3), 2*sim.Second), nil, int64(700+i%3))
+				want := encodeResponse(t, SimulateResponse{
+					Model: id, Kind: KindIBoxML, Metrics: core.MetricsOf(out), Trace: out,
+				})
+				if !bytes.Equal(results[i].body, want) {
+					t.Fatalf("request %d (%s): batched response differs from serial offline replay", i, id)
+				}
+			}
 		})
-		if !bytes.Equal(results[i].body, want) {
-			t.Fatalf("request %d (%s): batched response differs from serial offline replay", i, id)
-		}
 	}
 }
 

@@ -93,9 +93,6 @@ type Config struct {
 	// subscribers, no control-plane interaction); 0 selects 15 minutes,
 	// negative disables reaping.
 	SessionTTL time.Duration
-	// SessionStatePath, when set, receives a JSON checkpoint of every
-	// live session's descriptor at drain, before the sessions stop.
-	SessionStatePath string
 }
 
 func (c Config) withDefaults() Config {
@@ -328,18 +325,11 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Shutdown drains the server gracefully: readiness flips to 503 so load
 // balancers stop sending traffic, new simulate requests are refused,
-// live sessions are checkpointed (when configured) and closed with
-// reason "drain", in-flight requests run to completion (bounded by
-// ctx), then the shared pool stops. Safe to call once.
+// live sessions are closed with reason "drain", in-flight requests run
+// to completion (bounded by ctx), then the shared pool stops. Safe to
+// call once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	if s.cfg.SessionStatePath != "" {
-		if cerr := s.sessions.Checkpoint(s.cfg.SessionStatePath); cerr != nil {
-			if l := obs.Logger(); l != nil {
-				l.Error("session checkpoint failed", "path", s.cfg.SessionStatePath, "err", cerr)
-			}
-		}
-	}
 	// Sessions drain before the pool closes so their final ticks still
 	// run on it (they fall back to inline stepping regardless).
 	s.sessions.Shutdown()

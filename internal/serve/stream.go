@@ -25,14 +25,18 @@ import (
 // with "type": "windows"/"end"). Chunks flush on the lane-batch chunk
 // boundary (Config.StreamChunk windows), so a long trace's first
 // predictions arrive after a small fraction of the total compute — and
-// because cross-checkpoint lane batching advances every member in
-// lockstep (batcher.go), concurrent streams make fair incremental
-// progress instead of queueing behind each other's full replays.
+// because the batcher (batcher.go) advances every member of a sub-batch
+// in lockstep and runs sub-batches above its split floor side by side on
+// idle workers, concurrent streams make fair incremental progress instead
+// of queueing behind each other's full replays. On a saturated pool the
+// whole batch is one lockstep walk and chunks interleave member by
+// member.
 //
 // Cancellation: when the client disconnects or its deadline expires, the
 // handler returns immediately — releasing its admission slot — and the
 // sink is closed, which makes the lane's next Emit fail and abandons the
-// rest of its unroll without touching the other members of the batch.
+// rest of its unroll without touching any other lane, in its sub-batch
+// or another.
 
 // ReplayRequest is the body of POST /v1/replay. Replay is iBoxML-only:
 // input is the send-side trace whose delays the model predicts.

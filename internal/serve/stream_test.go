@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"ibox/internal/iboxml"
 	"ibox/internal/sim"
+	"ibox/internal/trace"
 )
 
 // postReplay fires one streaming replay request; sse selects the
@@ -114,36 +116,14 @@ func checkReplayChunks(t *testing.T, types []string, chunks []replayWindows, end
 	}
 }
 
-func TestReplayStreamSSEConformance(t *testing.T) {
-	const chunkWin = 4
-	s, dir := newTestServer(t, func(c *Config) {
-		c.Workers = 1
-		c.StreamChunk = chunkWin
-	})
-	writeMLModel(t, dir, "m.json")
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	in := synthTrace(51, 4*sim.Second)
-	resp := postReplay(t, context.Background(), ts.URL, ReplayRequest{Model: "m.json", Input: in, Seed: 7}, true)
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+// decodeSSEReplay splits a complete SSE replay body into its frame types,
+// window chunks and end frame.
+func decodeSSEReplay(t *testing.T, body []byte) (types []string, chunks []replayWindows, end replayEnd) {
+	t.Helper()
 	frames := parseSSE(t, body)
 	if len(frames) < 3 {
 		t.Fatalf("got %d frames, want several chunks plus end", len(frames))
 	}
-	var types []string
-	var chunks []replayWindows
-	var end replayEnd
 	for _, f := range frames {
 		types = append(types, f.Event)
 		switch f.Event {
@@ -161,13 +141,89 @@ func TestReplayStreamSSEConformance(t *testing.T) {
 			t.Fatalf("unexpected event %q", f.Event)
 		}
 	}
-	wantMu, wantSigma := trainedML(t).PredictWindows(in, nil)
-	checkReplayChunks(t, types, chunks, end, chunkWin, wantMu, wantSigma)
-	if end.Model != "m.json" || end.Kind != KindIBoxML {
-		t.Fatalf("end frame identifies %q/%q", end.Model, end.Kind)
-	}
-	if end.Trace != nil {
-		t.Fatal("end frame carries a trace without include_trace")
+	return types, chunks, end
+}
+
+func TestReplayStreamSSEConformance(t *testing.T) {
+	const chunkWin = 4
+	t.Run("single model", func(t *testing.T) {
+		s, dir := newTestServer(t, func(c *Config) {
+			c.Workers = 1
+			c.StreamChunk = chunkWin
+		})
+		writeMLModel(t, dir, "m.json")
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+
+		in := synthTrace(51, 4*sim.Second)
+		resp := postReplay(t, context.Background(), ts.URL, ReplayRequest{Model: "m.json", Input: in, Seed: 7}, true)
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+			t.Fatalf("Content-Type %q", ct)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		types, chunks, end := decodeSSEReplay(t, body)
+		wantMu, wantSigma := trainedML(t).PredictWindows(in, nil)
+		checkReplayChunks(t, types, chunks, end, chunkWin, wantMu, wantSigma)
+		if end.Model != "m.json" || end.Kind != KindIBoxML {
+			t.Fatalf("end frame identifies %q/%q", end.Model, end.Kind)
+		}
+		if end.Trace != nil {
+			t.Fatal("end frame carries a trace without include_trace")
+		}
+	})
+
+	// Concurrent streams on two checkpoints share one batch, scheduled
+	// every way splitCases lists: each stream still carries exactly its
+	// own offline windows and one terminal frame.
+	models := []*iboxml.Model{trainedMLShape(t, 8, 1, 5), trainedMLShape(t, 8, 1, 6)}
+	ids := []string{"a.json", "b.json"}
+	inputs := []*trace.Trace{synthTrace(61, 4*sim.Second), synthTrace(62, 3*sim.Second)}
+	for _, sc := range splitCases {
+		t.Run(sc.name, func(t *testing.T) {
+			s, dir, jobs := newSplitServer(t, sc, func(c *Config) { c.StreamChunk = chunkWin })
+			for i, m := range models {
+				saveModel(t, m, dir, ids[i])
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			// A stream's headers arrive before its lane is enqueued, and the
+			// batch flushes once the last stream joined.
+			n := sc.requests()
+			resps := make([]*http.Response, n)
+			for i := range resps {
+				resps[i] = postReplay(t, context.Background(), ts.URL,
+					ReplayRequest{Model: ids[i], Input: inputs[i], Seed: int64(7 + i)}, true)
+			}
+			bodies := make([][]byte, n)
+			for i, resp := range resps {
+				var err error
+				bodies[i], err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := jobs(); got != sc.wantJobs {
+				t.Fatalf("batch ran as %d pool jobs, want %d", got, sc.wantJobs)
+			}
+			for i := 0; i < n; i++ {
+				types, chunks, end := decodeSSEReplay(t, bodies[i])
+				wantMu, wantSigma := models[i].PredictWindows(inputs[i], nil)
+				checkReplayChunks(t, types, chunks, end, chunkWin, wantMu, wantSigma)
+				if end.Model != ids[i] || end.BatchSize != n {
+					t.Fatalf("stream %d: end frame says model %q batch size %d, want %q and %d",
+						i, end.Model, end.BatchSize, ids[i], n)
+				}
+			}
+		})
 	}
 }
 
@@ -242,21 +298,74 @@ func TestReplayStreamNDJSONConformance(t *testing.T) {
 // at its next chunk boundary and nothing resumes after the disconnect —
 // the package leak checker would catch a stuck goroutine).
 func TestReplayStreamCancelFreesSlot(t *testing.T) {
-	s, dir := newTestServer(t, func(c *Config) {
-		c.Workers = 1
-		c.MaxConcurrent = 1 // a stuck stream would wedge the server
-		c.MaxQueue = 4
-		c.StreamChunk = 1 // abort opportunities every window
-	})
-	writeMLModel(t, dir, "m.json")
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	t.Run("single lane", func(t *testing.T) {
+		s, dir := newTestServer(t, func(c *Config) {
+			c.Workers = 1
+			c.MaxConcurrent = 1 // a stuck stream would wedge the server
+			c.MaxQueue = 4
+			c.StreamChunk = 1 // abort opportunities every window
+		})
+		writeMLModel(t, dir, "m.json")
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	resp := postReplay(t, ctx, ts.URL, ReplayRequest{
-		Model: "m.json", Input: synthTrace(53, 30*sim.Second), Seed: 3,
-	}, true)
-	// Read until the first chunk arrives, then hang up mid-stream.
+		ctx, cancel := context.WithCancel(context.Background())
+		resp := postReplay(t, ctx, ts.URL, ReplayRequest{
+			Model: "m.json", Input: synthTrace(53, 30*sim.Second), Seed: 3,
+		}, true)
+		hangUpAfterFirstChunk(t, resp, cancel)
+
+		// The only admission slot must come back: an ordinary simulate
+		// request goes through within the default deadline.
+		code, _, body := postSimulate(t, ts.URL, SimulateRequest{
+			Model: "m.json", Input: synthTrace(54, sim.Second), Seed: 4,
+		})
+		if code != 200 {
+			t.Fatalf("request after canceled stream: status %d: %s", code, body)
+		}
+	})
+
+	// The canceled lane sits on the sub-batch handed to the idle worker:
+	// "a.json" sorts first, so its lane stays on the flushing job and
+	// "b.json"'s goes. Hanging up on b must free b's slot and leave a's
+	// stream exactly its offline windows.
+	t.Run("handed-off lane", func(t *testing.T) {
+		s, dir, jobs := newSplitServer(t, splitCase{workers: 2, floor: 0}, func(c *Config) {
+			c.MaxConcurrent = 2
+			c.StreamChunk = 1
+		})
+		mA := trainedMLShape(t, 8, 1, 5)
+		saveModel(t, mA, dir, "a.json")
+		saveModel(t, trainedMLShape(t, 8, 1, 6), dir, "b.json")
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+
+		ctx, cancel := context.WithCancel(context.Background())
+		respB := postReplay(t, ctx, ts.URL, ReplayRequest{
+			Model: "b.json", Input: synthTrace(57, 120*sim.Second), Seed: 5,
+		}, true)
+		inA := synthTrace(58, 3*sim.Second)
+		respA := postReplay(t, context.Background(), ts.URL, ReplayRequest{Model: "a.json", Input: inA, Seed: 6}, true)
+		hangUpAfterFirstChunk(t, respB, cancel)
+		bodyA, err := io.ReadAll(respA.Body)
+		respA.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		types, chunks, end := decodeSSEReplay(t, bodyA)
+		wantMu, wantSigma := mA.PredictWindows(inA, nil)
+		checkReplayChunks(t, types, chunks, end, 1, wantMu, wantSigma)
+		if got := jobs(); got != 2 {
+			t.Fatalf("batch ran as %d pool jobs, want 2 (b's lane handed off)", got)
+		}
+		waitFor(t, "both admission slots back", func() bool { return len(s.sem) == 0 })
+	})
+}
+
+// hangUpAfterFirstChunk reads a streamed replay until its first chunk
+// arrives, then cancels the request and closes the body mid-stream.
+func hangUpAfterFirstChunk(t *testing.T, resp *http.Response, cancel context.CancelFunc) {
+	t.Helper()
 	sc := bufio.NewScanner(resp.Body)
 	sawData := false
 	for sc.Scan() {
@@ -270,15 +379,6 @@ func TestReplayStreamCancelFreesSlot(t *testing.T) {
 	}
 	cancel()
 	resp.Body.Close()
-
-	// The only admission slot must come back: an ordinary simulate
-	// request goes through within the default deadline.
-	code, _, body := postSimulate(t, ts.URL, SimulateRequest{
-		Model: "m.json", Input: synthTrace(54, sim.Second), Seed: 4,
-	})
-	if code != 200 {
-		t.Fatalf("request after canceled stream: status %d: %s", code, body)
-	}
 }
 
 // TestReplayValidation covers the pre-stream error paths, which use the

@@ -1,10 +1,8 @@
 package session
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,7 +16,7 @@ import (
 // per-tenant caps (the admission-control layer for long-lived stateful
 // clients, where the request path's semaphore handles one-shot work),
 // reaps idle sessions past their TTL, publishes the serve.session.*
-// metric family, and checkpoints session descriptors at drain.
+// metric family, and closes every session at drain.
 
 // Limits bound the session population.
 type Limits struct {
@@ -344,32 +342,6 @@ func (m *Manager) reapOnceNow(now time.Time) {
 	for _, s := range idle {
 		s.expire(now, m.limits.TTL)
 	}
-}
-
-// SessionState is one session's descriptor in the drain checkpoint.
-type SessionState struct {
-	Info
-	BandwidthScale float64 `json:"bandwidth_scale,omitempty"`
-}
-
-// Checkpoint writes every live session's descriptor to path, so an
-// operator (or a restarting server) can see exactly what was running
-// when the process drained. Written before sessions stop, from
-// Shutdown.
-func (m *Manager) Checkpoint(path string) error {
-	infos := m.List()
-	states := make([]SessionState, 0, len(infos))
-	for _, in := range infos {
-		states = append(states, SessionState{Info: in})
-	}
-	b, err := json.MarshalIndent(struct {
-		DrainedAt time.Time      `json:"drained_at"`
-		Sessions  []SessionState `json:"sessions"`
-	}{DrainedAt: time.Now().UTC(), Sessions: states}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // Shutdown drains the manager: no new sessions, every live session
