@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -41,7 +40,8 @@ func artifactBytes(t testing.TB, m *Model) []byte {
 // legacyBytes serializes m the way Write did before artifacts had a raw
 // weight section: one JSON document with the weights inline.
 // TestLegacyCheckpoint pins it byte for byte against a file the old
-// writer produced.
+// writer produced. It reads the weights through Params, so a model read
+// from an artifact gets its training layout back.
 func legacyBytes(t testing.TB, m *Model) []byte {
 	t.Helper()
 	net := m.Net.Header()
@@ -99,7 +99,10 @@ type unsized struct{ io.Reader }
 // FuzzRead checks the model deserializer never panics, and that any model
 // it accepts is fully usable: Validate passes and closed-loop inference
 // runs without panicking. This is the registry's warm-load guarantee — a
-// checkpoint either loads into a working model or is rejected.
+// checkpoint either loads into a working model or is rejected. An
+// accepted artifact also re-serializes to itself: byte for byte once its
+// header is in the writer's canonical JSON, and writing, reading and
+// writing again reproduces the same bytes whichever layout came in.
 func FuzzRead(f *testing.F) {
 	m := corpusModel(f)
 	good, legacy := artifactBytes(f, m), legacyBytes(f, m)
@@ -134,6 +137,22 @@ func FuzzRead(f *testing.F) {
 		mu, sigma := m.PredictWindows(tr, nil)
 		if len(mu) != len(sigma) {
 			t.Fatalf("inference on accepted model: %d mus, %d sigmas", len(mu), len(sigma))
+		}
+		out := artifactBytes(t, m)
+		if !bytes.Equal(artifactBytes(t, readBack(t, m)), out) {
+			t.Fatal("writing a re-read artifact gives different bytes")
+		}
+		var hdr modelJSON
+		if json.NewDecoder(strings.NewReader(s)).Decode(&hdr) != nil || hdr.Format != formatRaw {
+			return // legacy: the weights were JSON numbers, not these bytes
+		}
+		var canonical bytes.Buffer
+		if err := json.NewEncoder(&canonical).Encode(hdr); err != nil {
+			t.Fatal(err)
+		}
+		canonical.WriteString(s[len(s)-8*m.NumParams():])
+		if !bytes.Equal(out, canonical.Bytes()) {
+			t.Fatal("accepted artifact does not re-serialize to itself")
 		}
 	})
 }
@@ -302,17 +321,15 @@ func TestReadChecksLengthBeforeAllocating(t *testing.T) {
 		"file":    func() error { _, err := Load(path); return err },
 	}
 	for name, load := range loads {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := load()
-		runtime.ReadMemStats(&after)
+		var err error
+		d := allocated(func() { err = load() })
 		if err == nil {
 			t.Fatalf("%s: oversized header accepted", name)
 		}
 		if !strings.Contains(err.Error(), "weight section is") {
 			t.Errorf("%s: rejected for the wrong reason: %v", name, err)
 		}
-		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		if d > 1<<20 {
 			t.Errorf("%s: rejecting it allocated %d bytes, want < 1 MiB", name, d)
 		}
 	}

@@ -76,13 +76,8 @@ func (s Shape) String() string {
 // read from the trained network itself (not the config), so it is the
 // ground truth of what the compiled kernel will execute.
 func (m *Model) Shape() Shape {
-	ls := m.Net.LSTM.Layers
-	return Shape{
-		In:     ls[0].In,
-		Hidden: ls[0].Hidden,
-		Layers: len(ls),
-		Window: m.Cfg.Window,
-	}
+	in, hidden, layers := m.Net.Arch()
+	return Shape{In: in, Hidden: hidden, Layers: layers, Window: m.Cfg.Window}
 }
 
 // ReplayLane is one member of a cross-checkpoint lane batch: a trained

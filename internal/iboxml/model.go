@@ -242,14 +242,13 @@ func Train(samples []TrainingSample, cfg Config) (*Model, error) {
 					xs[t][3] += cfg.PrevDelayNoise * noiseRng.NormFloat64()
 				}
 			}
-			loss := m.Net.TrainSequence(xs, ys, s.mask)
-			if math.IsNaN(loss) || math.IsInf(loss, 0) {
+			loss, gn, ok := m.Net.FitSequence(opt, xs, ys, s.mask)
+			if !ok {
 				m.Diag.NonFiniteSeqs++
 				continue
 			}
 			lossSum += loss
 			lossN++
-			gn := opt.Step()
 			if firstStep {
 				m.Diag.GradNormFirst = gn
 				firstStep = false
@@ -272,7 +271,7 @@ func Train(samples []TrainingSample, cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("%w: mean loss %.3g at epoch %d/%d (grad norm %.3g, %d/%d sequences non-finite); lower the learning rate (lr=%g)",
 				ErrDiverged, meanLoss, epoch+1, cfg.Epochs, m.Diag.GradNormLast, len(seqs)-lossN, len(seqs), cfg.LR)
 		}
-		if !paramsFinite(m.Net.Params()) {
+		if !m.Net.Finite() {
 			return nil, fmt.Errorf("%w: non-finite parameters after epoch %d/%d (mean loss %.3g, grad norm %.3g); lower the learning rate (lr=%g)",
 				ErrDiverged, epoch+1, cfg.Epochs, meanLoss, m.Diag.GradNormLast, cfg.LR)
 		}
@@ -299,18 +298,6 @@ func Train(samples []TrainingSample, cfg Config) (*Model, error) {
 			"sequences", len(seqs), "non_finite_seqs", m.Diag.NonFiniteSeqs)
 	}
 	return m, nil
-}
-
-// paramsFinite reports whether every scalar parameter is finite.
-func paramsFinite(params []*nn.Param) bool {
-	for _, p := range params {
-		for _, w := range p.W {
-			if math.IsNaN(w) || math.IsInf(w, 0) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // NumParams reports the scalar parameter count of the underlying network.

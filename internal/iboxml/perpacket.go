@@ -2,7 +2,6 @@ package iboxml
 
 import (
 	"fmt"
-	"math"
 
 	"ibox/internal/nn"
 	"ibox/internal/sim"
@@ -129,11 +128,7 @@ func TrainPacket(samples []TrainingSample, cfg Config) (*PacketModel, error) {
 					xs[t][3] += cfg.PrevDelayNoise * noise.NormFloat64()
 				}
 			}
-			loss := m.Net.TrainSequence(xs, ys, s.mask)
-			if math.IsNaN(loss) {
-				continue
-			}
-			opt.Step()
+			m.Net.FitSequence(opt, xs, ys, s.mask)
 		}
 	}
 	m.trained = true

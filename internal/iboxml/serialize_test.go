@@ -164,10 +164,24 @@ func TestScoreWindowsMatchesCalibrate(t *testing.T) {
 	}
 }
 
+// weightBytes is m's raw weight section, read from whichever layout the
+// network holds.
+func weightBytes(t testing.TB, m *Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Net.WriteWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // sameBits fails unless a and b are the same model down to the bit
 // pattern of every weight and statistic.
 func sameBits(t *testing.T, a, b *Model) {
 	t.Helper()
+	if !bytes.Equal(weightBytes(t, a), weightBytes(t, b)) {
+		t.Fatal("weights differ in some bit")
+	}
 	bits := func(m *Model) [][]uint64 {
 		var out [][]uint64
 		add := func(vs ...float64) {
@@ -177,9 +191,6 @@ func sameBits(t *testing.T, a, b *Model) {
 			}
 			out = append(out, row)
 		}
-		for _, p := range m.Net.Params() {
-			add(p.W...)
-		}
 		add(m.xScale.Mean...)
 		add(m.xScale.Std...)
 		add(m.yMean, m.yStd, m.outlierRate, m.minDelayMs)
@@ -188,7 +199,7 @@ func sameBits(t *testing.T, a, b *Model) {
 		return out
 	}
 	if !reflect.DeepEqual(bits(a), bits(b)) {
-		t.Fatal("weights, scaler or envelope differ in some bit")
+		t.Fatal("scaler or envelope differ in some bit")
 	}
 	if a.Cfg != b.Cfg || a.Net.Kind != b.Net.Kind {
 		t.Fatalf("config or head kind differ: %+v vs %+v", a.Cfg, b.Cfg)
@@ -229,7 +240,13 @@ func TestLegacyCheckpoint(t *testing.T) {
 	}
 	// The test-side legacy encoder reproduces the old writer exactly,
 	// which is what lets the other tests stand in for old files with it.
-	if !bytes.Equal(legacyBytes(t, legacy), onDisk) {
+	// It reads the weights through Params, which would give legacy a
+	// training layout, so it encodes a second copy.
+	second, err := Load(legacyPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(legacyBytes(t, second), onDisk) {
 		t.Fatal("legacyBytes no longer reproduces the old writer's output")
 	}
 
@@ -310,42 +327,164 @@ func TestSaveReplacesAtomically(t *testing.T) {
 }
 
 // syntheticModel is a loadable model of the given shape with random
-// weights — the serializers do not care whether it was trained.
-func syntheticModel(hidden, layers int) *Model {
+// weights — the serializers do not care whether it was trained. ct adds
+// the fifth (cross-traffic) input.
+func syntheticModel(hidden, layers int, ct bool) *Model {
+	in := 4
+	if ct {
+		in = 5
+	}
+	std := make([]float64, in)
+	for i := range std {
+		std[i] = 1
+	}
 	return &Model{
-		Cfg:     Config{Hidden: hidden, Layers: layers, Window: 100 * sim.Millisecond},
-		Net:     nn.NewSequenceModel(nn.GaussianHead, 4, hidden, layers, 1),
-		xScale:  scaler{Mean: make([]float64, 4), Std: []float64{1, 1, 1, 1}},
-		yStd:    1,
+		Cfg:     Config{Hidden: hidden, Layers: layers, Window: 100 * sim.Millisecond, UseCrossTraffic: ct},
+		Net:     nn.NewSequenceModel(nn.GaussianHead, in, hidden, layers, 1),
+		xScale:  scaler{Mean: make([]float64, in), Std: std},
+		yMean:   40,
+		yStd:    10,
 		trained: true,
 	}
 }
 
+// readBack writes m and reads it again, as the serving registry would.
+func readBack(t testing.TB, m *Model) *Model {
+	t.Helper()
+	got, err := Read(bytes.NewReader(artifactBytes(t, m)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestLoadAllocBound: loading a paper-scale (256×4) checkpoint allocates
-// the network's own tensors and under 1 MiB more — no whole-file buffer,
-// no decoded copy of the weights.
+// one array per tensor and under 1 MiB more — no whole-file buffer, no
+// decoded copy of the weights, no second layout, no training state.
 func TestLoadAllocBound(t *testing.T) {
-	m := syntheticModel(256, 4)
+	m := syntheticModel(256, 4, false)
 	path := filepath.Join(t.TempDir(), "paper.json")
 	if err := m.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	var tensors uint64 // W, Grad and the two Adam moments of every tensor
-	for _, p := range m.Net.Params() {
-		tensors += 4 * 8 * uint64(len(p.W))
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got, err := Load(path)
-	runtime.ReadMemStats(&after)
+	tensors := 8 * uint64(m.NumParams())
+	var got *Model
+	var err error
+	total := allocated(func() { got, err = Load(path) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.NumParams() != m.NumParams() {
 		t.Fatalf("loaded %d params, saved %d", got.NumParams(), m.NumParams())
 	}
-	if extra := int64(after.TotalAlloc-before.TotalAlloc) - int64(tensors); extra > 1<<20 {
+	if extra := int64(total) - int64(tensors); extra > 1<<20 {
 		t.Fatalf("Load allocated %d bytes beyond the %d of the tensors, want ≤ 1 MiB", extra, tensors)
+	}
+}
+
+// TestLoadedModelHasNoTrainingState: a model read in either layout holds
+// the packed kernel and the head, and nothing training needs — no
+// training-layout LSTM and no gradient buffers (Adam's moments exist only
+// inside an optimizer) — and serving it or asking it questions builds
+// none.
+func TestLoadedModelHasNoTrainingState(t *testing.T) {
+	m := corpusModel(t)
+	in := synthTrace(3, sim.Second)
+	for name, data := range map[string][]byte{"current": artifactBytes(t, m), "legacy": legacyBytes(t, m)} {
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.SimulateTrace(in, nil, 1)
+		SimulateTraceLanes([]ReplayLane{{Model: got, Input: in}, {Model: got, Input: in}}, 0)
+		got.Shape()
+		got.NumParams()
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		artifactBytes(t, got)
+		if got.Net.LSTM != nil {
+			t.Fatalf("%s: loaded model holds a training-layout LSTM", name)
+		}
+		for _, p := range got.Net.Head.Params() {
+			if p.Grad != nil {
+				t.Fatalf("%s: loaded model holds a gradient buffer", name)
+			}
+		}
+	}
+}
+
+// TestFirstInferenceAllocatesNoWeights: the reader builds a loaded model's
+// kernel, so its first PredictWindows or SimulateTrace compiles nothing
+// and allocates nothing weight-sized. The in-memory model it was saved
+// from, whose first inference does compile, shows the measurement would
+// see it.
+func TestFirstInferenceAllocatesNoWeights(t *testing.T) {
+	m := syntheticModel(256, 4, false)
+	raw := artifactBytes(t, m)
+	in := synthTrace(5, sim.Second)
+	weights := 8 * uint64(m.NumParams())
+	for name, first := range map[string]func(*Model){
+		"PredictWindows": func(m *Model) { m.PredictWindows(in, nil) },
+		"SimulateTrace":  func(m *Model) { m.SimulateTrace(in, nil, 1) },
+	} {
+		got, err := Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := allocated(func() { first(got) }); a > 1<<20 {
+			t.Fatalf("first %s on a loaded model allocated %d bytes, want ≤ 1 MiB (weights are %d)", name, a, weights)
+		}
+	}
+	if a := allocated(func() { m.PredictWindows(in, nil) }); a < weights*9/10 {
+		t.Fatalf("compiling the in-memory model allocated %d bytes, weights are %d", a, weights)
+	}
+}
+
+// oneCopyShapes are the hidden widths and depths of nn's kernelShapes —
+// Hidden % 4 ≠ 0, Hidden < 4, the paper's 256×4 — as iBoxML networks,
+// some with the cross-traffic input.
+var oneCopyShapes = []struct {
+	hidden, layers int
+	ct             bool
+}{
+	{5, 1, false}, {6, 2, true}, {3, 3, false}, {9, 4, true}, {4, 2, false},
+	{13, 2, false}, {1, 1, true}, {8, 3, false}, {256, 4, true},
+}
+
+// TestLoadedModelMatchesInMemory: over those shapes, a model loaded from
+// its artifact — kernel only — predicts and simulates exactly what the
+// in-memory model does, and saving it again reproduces the artifact byte
+// for byte.
+func TestLoadedModelMatchesInMemory(t *testing.T) {
+	in := synthTrace(21, 2*sim.Second)
+	for _, sh := range oneCopyShapes {
+		name := fmt.Sprintf("h%dx%d ct=%v", sh.hidden, sh.layers, sh.ct)
+		m := syntheticModel(sh.hidden, sh.layers, sh.ct)
+		raw := artifactBytes(t, m)
+		got := readBack(t, m)
+		if !bytes.Equal(artifactBytes(t, got), raw) {
+			t.Fatalf("%s: Save(Load(artifact)) differs from the artifact", name)
+		}
+		mu1, s1 := m.PredictWindows(in, nil)
+		mu2, s2 := got.PredictWindows(in, nil)
+		for i := range mu1 {
+			if math.Float64bits(mu1[i]) != math.Float64bits(mu2[i]) || math.Float64bits(s1[i]) != math.Float64bits(s2[i]) {
+				t.Fatalf("%s: window %d: (%v, %v) loaded vs (%v, %v) in memory", name, i, mu2[i], s2[i], mu1[i], s1[i])
+			}
+		}
+		if !bytes.Equal(traceBytes(t, got.SimulateTrace(in, nil, 9)), traceBytes(t, m.SimulateTrace(in, nil, 9))) {
+			t.Fatalf("%s: the loaded model simulates a different trace", name)
+		}
 	}
 }
 
@@ -353,7 +492,7 @@ func TestLoadAllocBound(t *testing.T) {
 // the old writer would have produced for the same model.
 func BenchmarkLoad(b *testing.B) {
 	for _, shape := range []struct{ hidden, layers int }{{96, 1}, {256, 4}} {
-		m := syntheticModel(shape.hidden, shape.layers)
+		m := syntheticModel(shape.hidden, shape.layers, false)
 		dir := b.TempDir()
 		paths := map[string]string{"legacy": filepath.Join(dir, "legacy.json"), "new": filepath.Join(dir, "new.json")}
 		if err := os.WriteFile(paths["legacy"], legacyBytes(b, m), 0o644); err != nil {

@@ -19,7 +19,8 @@ func (m *Model) Validate() error {
 	if m.Net.Kind != nn.GaussianHead {
 		return fmt.Errorf("iboxml: model head kind %d is not a Gaussian delay head", m.Net.Kind)
 	}
-	if m.Net.LSTM == nil || len(m.Net.LSTM.Layers) == 0 || m.Net.Head == nil {
+	in, _, layers := m.Net.Arch()
+	if layers == 0 || m.Net.Head == nil {
 		return fmt.Errorf("iboxml: model network is missing layers")
 	}
 	if m.Cfg.Window <= 0 {
@@ -29,7 +30,7 @@ func (m *Model) Validate() error {
 	if m.Cfg.UseCrossTraffic {
 		dim = 5
 	}
-	if in := m.Net.LSTM.Layers[0].In; in != dim {
+	if in != dim {
 		return fmt.Errorf("iboxml: network input dim %d does not match the %d-dim feature config", in, dim)
 	}
 	if m.Net.Head.Out != 2 {
@@ -65,7 +66,7 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("iboxml: envelope min/max lengths differ (%d vs %d)",
 			len(m.env.Min), len(m.env.Max))
 	}
-	if !paramsFinite(m.Net.Params()) {
+	if !m.Net.Finite() {
 		return fmt.Errorf("iboxml: network contains non-finite weights")
 	}
 	return nil

@@ -5,7 +5,9 @@ import "math"
 // Inference-specialized LSTM kernels. Training needs per-step caches and
 // the Wx/Wh split for BPTT; inference needs neither, so Compile repacks a
 // trained stack once into a layout built for the per-step read pattern and
-// the kernels below run on it allocation-free.
+// the kernels below run on it allocation-free. A model read from an
+// artifact is decoded straight into this layout and holds no other copy
+// of its LSTM weights (see SequenceModel).
 //
 // Packed layout (InferLayer.packed): one block per hidden unit, holding
 // the unit's four gate rows (i, f, g, o) *interleaved by column*:
@@ -55,44 +57,115 @@ type InferModel struct {
 	maxH   int
 }
 
+// newInferLayer allocates a layer's packed buffer, all zero.
+func newInferLayer(in, hidden int) *InferLayer {
+	bs := 4 * (1 + in + hidden)
+	return &InferLayer{In: in, Hidden: hidden, blkStride: bs, packed: make([]float64, hidden*bs)}
+}
+
+// A layer's tensors in LSTMLayer.Params() (and so artifact) order. Each is
+// a row-major matrix whose row r = g·Hidden + j holds gate g of unit j —
+// the i|f|g|o blocked training layout; the bias is the one-column matrix
+// of 4·Hidden rows.
+const (
+	tensorWx = iota
+	tensorWh
+	tensorB
+	tensorsPerLayer
+)
+
+// rowLen returns tensor t's column count.
+func (l *InferLayer) rowLen(t int) int {
+	switch t {
+	case tensorWx:
+		return l.In
+	case tensorWh:
+		return l.Hidden
+	}
+	return 1
+}
+
+// tensorLen returns tensor t's element count.
+func (l *InferLayer) tensorLen(t int) int { return 4 * l.Hidden * l.rowLen(t) }
+
+// runs is the one (tensor, row, column) → packed-offset mapping; Compile,
+// the rebuild of the training layout, the artifact readers and the writer
+// all go through it. It splits the n values of tensor t that start at
+// row-major index at into row pieces and calls fn(i, pos, cnt) for each:
+// values at+i … at+i+cnt−1 sit at packed[pos], packed[pos+4], … — a
+// row's columns lie 4 floats apart inside its unit's block, one slot per
+// gate.
+func (l *InferLayer) runs(t, at, n int, fn func(i, pos, cnt int)) {
+	cols := l.rowLen(t)
+	off := 4 // tensorWx: the input columns follow the unit's four biases
+	switch t {
+	case tensorWh:
+		off += 4 * l.In
+	case tensorB:
+		off = 0
+	}
+	for i := 0; i < n; {
+		r, k := (at+i)/cols, (at+i)%cols
+		cnt := min(n-i, cols-k)
+		fn(i, (r%l.Hidden)*l.blkStride+off+4*k+r/l.Hidden, cnt)
+		i += cnt
+	}
+}
+
+// scatter stores vals as values [at, at+len(vals)) of tensor t.
+func (l *InferLayer) scatter(t, at int, vals []float64) {
+	l.runs(t, at, len(vals), func(i, pos, cnt int) {
+		for _, v := range vals[i : i+cnt] {
+			l.packed[pos] = v
+			pos += 4
+		}
+	})
+}
+
+// gather reads values [at, at+len(dst)) of tensor t into dst.
+func (l *InferLayer) gather(t, at int, dst []float64) {
+	l.runs(t, at, len(dst), func(i, pos, cnt int) {
+		for c := range dst[i : i+cnt] {
+			dst[i+c] = l.packed[pos]
+			pos += 4
+		}
+	})
+}
+
 // Compile repacks the stack's weights into the fused inference layout.
-// Call it once after training (or loading) completes; later weight
-// updates are not reflected in the compiled kernel.
+// Call it once after training completes; later weight updates are not
+// reflected in the compiled kernel.
 func (m *LSTM) Compile() *InferModel {
 	im := &InferModel{}
 	for _, l := range m.Layers {
-		im.Layers = append(im.Layers, compileLayer(l))
-		if l.Hidden > im.maxH {
-			im.maxH = l.Hidden
+		il := newInferLayer(l.In, l.Hidden)
+		for t, p := range l.Params() {
+			il.scatter(t, 0, p.W)
 		}
+		im.Layers = append(im.Layers, il)
+		im.maxH = max(im.maxH, l.Hidden)
 	}
 	return im
 }
 
-func compileLayer(l *LSTMLayer) *InferLayer {
-	In, H := l.In, l.Hidden
-	bs := 4 * (1 + In + H)
-	il := &InferLayer{In: In, Hidden: H, blkStride: bs, packed: make([]float64, H*bs)}
-	for j := 0; j < H; j++ {
-		blk := il.packed[j*bs : (j+1)*bs]
-		for g := 0; g < 4; g++ {
-			src := g*H + j // row index in the i|f|g|o blocked training layout
-			blk[g] = l.B.W[src]
-			for k := 0; k < In; k++ {
-				blk[4+k*4+g] = l.Wx.W[src*In+k]
-			}
-			for k := 0; k < H; k++ {
-				blk[4+In*4+k*4+g] = l.Wh.W[src*H+k]
-			}
+// decompile rebuilds the training layout from the kernel: Compile's exact
+// inverse permutation, so the weights come back bit for bit.
+func (im *InferModel) decompile() *LSTM {
+	m := &LSTM{}
+	for _, il := range im.Layers {
+		l := newLSTMLayer(il.In, il.Hidden)
+		for t, p := range l.Params() {
+			il.gather(t, 0, p.W)
 		}
+		m.Layers = append(m.Layers, l)
 	}
-	return il
+	return m
 }
 
 // Arch returns the compiled stack's architecture: layer 0's input width,
-// the (uniform) hidden width, and the layer count.
+// the (uniform) hidden width, and the layer count; zeros for none.
 func (im *InferModel) Arch() (in, hidden, layers int) {
-	if len(im.Layers) == 0 {
+	if im == nil || len(im.Layers) == 0 {
 		return 0, 0, 0
 	}
 	return im.Layers[0].In, im.Layers[0].Hidden, len(im.Layers)

@@ -161,8 +161,8 @@ func lanesMatchStep(t *testing.T, what string, ims []*InferModel, seqs [][][]flo
 // over distinct compiled stacks of one architecture, plain or resuming
 // from any pre-projected prefix, each advance bitwise-identically to
 // StepInto on their own model. n distinct copies of the paper-scale
-// stack would hold n×70 MB of training-layout weights, so it runs only
-// in the shared-model tests.
+// stack would hold n×30 MB of weights in two layouts, so it runs only in
+// the shared-model tests.
 func TestStepBatchLanesMatchesStep(t *testing.T) {
 	for _, sh := range kernelShapes {
 		if sh.hidden > 64 {

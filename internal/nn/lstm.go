@@ -50,7 +50,9 @@ func NewLSTMLayer(in, hidden int, seed int64) *LSTMLayer {
 	return l
 }
 
-// Params returns the layer's learnable parameters.
+// Params returns the layer's learnable parameters, in the tensorWx,
+// tensorWh, tensorB order the packed mapping (InferLayer.runs) numbers
+// them by.
 func (l *LSTMLayer) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
 // lstmCache stores one timestep's activations for BPTT.
@@ -285,6 +287,9 @@ func (m *LSTM) ForwardSequence(xs [][]float64) ([][]float64, [][]*lstmCache) {
 // layer 0's dx slices persist, carved from a single slab, because they
 // are the returned values.
 func (m *LSTM) BackwardSequence(caches [][]*lstmCache, dOut [][]float64) [][]float64 {
+	for _, p := range m.Params() {
+		p.grad() // the first backward pass allocates the gradients
+	}
 	L := len(m.Layers)
 	T := len(caches)
 	dxs := make([][]float64, T)

@@ -69,14 +69,24 @@ const (
 // SequenceModel is the deep state-space model of Fig 6: a multi-layer LSTM
 // encoding the network state h_t from the input features, with a dense
 // head parameterizing the per-step output distribution.
+//
+// The LSTM weights live in one of two layouts, or both: the training
+// layout (LSTM, what backprop indexes) and the packed inference kernel
+// (see infer.go). A model built here and trained holds the training
+// layout and compiles the kernel on first inference. A model read from an
+// artifact holds only the kernel — its one weight copy — and gets a
+// training layout, rebuilt bit for bit from the kernel, only when
+// something trains or edits it (Params, TrainSequence). Questions about
+// the model (Arch, NumParams, Finite, WriteWeights) read whichever layout
+// exists and never rebuild one.
 type SequenceModel struct {
 	Kind HeadKind
-	LSTM *LSTM
+	LSTM *LSTM // training layout; nil on a model read from an artifact until it trains
 	Head *Dense
 
-	// Lazily compiled inference kernel (see infer.go). Guarded by mu;
-	// invalidated whenever TrainSequence touches the weights so a kernel
-	// never serves stale parameters.
+	// The inference kernel. Guarded by mu, as are the LSTM field's
+	// transitions; dropped whenever the training layout is handed out for
+	// writing, so a kernel never serves stale parameters.
 	mu    sync.Mutex
 	infer *InferModel
 }
@@ -92,11 +102,63 @@ func (m *SequenceModel) Infer() *InferModel {
 	return m.infer
 }
 
-// invalidateKernel drops the compiled kernel after a weight update.
-func (m *SequenceModel) invalidateKernel() {
+// layout returns the training layout and the kernel as they stand; at
+// least one is non-nil.
+func (m *SequenceModel) layout() (*LSTM, *InferModel) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.LSTM, m.infer
+}
+
+// trainable makes the training layout the model's weights before a caller
+// changes them: rebuilt from the kernel if the model has none (the only
+// copy must not be dropped first), and the kernel dropped, to be
+// recompiled by the next Infer.
+func (m *SequenceModel) trainable() *LSTM {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.LSTM == nil {
+		m.LSTM = m.infer.decompile()
+	}
 	m.infer = nil
-	m.mu.Unlock()
+	return m.LSTM
+}
+
+// Arch returns the network's architecture — layer 0's input width, the
+// hidden width and the layer count — from whichever layout it holds.
+func (m *SequenceModel) Arch() (in, hidden, layers int) {
+	lstm, im := m.layout()
+	if lstm != nil && len(lstm.Layers) > 0 {
+		return lstm.Layers[0].In, lstm.Hidden(), len(lstm.Layers)
+	}
+	return im.Arch()
+}
+
+// Finite reports whether every weight is finite. Order does not matter
+// here, so the kernel's packed buffers are read as they lie.
+func (m *SequenceModel) Finite() bool {
+	lstm, im := m.layout()
+	var ws [][]float64
+	if lstm != nil {
+		for _, p := range lstm.Params() {
+			ws = append(ws, p.W)
+		}
+	} else {
+		for _, l := range im.Layers {
+			ws = append(ws, l.packed)
+		}
+	}
+	for _, p := range m.Head.Params() {
+		ws = append(ws, p.W)
+	}
+	for _, w := range ws {
+		for _, v := range w {
+			if math.Float64bits(v)&expMask == expMask {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // NewSequenceModel builds an LSTM stack (in→hidden ×layers) with the
@@ -109,37 +171,40 @@ func NewSequenceModel(kind HeadKind, in, hidden, layers int, seed int64) *Sequen
 	}
 }
 
-// Params returns every learnable parameter.
+// Params returns every learnable parameter, for a caller that trains or
+// edits the weights: a model holding only the kernel gets its training
+// layout rebuilt first, and the kernel is dropped so the next inference
+// compiles whatever the caller writes.
 func (m *SequenceModel) Params() []*Param {
-	return append(m.LSTM.Params(), m.Head.Params()...)
+	return append(m.trainable().Params(), m.Head.Params()...)
 }
 
-// NumParams reports the total number of scalar parameters.
+// NumParams reports the total number of scalar parameters, from the
+// architecture alone.
 func (m *SequenceModel) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.W)
-	}
-	return n
+	in, hidden, layers := m.Arch()
+	return int(Header{Kind: m.Kind, In: in, Hidden: hidden, Layers: layers}.weightCount())
 }
 
 // TrainSequence accumulates gradients for one (xs, ys) sequence and
 // returns the mean per-step loss. mask[t]=false skips step t's loss (e.g.
 // lost packets whose delay is unobserved); a nil mask trains on every
-// step. Call opt.Step() afterwards to apply the update.
+// step. Call opt.Step() afterwards to apply the update (or FitSequence to
+// do both).
 func (m *SequenceModel) TrainSequence(xs [][]float64, ys []float64, mask []bool) float64 {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return math.NaN()
 	}
-	// The optimizer step that follows this call will change the weights;
-	// drop any compiled inference kernel now so the next Infer() sees them.
-	m.invalidateKernel()
-	outs, caches := m.LSTM.ForwardSequence(xs)
+	// The optimizer step that follows this call will change the weights:
+	// train on the training layout, and drop the kernel so the next
+	// Infer() sees the update.
+	lstm := m.trainable()
+	outs, caches := lstm.ForwardSequence(xs)
 	dOut := make([][]float64, len(xs))
 	total := 0.0
 	counted := 0
 	for t := range xs {
-		dOut[t] = make([]float64, m.LSTM.Hidden())
+		dOut[t] = make([]float64, lstm.Hidden())
 		if mask != nil && !mask[t] {
 			continue
 		}
@@ -173,8 +238,22 @@ func (m *SequenceModel) TrainSequence(xs [][]float64, ys []float64, mask []bool)
 			p.Grad[i] *= scale
 		}
 	}
-	m.LSTM.BackwardSequence(caches, dOut)
+	lstm.BackwardSequence(caches, dOut)
 	return total * scale
+}
+
+// FitSequence trains on one sequence and applies the update: TrainSequence,
+// then opt.Step, unless the loss is not finite. Then the gradients the
+// sequence accumulated are cleared instead, so a skipped sequence leaves
+// the weights and the optimizer exactly as they were. ok reports whether
+// the update was applied; norm is Step's gradient norm.
+func (m *SequenceModel) FitSequence(opt *Adam, xs [][]float64, ys []float64, mask []bool) (loss, norm float64, ok bool) {
+	loss = m.TrainSequence(xs, ys, mask)
+	if math.IsNaN(loss) || math.IsInf(loss, 0) {
+		opt.ZeroGrad()
+		return loss, 0, false
+	}
+	return loss, opt.Step(), true
 }
 
 // Predictor is a stateful inference handle over a trained SequenceModel,

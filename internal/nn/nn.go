@@ -16,15 +16,23 @@ import (
 	"ibox/internal/sim"
 )
 
-// Param is one learnable tensor with its gradient and Adam moments.
+// Param is one learnable tensor: its weights W and the gradient Grad that
+// backward passes accumulate. Grad is nil until the first backward pass
+// touches the tensor, so a model that is only ever run holds W alone;
+// optimizer state lives in the optimizer (Adam), not here.
 type Param struct {
 	W    []float64
 	Grad []float64
-	m, v []float64
 }
 
-func newParam(n int) *Param {
-	return &Param{W: make([]float64, n), Grad: make([]float64, n), m: make([]float64, n), v: make([]float64, n)}
+func newParam(n int) *Param { return &Param{W: make([]float64, n)} }
+
+// grad returns the gradient buffer, allocating it on first use.
+func (p *Param) grad() []float64 {
+	if p.Grad == nil {
+		p.Grad = make([]float64, len(p.W))
+	}
+	return p.Grad
 }
 
 // ZeroGrad clears the accumulated gradient.
@@ -35,6 +43,8 @@ func (p *Param) ZeroGrad() {
 }
 
 // Adam is the Adam optimizer (Kingma & Ba 2015) over a set of parameters.
+// It owns the two moment estimates per parameter: they exist while the
+// optimizer does and are freed with it.
 type Adam struct {
 	LR       float64
 	Beta1    float64
@@ -43,17 +53,34 @@ type Adam struct {
 	ClipNorm float64 // global gradient-norm clip; 0 disables
 	t        int
 	params   []*Param
+	m, v     [][]float64 // first and second moments, one pair per param
 }
 
 // NewAdam returns an optimizer over params with standard betas.
 func NewAdam(lr float64, params []*Param) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5, params: params}
+	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5, params: params,
+		m: make([][]float64, len(params)), v: make([][]float64, len(params))}
+	for i, p := range params {
+		a.m[i] = make([]float64, len(p.W))
+		a.v[i] = make([]float64, len(p.W))
+	}
+	return a
+}
+
+// ZeroGrad clears every parameter's accumulated gradient without applying
+// it: how a training loop discards a sequence it skips.
+func (a *Adam) ZeroGrad() {
+	for _, p := range a.params {
+		p.ZeroGrad()
+	}
 }
 
 // Step applies one update from the accumulated gradients, then clears
 // them. It returns the global (pre-clip) L2 gradient norm, which training
 // loops record as a divergence diagnostic; callers that don't need it can
-// ignore the value.
+// ignore the value. A parameter no backward pass has reached has no Grad
+// and zero moments, so it is left exactly as a zero gradient would leave
+// it: unchanged.
 func (a *Adam) Step() float64 {
 	a.t++
 	norm := 0.0
@@ -73,12 +100,13 @@ func (a *Adam) Step() float64 {
 	}
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for _, p := range a.params {
+	for pi, p := range a.params {
+		m, v := a.m[pi], a.v[pi]
 		for i, g := range p.Grad {
-			p.m[i] = a.Beta1*p.m[i] + (1-a.Beta1)*g
-			p.v[i] = a.Beta2*p.v[i] + (1-a.Beta2)*g*g
-			mh := p.m[i] / bc1
-			vh := p.v[i] / bc2
+			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
+			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			mh := m[i] / bc1
+			vh := v[i] / bc2
 			p.W[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
 		}
 		p.ZeroGrad()
@@ -133,11 +161,12 @@ func (d *Dense) ForwardInto(x, dst []float64) {
 // x, and returns the gradient with respect to x.
 func (d *Dense) Backward(x, dy []float64) []float64 {
 	dx := make([]float64, d.In)
+	bg, wg := d.B.grad(), d.W.grad()
 	for o := 0; o < d.Out; o++ {
 		g := dy[o]
-		d.B.Grad[o] += g
+		bg[o] += g
 		row := d.W.W[o*d.In : (o+1)*d.In]
-		grow := d.W.Grad[o*d.In : (o+1)*d.In]
+		grow := wg[o*d.In : (o+1)*d.In]
 		for i, xi := range x {
 			grow[i] += g * xi
 			dx[i] += g * row[i]

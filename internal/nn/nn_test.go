@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -245,13 +246,37 @@ func TestAdamReducesLoss(t *testing.T) {
 
 func TestAdamClipsGradients(t *testing.T) {
 	p := newParam(2)
-	p.Grad[0], p.Grad[1] = 3e6, 4e6
+	p.Grad = []float64{3e6, 4e6} // as a backward pass would leave it
 	opt := NewAdam(0.1, []*Param{p})
 	opt.Step() // must not produce NaN/Inf weights
 	for _, w := range p.W {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			t.Fatal("clipped step produced non-finite weight")
 		}
+	}
+}
+
+// TestSkippedSequenceLeavesNoGradient: a sequence FitSequence skips for its
+// non-finite loss has already run its backward pass; its gradients must
+// not leak into the next update. Training on [good, bad, good] gives the
+// weights of [good, good], bit for bit.
+func TestSkippedSequenceLeavesNoGradient(t *testing.T) {
+	xs := randSeq(5, 6, 3)
+	good := []float64{0.2, -0.1, 0.4, 0, 0.3, -0.2}
+	bad := append([]float64(nil), good...)
+	bad[2] = math.Inf(1)
+	fit := func(seqs ...[]float64) []byte {
+		m := NewSequenceModel(GaussianHead, 3, 5, 2, 8)
+		opt := NewAdam(0.01, m.Params())
+		for i, ys := range seqs {
+			if _, _, ok := m.FitSequence(opt, xs, ys, nil); ok != !math.IsInf(ys[2], 0) {
+				t.Fatalf("sequence %d: applied = %v", i, ok)
+			}
+		}
+		return rawSection(t, m)
+	}
+	if !bytes.Equal(fit(good, bad, good), fit(good, good)) {
+		t.Fatal("a skipped sequence changed the weights")
 	}
 }
 

@@ -28,8 +28,9 @@ type Header struct {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// weightChunk is the staging buffer both directions of the raw section
-// stream through; it is the only memory a load needs beyond the tensors.
+// weightChunk sizes the staging buffers both directions of the raw section
+// stream through; they are the only memory a load needs beyond the
+// tensors.
 const weightChunk = 64 << 10
 
 // expMask is the float64 exponent field; all ones means NaN or ±Inf.
@@ -76,19 +77,84 @@ func (h Header) tensorSizes() []int64 {
 	return append(sizes, out*H, out)
 }
 
+// weightCount is the architecture's scalar parameter count.
+func (h Header) weightCount() int64 {
+	var n int64
+	for _, sz := range h.tensorSizes() {
+		n += sz
+	}
+	return n
+}
+
 // empty allocates the architecture with all-zero weights: the shell a
 // reader fills, without the random init NewSequenceModel would run only
-// to have it overwritten.
+// to have it overwritten. The LSTM exists only as the inference kernel,
+// which the readers decode straight into; no training layout is built.
 func (h Header) empty() *SequenceModel {
-	m := &SequenceModel{Kind: h.Kind, LSTM: &LSTM{}, Head: newDense(h.Hidden, headOut(h.Kind))}
+	im := &InferModel{maxH: h.Hidden}
 	for l := 0; l < h.Layers; l++ {
 		in := h.Hidden
 		if l == 0 {
 			in = h.In
 		}
-		m.LSTM.Layers = append(m.LSTM.Layers, newLSTMLayer(in, h.Hidden))
+		im.Layers = append(im.Layers, newInferLayer(in, h.Hidden))
 	}
-	return m
+	return &SequenceModel{Kind: h.Kind, Head: newDense(h.Hidden, headOut(h.Kind)), infer: im}
+}
+
+// tensor is one weight tensor of a model in whichever layout holds it:
+// tensor t of kernel layer l, or the plain slice w.
+type tensor struct {
+	l *InferLayer
+	t int
+	w []float64
+}
+
+func (x tensor) len() int {
+	if x.l != nil {
+		return x.l.tensorLen(x.t)
+	}
+	return len(x.w)
+}
+
+// put stores vals as values [at, at+len(vals)) of the tensor.
+func (x tensor) put(at int, vals []float64) {
+	if x.l != nil {
+		x.l.scatter(x.t, at, vals)
+		return
+	}
+	copy(x.w[at:], vals)
+}
+
+// get reads values [at, at+len(dst)) of the tensor into dst.
+func (x tensor) get(at int, dst []float64) {
+	if x.l != nil {
+		x.l.gather(x.t, at, dst)
+		return
+	}
+	copy(dst, x.w[at:])
+}
+
+// tensors lists the model's weight tensors in Params() order, from
+// whichever layout holds the LSTM, without building the other.
+func (m *SequenceModel) tensors() []tensor {
+	lstm, im := m.layout()
+	var ts []tensor
+	if lstm != nil {
+		for _, p := range lstm.Params() {
+			ts = append(ts, tensor{w: p.W})
+		}
+	} else {
+		for _, l := range im.Layers {
+			for t := 0; t < tensorsPerLayer; t++ {
+				ts = append(ts, tensor{l: l, t: t})
+			}
+		}
+	}
+	for _, p := range m.Head.Params() {
+		ts = append(ts, tensor{w: p.W})
+	}
+	return ts
 }
 
 // Inline restores a model from a legacy header, whose weights are the
@@ -110,8 +176,8 @@ func (h Header) Inline() (*SequenceModel, error) {
 		}
 	}
 	m := h.empty()
-	for i, p := range m.Params() {
-		copy(p.W, h.Params[i])
+	for i, x := range m.tensors() {
+		x.put(0, h.Params[i])
 	}
 	return m, nil
 }
@@ -120,8 +186,9 @@ func (h Header) Inline() (*SequenceModel, error) {
 // hold exactly the section: size is the byte count r will deliver, and it
 // is compared with the declared count before any tensor is allocated, so a
 // small file cannot claim a large model. The section is then read in
-// weightChunk pieces straight into the tensors. Truncation, trailing
-// bytes, a CRC mismatch and non-finite values are errors.
+// weightChunk pieces, each LSTM tensor scattered straight into its layer's
+// packed unit blocks. Truncation, trailing bytes, a CRC mismatch and
+// non-finite values are errors.
 func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
 	if err := h.validate(); err != nil {
 		return nil, err
@@ -129,11 +196,7 @@ func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
 	if h.Params != nil {
 		return nil, fmt.Errorf("nn: serialized model carries inline params where a raw section was expected")
 	}
-	var n int64
-	for _, sz := range h.tensorSizes() {
-		n += sz
-	}
-	if h.Weights != n {
+	if n := h.weightCount(); h.Weights != n {
 		return nil, fmt.Errorf("nn: serialized model declares %d weights, its shape has %d", h.Weights, n)
 	}
 	if size != 8*h.Weights {
@@ -141,23 +204,24 @@ func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
 	}
 	m := h.empty()
 	buf := make([]byte, weightChunk)
+	vals := make([]float64, weightChunk/8)
 	var crc uint32
-	for i, p := range m.Params() {
-		for w := p.W; len(w) > 0; {
-			n := min(len(w), len(buf)/8)
-			b := buf[:8*n]
+	for i, x := range m.tensors() {
+		for at, n := 0, x.len(); at < n; at += len(vals) {
+			run := vals[:min(n-at, len(vals))]
+			b := buf[:8*len(run)]
 			if _, err := io.ReadFull(r, b); err != nil {
 				return nil, fmt.Errorf("nn: weight section ends inside tensor %d: %w", i, err)
 			}
 			crc = crc32.Update(crc, castagnoli, b)
-			for j := range w[:n] {
+			for j := range run {
 				bits := binary.LittleEndian.Uint64(b[8*j:])
 				if bits&expMask == expMask {
 					return nil, fmt.Errorf("nn: tensor %d holds a non-finite weight", i)
 				}
-				w[j] = math.Float64frombits(bits)
+				run[j] = math.Float64frombits(bits)
 			}
-			w = w[n:]
+			x.put(at, run)
 		}
 	}
 	if n, err := io.ReadFull(r, buf[:1]); n != 0 {
@@ -172,22 +236,25 @@ func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
 }
 
 // WriteWeights writes the raw weight section: every tensor in Params()
-// order as little-endian float64.
+// order as little-endian float64, read from whichever layout the model
+// holds.
 func (m *SequenceModel) WriteWeights(w io.Writer) error {
+	vals := make([]float64, weightChunk/8)
 	buf := make([]byte, 0, weightChunk)
-	for _, p := range m.Params() {
-		for _, v := range p.W {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			if len(buf) == cap(buf) {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
+	for _, x := range m.tensors() {
+		for at, n := 0, x.len(); at < n; at += len(vals) {
+			run := vals[:min(n-at, len(vals))]
+			x.get(at, run)
+			buf = buf[:0]
+			for _, v := range run {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+			}
+			if _, err := w.Write(buf); err != nil {
+				return err
 			}
 		}
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
 // Header describes the model for the raw-section layout, including the
@@ -195,11 +262,12 @@ func (m *SequenceModel) WriteWeights(w io.Writer) error {
 func (m *SequenceModel) Header() Header {
 	sum := crc32.New(castagnoli)
 	m.WriteWeights(sum) // a hash never fails a write
+	in, hidden, layers := m.Arch()
 	return Header{
 		Kind:    m.Kind,
-		In:      m.LSTM.Layers[0].In,
-		Hidden:  m.LSTM.Hidden(),
-		Layers:  len(m.LSTM.Layers),
+		In:      in,
+		Hidden:  hidden,
+		Layers:  layers,
 		Weights: int64(m.NumParams()),
 		CRC32C:  sum.Sum32(),
 	}

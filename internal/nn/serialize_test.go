@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -62,12 +64,8 @@ func TestSequenceModelJSONRoundTrip(t *testing.T) {
 		if got.NumParams() != m.NumParams() || got.Kind != m.Kind {
 			t.Fatalf("%s: architecture changed: %d vs %d params", name, got.NumParams(), m.NumParams())
 		}
-		for i, p := range m.Params() {
-			for j, w := range p.W {
-				if math.Float64bits(w) != math.Float64bits(got.Params()[i].W[j]) {
-					t.Fatalf("%s: tensor %d weight %d differs", name, i, j)
-				}
-			}
+		if !bytes.Equal(rawSection(t, got), sec) {
+			t.Fatalf("%s: weights differ", name)
 		}
 		// Identical outputs.
 		xs := [][]float64{{0.1, -0.2, 0.3}, {0.5, 0.5, -0.5}}
@@ -77,6 +75,99 @@ func TestSequenceModelJSONRoundTrip(t *testing.T) {
 			if a[i] != b[i] {
 				t.Fatalf("%s: output %d differs: %v vs %v", name, i, a[i], b[i])
 			}
+		}
+	}
+}
+
+// readBack serializes m in the raw-section layout and reads it back.
+func readBack(t testing.TB, m *SequenceModel) *SequenceModel {
+	t.Helper()
+	sec := rawSection(t, m)
+	got, err := m.Header().ReadWeights(bytes.NewReader(sec), int64(len(sec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestReadHoldsOneCopy: both readers build the packed kernel and the head
+// and nothing else — no training layout, no gradients — and running the
+// model or asking it questions builds neither.
+func TestReadHoldsOneCopy(t *testing.T) {
+	m := NewSequenceModel(GaussianHead, 5, 9, 2, 3)
+	inline, err := inlineHeader(m).Inline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*SequenceModel{"raw": readBack(t, m), "inline": inline} {
+		oneCopy := func(when string) {
+			t.Helper()
+			if got.LSTM != nil || got.infer == nil {
+				t.Fatalf("%s, %s: training layout %v, kernel %v; want only the kernel",
+					name, when, got.LSTM != nil, got.infer != nil)
+			}
+			for _, p := range got.Head.Params() {
+				if p.Grad != nil {
+					t.Fatalf("%s, %s: head holds a gradient buffer", name, when)
+				}
+			}
+		}
+		oneCopy("after reading")
+		got.Arch()
+		got.NumParams()
+		got.Finite()
+		got.Header()
+		got.PredictSequence(randSeq(1, 3, 5))
+		got.NewPredictor().StepGaussian(randSeq(2, 1, 5)[0])
+		oneCopy("after inference and questions")
+	}
+}
+
+// TestLoadedModelMatchesOriginal pins a model read back from its artifact
+// — kernel only — against the in-memory model it was written from, over
+// every kernel shape: the same bits from StepInto and PredictSequence, the
+// same bytes when written again (from either reader), and, once
+// TrainSequence has rebuilt the training layout, the same loss and
+// weights after one Adam step.
+func TestLoadedModelMatchesOriginal(t *testing.T) {
+	for _, sh := range kernelShapes {
+		name := fmt.Sprintf("%dx%dx%d", sh.in, sh.hidden, sh.layers)
+		m := NewSequenceModel(GaussianHead, sh.in, sh.hidden, sh.layers, 23)
+		sec := rawSection(t, m)
+		got := readBack(t, m)
+		inline, err := inlineHeader(m).Inline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rawSection(t, got), sec) || !bytes.Equal(rawSection(t, inline), sec) {
+			t.Fatalf("%s: a read model writes different weights", name)
+		}
+		if !reflect.DeepEqual(got.Header(), m.Header()) {
+			t.Fatalf("%s: header %+v, want %+v", name, got.Header(), m.Header())
+		}
+
+		xs := randSeq(71, 5, sh.in)
+		want, loaded := m.Infer().NewState(), got.Infer().NewState()
+		for _, x := range xs {
+			bitsEqual(t, name+" step", got.Infer().StepInto(loaded, x), m.Infer().StepInto(want, x))
+		}
+		a, b := m.PredictSequence(xs), got.PredictSequence(xs)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%s: prediction %d: %v vs %v", name, i, b[i], a[i])
+			}
+		}
+
+		ys := randSeq(72, 1, len(xs))[0]
+		optM, optG := NewAdam(0.01, m.Params()), NewAdam(0.01, got.Params())
+		lm, lg := m.TrainSequence(xs, ys, nil), got.TrainSequence(xs, ys, nil)
+		optM.Step()
+		optG.Step()
+		if math.Float64bits(lm) != math.Float64bits(lg) {
+			t.Fatalf("%s: loss %v on the read model, %v on the original", name, lg, lm)
+		}
+		if !bytes.Equal(rawSection(t, got), rawSection(t, m)) {
+			t.Fatalf("%s: one training step leaves different weights", name)
 		}
 	}
 }
@@ -207,7 +298,9 @@ func TestReadWeightsChecksLengthBeforeAllocating(t *testing.T) {
 }
 
 // FuzzReadWeights checks the raw-section reader never panics and never
-// accepts a section its own writer would not reproduce byte for byte.
+// accepts a header or section its own writer would not reproduce: the
+// accepted model describes itself with the header it was read with, and
+// writes the section back byte for byte.
 func FuzzReadWeights(f *testing.F) {
 	good := NewSequenceModel(GaussianHead, 2, 3, 1, 1)
 	hdr, _ := json.Marshal(good.Header())
@@ -228,6 +321,9 @@ func FuzzReadWeights(f *testing.F) {
 		}
 		if got := rawSection(t, m); !bytes.Equal(got, sec) {
 			t.Fatal("accepted section does not round-trip")
+		}
+		if got := m.Header(); !reflect.DeepEqual(got, h) {
+			t.Fatalf("accepted header %+v re-serializes as %+v", h, got)
 		}
 	})
 }
