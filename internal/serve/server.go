@@ -23,6 +23,7 @@ import (
 	"ibox/internal/session"
 	"ibox/internal/sim"
 	"ibox/internal/trace"
+	"ibox/internal/wire"
 )
 
 // Config parameterizes a Server. Zero values select serving defaults.
@@ -439,15 +440,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.requests.Add(1)
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req SimulateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	req, ok := decodeBody(s, w, r, decodeSimulateRequest)
+	if !ok {
 		return
 	}
 
@@ -519,12 +513,17 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if batchSize > 0 {
 		w.Header().Set(batchSizeHeader, strconv.Itoa(batchSize))
 	}
-	json.NewEncoder(w).Encode(SimulateResponse{
+	// Nothing in a response can fail to encode, and a failed write means
+	// the client is gone: there is nothing left to report.
+	e := wire.NewStream(w)
+	appendSimulateResponse(e, &SimulateResponse{
 		Model:   model.ID,
 		Kind:    model.Kind,
 		Metrics: core.MetricsOf(out),
 		Trace:   out,
 	})
+	e.Raw("\n") // as json.Encoder ends every value
+	e.Flush()
 }
 
 // errBadRequest marks request-validation failures for the 400 mapping.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 	"ibox/internal/core"
 	"ibox/internal/obs"
 	"ibox/internal/trace"
+	"ibox/internal/wire"
 )
 
 // Streaming replay: POST /v1/replay runs the same closed-loop iBoxML
@@ -144,15 +144,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	s.requests.Add(1)
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var req ReplayRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+	req, ok := decodeBody(s, w, r, decodeReplayRequest)
+	if !ok {
 		return
 	}
 
@@ -211,9 +204,9 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	h.Set("Cache-Control", "no-store")
 	h.Set("X-Accel-Buffering", "no") // proxies must not buffer the stream
-	rc := http.NewResponseController(w)
+	fw := newFrameWriter(w, sse)
 	w.WriteHeader(http.StatusOK)
-	if rc.Flush() != nil {
+	if fw.rc.Flush() != nil {
 		return
 	}
 
@@ -230,8 +223,8 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	windows := 0
 	writeChunks := func() bool {
 		for _, c := range sink.drain() {
-			ok := writeStreamFrame(w, rc, sse, "windows", replayWindows{
-				Type: "windows", T0: c.t0, Mu: c.mu, Sigma: c.sigma,
+			ok := fw.write("windows", func(e *wire.Encoder) {
+				appendReplayWindows(e, &replayWindows{Type: "windows", T0: c.t0, Mu: c.mu, Sigma: c.sigma})
 			})
 			if !ok {
 				return false
@@ -252,7 +245,9 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			}
 			if r.err != nil {
 				if !errors.Is(r.err, errStreamClosed) {
-					writeStreamFrame(w, rc, sse, "error", replayError{Type: "error", Error: r.err.Error()})
+					fw.write("error", func(e *wire.Encoder) {
+						appendReplayError(e, &replayError{Type: "error", Error: r.err.Error()})
+					})
 				}
 				return
 			}
@@ -264,7 +259,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			if req.IncludeTrace {
 				end.Trace = r.out
 			}
-			writeStreamFrame(w, rc, sse, "end", end)
+			fw.write("end", func(e *wire.Encoder) { appendReplayEnd(e, &end) })
 			// The replay input carries observed delays — score a sampled
 			// fraction into the model's drift sketch, as /v1/simulate does.
 			s.maybeScoreDrift(ctx, model, req.Input)
@@ -275,23 +270,4 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// writeStreamFrame writes one frame in the negotiated framing and
-// flushes it; false means the client is gone and the stream should stop.
-func writeStreamFrame(w http.ResponseWriter, rc *http.ResponseController, sse bool, event string, v any) bool {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return false
-	}
-	if sse {
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-			return false
-		}
-	} else {
-		if _, err := fmt.Fprintf(w, "%s\n", data); err != nil {
-			return false
-		}
-	}
-	return rc.Flush() == nil
 }

@@ -1,9 +1,10 @@
 package session
 
 import (
-	"encoding/json"
 	"math"
 	"strconv"
+
+	"ibox/internal/wire"
 )
 
 // The telemetry stream. A session emits a totally ordered sequence of
@@ -185,152 +186,80 @@ func appendRecord(dst []byte, seq int64, r *record) []byte {
 // FuzzEventEncode), and like json.Marshal it refuses — returning dst
 // unchanged and false — an event holding a NaN or an infinity.
 func appendEvent(dst []byte, ev *Event) ([]byte, bool) {
-	e := encoder{buf: dst, ok: true}
-	e.raw(seqPrefix)
-	e.buf = strconv.AppendInt(e.buf, ev.Seq, 10)
-	e.raw(`,"type":`)
-	e.str(ev.Type)
-	e.raw(`,"vt":`)
-	e.float(ev.VT)
+	e := wire.Encoder{Buf: dst}
+	e.Raw(seqPrefix)
+	e.Int(ev.Seq)
+	e.Raw(`,"type":`)
+	e.Str(ev.Type)
+	e.Raw(`,"vt":`)
+	e.Float(ev.VT)
 	if ev.State != "" {
-		e.raw(`,"state":`)
-		e.str(ev.State)
+		e.Raw(`,"state":`)
+		e.Str(ev.State)
 	}
 	if ev.Reason != "" {
-		e.raw(`,"reason":`)
-		e.str(ev.Reason)
+		e.Raw(`,"reason":`)
+		e.Str(ev.Reason)
 	}
 	if p := ev.Packet; p != nil {
-		e.raw(`,"packet":{"pkt":`)
-		e.int(p.Seq)
-		e.raw(`,"delay_ms":`)
-		e.float(p.DelayMs)
-		e.raw(`,"rtt_ms":`)
-		e.float(p.RTTMs)
-		e.raw(`,"cwnd":`)
-		e.int(int64(p.Cwnd))
-		e.raw(`,"inflight":`)
-		e.int(int64(p.Inflight))
-		e.raw(`,"delivered_bytes":`)
-		e.int(p.Delivered)
-		e.raw(`}`)
+		e.Raw(`,"packet":{"pkt":`)
+		e.Int(p.Seq)
+		e.Raw(`,"delay_ms":`)
+		e.Float(p.DelayMs)
+		e.Raw(`,"rtt_ms":`)
+		e.Float(p.RTTMs)
+		e.Raw(`,"cwnd":`)
+		e.Int(int64(p.Cwnd))
+		e.Raw(`,"inflight":`)
+		e.Int(int64(p.Inflight))
+		e.Raw(`,"delivered_bytes":`)
+		e.Int(p.Delivered)
+		e.Raw(`}`)
 	}
 	if l := ev.Loss; l != nil {
-		e.raw(`,"loss":{"pkt":`)
-		e.int(l.Seq)
-		e.raw(`,"cwnd":`)
-		e.int(int64(l.Cwnd))
-		e.raw(`}`)
+		e.Raw(`,"loss":{"pkt":`)
+		e.Int(l.Seq)
+		e.Raw(`,"cwnd":`)
+		e.Int(int64(l.Cwnd))
+		e.Raw(`}`)
 	}
 	if s := ev.Summary; s != nil {
-		e.raw(`,"summary":{"cwnd":`)
-		e.int(int64(s.Cwnd))
-		e.raw(`,"inflight":`)
-		e.int(int64(s.Inflight))
-		e.raw(`,"srtt_ms":`)
-		e.float(s.SRTTMs)
-		e.raw(`,"throughput_bps":`)
-		e.float(s.ThroughputBps)
-		e.raw(`,"sent":`)
-		e.int(s.Sent)
-		e.raw(`,"delivered_bytes":`)
-		e.int(s.Delivered)
-		e.raw(`,"lost":`)
-		e.int(s.Lost)
-		e.raw(`}`)
+		e.Raw(`,"summary":{"cwnd":`)
+		e.Int(int64(s.Cwnd))
+		e.Raw(`,"inflight":`)
+		e.Int(int64(s.Inflight))
+		e.Raw(`,"srtt_ms":`)
+		e.Float(s.SRTTMs)
+		e.Raw(`,"throughput_bps":`)
+		e.Float(s.ThroughputBps)
+		e.Raw(`,"sent":`)
+		e.Int(s.Sent)
+		e.Raw(`,"delivered_bytes":`)
+		e.Int(s.Delivered)
+		e.Raw(`,"lost":`)
+		e.Int(s.Lost)
+		e.Raw(`}`)
 	}
 	if m := ev.Mutation; m != nil {
-		e.raw(`,"mutation":{`)
-		open := len(e.buf)
-		e.optFloat(open, `"bandwidth_scale":`, m.BandwidthScale)
-		e.optFloat(open, `"bandwidth_bps":`, m.BandwidthBps)
-		e.optFloat(open, `"loss_rate":`, m.LossRate)
-		e.optFloat(open, `"loss_burst_s":`, m.LossBurstS)
-		e.optFloat(open, `"reorder_rate":`, m.ReorderRate)
-		e.optFloat(open, `"reorder_extra_ms":`, m.ReorderExtraMs)
-		e.optFloat(open, `"reorder_burst_s":`, m.ReorderBurstS)
+		e.Raw(`,"mutation":{`)
+		open := len(e.Buf)
+		e.OptFloat(open, `"bandwidth_scale":`, m.BandwidthScale)
+		e.OptFloat(open, `"bandwidth_bps":`, m.BandwidthBps)
+		e.OptFloat(open, `"loss_rate":`, m.LossRate)
+		e.OptFloat(open, `"loss_burst_s":`, m.LossBurstS)
+		e.OptFloat(open, `"reorder_rate":`, m.ReorderRate)
+		e.OptFloat(open, `"reorder_extra_ms":`, m.ReorderExtraMs)
+		e.OptFloat(open, `"reorder_burst_s":`, m.ReorderBurstS)
 		if m.Checkpoint != "" {
-			e.sep(open)
-			e.raw(`"checkpoint":`)
-			e.str(m.Checkpoint)
+			e.Sep(open)
+			e.Raw(`"checkpoint":`)
+			e.Str(m.Checkpoint)
 		}
-		e.raw(`}`)
+		e.Raw(`}`)
 	}
-	e.raw(`}`)
-	if !e.ok {
+	e.Raw(`}`)
+	if e.Failed {
 		return dst, false
 	}
-	return e.buf, true
-}
-
-// encoder is appendEvent's output buffer; ok turns false at the first
-// value JSON cannot represent.
-type encoder struct {
-	buf []byte
-	ok  bool
-}
-
-func (e *encoder) raw(s string) { e.buf = append(e.buf, s...) }
-
-func (e *encoder) int(v int64) { e.buf = strconv.AppendInt(e.buf, v, 10) }
-
-// float formats like encoding/json: shortest round-trip digits, exponent
-// form only below 1e-6 or from 1e21, with a two-digit negative exponent's
-// leading zero removed (e-09 → e-9).
-func (e *encoder) float(f float64) {
-	if !isFinite(f) {
-		e.ok = false
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(e.buf); n >= 4 && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
-			e.buf[n-2] = e.buf[n-1]
-			e.buf = e.buf[:n-1]
-		}
-	}
-}
-
-// sep writes the comma between object members: every member but the one
-// that starts at open (just past the brace) is preceded by one.
-func (e *encoder) sep(open int) {
-	if len(e.buf) > open {
-		e.buf = append(e.buf, ',')
-	}
-}
-
-// optFloat writes an `omitempty` float member (±0 is empty).
-func (e *encoder) optFloat(open int, key string, f float64) {
-	if f == 0 {
-		return
-	}
-	e.sep(open)
-	e.raw(key)
-	e.float(f)
-}
-
-// str writes a JSON string. Printable ASCII that encoding/json copies
-// through verbatim is copied here; anything it would escape (quotes,
-// backslashes, control bytes, HTML-sensitive characters, non-ASCII) is
-// handed to it, which only the free-text fields of rare state and mutate
-// events can ever need.
-func (e *encoder) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, err := json.Marshal(s)
-			if err != nil {
-				e.ok = false
-				return
-			}
-			e.buf = append(e.buf, b...)
-			return
-		}
-	}
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, s...)
-	e.buf = append(e.buf, '"')
+	return e.Buf, true
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -11,24 +10,6 @@ import (
 
 	"ibox/internal/sim"
 )
-
-// WriteJSON encodes the trace as a single JSON object.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(t)
-}
-
-// ReadJSON decodes a trace written by WriteJSON.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
-		return nil, fmt.Errorf("trace: decode json: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
-}
 
 // SaveJSON writes the trace to a file.
 func (t *Trace) SaveJSON(path string) error {

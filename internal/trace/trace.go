@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"ibox/internal/sim"
@@ -124,7 +125,7 @@ func (t *Trace) Throughput() float64 {
 // Delays returns the one-way delays of delivered packets, in milliseconds,
 // in send order.
 func (t *Trace) Delays() []float64 {
-	var out []float64
+	out := make([]float64, 0, len(t.Packets))
 	for _, p := range t.Packets {
 		if !p.Lost {
 			out = append(out, p.Delay().Millis())
@@ -140,8 +141,58 @@ func (t *Trace) DelayPercentile(p float64) float64 {
 	if len(d) == 0 {
 		return math.NaN()
 	}
-	sort.Float64s(d)
+	// percentileSorted reads only the ranks around p, so put those two
+	// order statistics in place instead of sorting everything.
+	lo := len(d) - 1
+	if p < 100 {
+		lo = int(math.Floor(max(p, 0) / 100 * float64(len(d)-1)))
+	}
+	selectNth(d, lo)
+	if lo+1 < len(d) {
+		selectNth(d[lo+1:], 0)
+	}
 	return percentileSorted(d, p)
+}
+
+// selectNth reorders a so that a[k] holds what sort.Float64s would put
+// there, with nothing greater before it and nothing smaller after it
+// (Hoare's selection; a holds no NaN). A run of bad pivots falls back to
+// sorting what is left, bounding the work at O(n log n).
+func selectNth(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for budget := 3 * bits.Len(uint(len(a))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			return
+		}
+		// The median of three is a value in the range, so both scans
+		// stop inside it.
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		pivot := max(min(x, y), min(max(x, y), z))
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo..j] ≤ pivot ≤ a[i..hi], and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // percentileSorted computes the p-th percentile of a sorted slice using

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +99,41 @@ func TestDelayPercentile(t *testing.T) {
 	empty := &Trace{}
 	if !math.IsNaN(empty.DelayPercentile(50)) {
 		t.Error("empty trace percentile should be NaN")
+	}
+}
+
+// TestDelayPercentileMatchesSort: selecting the two order statistics
+// percentileSorted reads gives the same bits as sorting every delay, on
+// delays with many ties and on sorted, reversed and shuffled orders.
+func TestDelayPercentileMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 1000} {
+		for trial := 0; trial < 60; trial++ {
+			levels := 1 + rng.Intn(n) // few distinct delays: many ties
+			tr := &Trace{}
+			for i := 0; i < n; i++ {
+				send := sim.Time(i) * sim.Millisecond
+				delay := sim.Time(rng.Intn(levels)) * 137 * sim.Microsecond
+				switch trial % 3 {
+				case 1:
+					delay = sim.Time(i) * sim.Microsecond
+				case 2:
+					delay = sim.Time(n-i) * sim.Microsecond
+				}
+				tr.Packets = append(tr.Packets, Packet{
+					Seq: int64(i), Size: 100, SendTime: send, RecvTime: send + delay,
+					Lost: i > 0 && rng.Intn(8) == 0,
+				})
+			}
+			sorted := tr.Delays()
+			sort.Float64s(sorted)
+			for _, p := range []float64{0, 50, 95, 99.9, 100} {
+				got, want := tr.DelayPercentile(p), percentileSorted(sorted, p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("n=%d trial %d p=%v: selection %v, sort %v", n, trial, p, got, want)
+				}
+			}
+		}
 	}
 }
 
