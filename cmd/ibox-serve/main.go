@@ -65,8 +65,7 @@ func main() {
 		modelDir     = flag.String("models", "", "directory of trained model artifacts (required)")
 		maxModels    = flag.Int("max-models", 16, "how many models to keep warm (LRU beyond)")
 		warm         = flag.String("warm", "", "comma-separated model ids to preload at startup")
-		batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch dispatch window")
-		batchMax     = flag.Int("batch-max", 16, "flush a micro-batch early at this many requests")
+		batchMax     = flag.Int("batch-max", 16, "close an iBoxML micro-batch early at this many requests")
 		streamChunk  = flag.Int("stream-chunk", 0, "windows per streamed /v1/replay chunk; 0 = default 64")
 		workers      = flag.Int("workers", 0, "simulation pool width; 0 = one worker per CPU")
 		maxConc      = flag.Int("max-concurrency", 0, "max simulate requests executing at once; 0 = 2x workers")
@@ -114,7 +113,6 @@ func main() {
 		ModelDir:             *modelDir,
 		MaxModels:            *maxModels,
 		Workers:              *workers,
-		BatchWindow:          *batchWindow,
 		BatchMax:             *batchMax,
 		StreamChunk:          *streamChunk,
 		MaxConcurrent:        *maxConc,

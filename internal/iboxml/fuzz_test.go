@@ -77,7 +77,7 @@ func splitArtifact(t testing.TB, data []byte) (header, section []byte) {
 // mutate decodes the artifact's JSON part to a generic map, applies fn,
 // and re-encodes — the easiest way to corrupt a single field. The weight
 // section, if any, is carried over untouched.
-func mutate(t *testing.T, data []byte, fn func(map[string]any)) []byte {
+func mutate(t testing.TB, data []byte, fn func(map[string]any)) []byte {
 	t.Helper()
 	header, section := splitArtifact(t, data)
 	var doc map[string]any
@@ -122,6 +122,12 @@ func FuzzRead(f *testing.F) {
 	f.Add(string(header[:len(header)-1]) + string(section))
 	f.Add(`{"format":2,"net":{"kind":0,"in":4096,"hidden":4096,"layers":64,"weights":8590991362}}` + "\n12345678")
 	f.Add(`{"format":3,"net":{"kind":0,"in":4,"hidden":2,"layers":1}}` + "\n")
+	// A 3 ns feature window. Were it accepted, replaying even this
+	// half-second trace would take ≈1.7·10⁸ closed-loop steps, past the
+	// fuzz engine's hang limit.
+	for _, a := range [][]byte{good, legacy} {
+		f.Add(string(mutate(f, a, func(d map[string]any) { d["config"].(map[string]any)["Window"] = 3 })))
+	}
 	tr := synthTrace(9, 500*sim.Millisecond)
 	f.Fuzz(func(t *testing.T, s string) {
 		m, err := Read(strings.NewReader(s))
@@ -211,6 +217,12 @@ func TestReadRejectsCorruptModels(t *testing.T) {
 		{"negative-min-delay", both, field(func(d map[string]any) { d["min_delay_ms"] = -3.0 })},
 		{"zero-window", both, field(func(d map[string]any) {
 			d["config"].(map[string]any)["Window"] = 0
+		})},
+		{"nanosecond-window", both, field(func(d map[string]any) {
+			d["config"].(map[string]any)["Window"] = 3
+		})},
+		{"window-below-floor", both, field(func(d map[string]any) {
+			d["config"].(map[string]any)["Window"] = int64(minWindow) - 1
 		})},
 		{"ct-flag-vs-4dim-net", both, field(func(d map[string]any) {
 			d["config"].(map[string]any)["UseCrossTraffic"] = true

@@ -3,9 +3,18 @@ package iboxml
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"ibox/internal/nn"
+	"ibox/internal/sim"
 )
+
+// minWindow is the shortest feature window a model may declare. Replay
+// runs one closed-loop step per window, so its cost is the trace duration
+// over the window: a 10 s replay at a 3 ns window is ≈3·10⁹ steps, which
+// would hold a serving pool worker indefinitely. Everything in the tree
+// trains with 50–100 ms windows; 1 ms leaves ample room below them.
+const minWindow = sim.Millisecond
 
 // Validate checks that a model — typically one just deserialized from
 // disk — is structurally sound and numerically finite, so the serving
@@ -23,8 +32,9 @@ func (m *Model) Validate() error {
 	if layers == 0 || m.Net.Head == nil {
 		return fmt.Errorf("iboxml: model network is missing layers")
 	}
-	if m.Cfg.Window <= 0 {
-		return fmt.Errorf("iboxml: non-positive feature window %v", m.Cfg.Window)
+	if m.Cfg.Window < minWindow {
+		return fmt.Errorf("iboxml: feature window %v below the %v minimum",
+			time.Duration(m.Cfg.Window), time.Duration(minWindow))
 	}
 	dim := 4
 	if m.Cfg.UseCrossTraffic {

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -56,7 +59,7 @@ func saveModel(t testing.TB, m *iboxml.Model, dir, id string) {
 	}
 }
 
-// splitCase is one way a flushed batch may be scheduled on the pool: how
+// splitCase is one way a batch may be scheduled on the pool: how
 // wide the pool is, the split floor, whether every other worker is held
 // busy, whether the batch has one request or two (on two checkpoints),
 // and how many pool jobs must run the batch as a result.
@@ -89,46 +92,115 @@ var splitCases = []splitCase{
 	{name: "batch of one", workers: 2, floor: 0, single: true, wantJobs: 1},
 }
 
+// gatePool holds n workers of pool on jobs that block until the returned
+// open function runs (at the latest in cleanup). While every worker is
+// held, a group's pool job waits in Do, so requests sent meanwhile join
+// the group instead of dispatching.
+func gatePool(t testing.TB, pool *par.Pool, n int) (open func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	for w := 0; w < n; w++ {
+		started := make(chan struct{})
+		go pool.Do(context.Background(), func() error {
+			close(started)
+			<-gate
+			return nil
+		})
+		<-started
+	}
+	var once sync.Once
+	open = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(open)
+	return open
+}
+
+// queued reports how many requests b's open groups hold.
+func queued(b *batcher) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := 0
+	for _, g := range b.pending {
+		n += len(g.jobs)
+	}
+	return n
+}
+
+// spinUntil polls cond, yielding between polls, and fails the test if it
+// stays false for 10 s.
+func spinUntil(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// parkedWorkers counts the pool workers parked for their next job, read
+// from a goroutine dump: a parked worker blocks in the select at the top
+// of par's worker loop, a busy one below the frames of its job.
+func parkedWorkers() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		header, frames, _ := strings.Cut(g, "\n")
+		if strings.Contains(header, "[select") && strings.HasPrefix(frames, "ibox/internal/par.NewPool.func") {
+			n++
+		}
+	}
+	return n
+}
+
 // newSplitServer builds a test server for one splitCase with
-// observability on (the pool's job counts are the assertion), drift
-// scoring off (it would add pool jobs), and batches that flush as soon
-// as the case's requests joined. It returns the server, its model dir and
-// a counter of the pool jobs run since. Saturating jobs hold their
-// workers until the test's cleanup, which frees them before the server
-// shuts down.
-func newSplitServer(t *testing.T, sc splitCase, mutate func(*Config)) (*Server, string, func() int64) {
+// observability on (the pool's job counts are the assertion) and drift
+// scoring off (it would add pool jobs). Every worker is held busy — the
+// saturating ones until the test's cleanup, the rest on a gate — so the
+// case's requests queue in one group. It returns the server, its model
+// dir, a counter of the pool jobs run besides the holding ones, and
+// release, which waits until the group holds the case's requests and
+// then lets the pool run it.
+func newSplitServer(t *testing.T, sc splitCase, mutate func(*Config)) (s *Server, dir string, jobs func() int64, release func()) {
 	t.Helper()
 	reg := obs.Enable()
 	t.Cleanup(obs.Disable)
-	s, dir := newTestServer(t, func(c *Config) {
+	s, dir = newTestServer(t, func(c *Config) {
 		c.Workers = sc.workers
-		c.BatchWindow = 250 * time.Millisecond
-		c.BatchMax = sc.requests()
 		c.DriftEvery = -1
 		if mutate != nil {
 			mutate(c)
 		}
 	})
 	s.batch.floor = sc.floor
-	block := make(chan struct{})
-	t.Cleanup(func() { close(block) })
-	busy := int64(0)
+	free := sc.workers
 	if sc.saturate {
-		for w := 1; w < sc.workers; w++ {
-			started := make(chan struct{})
-			go s.pool.Do(context.Background(), func() error {
-				close(started)
-				<-block
-				return nil
-			})
-			<-started
-			busy++
-		}
+		free = 1
+		gatePool(t, s.pool, sc.workers-free)
 	}
+	open := gatePool(t, s.pool, free)
 	// A job counts into par.pool_wait_ns when a worker picks it up, so
 	// once every response of a batch is in, its count is exact.
-	jobs := func() int64 { return reg.Histogram("par.pool_wait_ns").Count() - busy }
-	return s, dir, jobs
+	jobs = func() int64 { return reg.Histogram("par.pool_wait_ns").Count() - int64(sc.workers) }
+	queue := reg.Gauge("par.pool_queue")
+	release = func() {
+		t.Helper()
+		defer open() // on failure too, so the test's deferred ts.Close can finish
+		spinUntil(t, "the batch to queue", func() bool {
+			return queued(s.batch) == sc.requests() && queue.Value() == 1
+		})
+		// The gate opens with the batcher locked, so the worker that picks
+		// the batch up waits in take until every other free worker has
+		// parked: split then finds exactly the idle workers the case has.
+		s.batch.mu.Lock()
+		defer s.batch.mu.Unlock()
+		open()
+		spinUntil(t, "the other free workers to park", func() bool {
+			return queue.Value() == 0 && parkedWorkers() == free-1
+		})
+	}
+	return s, dir, jobs, release
 }
 
 // TestCrossCheckpointBatchEquivalence: two concurrent requests for two
@@ -161,7 +233,7 @@ func TestCrossCheckpointBatchEquivalence(t *testing.T) {
 	for _, sc := range splitCases {
 		t.Run(sc.name, func(t *testing.T) {
 			n := sc.requests()
-			s, dir, jobs := newSplitServer(t, sc, nil)
+			s, dir, jobs, release := newSplitServer(t, sc, nil)
 			saveModel(t, mA, dir, "a.json")
 			saveModel(t, mB, dir, "b.json")
 			ts := httptest.NewServer(s.Handler())
@@ -178,6 +250,7 @@ func TestCrossCheckpointBatchEquivalence(t *testing.T) {
 					codes[i], sizes[i], bodies[i] = postSimulateSized(t, ts.URL, reqs[i])
 				}(i)
 			}
+			release()
 			wg.Wait()
 			if got := jobs(); got != sc.wantJobs {
 				t.Fatalf("batch ran as %d pool jobs, want %d", got, sc.wantJobs)
@@ -204,20 +277,16 @@ func postSimulateSized(t testing.TB, url string, req SimulateRequest) (int, stri
 	return code, hdr.Get(batchSizeHeader), body
 }
 
-// TestShapeMismatchNeverCoBatches: concurrent requests for checkpoints
-// of different shapes must land in separate batches even with room in
-// the dispatch window.
+// TestShapeMismatchNeverCoBatches: requests for checkpoints of different
+// shapes that queue together must still land in separate batches.
 func TestShapeMismatchNeverCoBatches(t *testing.T) {
-	s, dir := newTestServer(t, func(c *Config) {
-		c.Workers = 1
-		c.BatchWindow = 60 * time.Millisecond
-		c.BatchMax = 2
-	})
+	s, dir := newTestServer(t, func(c *Config) { c.Workers = 1 })
 	saveModel(t, trainedMLShape(t, 8, 1, 5), dir, "h8.json")
 	saveModel(t, trainedMLShape(t, 6, 1, 5), dir, "h6.json")
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close) // after the gate opens, so a failed test does not hang
 
+	open := gatePool(t, s.pool, 1)
 	in := synthTrace(44, sim.Second)
 	var wg sync.WaitGroup
 	sizes := make([]string, 2)
@@ -232,6 +301,8 @@ func TestShapeMismatchNeverCoBatches(t *testing.T) {
 			sizes[i] = size
 		}(i, id)
 	}
+	spinUntil(t, "both requests to queue", func() bool { return queued(s.batch) == 2 })
+	open()
 	wg.Wait()
 	for i, size := range sizes {
 		if size != "1" {
@@ -262,26 +333,22 @@ func TestBatchGroupSurvivesReload(t *testing.T) {
 	}
 
 	pool := par.NewPool(1)
-	defer pool.Close()
-	b := newBatcher(pool, 200*time.Millisecond, 2, 0)
+	t.Cleanup(pool.Close)
+	b := newBatcher(pool, 2, 0)
+	open := gatePool(t, pool, 1)
 	in := synthTrace(45, sim.Second)
-	var wg sync.WaitGroup
-	sizes := make([]int, 2)
+	var res []chan batchResult
 	for i, m := range []*iboxml.Model{m1, m2} {
-		wg.Add(1)
-		go func(i int, m *iboxml.Model) {
-			defer wg.Done()
-			_, size, err := b.submit(context.Background(), "m.json", m, in, int64(i))
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-			}
-			sizes[i] = size
-		}(i, m)
+		res = append(res, b.enqueue(context.Background(), "m.json", m, in, int64(i), nil))
 	}
-	wg.Wait()
-	for i, size := range sizes {
-		if size != 2 {
-			t.Fatalf("submission %d: batch size %d, want 2 — evicted-then-reloaded checkpoint split its group", i, size)
+	open()
+	for i, ch := range res {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("submission %d: %v", i, r.err)
+		}
+		if r.size != 2 {
+			t.Fatalf("submission %d: batch size %d, want 2 — evicted-then-reloaded checkpoint split its group", i, r.size)
 		}
 	}
 }
@@ -291,17 +358,21 @@ func TestBatchGroupSurvivesReload(t *testing.T) {
 // response byte against the offline serial replay — the serial-vs-batched
 // determinism half of the equivalence harness, run under -race in CI —
 // both with the serving split floor and with every multi-lane batch
-// splitting wherever a worker is idle.
+// splitting wherever a worker is idle. The burst queues behind gated
+// workers, so BatchMax cuts it into a full batch and a remainder.
 func TestServeCrossCheckpointDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		floor int64
 	}{{"default floor", splitFloor}, {"floor 0", 0}} {
 		t.Run(tc.name, func(t *testing.T) {
+			const n, batchMax = 12, 8
+			reg := obs.Enable()
+			t.Cleanup(obs.Disable)
 			s, dir := newTestServer(t, func(c *Config) {
 				c.Workers = 2
-				c.BatchWindow = 5 * time.Millisecond
-				c.BatchMax = 8
+				c.BatchMax = batchMax
+				c.MaxConcurrent = n
 			})
 			s.batch.floor = tc.floor
 			models := map[string]*iboxml.Model{
@@ -312,12 +383,13 @@ func TestServeCrossCheckpointDeterminism(t *testing.T) {
 				saveModel(t, m, dir, id)
 			}
 			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
+			t.Cleanup(ts.Close) // after the gate opens, so a failed test does not hang
 
-			const n = 12
+			open := gatePool(t, s.pool, 2)
 			ids := []string{"a.json", "b.json"}
 			type result struct {
 				code int
+				size string
 				body []byte
 			}
 			results := make([]result, n)
@@ -327,17 +399,25 @@ func TestServeCrossCheckpointDeterminism(t *testing.T) {
 				go func(i int) {
 					defer wg.Done()
 					id := ids[i%len(ids)]
-					code, _, body := postSimulate(t, ts.URL, SimulateRequest{
+					code, size, body := postSimulateSized(t, ts.URL, SimulateRequest{
 						Model: id, Input: synthTrace(int64(50+i%3), 2*sim.Second), Seed: int64(700 + i%3),
 					})
-					results[i] = result{code, body}
+					results[i] = result{code, size, body}
 				}(i)
 			}
+			// A full group leaves the open set with its job still queued.
+			queue := reg.Gauge("par.pool_queue")
+			spinUntil(t, "the burst to queue", func() bool {
+				return queued(s.batch) == n-batchMax && queue.Value() == 2
+			})
+			open()
 			wg.Wait()
+			sizes := map[string]int{}
 			for i := 0; i < n; i++ {
 				if results[i].code != 200 {
 					t.Fatalf("request %d: status %d: %s", i, results[i].code, results[i].body)
 				}
+				sizes[results[i].size]++
 				id := ids[i%len(ids)]
 				m := models[id]
 				out := m.SimulateTrace(synthTrace(int64(50+i%3), 2*sim.Second), nil, int64(700+i%3))
@@ -348,8 +428,193 @@ func TestServeCrossCheckpointDeterminism(t *testing.T) {
 					t.Fatalf("request %d (%s): batched response differs from serial offline replay", i, id)
 				}
 			}
+			if want := map[string]int{fmt.Sprint(batchMax): batchMax, fmt.Sprint(n - batchMax): n - batchMax}; !maps.Equal(sizes, want) {
+				t.Fatalf("responses per batch size %v, want %v", sizes, want)
+			}
 		})
 	}
+}
+
+// TestBatchIdleDispatch: a lone request on an idle pool is picked up at
+// once and runs as a batch of one — no second arrival and no timer starts
+// it.
+func TestBatchIdleDispatch(t *testing.T) {
+	m := trainedMLShape(t, 8, 1, 5)
+	pool := par.NewPool(2)
+	t.Cleanup(pool.Close)
+	b := newBatcher(pool, 0, 0)
+	in := synthTrace(71, sim.Second)
+	var r batchResult
+	select {
+	case r = <-b.enqueue(context.Background(), "a.json", m, in, 3, nil):
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone request on an idle pool never ran")
+	}
+	if r.err != nil || r.size != 1 {
+		t.Fatalf("lone request: size %d, err %v; want a batch of one", r.size, r.err)
+	}
+	if !sameTrace(t, r.out, m.SimulateTrace(in, nil, 3)) {
+		t.Fatal("lone request differs from its offline replay")
+	}
+	if n := queued(b); n != 0 {
+		t.Fatalf("%d requests still queued after the batch ran", n)
+	}
+}
+
+// TestBatchQueuedCoalescing: requests that queue while every worker is
+// busy run as one batch per shape, and BatchMax cuts a shape's queue into
+// batches of at most that many.
+func TestBatchQueuedCoalescing(t *testing.T) {
+	h8a, h8b, h6 := trainedMLShape(t, 8, 1, 5), trainedMLShape(t, 8, 1, 6), trainedMLShape(t, 6, 1, 5)
+	type req struct {
+		id   string
+		m    *iboxml.Model
+		size int // the batch it must run in
+	}
+	for _, tc := range []struct {
+		name string
+		max  int
+		reqs []req
+	}{
+		{"one batch per shape", 0, []req{
+			{"a.json", h8a, 5}, {"h6.json", h6, 2}, {"b.json", h8b, 5}, {"a.json", h8a, 5},
+			{"b.json", h8b, 5}, {"h6.json", h6, 2}, {"a.json", h8a, 5},
+		}},
+		{"batch max", 2, []req{
+			{"a.json", h8a, 2}, {"b.json", h8b, 2}, {"a.json", h8a, 2}, {"b.json", h8b, 2}, {"a.json", h8a, 1},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := par.NewPool(2)
+			t.Cleanup(pool.Close)
+			b := newBatcher(pool, tc.max, 0)
+			open := gatePool(t, pool, 2)
+			in := synthTrace(72, sim.Second)
+			res := make([]chan batchResult, len(tc.reqs))
+			for i, r := range tc.reqs {
+				res[i] = b.enqueue(context.Background(), r.id, r.m, in, int64(i), nil)
+			}
+			open()
+			for i, r := range tc.reqs {
+				got := <-res[i]
+				if got.err != nil || got.size != r.size {
+					t.Fatalf("request %d (%s): batch size %d, err %v; want size %d", i, r.id, got.size, got.err, r.size)
+				}
+				if !sameTrace(t, got.out, r.m.SimulateTrace(in, nil, int64(i))) {
+					t.Fatalf("request %d (%s): batched output differs from its offline replay", i, r.id)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchDrainOnPoolClose: when the pool closes while a group's job is
+// still waiting in pool.Do, every request in the group fails with
+// ErrPoolClosed — 503 at the API — and nothing is left running (the
+// package's leak check covers the dispatch goroutine).
+func TestBatchDrainOnPoolClose(t *testing.T) {
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
+	s, dir := newTestServer(t, func(c *Config) { c.Workers = 1 })
+	writeMLModel(t, dir, "m.json")
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close) // after the gate opens, so a failed test does not hang
+
+	open := gatePool(t, s.pool, 1)
+	const n = 2
+	var wg sync.WaitGroup
+	codes := make([]int, n)
+	bodies := make([][]byte, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i], _, bodies[i] = postSimulate(t, ts.URL, SimulateRequest{
+				Model: "m.json", Input: synthTrace(73, sim.Second), Seed: int64(i),
+			})
+		}(i)
+	}
+	queue := reg.Gauge("par.pool_queue")
+	spinUntil(t, "the group's job to wait for a worker", func() bool {
+		return queued(s.batch) == n && queue.Value() == 1
+	})
+	closed := make(chan struct{})
+	go func() { s.pool.Close(); close(closed) }() // waits for the gated worker
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if codes[i] != http.StatusServiceUnavailable || !strings.Contains(string(bodies[i]), par.ErrPoolClosed.Error()) {
+			t.Fatalf("request %d: status %d: %s; want 503 %q", i, codes[i], bodies[i], par.ErrPoolClosed)
+		}
+	}
+	open()
+	<-closed
+}
+
+// TestBatchSpanStartsAtPickup: a sampled batch's serve.batch span starts
+// when a worker picks the batch up, so the time the batch waited for a
+// worker is the gap before the span, not part of it.
+func TestBatchSpanStartsAtPickup(t *testing.T) {
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
+	s, dir := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.TraceSample = 1
+		c.DriftEvery = -1
+	})
+	writeMLModel(t, dir, "m.json")
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close) // after the gate opens, so a failed test does not hang
+
+	open := gatePool(t, s.pool, 1)
+	code := make(chan int, 1)
+	go func() {
+		c, _, _ := postSimulate(t, ts.URL, SimulateRequest{Model: "m.json", Input: synthTrace(74, sim.Second), Seed: 1})
+		code <- c
+	}()
+	spinUntil(t, "the request to queue", func() bool { return queued(s.batch) == 1 })
+	obs.StartSpan("gate").End() // everything before it is the wait for a worker
+	open()
+	if c := <-code; c != http.StatusOK {
+		t.Fatalf("simulate: status %d", c)
+	}
+	var trace struct {
+		Events []struct {
+			Name    string
+			Ts, Dur float64
+		} `json:"traceEvents"`
+	}
+	start, end := map[string]float64{}, map[string]float64{} // span name → µs
+	spinUntil(t, "the batch span", func() bool {
+		var b bytes.Buffer
+		if err := reg.TraceJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b.Bytes(), &trace); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range trace.Events {
+			start[ev.Name], end[ev.Name] = ev.Ts, ev.Ts+ev.Dur
+		}
+		_, ok := end["serve.batch"]
+		return ok
+	})
+	if start["serve.batch"] < end["gate"] {
+		t.Fatalf("serve.batch span starts at %.1f µs, before the gate opened at %.1f µs: it covers the wait for a worker",
+			start["serve.batch"], end["gate"])
+	}
+}
+
+// sameTrace reports whether two traces encode to the same JSON bytes.
+func sameTrace(t testing.TB, got, want *trace.Trace) bool {
+	t.Helper()
+	var bg, bw bytes.Buffer
+	if err := json.NewEncoder(&bg).Encode(got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewEncoder(&bw).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(bg.Bytes(), bw.Bytes())
 }
 
 // sentinelClone returns a same-shape copy of m whose weights are scaled

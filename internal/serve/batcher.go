@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"time"
 
 	"ibox/internal/iboxml"
 	"ibox/internal/obs"
@@ -14,44 +13,50 @@ import (
 )
 
 // batcher micro-batches iBoxML replay requests across checkpoints.
-// Requests arriving within one dispatch window whose models share a
-// shape — architecture (in, hidden, layers) and window cadence (see
-// iboxml.Shape) — form one batch, even when they hit distinct model
-// artifacts: each lane steps through its own compiled weights
-// (nn.StepBatchLanesInto), so a multi-tenant mix of many fitted
+// Dispatch is work-conserving: the first request of a shape —
+// architecture (in, hidden, layers) and window cadence (see
+// iboxml.Shape) — opens that shape's group and submits one pool job for
+// it, later same-shape requests join the open group, and the worker that
+// picks the job up closes the group and runs whatever joined by then as
+// one batch. A lone request on an idle pool therefore starts at once, and
+// a busy pool coalesces exactly the requests that queued while every
+// worker was busy; no timer holds anything back. A group that reaches max
+// requests closes at once, and the next arrival opens a new group with a
+// job of its own. Same-shape requests share a batch even when they hit
+// distinct model artifacts: each lane steps through its own compiled
+// weights (nn.StepBatchLanesInto), so a multi-tenant mix of many fitted
 // same-architecture models coalesces instead of fragmenting into
 // per-checkpoint singleton groups.
 //
-// A flushed batch runs as one or more lockstep sub-batches, each a
-// single iboxml.SimulateTraceLanes call. The lanes, sorted by artifact
-// ID, are cut into up to Workers() contiguous sub-batches of roughly
-// equal unroll work (windows × parameters, unrollWork); every sub-batch
-// after the first that carries at least splitFloor of work goes to an
-// idle pool worker, and the rest — including any sub-batch no idle
-// worker took — stay in the flushing job's own lockstep batch. Lanes
-// of distinct checkpoints share no weight traffic, so paper-scale lanes
-// run in parallel on otherwise idle cores, while a saturated pool, a
-// batch of one and small requests keep the single lockstep batch.
-// Within a sub-batch the lockstep walk shares the per-window setup
-// (feature build, standardization, input pre-projection) and gives
-// every member incremental progress — the property streaming replay
-// (stream.go) relies on for fair time-to-first-chunk. Because every
-// lane is bitwise-identical to its unbatched replay whatever else
-// shares its (sub-)batch, batching and splitting change only latency
-// and throughput — never a single response byte.
+// A batch runs as one or more lockstep sub-batches, each a single
+// iboxml.SimulateTraceLanes call. The lanes, sorted by artifact ID, are
+// cut into up to Workers() contiguous sub-batches of roughly equal unroll
+// work (windows × parameters, unrollWork); every sub-batch after the
+// first that carries at least splitFloor of work goes to an idle pool
+// worker, and the rest — including any sub-batch no idle worker took —
+// stay in the batch's own pool job as one lockstep batch. Lanes of
+// distinct checkpoints share no weight traffic, so paper-scale lanes run
+// in parallel on otherwise idle cores, while a saturated pool, a batch of
+// one and small requests keep the single lockstep batch. Within a
+// sub-batch the lockstep walk shares the per-window setup (feature build,
+// standardization, input pre-projection) and gives every member
+// incremental progress — the property streaming replay (stream.go) relies
+// on for fair time-to-first-chunk. Because every lane is
+// bitwise-identical to its unbatched replay whatever else shares its
+// (sub-)batch, batching and splitting change only latency and throughput
+// — never a single response byte.
 //
-// Pending groups are keyed by Shape alone, never by *iboxml.Model: an
+// Open groups are keyed by Shape alone, never by *iboxml.Model: an
 // LRU-evicted-then-reloaded checkpoint gets a fresh pointer but must land
 // in the same open group (regression: TestBatchGroupSurvivesReload).
 type batcher struct {
-	pool   *par.Pool
-	window time.Duration
-	max    int
-	chunk  int   // streaming emission granularity, in windows
-	floor  int64 // least unroll work a sub-batch needs to leave; splitFloor
+	pool  *par.Pool
+	max   int
+	chunk int   // streaming emission granularity, in windows
+	floor int64 // least unroll work a sub-batch needs to leave; splitFloor
 
 	mu      sync.Mutex
-	pending map[iboxml.Shape]*group
+	pending map[iboxml.Shape]*group // open groups, whose job no worker has picked up yet
 
 	sizeHist     *obs.Histogram
 	batches      *obs.Counter
@@ -60,10 +65,10 @@ type batcher struct {
 	crossBatches *obs.Counter      // serve.batches_cross: batches spanning >1 checkpoint
 }
 
-// group is the accumulating batch for one shape.
+// group is one shape's batch in the making. Its jobs only grow, under
+// batcher.mu, while the group is open.
 type group struct {
-	jobs  []batchJob
-	timer *time.Timer
+	jobs []batchJob
 }
 
 type batchJob struct {
@@ -88,7 +93,7 @@ var errStreamClosed = errors.New("serve: stream consumer gone")
 
 // splitFloor is the least unroll work, in parameter-steps (unrollWork),
 // that a sub-batch must carry to be handed to another pool worker; below
-// it the sub-batch stays in the flushing job's lockstep batch. A hand-off
+// it the sub-batch stays in its batch's own pool job. A hand-off
 // costs a goroutine switch, a cold core and, on a busy daemon, a core
 // another request wanted, so it pays only for long unrolls. 5e7
 // parameter-steps is ≈15 ms of kernel at the ≈6.4 GFLOP/s the 256×4
@@ -100,10 +105,7 @@ var errStreamClosed = errors.New("serve: stream consumer gone")
 // simulated second.
 const splitFloor = 50_000_000
 
-func newBatcher(pool *par.Pool, window time.Duration, max, chunk int) *batcher {
-	if window <= 0 {
-		window = 2 * time.Millisecond
-	}
+func newBatcher(pool *par.Pool, max, chunk int) *batcher {
 	if max <= 0 {
 		max = 16
 	}
@@ -112,7 +114,6 @@ func newBatcher(pool *par.Pool, window time.Duration, max, chunk int) *batcher {
 	}
 	b := &batcher{
 		pool:    pool,
-		window:  window,
 		max:     max,
 		chunk:   chunk,
 		floor:   splitFloor,
@@ -128,11 +129,10 @@ func newBatcher(pool *par.Pool, window time.Duration, max, chunk int) *batcher {
 	return b
 }
 
-// enqueue adds one replay to its shape's group and returns the job's
-// result channel. The request joins the open dispatch window for its
-// shape (opening one if none is open); the group flushes when the
-// window elapses or it reaches max requests. sink, when non-nil, streams
-// the lane's window predictions incrementally as the batch runs.
+// enqueue adds one replay to its shape's open group, opening one (and
+// submitting its pool job) if none is open, and returns the job's result
+// channel. sink, when non-nil, streams the lane's window predictions
+// incrementally as the batch runs.
 func (b *batcher) enqueue(ctx context.Context, id string, m *iboxml.Model, input *trace.Trace, seed int64, sink *streamSink) chan batchResult {
 	j := batchJob{
 		model: m, id: id, input: input, seed: seed,
@@ -145,16 +145,13 @@ func (b *batcher) enqueue(ctx context.Context, id string, m *iboxml.Model, input
 	if g == nil {
 		g = &group{}
 		b.pending[key] = g
-		g.timer = time.AfterFunc(b.window, func() { b.flush(key, g) })
+		go b.dispatch(key, g)
 	}
 	g.jobs = append(g.jobs, j)
 	if len(g.jobs) >= b.max {
-		g.timer.Stop()
-		b.mu.Unlock()
-		b.flush(key, g)
-	} else {
-		b.mu.Unlock()
+		delete(b.pending, key) // full: the next arrival opens a new group
 	}
+	b.mu.Unlock()
 	return j.res
 }
 
@@ -171,19 +168,39 @@ func (b *batcher) submit(ctx context.Context, id string, m *iboxml.Model, input 
 	}
 }
 
-// flush closes the group's window and simulates it as one batch on the
-// pool. Safe to race between the timer and the size trigger: whoever
-// removes the group from pending runs it; the other call finds it gone.
-func (b *batcher) flush(key iboxml.Shape, g *group) {
-	b.mu.Lock()
-	if b.pending[key] != g {
-		b.mu.Unlock()
-		return
+// dispatch submits g's one pool job. The worker that picks it up takes g
+// and runs every request that joined it; if the pool closes first, each of
+// them gets ErrPoolClosed.
+func (b *batcher) dispatch(key iboxml.Shape, g *group) {
+	err := b.pool.Do(context.Background(), func() error {
+		b.run(key, b.take(key, g))
+		return nil
+	})
+	if err != nil {
+		// The job never ran, so nothing was handed off either.
+		for _, j := range b.take(key, g) {
+			j.res <- batchResult{err: err}
+		}
 	}
-	delete(b.pending, key)
-	jobs := g.jobs
-	b.mu.Unlock()
+}
 
+// take closes g, if it is still open, and returns its requests.
+func (b *batcher) take(key iboxml.Shape, g *group) []batchJob {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.pending[key] == g {
+		delete(b.pending, key)
+	}
+	return g.jobs
+}
+
+// run simulates one closed group on the pool worker that took it and
+// delivers per-job results. It hands what idle workers can take to them
+// (split) and steps the rest itself as one lockstep lane batch. Streaming
+// jobs get chunks pushed through their sinks as their sub-batch's unroll
+// crosses chunk boundaries; a job whose stream consumer has gone away
+// abandons only its own lane.
+func (b *batcher) run(key iboxml.Shape, jobs []batchJob) {
 	// Same-checkpoint lanes step adjacently so each checkpoint's packed
 	// weight stream stays cache-resident across its lanes.
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
@@ -193,57 +210,34 @@ func (b *batcher) flush(key iboxml.Shape, g *group) {
 	if b.shapeOcc != nil {
 		b.shapeOcc.With(key.String()).Observe(int64(len(jobs)))
 	}
-	distinct := 0
+	distinct, sampled := 0, false
 	for i, j := range jobs {
 		if i == 0 || j.id != jobs[i-1].id {
 			distinct++
 		}
+		sampled = sampled || j.sampled
 	}
 	b.distinctHist.Observe(int64(distinct))
 	if distinct > 1 {
 		b.crossBatches.Add(1)
 	}
-	b.run(jobs)
-}
-
-// run simulates one closed group on the pool and delivers per-job
-// results. The flushing pool job hands what idle workers can take to
-// them (split) and steps the rest itself as one lockstep lane batch.
-// Streaming jobs get chunks pushed through their sinks as their
-// sub-batch's unroll crosses chunk boundaries; a job whose stream
-// consumer has gone away abandons only its own lane.
-func (b *batcher) run(jobs []batchJob) {
-	sampled := false
-	for _, j := range jobs {
-		sampled = sampled || j.sampled
+	// A batch serves several requests at once, so its span is a top-level
+	// lane of its own rather than a child of any one request; it is
+	// recorded when any member request is sampled. It starts once a
+	// worker has the batch, so the gap before it is the wait for one.
+	var sp *obs.Span
+	if sampled {
+		sp = obs.StartSpan("serve.batch")
+		sp.SetItems(len(jobs))
 	}
-	go func() {
-		// A batch serves several requests at once, so its span is a
-		// top-level lane of its own rather than a child of any one
-		// request; it is recorded when any member request is sampled.
-		var sp *obs.Span
-		if sampled {
-			sp = obs.StartSpan("serve.batch")
-			sp.SetItems(len(jobs))
-		}
-		defer sp.End()
-		err := b.pool.Do(context.Background(), func() error {
-			b.simulate(b.split(jobs), len(jobs))
-			return nil
-		})
-		if err != nil {
-			// The job never ran, so nothing was handed off either.
-			for _, j := range jobs {
-				j.res <- batchResult{err: err}
-			}
-		}
-	}()
+	defer sp.End()
+	b.simulate(b.split(jobs), len(jobs))
 }
 
-// split divides a flushed batch, whose lanes are sorted by artifact ID,
-// into up to Workers() contiguous sub-batches of roughly equal unroll
-// work, and hands each sub-batch after the first to a parked pool worker
-// (TryGo) when it carries at least b.floor of work. It returns the jobs
+// split divides a batch, whose lanes are sorted by artifact ID, into up
+// to Workers() contiguous sub-batches of roughly equal unroll work, and
+// hands each sub-batch after the first to a parked pool worker (TryGo)
+// when it carries at least b.floor of work. It returns the jobs
 // the calling pool job keeps: the first sub-batch plus every later one
 // that stayed below the floor or found no idle worker. A batch of one, a
 // one-worker pool and a saturated daemon therefore keep the whole batch:
@@ -281,7 +275,7 @@ func (b *batcher) split(jobs []batchJob) []batchJob {
 }
 
 // simulate steps jobs as one lockstep lane batch and delivers each job's
-// result. size is the flushed batch's request count, which responses
+// result. size is the whole batch's request count, which responses
 // report however the batch was split.
 func (b *batcher) simulate(jobs []batchJob, size int) {
 	lanes := make([]iboxml.ReplayLane, len(jobs))

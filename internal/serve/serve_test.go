@@ -189,23 +189,21 @@ func TestServeIBoxNetDeterminism(t *testing.T) {
 
 // TestServeIBoxMLDeterminism proves iBoxML replay responses are
 // byte-identical to offline iboxml.SimulateTrace for a concurrent burst
-// that actually coalesces into one micro-batch.
+// that queues behind busy workers and so coalesces into one micro-batch.
 func TestServeIBoxMLDeterminism(t *testing.T) {
 	input := synthTrace(99, 2*sim.Second)
 	t.Run("batched", func(t *testing.T) {
-		s, dir := newTestServer(t, func(c *Config) {
-			c.BatchWindow = 250 * time.Millisecond
-			c.BatchMax = 4
-		})
+		const burst = 4
+		s, dir := newTestServer(t, func(c *Config) { c.MaxConcurrent = burst })
 		writeMLModel(t, dir, "ml-a.json")
 		ml, err := iboxml.Load(filepath.Join(dir, "ml-a.json"))
 		if err != nil {
 			t.Fatalf("offline load: %v", err)
 		}
 		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
+		t.Cleanup(ts.Close) // after the gate opens, so a failed test does not hang
 
-		const burst = 4
+		open := gatePool(t, s.pool, s.pool.Workers())
 		type result struct {
 			seed      int64
 			code      int
@@ -225,9 +223,10 @@ func TestServeIBoxMLDeterminism(t *testing.T) {
 				results[i] = result{seed, code, hdr.Get(batchSizeHeader), body}
 			}(i)
 		}
+		spinUntil(t, "the burst to queue", func() bool { return queued(s.batch) == burst })
+		open()
 		wg.Wait()
 
-		maxBatch := 0
 		for _, r := range results {
 			if r.code != http.StatusOK {
 				t.Fatalf("status %d: %s", r.code, r.body)
@@ -240,16 +239,9 @@ func TestServeIBoxMLDeterminism(t *testing.T) {
 			if !bytes.Equal(r.body, want) {
 				t.Fatalf("seed %d: served response differs from offline simulation", r.seed)
 			}
-			n, err := strconv.Atoi(r.batchSize)
-			if err != nil {
-				t.Fatalf("bad %s header %q", batchSizeHeader, r.batchSize)
+			if r.batchSize != strconv.Itoa(burst) {
+				t.Fatalf("seed %d: %s = %q, want %d (the whole queued burst)", r.seed, batchSizeHeader, r.batchSize, burst)
 			}
-			if n > maxBatch {
-				maxBatch = n
-			}
-		}
-		if maxBatch < 2 {
-			t.Fatalf("no request coalesced into a batch (max reported size %d)", maxBatch)
 		}
 	})
 }

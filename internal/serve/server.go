@@ -36,10 +36,9 @@ type Config struct {
 	// CPU-bound stage — batched or not — runs on this one pool, so
 	// concurrent requests cannot oversubscribe the cores.
 	Workers int
-	// BatchWindow is the micro-batch dispatch window; default 2ms.
-	BatchWindow time.Duration
-	// BatchMax flushes a batch early once this many requests joined it;
-	// default 16.
+	// BatchMax closes an iBoxML micro-batch early once this many requests
+	// joined it; default 16. Otherwise a batch is whatever queued before a
+	// pool worker picked it up (see batcher).
 	BatchMax int
 	// StreamChunk is the emission granularity of streaming replay
 	// (/v1/replay), in closed-loop windows per chunk; default 64.
@@ -102,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 16
@@ -258,7 +254,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		registry: NewRegistry(cfg.ModelDir, cfg.MaxModels),
 		pool:     pool,
-		batch:    newBatcher(pool, cfg.BatchWindow, cfg.BatchMax, cfg.StreamChunk),
+		batch:    newBatcher(pool, cfg.BatchMax, cfg.StreamChunk),
 		mux:      http.NewServeMux(),
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		idPrefix: newIDPrefix(),
@@ -503,6 +499,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: request deadline exceeded"))
 		case errors.Is(err, errBadRequest):
 			s.writeError(w, http.StatusBadRequest, err)
+		case errors.Is(err, par.ErrPoolClosed):
+			s.writeError(w, http.StatusServiceUnavailable, err)
 		default:
 			s.writeError(w, http.StatusInternalServerError, err)
 		}

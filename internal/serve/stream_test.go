@@ -187,21 +187,22 @@ func TestReplayStreamSSEConformance(t *testing.T) {
 	inputs := []*trace.Trace{synthTrace(61, 4*sim.Second), synthTrace(62, 3*sim.Second)}
 	for _, sc := range splitCases {
 		t.Run(sc.name, func(t *testing.T) {
-			s, dir, jobs := newSplitServer(t, sc, func(c *Config) { c.StreamChunk = chunkWin })
+			s, dir, jobs, release := newSplitServer(t, sc, func(c *Config) { c.StreamChunk = chunkWin })
 			for i, m := range models {
 				saveModel(t, m, dir, ids[i])
 			}
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
-			// A stream's headers arrive before its lane is enqueued, and the
-			// batch flushes once the last stream joined.
+			// A stream's headers arrive before its lane is enqueued; the
+			// batch runs once every stream has joined it.
 			n := sc.requests()
 			resps := make([]*http.Response, n)
 			for i := range resps {
 				resps[i] = postReplay(t, context.Background(), ts.URL,
 					ReplayRequest{Model: ids[i], Input: inputs[i], Seed: int64(7 + i)}, true)
 			}
+			release()
 			bodies := make([][]byte, n)
 			for i, resp := range resps {
 				var err error
@@ -330,7 +331,7 @@ func TestReplayStreamCancelFreesSlot(t *testing.T) {
 	// "b.json"'s goes. Hanging up on b must free b's slot and leave a's
 	// stream exactly its offline windows.
 	t.Run("handed-off lane", func(t *testing.T) {
-		s, dir, jobs := newSplitServer(t, splitCase{workers: 2, floor: 0}, func(c *Config) {
+		s, dir, jobs, release := newSplitServer(t, splitCase{workers: 2, floor: 0}, func(c *Config) {
 			c.MaxConcurrent = 2
 			c.StreamChunk = 1
 		})
@@ -346,6 +347,7 @@ func TestReplayStreamCancelFreesSlot(t *testing.T) {
 		}, true)
 		inA := synthTrace(58, 3*sim.Second)
 		respA := postReplay(t, context.Background(), ts.URL, ReplayRequest{Model: "a.json", Input: inA, Seed: 6}, true)
+		release()
 		hangUpAfterFirstChunk(t, respB, cancel)
 		bodyA, err := io.ReadAll(respA.Body)
 		respA.Body.Close()
