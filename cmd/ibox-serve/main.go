@@ -71,7 +71,7 @@ func main() {
 		maxConc      = flag.Int("max-concurrency", 0, "max simulate requests executing at once; 0 = 2x workers")
 		maxQueue     = flag.Int("queue", 64, "max simulate requests waiting for a slot before shedding with 429")
 		maxBody      = flag.Int64("max-body", 8<<20, "max request body bytes")
-		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request deadline (overridable per request via timeout_ms)")
+		timeout      = flag.Duration("timeout", 30*time.Second, "default per-request deadline, counted from arrival (overridable per request via timeout_ms); also bounds the wait for an admission slot")
 		debug        = flag.Bool("debug", false, "also serve /debug/vars and /debug/pprof")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 		logLevel     = flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, error")

@@ -339,7 +339,7 @@ func TestBatchGroupSurvivesReload(t *testing.T) {
 	in := synthTrace(45, sim.Second)
 	var res []chan batchResult
 	for i, m := range []*iboxml.Model{m1, m2} {
-		res = append(res, b.enqueue(context.Background(), "m.json", m, in, int64(i), nil))
+		res = append(res, b.enqueue(context.Background(), "m.json", m, in, int64(i), false).res)
 	}
 	open()
 	for i, ch := range res {
@@ -446,7 +446,7 @@ func TestBatchIdleDispatch(t *testing.T) {
 	in := synthTrace(71, sim.Second)
 	var r batchResult
 	select {
-	case r = <-b.enqueue(context.Background(), "a.json", m, in, 3, nil):
+	case r = <-b.enqueue(context.Background(), "a.json", m, in, 3, false).res:
 	case <-time.After(10 * time.Second):
 		t.Fatal("a lone request on an idle pool never ran")
 	}
@@ -492,7 +492,7 @@ func TestBatchQueuedCoalescing(t *testing.T) {
 			in := synthTrace(72, sim.Second)
 			res := make([]chan batchResult, len(tc.reqs))
 			for i, r := range tc.reqs {
-				res[i] = b.enqueue(context.Background(), r.id, r.m, in, int64(i), nil)
+				res[i] = b.enqueue(context.Background(), r.id, r.m, in, int64(i), false).res
 			}
 			open()
 			for i, r := range tc.reqs {
@@ -698,4 +698,27 @@ func FuzzShapeGroup(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestBatchClosedLaneNeverStarts: a lane whose request is gone by the
+// time a worker picks its batch up — a unary replay that timed out or
+// lost its client while every worker was busy — is dropped before its
+// first window: it comes back abandoned, and no batch runs for it.
+func TestBatchClosedLaneNeverStarts(t *testing.T) {
+	reg := obs.Enable()
+	t.Cleanup(obs.Disable)
+	pool := par.NewPool(1)
+	t.Cleanup(pool.Close)
+	b := newBatcher(pool, 0, 0)
+	open := gatePool(t, pool, 1)
+	l := b.enqueue(context.Background(), "a.json", trainedMLShape(t, 8, 1, 5), synthTrace(75, sim.Second), 1, false)
+	l.close()
+	open()
+	r := <-l.res
+	if r.err != errLaneClosed || r.out != nil {
+		t.Fatalf("closed lane: out %v, err %v; want abandoned (%v)", r.out != nil, r.err, errLaneClosed)
+	}
+	if n := reg.Counter("serve.batches").Value(); n != 0 {
+		t.Fatalf("%d batches ran for a lane closed before pickup, want 0", n)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ibox/internal/iboxml"
 	"ibox/internal/obs"
@@ -76,9 +77,8 @@ type batchJob struct {
 	id      string // artifact ID (lane ordering)
 	input   *trace.Trace
 	seed    int64
-	sampled bool        // a trace-sampled request is in this job
-	sink    *streamSink // non-nil for streaming replay requests
-	res     chan batchResult
+	sampled bool // a trace-sampled request is in this job
+	lane    *lane
 }
 
 type batchResult struct {
@@ -87,9 +87,58 @@ type batchResult struct {
 	err  error
 }
 
-// errStreamClosed reports a lane abandoned because its stream consumer
-// went away (client disconnect or cancel) mid-unroll.
-var errStreamClosed = errors.New("serve: stream consumer gone")
+// errLaneClosed reports a lane abandoned because its request went away
+// (client disconnect or deadline) before or during its unroll.
+var errLaneClosed = errors.New("serve: replay request gone")
+
+// lane is a request's handle on its job in the batcher, the same for a
+// unary and a streamed replay. The lane's Emit (push) runs at every chunk
+// boundary of the unroll; once the handler closes the lane, push fails
+// and the lane abandons the rest of its unroll there, and a lane closed
+// before a worker picks its batch up never starts. A streamed lane also
+// queues a copy of each chunk for its handler and nudges a 1-buffered
+// notify channel, so the lockstep batch never blocks on a client; a
+// unary lane queues nothing (its reply is built from the output trace)
+// and has no notify channel.
+type lane struct {
+	closed atomic.Bool
+	notify chan struct{}    // nil for a unary lane
+	res    chan batchResult // 1-buffered: the job's one result
+
+	mu     sync.Mutex
+	chunks []streamChunk
+}
+
+// push is the lane's Emit callback; it copies mu/sigma (the unroll owns
+// the backing arrays and keeps writing past them).
+func (l *lane) push(t0 int, mu, sigma []float64) bool {
+	if l.closed.Load() {
+		return false
+	}
+	if l.notify != nil {
+		c := streamChunk{t0: t0, mu: append([]float64(nil), mu...), sigma: append([]float64(nil), sigma...)}
+		l.mu.Lock()
+		l.chunks = append(l.chunks, c)
+		l.mu.Unlock()
+		select {
+		case l.notify <- struct{}{}:
+		default:
+		}
+	}
+	return true
+}
+
+// drain takes all queued chunks.
+func (l *lane) drain() []streamChunk {
+	l.mu.Lock()
+	cs := l.chunks
+	l.chunks = nil
+	l.mu.Unlock()
+	return cs
+}
+
+// close marks the request gone: the lane's next push fails.
+func (l *lane) close() { l.closed.Store(true) }
 
 // splitFloor is the least unroll work, in parameter-steps (unrollWork),
 // that a sub-batch must carry to be handed to another pool worker; below
@@ -130,15 +179,15 @@ func newBatcher(pool *par.Pool, max, chunk int) *batcher {
 }
 
 // enqueue adds one replay to its shape's open group, opening one (and
-// submitting its pool job) if none is open, and returns the job's result
-// channel. sink, when non-nil, streams the lane's window predictions
-// incrementally as the batch runs.
-func (b *batcher) enqueue(ctx context.Context, id string, m *iboxml.Model, input *trace.Trace, seed int64, sink *streamSink) chan batchResult {
-	j := batchJob{
-		model: m, id: id, input: input, seed: seed,
-		sampled: metaFrom(ctx).sampled(), sink: sink,
-		res: make(chan batchResult, 1),
+// submitting its pool job) if none is open, and returns the job's lane.
+// stream makes the lane queue its window chunks for the handler as the
+// batch runs. The caller closes the lane once it stops waiting.
+func (b *batcher) enqueue(ctx context.Context, id string, m *iboxml.Model, input *trace.Trace, seed int64, stream bool) *lane {
+	l := &lane{res: make(chan batchResult, 1)}
+	if stream {
+		l.notify = make(chan struct{}, 1)
 	}
+	j := batchJob{model: m, id: id, input: input, seed: seed, sampled: metaFrom(ctx).sampled(), lane: l}
 	key := m.Shape()
 	b.mu.Lock()
 	g := b.pending[key]
@@ -152,20 +201,7 @@ func (b *batcher) enqueue(ctx context.Context, id string, m *iboxml.Model, input
 		delete(b.pending, key) // full: the next arrival opens a new group
 	}
 	b.mu.Unlock()
-	return j.res
-}
-
-// submit enqueues one replay and waits for its result. If ctx expires
-// first, submit returns early but the simulation still runs with its
-// batch — results for abandoned requests are discarded.
-func (b *batcher) submit(ctx context.Context, id string, m *iboxml.Model, input *trace.Trace, seed int64) (*trace.Trace, int, error) {
-	res := b.enqueue(ctx, id, m, input, seed, nil)
-	select {
-	case r := <-res:
-		return r.out, r.size, r.err
-	case <-ctx.Done():
-		return nil, 0, ctx.Err()
-	}
+	return l
 }
 
 // dispatch submits g's one pool job. The worker that picks it up takes g
@@ -179,7 +215,7 @@ func (b *batcher) dispatch(key iboxml.Shape, g *group) {
 	if err != nil {
 		// The job never ran, so nothing was handed off either.
 		for _, j := range b.take(key, g) {
-			j.res <- batchResult{err: err}
+			j.lane.res <- batchResult{err: err}
 		}
 	}
 }
@@ -195,12 +231,25 @@ func (b *batcher) take(key iboxml.Shape, g *group) []batchJob {
 }
 
 // run simulates one closed group on the pool worker that took it and
-// delivers per-job results. It hands what idle workers can take to them
-// (split) and steps the rest itself as one lockstep lane batch. Streaming
-// jobs get chunks pushed through their sinks as their sub-batch's unroll
-// crosses chunk boundaries; a job whose stream consumer has gone away
-// abandons only its own lane.
+// delivers per-job results. Jobs whose request is already gone are
+// dropped before their first window and count in no batch. It hands what
+// idle workers can take to them (split) and steps the rest itself as one
+// lockstep lane batch, pushing each lane's chunks as its sub-batch's
+// unroll crosses chunk boundaries; a lane whose request goes away
+// abandons only itself.
 func (b *batcher) run(key iboxml.Shape, jobs []batchJob) {
+	live := jobs[:0]
+	for _, j := range jobs {
+		if j.lane.closed.Load() {
+			j.lane.res <- batchResult{err: errLaneClosed}
+		} else {
+			live = append(live, j)
+		}
+	}
+	jobs = live
+	if len(jobs) == 0 {
+		return
+	}
 	// Same-checkpoint lanes step adjacently so each checkpoint's packed
 	// weight stream stays cache-resident across its lanes.
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
@@ -280,18 +329,15 @@ func (b *batcher) split(jobs []batchJob) []batchJob {
 func (b *batcher) simulate(jobs []batchJob, size int) {
 	lanes := make([]iboxml.ReplayLane, len(jobs))
 	for i, j := range jobs {
-		lanes[i] = iboxml.ReplayLane{Model: j.model, Input: j.input, Seed: j.seed}
-		if sk := j.sink; sk != nil {
-			lanes[i].Emit = sk.push
-		}
+		lanes[i] = iboxml.ReplayLane{Model: j.model, Input: j.input, Seed: j.seed, Emit: j.lane.push}
 	}
 	outs := iboxml.SimulateTraceLanes(lanes, b.chunk)
 	for i, j := range jobs {
-		if outs[i] == nil && j.sink != nil {
-			j.res <- batchResult{size: size, err: errStreamClosed}
-			continue
+		r := batchResult{out: outs[i], size: size}
+		if outs[i] == nil { // abandoned by its Emit
+			r.err = errLaneClosed
 		}
-		j.res <- batchResult{out: outs[i], size: size}
+		j.lane.res <- r
 	}
 }
 

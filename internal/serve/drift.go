@@ -91,9 +91,9 @@ func traceObserved(tr *trace.Trace) bool {
 }
 
 // maybeScoreDrift re-scores every driftEvery-th eligible replay of an
-// iBoxML model into its drift sketch and refreshes the verdict. Called
-// from simulateML after a successful simulation, still inside the
-// request's admission slot.
+// iBoxML model into its drift sketch and refreshes the verdict. The trace
+// routes call it after a successful replay, still inside the request's
+// admission slot.
 func (s *Server) maybeScoreDrift(ctx context.Context, model *Model, in *trace.Trace) {
 	d := s.driftFor(model)
 	if d == nil || !traceObserved(in) {

@@ -22,6 +22,7 @@ import (
 	"ibox/internal/iboxml"
 	"ibox/internal/iboxnet"
 	"ibox/internal/obs"
+	"ibox/internal/session"
 	"ibox/internal/sim"
 	"ibox/internal/trace"
 )
@@ -289,7 +290,7 @@ func TestAdmissionControl(t *testing.T) {
 
 	block := make(chan struct{})
 	entered := make(chan struct{}, 8)
-	handler := s.admit(func(w http.ResponseWriter, r *http.Request) {
+	handler := s.admit(func(w http.ResponseWriter, r *http.Request, _ time.Time) {
 		entered <- struct{}{}
 		<-block
 		w.WriteHeader(http.StatusOK)
@@ -821,6 +822,146 @@ func TestSniffKind(t *testing.T) {
 		got, err := sniffKind([]byte(tc.prefix), "m.json")
 		if got != tc.want || (err == nil) != (tc.want != "") {
 			t.Errorf("sniffKind(%q) = %q, %v; want %q", tc.prefix, got, err, tc.want)
+		}
+	}
+}
+
+// TestAdmissionDeadline: a request's deadline runs from its arrival at
+// the front door. Queued behind a held slot, a request is released with
+// 503 once the server's DefaultTimeout passes, and one admitted after
+// its own timeout_ms has passed gets 504 without running. A streamed
+// replay on a gated pool holds the only slot.
+func TestAdmissionDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		timeout   time.Duration // Config.DefaultTimeout
+		timeoutMs int           // the queued request's own timeout_ms
+		wait      time.Duration // how long the slot stays held
+		code      int
+		reason    string // serve.shed_reason the queued request counts under
+	}{
+		{"queue deadline", 50 * time.Millisecond, 0, 5 * time.Second, http.StatusServiceUnavailable, "queue_deadline"},
+		{"deadline counts from arrival", 30 * time.Second, 100, 200 * time.Millisecond, http.StatusGatewayTimeout, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.Enable()
+			t.Cleanup(obs.Disable)
+			s, dir := newTestServer(t, func(c *Config) {
+				c.Workers = 1
+				c.MaxConcurrent = 1
+				c.DefaultTimeout = tc.timeout
+				c.DriftEvery = -1
+			})
+			writeMLModel(t, dir, "m.json")
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close) // after the gate opens, so a failed test does not hang
+
+			open := gatePool(t, s.pool, 1)
+			hold := postReplay(t, context.Background(), ts.URL, ReplayRequest{
+				Model: "m.json", Input: synthTrace(61, sim.Second), TimeoutMs: 60_000,
+			}, true)
+			defer hold.Body.Close()
+			type result struct {
+				code int
+				body []byte
+			}
+			done := make(chan result, 1)
+			go func() {
+				code, _, body := postSimulate(t, ts.URL, SimulateRequest{
+					Model: "m.json", Input: synthTrace(62, sim.Second), Seed: 1, TimeoutMs: tc.timeoutMs,
+				})
+				done <- result{code, body}
+			}()
+			var got result
+			select {
+			case got = <-done:
+			case <-time.After(tc.wait):
+				open() // frees the slot
+				got = <-done
+			}
+			if got.code != tc.code {
+				t.Fatalf("queued request: status %d (%.200s), want %d", got.code, got.body, tc.code)
+			}
+			if tc.reason != "" {
+				if n := reg.Snapshot().Counters[`serve.shed_reason{reason="`+tc.reason+`"}`]; n != 1 {
+					t.Fatalf("serve.shed_reason{reason=%q} = %d, want 1", tc.reason, n)
+				}
+			}
+			open()
+			io.Copy(io.Discard, hold.Body)
+		})
+	}
+}
+
+// TestModelLookupStatus: every route that names a model maps a registry
+// failure to one status — missing artifact 404, malformed id 400,
+// corrupt artifact 422, each with a JSON error body — and the two trace
+// routes check a request in one order (load, kind, input, quarantine),
+// so a quarantined model given no input is a 400 on both.
+func TestModelLookupStatus(t *testing.T) {
+	s, dir := newTestServer(t, func(c *Config) { c.Quarantine = true })
+	writeNetModel(t, dir, "net.json")
+	writeMLModel(t, dir, "ml.json")
+	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte(`{"net": {}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, created := createSession(t, ts.URL, "", SessionRequest{Model: "net.json", Protocol: "cubic", Seed: 1, Speed: 50, DurationS: 600})
+	if code != http.StatusCreated {
+		t.Fatalf("create session: %d", code)
+	}
+
+	in := synthTrace(63, sim.Second)
+	routes := []struct {
+		path string
+		body func(id string) any
+	}{
+		{"/v1/simulate", func(id string) any { return SimulateRequest{Model: id, Protocol: "cubic"} }},
+		{"/v1/replay", func(id string) any { return ReplayRequest{Model: id, Input: in} }},
+		{"/v1/sessions", func(id string) any { return SessionRequest{Model: id, Protocol: "cubic"} }},
+		{"/v1/sessions/" + created.Session.ID + "/path", func(id string) any {
+			return PathRequest{Mutation: session.Mutation{Checkpoint: id}}
+		}},
+	}
+	for _, rt := range routes {
+		for _, tc := range []struct {
+			id   string
+			code int
+		}{
+			{"nope.json", http.StatusNotFound},
+			{"../x.json", http.StatusBadRequest},
+			{"bad.json", http.StatusUnprocessableEntity},
+		} {
+			code, body := postJSON(t, ts.URL+rt.path, rt.body(tc.id))
+			if code != tc.code {
+				t.Fatalf("%s %s: status %d (%s), want %d", rt.path, tc.id, code, body, tc.code)
+			}
+			var e errorResponse
+			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+				t.Fatalf("%s %s: not a JSON error body: %s", rt.path, tc.id, body)
+			}
+		}
+	}
+
+	model, err := s.registry.Get("ml.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.driftFor(model).verdict.Store(int32(obs.DriftFailing))
+	for _, tc := range []struct {
+		name  string
+		input *trace.Trace
+		code  int
+	}{
+		{"no input", nil, http.StatusBadRequest},
+		{"input", in, http.StatusServiceUnavailable},
+	} {
+		simCode, simBody := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{Model: "ml.json", Input: tc.input})
+		repCode, repBody := postJSON(t, ts.URL+"/v1/replay", ReplayRequest{Model: "ml.json", Input: tc.input})
+		if simCode != tc.code || repCode != tc.code {
+			t.Fatalf("quarantined model, %s: /v1/simulate %d (%s), /v1/replay %d (%s); want %d from both",
+				tc.name, simCode, simBody, repCode, repBody, tc.code)
 		}
 	}
 }

@@ -52,7 +52,8 @@ type Config struct {
 	// MaxBodyBytes bounds a request body; default 8 MiB.
 	MaxBodyBytes int64
 	// DefaultTimeout is the per-request deadline when the request doesn't
-	// set timeout_ms; default 30s.
+	// set timeout_ms, counted from arrival, and the longest a request
+	// waits for an admission slot; default 30s.
 	DefaultTimeout time.Duration
 	// Debug mounts /debug/vars and /debug/pprof on the server mux.
 	Debug bool
@@ -336,13 +337,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// admit wraps a handler with the front-door admission control: requests
-// beyond MaxConcurrent wait for a slot, requests beyond MaxQueue waiting
-// are shed immediately with 429 + Retry-After, and a request whose
-// deadline expires while queued is released with 503 without ever
-// running. Draining servers refuse new work outright.
-func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
+// admit wraps a trace route with the front-door admission control:
+// requests beyond MaxConcurrent wait for a slot, requests beyond MaxQueue
+// waiting are shed immediately with 429 + Retry-After, and a request
+// still queued when its client leaves or the server's DefaultTimeout
+// since its arrival passes is released with 503 without ever running.
+// (A body's timeout_ms cannot bound the wait: the body is read only once
+// admitted.) Draining servers refuse new work outright. The handler gets
+// the arrival time, from which its own deadline counts (deadline).
+func (s *Server) admit(h func(http.ResponseWriter, *http.Request, time.Time)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		arrived := time.Now()
 		m := metaFrom(r.Context())
 		if s.draining.Load() {
 			m.setShed("draining")
@@ -360,37 +365,97 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		s.queueGauge.Set(float64(s.waiting.Load()))
-		var qt0 time.Time
-		if m.isTimed() {
-			qt0 = time.Now()
-		}
+		qctx, cancel := context.WithDeadline(r.Context(), arrived.Add(s.cfg.DefaultTimeout))
 		qsp := m.childSpan("queue")
+		admitted := false
 		select {
 		case s.sem <- struct{}{}:
-			qsp.End()
-			if m.isTimed() {
-				wait := time.Since(qt0)
-				m.setQueueWait(wait)
-				s.queueWait.Observe(int64(wait))
-			}
-			s.waiting.Add(-1)
-			s.queueGauge.Set(float64(s.waiting.Load()))
-			s.inflightGauge.Add(1)
-			defer func() {
-				s.inflightGauge.Add(-1)
-				<-s.sem
-			}()
-			h(w, r)
-		case <-r.Context().Done():
-			qsp.End()
-			s.waiting.Add(-1)
-			s.queueGauge.Set(float64(s.waiting.Load()))
+			admitted = true
+		case <-qctx.Done():
+		}
+		cancel()
+		qsp.End()
+		s.waiting.Add(-1)
+		s.queueGauge.Set(float64(s.waiting.Load()))
+		if !admitted {
 			s.shed.Add(1)
 			m.setShed("queue_deadline")
 			s.shedByReason.With("queue_deadline").Add(1)
 			s.writeError(w, http.StatusServiceUnavailable, fmt.Errorf("serve: deadline expired while queued"))
+			return
 		}
+		if m.isTimed() {
+			wait := time.Since(arrived)
+			m.setQueueWait(wait)
+			s.queueWait.Observe(int64(wait))
+		}
+		s.inflightGauge.Add(1)
+		defer func() {
+			s.inflightGauge.Add(-1)
+			<-s.sem
+		}()
+		if s.simulateHist != nil {
+			defer s.simulateHist.ObserveSince(time.Now())
+		}
+		s.requests.Add(1)
+		h(w, r, arrived)
 	}
+}
+
+// deadline bounds a trace request by its deadline — timeout_ms, else
+// DefaultTimeout — counted from its arrival at admit, so the time it
+// queued for a slot counts against it.
+func (s *Server) deadline(r *http.Request, arrived time.Time, timeoutMs int) (context.Context, context.CancelFunc) {
+	timeout := s.cfg.DefaultTimeout
+	if timeoutMs > 0 {
+		timeout = time.Duration(timeoutMs) * time.Millisecond
+	}
+	return context.WithDeadline(r.Context(), arrived.Add(timeout))
+}
+
+// lookup is the model prologue of every route that names a model: the
+// trace routes and the session create and checkpoint-swap routes. It
+// loads id through the registry, mapping a failure to 404 (no such
+// artifact), 400 (malformed id) or 422 (unloadable artifact); labels the
+// request with the loaded model; runs check, the route's own validation
+// of the request against the model, whose error is a 400; and refuses a
+// quarantined model with 503. On failure it has written the error
+// response and returns false.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, id string, check func(*Model) error) (*Model, bool) {
+	m := metaFrom(r.Context())
+	lsp := m.childSpan("load")
+	model, err := s.registry.Get(id)
+	lsp.End()
+	if err != nil {
+		code := http.StatusUnprocessableEntity // corrupt / unloadable model
+		switch {
+		case os.IsNotExist(err):
+			code = http.StatusNotFound
+		case errors.Is(err, ErrInvalidModelID):
+			code = http.StatusBadRequest
+		}
+		s.writeError(w, code, err)
+		return nil, false
+	}
+	// The model label is set only from a successfully-loaded artifact, so
+	// a hostile stream of bogus ids cannot mint label values (the series
+	// cap in obs is the backstop for large-but-legitimate model dirs).
+	m.setModel(model.ID)
+	if err := check(model); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	// Quarantine: a model judged drift-failing stops serving while the
+	// rest keep going. Opt-in — see Config.Quarantine and drift.go.
+	if s.cfg.Quarantine && s.driftVerdict(model.ID) == obs.DriftFailing {
+		s.quarantined.With(model.ID).Add(1)
+		m.setShed("quarantine")
+		s.shedByReason.With("quarantine").Add(1)
+		s.writeError(w, http.StatusServiceUnavailable,
+			fmt.Errorf("serve: model %s quarantined: drift verdict failing", model.ID))
+		return nil, false
+	}
+	return model, true
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, err error) {
@@ -430,75 +495,38 @@ func parseVariant(s string) (iboxnet.Variant, error) {
 	return 0, fmt.Errorf("serve: unknown variant %q", s)
 }
 
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if s.simulateHist != nil {
-		defer s.simulateHist.ObserveSince(time.Now())
-	}
-	s.requests.Add(1)
-
+func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request, arrived time.Time) {
 	req, ok := decodeBody(s, w, r, decodeSimulateRequest)
 	if !ok {
 		return
 	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
+	model, ok := s.lookup(w, r, req.Model, func(m *Model) error { return checkSimulate(m, &req) })
+	if !ok {
+		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.deadline(r, arrived, req.TimeoutMs)
 	defer cancel()
 
-	m := metaFrom(r.Context())
-	lsp := m.childSpan("load")
-	model, err := s.registry.Get(req.Model)
-	lsp.End()
-	if err != nil {
-		code := http.StatusUnprocessableEntity // corrupt / unloadable model
-		switch {
-		case os.IsNotExist(err):
-			code = http.StatusNotFound
-		case errors.Is(err, ErrInvalidModelID):
-			code = http.StatusBadRequest
-		}
-		s.writeError(w, code, err)
-		return
-	}
-
-	// The model label is set only from a successfully-loaded artifact, so
-	// a hostile stream of bogus ids cannot mint label values (the series
-	// cap in obs is the backstop for large-but-legitimate model dirs).
-	m.setModel(model.ID)
-
-	// Quarantine: a model judged drift-failing stops serving while the
-	// rest keep going. Opt-in — see Config.Quarantine and drift.go.
-	if s.cfg.Quarantine && s.driftVerdict(model.ID) == obs.DriftFailing {
-		s.quarantined.With(model.ID).Add(1)
-		m.setShed("quarantine")
-		s.shedByReason.With("quarantine").Add(1)
-		s.writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("serve: model %s quarantined: drift verdict failing", model.ID))
-		return
-	}
-
-	var out *trace.Trace
-	batchSize := 0
-	ssp := m.childSpan("simulate")
-	switch model.Kind {
-	case KindIBoxNet:
-		out, err = s.simulateNet(ctx, model, &req)
-	case KindIBoxML:
-		out, batchSize, err = s.simulateML(ctx, model, &req)
+	var res batchResult
+	ssp := metaFrom(ctx).childSpan("simulate")
+	switch {
+	case model.Kind == KindIBoxNet:
+		res.out, res.err = s.simulateNet(ctx, model, &req)
+	case req.Hierarchical:
+		// The amortized §4.2 predictor prices packets one by one, not in
+		// lockstep windows, so it is one pool job rather than a lane.
+		res.err = s.pool.Do(ctx, func() error {
+			res.out = model.ML.SimulateTraceHierarchical(req.Input, req.Seed)
+			return nil
+		})
 	default:
-		err = fmt.Errorf("serve: model %s has unknown kind %q", model.ID, model.Kind)
+		res = s.replay(ctx, model, req.Input, req.Seed, nil)
 	}
 	ssp.End()
-	m.setBatch(batchSize)
-	if err != nil {
+	if err := res.err; err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 			s.writeError(w, http.StatusGatewayTimeout, fmt.Errorf("serve: request deadline exceeded"))
-		case errors.Is(err, errBadRequest):
-			s.writeError(w, http.StatusBadRequest, err)
 		case errors.Is(err, par.ErrPoolClosed):
 			s.writeError(w, http.StatusServiceUnavailable, err)
 		default:
@@ -506,10 +534,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	if model.Kind == KindIBoxML {
+		// The replay input carries the observed delays the model should
+		// reproduce — score a sampled fraction into the drift sketch.
+		s.maybeScoreDrift(ctx, model, req.Input)
+	}
 
 	w.Header().Set("Content-Type", "application/json")
-	if batchSize > 0 {
-		w.Header().Set(batchSizeHeader, strconv.Itoa(batchSize))
+	if res.size > 0 {
+		w.Header().Set(batchSizeHeader, strconv.Itoa(res.size))
 	}
 	// Nothing in a response can fail to encode, and a failed write means
 	// the client is gone: there is nothing left to report.
@@ -517,78 +550,98 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	appendSimulateResponse(e, &SimulateResponse{
 		Model:   model.ID,
 		Kind:    model.Kind,
-		Metrics: core.MetricsOf(out),
-		Trace:   out,
+		Metrics: core.MetricsOf(res.out),
+		Trace:   res.out,
 	})
 	e.Raw("\n") // as json.Encoder ends every value
 	e.Flush()
 }
 
-// errBadRequest marks request-validation failures for the 400 mapping.
+// errBadRequest marks request-validation failures.
 var errBadRequest = errors.New("serve: bad request")
 
-// simulateNet runs a congestion-control protocol over an iBoxNet model —
-// exactly core.Model.Run, on the shared pool.
-func (s *Server) simulateNet(ctx context.Context, model *Model, req *SimulateRequest) (*trace.Trace, error) {
+// badRequest marks err, if any, as a request-validation failure.
+func badRequest(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", errBadRequest, err)
+}
+
+// checkSimulate validates a /v1/simulate request against its model's
+// kind: an iBoxNet model runs a known protocol (and variant), an iBoxML
+// model replays an input trace.
+func checkSimulate(model *Model, req *SimulateRequest) error {
+	if model.Kind == KindIBoxML {
+		if req.Protocol != "" {
+			return fmt.Errorf("%w: iboxml model %s takes \"input\", not \"protocol\"", errBadRequest, model.ID)
+		}
+		return checkInput(model, req.Input)
+	}
 	if req.Protocol == "" {
-		return nil, fmt.Errorf("%w: iboxnet model %s requires \"protocol\"", errBadRequest, model.ID)
+		return fmt.Errorf("%w: iboxnet model %s requires \"protocol\"", errBadRequest, model.ID)
 	}
 	if req.Input != nil {
-		return nil, fmt.Errorf("%w: iboxnet model %s takes \"protocol\", not \"input\"", errBadRequest, model.ID)
+		return fmt.Errorf("%w: iboxnet model %s takes \"protocol\", not \"input\"", errBadRequest, model.ID)
 	}
-	// Reject unknown protocols before burning a pool slot.
 	if _, err := cc.NewSender(req.Protocol, 1500); err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
+		return badRequest(err)
 	}
-	variant, err := parseVariant(req.Variant)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errBadRequest, err)
+	_, err := parseVariant(req.Variant)
+	return badRequest(err)
+}
+
+// checkInput validates the input trace of an iBoxML replay.
+func checkInput(model *Model, in *trace.Trace) error {
+	if in == nil || len(in.Packets) == 0 {
+		return fmt.Errorf("%w: iboxml model %s requires a non-empty \"input\" trace", errBadRequest, model.ID)
 	}
+	return badRequest(in.Validate())
+}
+
+// simulateNet runs a congestion-control protocol over an iBoxNet model —
+// exactly core.Model.Run, on the shared pool. checkSimulate has vetted
+// the request.
+func (s *Server) simulateNet(ctx context.Context, model *Model, req *SimulateRequest) (*trace.Trace, error) {
+	variant, _ := parseVariant(req.Variant)
 	dur := 10 * sim.Second
 	if req.DurationS > 0 {
 		dur = sim.Time(req.DurationS * float64(sim.Second))
 	}
 	cm := &core.Model{Params: model.Net, Variant: variant, TrainTrace: model.ID}
 	var out *trace.Trace
-	err = s.pool.Do(ctx, func() error {
+	err := s.pool.Do(ctx, func() error {
 		var rerr error
 		out, rerr = cm.Run(req.Protocol, dur, req.Seed)
 		return rerr
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
-// simulateML replays a send-side input trace through an iBoxML model —
-// exactly iboxml.SimulateTrace (or SimulateTraceHierarchical), the former
-// micro-batched with same-shape concurrent requests.
-func (s *Server) simulateML(ctx context.Context, model *Model, req *SimulateRequest) (*trace.Trace, int, error) {
-	if req.Input == nil || len(req.Input.Packets) == 0 {
-		return nil, 0, fmt.Errorf("%w: iboxml model %s requires a non-empty \"input\" trace", errBadRequest, model.ID)
+// replay runs one iBoxML replay as a lane of the micro-batcher and waits
+// for it: the one path of every lockstep replay, unary or streamed. emit,
+// non-nil for a streamed replay, gets the lane's window chunks as they
+// are computed and reports false once its client is gone. Whatever ends
+// the wait — the result, a failed emit, or ctx — closes the lane, so a
+// replay whose request is gone stops at its next chunk boundary or, if
+// its batch has not started yet, never starts.
+func (s *Server) replay(ctx context.Context, model *Model, in *trace.Trace, seed int64, emit func([]streamChunk) bool) batchResult {
+	l := s.batch.enqueue(ctx, model.ID, model.ML, in, seed, emit != nil)
+	defer l.close()
+	for {
+		select {
+		case <-l.notify: // never ready for a unary lane
+			if !emit(l.drain()) {
+				return batchResult{err: errLaneClosed}
+			}
+		case r := <-l.res:
+			if emit != nil && !emit(l.drain()) {
+				return batchResult{err: errLaneClosed}
+			}
+			metaFrom(ctx).setBatch(r.size)
+			return r
+		case <-ctx.Done():
+			return batchResult{err: ctx.Err()}
+		}
 	}
-	if req.Protocol != "" {
-		return nil, 0, fmt.Errorf("%w: iboxml model %s takes \"input\", not \"protocol\"", errBadRequest, model.ID)
-	}
-	if err := req.Input.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("%w: %v", errBadRequest, err)
-	}
-	var out *trace.Trace
-	var batchSize int
-	var err error
-	if req.Hierarchical {
-		err = s.pool.Do(ctx, func() error {
-			out = model.ML.SimulateTraceHierarchical(req.Input, req.Seed)
-			return nil
-		})
-	} else {
-		out, batchSize, err = s.batch.submit(ctx, model.ID, model.ML, req.Input, req.Seed)
-	}
-	if err == nil {
-		// The replay input carries the observed delays the model should
-		// reproduce — score a sampled fraction into the drift sketch.
-		s.maybeScoreDrift(ctx, model, req.Input)
-	}
-	return out, batchSize, err
 }

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 
 	"ibox/internal/cc"
+	"ibox/internal/iboxnet"
 	"ibox/internal/obs"
 	"ibox/internal/session"
 	"ibox/internal/sim"
@@ -60,7 +60,8 @@ type SessionRequest struct {
 	// PacketEvery emits a packet event per Nth ack (default 1; negative
 	// disables per-packet telemetry, leaving summaries).
 	PacketEvery int `json:"packet_every,omitempty"`
-	// SummaryEveryMs is the rollup cadence in virtual ms; default 200.
+	// SummaryEveryMs is the rollup cadence in virtual ms; default 200, at
+	// least 1.
 	SummaryEveryMs float64 `json:"summary_every_ms,omitempty"`
 }
 
@@ -121,21 +122,12 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return
 	}
-	model, err := s.registry.Get(req.Model)
-	if err != nil {
-		code := http.StatusUnprocessableEntity
-		switch {
-		case os.IsNotExist(err):
-			code = http.StatusNotFound
-		case errors.Is(err, ErrInvalidModelID):
-			code = http.StatusBadRequest
-		}
-		s.writeError(w, code, err)
-		return
-	}
-	variant, err := parseVariant(req.Variant)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", errBadRequest, err))
+	var variant iboxnet.Variant
+	model, ok := s.lookup(w, r, req.Model, func(*Model) (err error) {
+		variant, err = parseVariant(req.Variant)
+		return badRequest(err)
+	})
+	if !ok {
 		return
 	}
 	cfg := session.Config{
@@ -253,21 +245,12 @@ func (s *Server) handleSessionPath(w http.ResponseWriter, r *http.Request) {
 	if mu.Checkpoint != "" {
 		// Resolve the swap target through the registry so a bogus id is a
 		// clean 404 and the session only ever sees loadable artifacts.
-		model, err := s.registry.Get(mu.Checkpoint)
-		if err != nil {
-			code := http.StatusUnprocessableEntity
-			switch {
-			case os.IsNotExist(err):
-				code = http.StatusNotFound
-			case errors.Is(err, ErrInvalidModelID):
-				code = http.StatusBadRequest
-			}
-			s.writeError(w, code, err)
-			return
-		}
-		variant, err := parseVariant(req.Variant)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", errBadRequest, err))
+		var variant iboxnet.Variant
+		model, ok := s.lookup(w, r, mu.Checkpoint, func(*Model) (err error) {
+			variant, err = parseVariant(req.Variant)
+			return badRequest(err)
+		})
+		if !ok {
 			return
 		}
 		mu.Swap = &session.ModelSwap{

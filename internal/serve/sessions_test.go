@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -654,4 +656,131 @@ func TestProtocolsEndpoint(t *testing.T) {
 	if pr.ModelsLoaded != 1 || pr.Kinds["iboxnet"] != 1 {
 		t.Fatalf("loaded/kinds = %d/%v", pr.ModelsLoaded, pr.Kinds)
 	}
+}
+
+// serveFuzz sends one request straight through h and checks the
+// invariants every session route keeps whatever the body: no 5xx but
+// 503, and a JSON error body on every non-2xx.
+func serveFuzz(t *testing.T, h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	if rec.Code >= 500 && rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("%s %s %q: status %d (%s)", method, path, body, rec.Code, rec.Body)
+	}
+	if rec.Code >= 300 {
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("%s %s %q: status %d without a JSON error body: %s", method, path, body, rec.Code, rec.Body)
+		}
+	}
+	return rec
+}
+
+// closeFuzzSession closes a session the fuzzer created, if it is still
+// live, and checks the server holds no session afterwards.
+func closeFuzzSession(t *testing.T, s *Server, id string) {
+	t.Helper()
+	rec := serveFuzz(t, s.Handler(), "DELETE", "/v1/sessions/"+id, nil)
+	if rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
+		t.Fatalf("close %s: status %d (%s)", id, rec.Code, rec.Body)
+	}
+	waitFor(t, "every session to close", func() bool { return s.sessions.Active() == 0 })
+}
+
+// newFuzzSessionServer builds the server both session fuzzers share: an
+// iBoxNet and an iBoxML checkpoint, and a corrupt artifact.
+func newFuzzSessionServer(f *testing.F) *Server {
+	s, dir := newTestServer(f, nil)
+	writeNetModel(f, dir, "path-a.json")
+	writeMLModel(f, dir, "lstm.json")
+	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte(`{"net": {}}`), 0o644); err != nil {
+		f.Fatal(err)
+	}
+	return s
+}
+
+// FuzzSessionCreate fuzzes POST /v1/sessions bodies.
+func FuzzSessionCreate(f *testing.F) {
+	for _, seed := range []string{
+		`{"model":"path-a.json","protocol":"cubic","seed":9,"speed":50,"duration_s":600}`,
+		`{"model":"path-a.json","protocol":"reno","seed":4,"speed":50,"duration_s":600,"packet_every":-1}`,
+		`{"model":"lstm.json","protocol":"cubic","seed":11,"speed":100,"duration_s":600}`,
+		`{"model":"path-a.json","protocol":"bbr","seed":2,"speed":1,"variant":"noct","summary_every_ms":50}`,
+		`{"model":"path-a.json","protocol":"cubic","speed":-1,"duration_s":0.001}`,
+		`{"model":"path-a.json","protocol":"cubic","speed":1e308,"duration_s":1e308}`,
+		`{"model":"path-a.json","protocol":"cubic","speed":1e-300,"duration_s":-5}`,
+		`{"model":"path-a.json","protocol":"cubic","summary_every_ms":1e-300}`,
+		`{"model":"path-a.json","protocol":"cubic","speed":-1,"summary_every_ms":0.000001}`,
+		`{"model":"path-a.json","protocol":"cubic","variant":"warp"}`,
+		`{"model":"path-a.json","protocol":"warp"}`,
+		`{"model":"nope.json","protocol":"cubic"}`,
+		`{"model":"bad.json","protocol":"cubic"}`,
+		`{"model":"../x.json","protocol":"cubic"}`,
+		`{"model":null,"protocol":null,"seed":null,"speed":null}`,
+		`{"model":7,"protocol":["cubic"],"speed":"fast"}`,
+		`null`, `[]`, `{`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := newFuzzSessionServer(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serveFuzz(t, s.Handler(), "POST", "/v1/sessions", body)
+		if rec.Code == http.StatusCreated {
+			var sr SessionResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+				t.Fatalf("create response %s: %v", rec.Body, err)
+			}
+			closeFuzzSession(t, s, sr.Session.ID)
+		}
+		if n := s.sessions.Active(); n != 0 {
+			t.Fatalf("%d sessions live after the fuzzed create", n)
+		}
+	})
+}
+
+// FuzzSessionPath fuzzes POST /v1/sessions/{id}/path bodies against a
+// live iBoxNet session.
+func FuzzSessionPath(f *testing.F) {
+	for _, seed := range []string{
+		`{"bandwidth_scale":0.5,"loss_rate":0.2,"loss_burst_s":10}`,
+		`{"checkpoint":"lstm.json"}`,
+		`{"checkpoint":"path-a.json","variant":"statloss"}`,
+		`{"reorder_rate":0.1,"reorder_extra_ms":30,"reorder_burst_s":2}`,
+		`{"reorder_rate":1,"reorder_extra_ms":-5}`,
+		`{"reorder_rate":0.5,"reorder_extra_ms":1e300}`,
+		`{"bandwidth_scale":-1}`,
+		`{"bandwidth_scale":1e-300}`,
+		`{"loss_rate":1}`,
+		`{"loss_rate":0.5,"loss_burst_s":-1e308}`,
+		`{"checkpoint":"nope.json"}`,
+		`{"checkpoint":"bad.json"}`,
+		`{"checkpoint":"../x.json"}`,
+		`{"checkpoint":"lstm.json","variant":"warp"}`,
+		`{"checkpoint":null,"loss_rate":null}`,
+		`{"loss_rate":"high"}`,
+		`{}`, `null`, `[]`, `{`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := newFuzzSessionServer(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serveFuzz(t, s.Handler(), "POST", "/v1/sessions",
+			[]byte(`{"model":"path-a.json","protocol":"cubic","seed":1,"speed":50,"packet_every":-1}`))
+		var sr SessionResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sr); rec.Code != http.StatusCreated || err != nil {
+			t.Fatalf("create: status %d (%s)", rec.Code, rec.Body)
+		}
+		id := sr.Session.ID
+		if serveFuzz(t, s.Handler(), "POST", "/v1/sessions/"+id+"/path", body).Code == http.StatusOK {
+			// Let the mutated path carry traffic for a few ticks.
+			sess, err := s.sessions.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vt := sess.Info().VTSeconds
+			waitFor(t, "the mutated session to advance", func() bool { return sess.Info().VTSeconds >= vt+0.2 })
+		}
+		closeFuzzSession(t, s, id)
+	})
 }

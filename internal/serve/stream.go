@@ -1,17 +1,13 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"ibox/internal/core"
-	"ibox/internal/obs"
 	"ibox/internal/trace"
 	"ibox/internal/wire"
 )
@@ -32,11 +28,11 @@ import (
 // whole batch is one lockstep walk and chunks interleave member by
 // member.
 //
-// Cancellation: when the client disconnects or its deadline expires, the
-// handler returns immediately — releasing its admission slot — and the
-// sink is closed, which makes the lane's next Emit fail and abandons the
-// rest of its unroll without touching any other lane, in its sub-batch
-// or another.
+// Cancellation is that of every iBoxML replay (Server.replay): when the
+// client disconnects or its deadline expires, the handler returns at
+// once — releasing its admission slot — and closes its lane, which
+// abandons the rest of its unroll at the next chunk boundary without
+// touching any other lane, in its sub-batch or another.
 
 // ReplayRequest is the body of POST /v1/replay. Replay is iBoxML-only:
 // input is the send-side trace whose delays the model predicts.
@@ -85,115 +81,22 @@ type streamChunk struct {
 	mu, sigma []float64
 }
 
-// streamSink carries chunks from a batch lane to its HTTP handler
-// without ever blocking the lockstep batch: push copies the chunk into a
-// queue under a mutex and nudges a 1-buffered notify channel. After
-// close (consumer gone), push reports false and the lane abandons the
-// rest of its unroll at the next chunk boundary.
-type streamSink struct {
-	mu     sync.Mutex
-	chunks []streamChunk
-	closed bool
-	notify chan struct{}
-}
-
-func newStreamSink() *streamSink {
-	return &streamSink{notify: make(chan struct{}, 1)}
-}
-
-// push is the lane's Emit callback; it copies mu/sigma (the lane owns
-// the backing arrays and keeps writing past them).
-func (sk *streamSink) push(t0 int, mu, sigma []float64) bool {
-	sk.mu.Lock()
-	if sk.closed {
-		sk.mu.Unlock()
-		return false
-	}
-	sk.chunks = append(sk.chunks, streamChunk{
-		t0: t0,
-		mu: append([]float64(nil), mu...), sigma: append([]float64(nil), sigma...),
-	})
-	sk.mu.Unlock()
-	select {
-	case sk.notify <- struct{}{}:
-	default:
-	}
-	return true
-}
-
-// drain takes all queued chunks.
-func (sk *streamSink) drain() []streamChunk {
-	sk.mu.Lock()
-	cs := sk.chunks
-	sk.chunks = nil
-	sk.mu.Unlock()
-	return cs
-}
-
-// close marks the consumer gone: queued chunks drop, future pushes fail.
-func (sk *streamSink) close() {
-	sk.mu.Lock()
-	sk.closed = true
-	sk.chunks = nil
-	sk.mu.Unlock()
-}
-
-func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
-	if s.simulateHist != nil {
-		defer s.simulateHist.ObserveSince(time.Now())
-	}
-	s.requests.Add(1)
-
+func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request, arrived time.Time) {
 	req, ok := decodeBody(s, w, r, decodeReplayRequest)
 	if !ok {
 		return
 	}
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	m := metaFrom(r.Context())
-	lsp := m.childSpan("load")
-	model, err := s.registry.Get(req.Model)
-	lsp.End()
-	if err != nil {
-		code := http.StatusUnprocessableEntity
-		switch {
-		case os.IsNotExist(err):
-			code = http.StatusNotFound
-		case errors.Is(err, ErrInvalidModelID):
-			code = http.StatusBadRequest
+	model, ok := s.lookup(w, r, req.Model, func(m *Model) error {
+		if m.Kind != KindIBoxML {
+			return fmt.Errorf("%w: streaming replay requires an iboxml model, %s is %q", errBadRequest, m.ID, m.Kind)
 		}
-		s.writeError(w, code, err)
+		return checkInput(m, req.Input)
+	})
+	if !ok {
 		return
 	}
-	m.setModel(model.ID)
-	if model.Kind != KindIBoxML {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: streaming replay requires an iboxml model, %s is %q", errBadRequest, model.ID, model.Kind))
-		return
-	}
-	if req.Input == nil || len(req.Input.Packets) == 0 {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: iboxml model %s requires a non-empty \"input\" trace", errBadRequest, model.ID))
-		return
-	}
-	if err := req.Input.Validate(); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", errBadRequest, err))
-		return
-	}
-	if s.cfg.Quarantine && s.driftVerdict(model.ID) == obs.DriftFailing {
-		s.quarantined.With(model.ID).Add(1)
-		m.setShed("quarantine")
-		s.shedByReason.With("quarantine").Add(1)
-		s.writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("serve: model %s quarantined: drift verdict failing", model.ID))
-		return
-	}
+	ctx, cancel := s.deadline(r, arrived, req.TimeoutMs)
+	defer cancel()
 
 	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 	h := w.Header()
@@ -210,19 +113,10 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sink := newStreamSink()
-	// Closing the sink on every exit path makes the lane abandon its
-	// remaining unroll at the next chunk boundary; nothing resumes after
-	// the handler returns.
-	defer sink.close()
-
-	ssp := m.childSpan("simulate")
-	defer ssp.End()
-	res := s.batch.enqueue(ctx, model.ID, model.ML, req.Input, req.Seed, sink)
-
 	windows := 0
-	writeChunks := func() bool {
-		for _, c := range sink.drain() {
+	ssp := metaFrom(ctx).childSpan("simulate")
+	res := s.replay(ctx, model, req.Input, req.Seed, func(cs []streamChunk) bool {
+		for _, c := range cs {
 			ok := fw.write("windows", func(e *wire.Encoder) {
 				appendReplayWindows(e, &replayWindows{Type: "windows", T0: c.t0, Mu: c.mu, Sigma: c.sigma})
 			})
@@ -232,42 +126,26 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 			windows += len(c.mu)
 		}
 		return true
-	}
-	for {
-		select {
-		case <-sink.notify:
-			if !writeChunks() {
-				return
-			}
-		case r := <-res:
-			if !writeChunks() {
-				return
-			}
-			if r.err != nil {
-				if !errors.Is(r.err, errStreamClosed) {
-					fw.write("error", func(e *wire.Encoder) {
-						appendReplayError(e, &replayError{Type: "error", Error: r.err.Error()})
-					})
-				}
-				return
-			}
-			m.setBatch(r.size)
-			end := replayEnd{
-				Type: "end", Model: model.ID, Kind: model.Kind,
-				Windows: windows, BatchSize: r.size, Metrics: core.MetricsOf(r.out),
-			}
-			if req.IncludeTrace {
-				end.Trace = r.out
-			}
-			fw.write("end", func(e *wire.Encoder) { appendReplayEnd(e, &end) })
-			// The replay input carries observed delays — score a sampled
-			// fraction into the model's drift sketch, as /v1/simulate does.
-			s.maybeScoreDrift(ctx, model, req.Input)
-			return
-		case <-ctx.Done():
-			// Client gone or deadline hit: free the admission slot now;
-			// the deferred sink.close() aborts the lane.
-			return
+	})
+	ssp.End()
+	switch {
+	case res.err == nil:
+		end := replayEnd{
+			Type: "end", Model: model.ID, Kind: model.Kind,
+			Windows: windows, BatchSize: res.size, Metrics: core.MetricsOf(res.out),
 		}
+		if req.IncludeTrace {
+			end.Trace = res.out
+		}
+		fw.write("end", func(e *wire.Encoder) { appendReplayEnd(e, &end) })
+		// The replay input carries observed delays — score a sampled
+		// fraction into the model's drift sketch, as /v1/simulate does.
+		s.maybeScoreDrift(ctx, model, req.Input)
+	case ctx.Err() == nil && !errors.Is(res.err, errLaneClosed):
+		fw.write("error", func(e *wire.Encoder) {
+			appendReplayError(e, &replayError{Type: "error", Error: res.err.Error()})
+		})
 	}
+	// Otherwise the client is gone or the deadline passed: the stream
+	// just ends, with no terminal frame.
 }

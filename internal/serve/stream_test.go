@@ -430,3 +430,42 @@ func TestReplayValidation(t *testing.T) {
 	}
 	resp.Body.Close()
 }
+
+// TestExpiredRequestNeverStarts: a unary replay whose deadline passes
+// while its batch waits for a worker is dropped from the batch before
+// its first window. The streamed replay it queued with runs as a batch
+// of one, with exactly its offline windows.
+func TestExpiredRequestNeverStarts(t *testing.T) {
+	const chunkWin = 4
+	s, dir := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.DriftEvery = -1
+		c.StreamChunk = chunkWin
+	})
+	writeMLModel(t, dir, "m.json")
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close) // after the gate opens, so a failed test does not hang
+
+	open := gatePool(t, s.pool, 1)
+	in := synthTrace(59, 2*sim.Second)
+	resp := postReplay(t, context.Background(), ts.URL, ReplayRequest{Model: "m.json", Input: in, Seed: 8}, true)
+	defer resp.Body.Close()
+	code, _, body := postSimulate(t, ts.URL, SimulateRequest{
+		Model: "m.json", Input: synthTrace(60, 2*sim.Second), Seed: 9, TimeoutMs: 1,
+	})
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("expired unary replay: status %d (%s), want 504", code, body)
+	}
+	spinUntil(t, "both replays to queue", func() bool { return queued(s.batch) == 2 })
+	open()
+	all, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	types, chunks, end := decodeSSEReplay(t, all)
+	wantMu, wantSigma := trainedML(t).PredictWindows(in, nil)
+	checkReplayChunks(t, types, chunks, end, chunkWin, wantMu, wantSigma)
+	if end.BatchSize != 1 {
+		t.Fatalf("stream ran in a batch of %d, want 1: the expired replay started", end.BatchSize)
+	}
+}

@@ -107,7 +107,8 @@ type Config struct {
 	// Tick is the virtual-time step per run-loop iteration (the
 	// granularity at which mutations land); default 50ms.
 	Tick sim.Time
-	// Summary is the rollup-event cadence in virtual time; default 200ms.
+	// Summary is the rollup-event cadence in virtual time; default 200ms,
+	// at least 1ms.
 	Summary sim.Time
 	// Duration bounds the session's virtual lifetime; default 3600s.
 	Duration sim.Time
@@ -247,6 +248,11 @@ func New(cfg Config) (*Session, error) {
 	}
 	if cfg.Kind == KindIBoxML && cfg.ML == nil {
 		return nil, fmt.Errorf("session: iboxml session requires a model")
+	}
+	// A rollup every few simulated nanoseconds would bury each tick in
+	// millions of summary events.
+	if cfg.Summary < sim.Millisecond {
+		return nil, fmt.Errorf("session: summary cadence %gms is under 1ms", cfg.Summary.Millis())
 	}
 	sender, err := cc.NewSender(cfg.Protocol, cfg.PacketSize)
 	if err != nil {
