@@ -191,6 +191,24 @@ func (s scaler) apply(row []float64) []float64 {
 	return out
 }
 
+// rowBuf is a training loop's reusable buffer of standardized feature
+// rows, grown to the longest sequence it has held: refilling it for every
+// sequence and epoch replaces allocating a fresh row per window.
+type rowBuf [][]float64
+
+// fill standardizes src through s into the buffer and returns its first
+// len(src) rows.
+func (b *rowBuf) fill(s scaler, src [][]float64) [][]float64 {
+	for len(*b) < len(src) {
+		*b = append(*b, make([]float64, len(s.Mean)))
+	}
+	rows := (*b)[:len(src)]
+	for t, row := range src {
+		s.applyInto(row, rows[t])
+	}
+	return rows
+}
+
 // applyInto standardizes row into dst without allocating; identical
 // arithmetic to apply. dst must have len(row); aliasing row is fine
 // (the transform is elementwise).

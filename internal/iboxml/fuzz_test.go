@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"ibox/internal/nn"
 	"ibox/internal/sim"
 )
 
@@ -40,14 +41,31 @@ func artifactBytes(t testing.TB, m *Model) []byte {
 // legacyBytes serializes m the way Write did before artifacts had a raw
 // weight section: one JSON document with the weights inline.
 // TestLegacyCheckpoint pins it byte for byte against a file the old
-// writer produced. It reads the weights through Params, so a model read
-// from an artifact gets its training layout back.
+// writer produced. The inline arrays are the raw section cut into its
+// tensors (per layer Wx, Wh, b; then the head's W and b).
 func legacyBytes(t testing.TB, m *Model) []byte {
 	t.Helper()
 	net := m.Net.Header()
 	net.Weights, net.CRC32C = 0, 0
-	for _, p := range m.Net.Params() {
-		net.Params = append(net.Params, p.W)
+	var sec bytes.Buffer
+	if err := m.Net.WriteWeights(&sec); err != nil {
+		t.Fatal(err)
+	}
+	H, in, out := net.Hidden, net.In, 2
+	if net.Kind == nn.BinaryHead {
+		out = 1
+	}
+	var sizes []int
+	for l := 0; l < net.Layers; l++ {
+		sizes = append(sizes, 4*H*in, 4*H*H, 4*H)
+		in = H
+	}
+	for _, n := range append(sizes, out*H, out) {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = math.Float64frombits(binary.LittleEndian.Uint64(sec.Next(8)))
+		}
+		net.Params = append(net.Params, w)
 	}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(modelJSON{
@@ -318,7 +336,7 @@ func TestReadChecksLengthBeforeAllocating(t *testing.T) {
 	data := mutate(t, good[:bytes.IndexByte(good, '\n')+1+64], func(d map[string]any) {
 		n := d["net"].(map[string]any)
 		n["in"], n["hidden"], n["layers"] = 4096, 4096, 64
-		n["weights"] = 4*4096*(4096+4096+1)*64 + 2*(4096+1)
+		n["weights"] = int64(4*4096*(4096+4096+1)*64 + 2*(4096+1))
 	})
 	if len(data) > 1<<10 {
 		t.Fatalf("hostile artifact is %d bytes, want ≤ 1 KiB", len(data))

@@ -62,13 +62,10 @@ func TrainLoss(samples []TrainingSample, cfg Config) (*LossModel, error) {
 	m := &LossModel{Cfg: cfg, xScale: fitScaler(allX)}
 	m.Net = nn.NewSequenceModel(nn.BinaryHead, dim, cfg.Hidden, cfg.Layers, cfg.Seed+5000)
 	opt := nn.NewAdam(cfg.LR, m.Net.Params())
+	var xbuf rowBuf
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, s := range seqs {
-			xs := make([][]float64, len(s.xs))
-			for t := range s.xs {
-				xs[t] = m.xScale.apply(s.xs[t])
-			}
-			m.Net.TrainSequence(xs, s.ys, nil)
+			m.Net.TrainSequence(xbuf.fill(m.xScale, s.xs), s.ys, nil)
 			opt.Step()
 		}
 	}

@@ -224,6 +224,8 @@ func Train(samples []TrainingSample, cfg Config) (*Model, error) {
 
 	noiseRng := sim.NewRand(cfg.Seed, 313)
 	firstStep := true
+	var xbuf rowBuf
+	var ybuf []float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		var epochStart time.Time
 		if epochHist != nil || logger != nil {
@@ -231,17 +233,16 @@ func Train(samples []TrainingSample, cfg Config) (*Model, error) {
 		}
 		lossSum, lossN := 0.0, 0
 		for _, s := range seqs {
-			xs := make([][]float64, len(s.xs))
-			ys := make([]float64, len(s.ys))
-			for t := range s.xs {
-				xs[t] = m.xScale.apply(s.xs[t])
-				ys[t] = (s.ys[t] - m.yMean) / m.yStd
+			xs, ys := xbuf.fill(m.xScale, s.xs), ybuf[:0]
+			for t := range xs {
+				ys = append(ys, (s.ys[t]-m.yMean)/m.yStd)
 				if cfg.PrevDelayNoise > 0 {
 					// Perturb the (standardized) teacher-forced d_{t−1} so
 					// the model cannot rely on it exclusively.
 					xs[t][3] += cfg.PrevDelayNoise * noiseRng.NormFloat64()
 				}
 			}
+			ybuf = ys
 			loss, gn, ok := m.Net.FitSequence(opt, xs, ys, s.mask)
 			if !ok {
 				m.Diag.NonFiniteSeqs++

@@ -117,17 +117,18 @@ func TrainPacket(samples []TrainingSample, cfg Config) (*PacketModel, error) {
 	m.Net = nn.NewSequenceModel(nn.GaussianHead, dim, cfg.Hidden, cfg.Layers, cfg.Seed+9000)
 	opt := nn.NewAdam(cfg.LR, m.Net.Params())
 	noise := sim.NewRand(cfg.Seed, 717)
+	var xbuf rowBuf
+	var ybuf []float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, s := range seqs {
-			xs := make([][]float64, len(s.xs))
-			ys := make([]float64, len(s.ys))
-			for t := range s.xs {
-				xs[t] = m.xScale.apply(s.xs[t])
-				ys[t] = (s.ys[t] - m.yMean) / m.yStd
+			xs, ys := xbuf.fill(m.xScale, s.xs), ybuf[:0]
+			for t := range xs {
+				ys = append(ys, (s.ys[t]-m.yMean)/m.yStd)
 				if cfg.PrevDelayNoise > 0 {
 					xs[t][3] += cfg.PrevDelayNoise * noise.NormFloat64()
 				}
 			}
+			ybuf = ys
 			m.Net.FitSequence(opt, xs, ys, s.mask)
 		}
 	}

@@ -124,13 +124,10 @@ func TrainLSTMReorder(samples []TrainingSample, cfg LSTMReorderConfig) (*LSTMReo
 	r := &LSTMReorder{useCT: cfg.UseCT, xScale: fitScaler(allX)}
 	r.net = nn.NewSequenceModel(nn.BinaryHead, dim, cfg.Hidden, cfg.Layers, cfg.Seed)
 	opt := nn.NewAdam(cfg.LR, r.net.Params())
+	var xbuf rowBuf
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for _, s := range seqs {
-			xs := make([][]float64, len(s.xs))
-			for t := range s.xs {
-				xs[t] = r.xScale.apply(s.xs[t])
-			}
-			r.net.TrainSequence(xs, s.ys, nil)
+			r.net.TrainSequence(xbuf.fill(r.xScale, s.xs), s.ys, nil)
 			opt.Step()
 		}
 	}

@@ -240,8 +240,6 @@ func TestLegacyCheckpoint(t *testing.T) {
 	}
 	// The test-side legacy encoder reproduces the old writer exactly,
 	// which is what lets the other tests stand in for old files with it.
-	// It reads the weights through Params, which would give legacy a
-	// training layout, so it encodes a second copy.
 	second, err := Load(legacyPath)
 	if err != nil {
 		t.Fatal(err)
@@ -392,10 +390,9 @@ func TestLoadAllocBound(t *testing.T) {
 }
 
 // TestLoadedModelHasNoTrainingState: a model read in either layout holds
-// the packed kernel and the head, and nothing training needs — no
-// training-layout LSTM and no gradient buffers (Adam's moments exist only
-// inside an optimizer) — and serving it or asking it questions builds
-// none.
+// its packed weights and the head, and nothing training needs — no
+// gradient buffers (Adam's moments exist only inside an optimizer) — and
+// serving it or asking it questions builds none.
 func TestLoadedModelHasNoTrainingState(t *testing.T) {
 	m := corpusModel(t)
 	in := synthTrace(3, sim.Second)
@@ -412,10 +409,7 @@ func TestLoadedModelHasNoTrainingState(t *testing.T) {
 			t.Fatal(err)
 		}
 		artifactBytes(t, got)
-		if got.Net.LSTM != nil {
-			t.Fatalf("%s: loaded model holds a training-layout LSTM", name)
-		}
-		for _, p := range got.Net.Head.Params() {
+		for _, p := range got.Net.Params() {
 			if p.Grad != nil {
 				t.Fatalf("%s: loaded model holds a gradient buffer", name)
 			}
@@ -425,9 +419,8 @@ func TestLoadedModelHasNoTrainingState(t *testing.T) {
 
 // TestFirstInferenceAllocatesNoWeights: the reader builds a loaded model's
 // kernel, so its first PredictWindows or SimulateTrace compiles nothing
-// and allocates nothing weight-sized. The in-memory model it was saved
-// from, whose first inference does compile, shows the measurement would
-// see it.
+// and allocates nothing weight-sized. A copy of the in-memory model's
+// LSTM weights shows the measurement would see it.
 func TestFirstInferenceAllocatesNoWeights(t *testing.T) {
 	m := syntheticModel(256, 4, false)
 	raw := artifactBytes(t, m)
@@ -445,8 +438,8 @@ func TestFirstInferenceAllocatesNoWeights(t *testing.T) {
 			t.Fatalf("first %s on a loaded model allocated %d bytes, want ≤ 1 MiB (weights are %d)", name, a, weights)
 		}
 	}
-	if a := allocated(func() { m.PredictWindows(in, nil) }); a < weights*9/10 {
-		t.Fatalf("compiling the in-memory model allocated %d bytes, weights are %d", a, weights)
+	if a := allocated(func() { m.Net.LSTM.Compile() }); a < weights*9/10 {
+		t.Fatalf("copying the in-memory model's weights allocated %d bytes, weights are %d", a, weights)
 	}
 }
 

@@ -2,14 +2,13 @@ package nn
 
 import "math"
 
-// Inference-specialized LSTM kernels. Training needs per-step caches and
-// the Wx/Wh split for BPTT; inference needs neither, so Compile repacks a
-// trained stack once into a layout built for the per-step read pattern and
-// the kernels below run on it allocation-free. A model read from an
-// artifact is decoded straight into this layout and holds no other copy
-// of its LSTM weights (see SequenceModel).
+// The LSTM kernels and the one layout of an LSTM stack's weights. The
+// layout is built for the per-step read pattern; inference steps run on it
+// allocation-free, training runs its forward pass through the same kernel
+// and accumulates gradients into a buffer of the same shape (lstm.go), and
+// a model read from an artifact is decoded straight into it.
 //
-// Packed layout (InferLayer.packed): one block per hidden unit, holding
+// Packed layout (InferLayer.w.W): one block per hidden unit, holding
 // the unit's four gate rows (i, f, g, o) *interleaved by column*:
 //
 //	unit j block:  [ b_i  b_f  b_g  b_o ]                     biases
@@ -28,9 +27,10 @@ import "math"
 // nothing numerically).
 //
 // Correctness contract: per gate row the floating-point operation order is
-// exactly LSTMLayer.step's — bias first, then input terms in ascending k,
-// then recurrent terms in ascending k — so every kernel in this file is
-// bitwise-identical to the training-path forward step.
+// bias first, then input terms in ascending k, then recurrent terms in
+// ascending k — the order of the historical row-by-row blocked step, which
+// the package tests keep as a reference oracle — so every kernel in this
+// file, SIMD or scalar, produces the same bits.
 //
 // Window pre-projection: when an input window is fully known up front
 // (open-loop replay, sequence forward), the input-and-bias half
@@ -44,14 +44,17 @@ import "math"
 // time); preProject with upto < In pre-projects just that prefix and
 // the step adds the remaining input terms, still in ascending k.
 
-// InferLayer is one LSTM layer repacked for inference.
+// InferLayer is one LSTM layer in the packed layout.
 type InferLayer struct {
 	In, Hidden int
-	blkStride  int       // floats per unit block: 4*(1 + In + Hidden)
-	packed     []float64 // Hidden unit blocks (see file comment)
+	blkStride  int // floats per unit block: 4*(1 + In + Hidden)
+	// w.W is the Hidden unit blocks (see file comment); w.Grad, once a
+	// backward pass has run, is the gradient in the same layout.
+	w Param
 }
 
-// InferModel is a compiled inference kernel for an LSTM stack.
+// InferModel is an LSTM stack: the one copy of its weights, which
+// inference and training both run on.
 type InferModel struct {
 	Layers []*InferLayer
 	maxH   int
@@ -60,13 +63,14 @@ type InferModel struct {
 // newInferLayer allocates a layer's packed buffer, all zero.
 func newInferLayer(in, hidden int) *InferLayer {
 	bs := 4 * (1 + in + hidden)
-	return &InferLayer{In: in, Hidden: hidden, blkStride: bs, packed: make([]float64, hidden*bs)}
+	l := &InferLayer{In: in, Hidden: hidden, blkStride: bs}
+	l.w = Param{W: make([]float64, hidden*bs), layer: l}
+	return l
 }
 
-// A layer's tensors in LSTMLayer.Params() (and so artifact) order. Each is
-// a row-major matrix whose row r = g·Hidden + j holds gate g of unit j —
-// the i|f|g|o blocked training layout; the bias is the one-column matrix
-// of 4·Hidden rows.
+// A layer's tensors in artifact order. Each is a row-major matrix whose
+// row r = g·Hidden + j holds gate g of unit j — the i|f|g|o blocked
+// order; the bias is the one-column matrix of 4·Hidden rows.
 const (
 	tensorWx = iota
 	tensorWh
@@ -88,10 +92,11 @@ func (l *InferLayer) rowLen(t int) int {
 // tensorLen returns tensor t's element count.
 func (l *InferLayer) tensorLen(t int) int { return 4 * l.Hidden * l.rowLen(t) }
 
-// runs is the one (tensor, row, column) → packed-offset mapping; Compile,
-// the rebuild of the training layout, the artifact readers and the writer
-// all go through it. It splits the n values of tensor t that start at
-// row-major index at into row pieces and calls fn(i, pos, cnt) for each:
+// runs is the one (tensor, row, column) → packed-offset mapping;
+// initialization, the artifact readers and the writer, and Adam's
+// gradient norm all go through it. It splits the n values of tensor t
+// that start at row-major index at into row pieces and calls
+// fn(i, pos, cnt) for each:
 // values at+i … at+i+cnt−1 sit at packed[pos], packed[pos+4], … — a
 // row's columns lie 4 floats apart inside its unit's block, one slot per
 // gate.
@@ -116,7 +121,7 @@ func (l *InferLayer) runs(t, at, n int, fn func(i, pos, cnt int)) {
 func (l *InferLayer) scatter(t, at int, vals []float64) {
 	l.runs(t, at, len(vals), func(i, pos, cnt int) {
 		for _, v := range vals[i : i+cnt] {
-			l.packed[pos] = v
+			l.w.W[pos] = v
 			pos += 4
 		}
 	})
@@ -126,43 +131,25 @@ func (l *InferLayer) scatter(t, at int, vals []float64) {
 func (l *InferLayer) gather(t, at int, dst []float64) {
 	l.runs(t, at, len(dst), func(i, pos, cnt int) {
 		for c := range dst[i : i+cnt] {
-			dst[i+c] = l.packed[pos]
+			dst[i+c] = l.w.W[pos]
 			pos += 4
 		}
 	})
 }
 
-// Compile repacks the stack's weights into the fused inference layout.
-// Call it once after training completes; later weight updates are not
-// reflected in the compiled kernel.
-func (m *LSTM) Compile() *InferModel {
-	im := &InferModel{}
-	for _, l := range m.Layers {
-		il := newInferLayer(l.In, l.Hidden)
-		for t, p := range l.Params() {
-			il.scatter(t, 0, p.W)
-		}
-		im.Layers = append(im.Layers, il)
-		im.maxH = max(im.maxH, l.Hidden)
+// Compile returns a copy of the stack's weights, without gradients: a
+// kernel that keeps today's weights while the stack trains on.
+func (im *InferModel) Compile() *InferModel {
+	c := &InferModel{maxH: im.maxH}
+	for _, l := range im.Layers {
+		cl := newInferLayer(l.In, l.Hidden)
+		copy(cl.w.W, l.w.W)
+		c.Layers = append(c.Layers, cl)
 	}
-	return im
+	return c
 }
 
-// decompile rebuilds the training layout from the kernel: Compile's exact
-// inverse permutation, so the weights come back bit for bit.
-func (im *InferModel) decompile() *LSTM {
-	m := &LSTM{}
-	for _, il := range im.Layers {
-		l := newLSTMLayer(il.In, il.Hidden)
-		for t, p := range l.Params() {
-			il.gather(t, 0, p.W)
-		}
-		m.Layers = append(m.Layers, l)
-	}
-	return m
-}
-
-// Arch returns the compiled stack's architecture: layer 0's input width,
+// Arch returns the stack's architecture: layer 0's input width,
 // the (uniform) hidden width, and the layer count; zeros for none.
 func (im *InferModel) Arch() (in, hidden, layers int) {
 	if im == nil || len(im.Layers) == 0 {
@@ -171,7 +158,7 @@ func (im *InferModel) Arch() (in, hidden, layers int) {
 	return im.Layers[0].In, im.Layers[0].Hidden, len(im.Layers)
 }
 
-// SameArch reports whether two compiled kernels can advance side by side
+// SameArch reports whether two stacks can advance side by side
 // in one lane batch: identical per-layer (In, Hidden) shapes. Weight
 // values are free to differ — that is the whole point of
 // cross-checkpoint lane batching (StepBatchLanesInto).
@@ -187,7 +174,7 @@ func (im *InferModel) SameArch(o *InferModel) bool {
 	return true
 }
 
-// InferState is the recurrent state for a compiled kernel plus the
+// InferState is the recurrent state for a stack plus the
 // scratch the zero-alloc step needs. States are cheap to reset and are
 // meant to be reused across sequences; they must not be shared between
 // goroutines.
@@ -198,7 +185,7 @@ type InferState struct {
 	pre  []float64 // gate pre-activation scratch, 4*max(Hidden)
 }
 
-// NewState returns a zeroed state for the compiled stack.
+// NewState returns a zeroed state for the stack.
 func (im *InferModel) NewState() *InferState {
 	total := 0
 	off := make([]int, len(im.Layers))
@@ -245,8 +232,7 @@ func (s *InferState) swap() { s.h, s.hNxt = s.hNxt, s.h }
 
 // StepInto advances the state one timestep in place and returns the top
 // layer's hidden vector (valid until the next StepInto on this state).
-// It performs no allocation, and its result is bitwise-identical to
-// LSTM.Step on the same weights and state trajectory.
+// It performs no allocation.
 func (im *InferModel) StepInto(st *InferState, x []float64) []float64 {
 	im.stepLane(st, x, nil, 0)
 	return st.top()
@@ -299,7 +285,7 @@ func (l *InferLayer) gatePre(dst, hPrev, x, pre []float64, tailOff int) {
 			if len(x) > 0 {
 				xp = &x[0]
 			}
-			layerPreSIMD(&l.packed[0], xp, hp, preP, &dst[0],
+			layerPreSIMD(&l.w.W[0], xp, hp, preP, &dst[0],
 				int64(l.In), int64(len(hPrev)), int64(groups), int64(tailOff), int64(l.blkStride*8))
 			j0 = groups * 4
 		}
@@ -313,7 +299,7 @@ func (l *InferLayer) gatePre(dst, hPrev, x, pre []float64, tailOff int) {
 func (l *InferLayer) gatePreScalar(dst, hPrev, x, pre []float64, tailOff, j0 int) {
 	In, bs := l.In, l.blkStride
 	for j := j0; j < l.Hidden; j++ {
-		blk := l.packed[j*bs : (j+1)*bs]
+		blk := l.w.W[j*bs : (j+1)*bs]
 		var ai, af, ag, ao float64
 		if pre != nil {
 			ai, af, ag, ao = pre[j*4], pre[j*4+1], pre[j*4+2], pre[j*4+3]
@@ -369,7 +355,7 @@ func (l *InferLayer) preProject(dst []float64, xs [][]float64, upto int) {
 	T := len(xs)
 	rows := 4 * H
 	for j := 0; j < H; j++ {
-		blk := l.packed[j*bs : (j+1)*bs]
+		blk := l.w.W[j*bs : (j+1)*bs]
 		for g := 0; g < 4; g++ {
 			r := j*4 + g
 			b := blk[g]
@@ -426,7 +412,7 @@ func (im *InferModel) PreProjectInput(dst []float64, xs [][]float64, upto int) {
 // before its sequential pass starts — and picks the input-projection
 // strategy per backend: per-step SIMD, or the whole-window blocked
 // scalar pre-projection. Results are bitwise-identical to stepping the
-// window through StepInto (and hence to LSTM.Step) either way.
+// window through StepInto either way.
 func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 	T := len(xs)
 	if T == 0 {
@@ -483,7 +469,7 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 }
 
 // StepBatchLanesInto advances n independent states one timestep each:
-// lane b advances sts[b] through its *own* compiled stack ims[b], fed
+// lane b advances sts[b] through its *own* stack ims[b], fed
 // xs[b]. Lanes may repeat one *InferModel (N clients of one checkpoint)
 // or mix distinct ones; this is the kernel behind cross-checkpoint shape
 // batching in the serving layer (internal/serve): many distinct trained
@@ -501,7 +487,7 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 // call shape the serving batcher needs.
 //
 // Per-lane weight pointers come for free from the fused kernel's shape:
-// the packed weight base (&packed[0]) is a per-call argument of both the
+// the packed weight base (&w.W[0]) is a per-call argument of both the
 // AVX2 fast path and the scalar fallback, so swapping checkpoints between
 // lanes is just a different base pointer — no layout change, no copying.
 // Each lane runs the exact single-member operation sequence (bias first,

@@ -29,6 +29,28 @@ var haveSIMD = cpuHasAVX2()
 //go:noescape
 func layerPreSIMD(blocks, x, h, pre, out *float64, nx, nh, groups, xoff, blkBytes int64)
 
+// layerGradSIMD accumulates one step's weight gradients for groups*4
+// hidden units: with dq the unit's gate-gradient quad dq[j*4+g],
+//
+//	grad[bias(j,g)]  += dq[j*4+g]
+//	grad[Wx(j,g)][k] += x[k]·dq[j*4+g]   k = 0 … nx−1
+//	grad[Wh(j,g)][k] += h[k]·dq[j*4+g]   k = 0 … nh−1
+//
+// each as one multiply and one add, so per element it is exactly the
+// scalar loop (gradAdd). grad points at the layer's packed gradient, laid
+// out like its weights.
+//
+//go:noescape
+func layerGradSIMD(grad, x, h, dq *float64, nx, nh, groups, blkBytes int64)
+
+// inputGradSIMD adds dq[4j+g]·W(j,g)[k] into dst[k] for k < n over every
+// row, gate-major (r = g·units + j), skipping zero rows: the gradient into
+// a step's input (or recurrent) columns, whose weights start at w. See
+// inputGrad for the scalar loop it matches bit for bit.
+//
+//go:noescape
+func inputGradSIMD(w, dq, dst *float64, n, units, blkBytes int64)
+
 // cpuHasAVX2 reports whether the CPU and OS support AVX2 (CPUID AVX2 +
 // OSXSAVE with XMM/YMM state enabled in XCR0).
 func cpuHasAVX2() bool

@@ -52,22 +52,189 @@ func bitsEqual(t *testing.T, what string, a, b []float64) {
 	}
 }
 
-// TestInferStepMatchesLSTMStep pins the core bitwise contract: the
-// compiled kernel's per-step output equals the training-path LSTM.Step
+// refLayer is the blocked weight layout training ran on before it moved
+// onto the packed kernel, kept as the reference oracle (as sim keeps a
+// container/heap one): per tensor a row-major matrix whose row
+// r = g·Hidden + j is gate g of unit j, stepped row by row with one
+// accumulator chain per row, and back-propagated the same way.
+type refLayer struct {
+	in, hidden int
+	w, grad    [tensorsPerLayer][]float64 // Wx, Wh, b
+}
+
+// refStack copies a stack's weights into the blocked layout.
+func refStack(im *InferModel) []*refLayer {
+	var ls []*refLayer
+	for _, il := range im.Layers {
+		l := &refLayer{in: il.In, hidden: il.Hidden}
+		for t := range l.w {
+			l.w[t] = make([]float64, il.tensorLen(t))
+			l.grad[t] = make([]float64, il.tensorLen(t))
+			il.gather(t, 0, l.w[t])
+		}
+		ls = append(ls, l)
+	}
+	return ls
+}
+
+// refCache is one layer's activations at one step.
+type refCache struct {
+	x, hPrev, cPrev      []float64
+	i, f, g, o, c, tanhC []float64
+	h                    []float64
+}
+
+// step is the historical forward step.
+func (l *refLayer) step(x, hPrev, cPrev []float64) *refCache {
+	H := l.hidden
+	wx, wh, b := l.w[tensorWx], l.w[tensorWh], l.w[tensorB]
+	pre := make([]float64, 4*H)
+	for j := range pre {
+		s := b[j]
+		for k, xv := range x {
+			s += wx[j*l.in+k] * xv
+		}
+		for k, hv := range hPrev {
+			s += wh[j*H+k] * hv
+		}
+		pre[j] = s
+	}
+	c := &refCache{x: x, hPrev: hPrev, cPrev: cPrev}
+	for _, v := range []*[]float64{&c.i, &c.f, &c.g, &c.o, &c.c, &c.tanhC, &c.h} {
+		*v = make([]float64, H)
+	}
+	for j := 0; j < H; j++ {
+		c.i[j] = sigmoid(pre[j])
+		c.f[j] = sigmoid(pre[H+j])
+		c.g[j] = math.Tanh(pre[2*H+j])
+		c.o[j] = sigmoid(pre[3*H+j])
+		c.c[j] = c.f[j]*cPrev[j] + c.i[j]*c.g[j]
+		c.tanhC[j] = math.Tanh(c.c[j])
+		c.h[j] = c.o[j] * c.tanhC[j]
+	}
+	return c
+}
+
+// stepBackward is the historical backward step: it accumulates the
+// weight gradients and returns the gradients into x, hPrev and cPrev.
+func (l *refLayer) stepBackward(c *refCache, dh, dc []float64) (dx, dhPrev, dcPrev []float64) {
+	H := l.hidden
+	dPre := make([]float64, 4*H)
+	dx, dhPrev, dcPrev = make([]float64, l.in), make([]float64, H), make([]float64, H)
+	for j := 0; j < H; j++ {
+		do := dh[j] * c.tanhC[j]
+		dcj := dc[j] + dh[j]*c.o[j]*(1-c.tanhC[j]*c.tanhC[j])
+		dcPrev[j] = dcj * c.f[j]
+		dPre[j] = dcj * c.g[j] * c.i[j] * (1 - c.i[j])
+		dPre[H+j] = dcj * c.cPrev[j] * c.f[j] * (1 - c.f[j])
+		dPre[2*H+j] = dcj * c.i[j] * (1 - c.g[j]*c.g[j])
+		dPre[3*H+j] = do * c.o[j] * (1 - c.o[j])
+	}
+	for j, g := range dPre {
+		if g == 0 {
+			continue
+		}
+		l.grad[tensorB][j] += g
+		for k, xv := range c.x {
+			l.grad[tensorWx][j*l.in+k] += g * xv
+			dx[k] += g * l.w[tensorWx][j*l.in+k]
+		}
+		for k, hv := range c.hPrev {
+			l.grad[tensorWh][j*H+k] += g * hv
+			dhPrev[k] += g * l.w[tensorWh][j*H+k]
+		}
+	}
+	return dx, dhPrev, dcPrev
+}
+
+// refSequence runs the oracle forward over xs from a zero state, then
+// back-propagates dOut (the gradient into the top h at every step),
+// returning the top hidden outputs.
+func refSequence(ls []*refLayer, xs, dOut [][]float64) [][]float64 {
+	caches := make([][]*refCache, len(xs))
+	outs := make([][]float64, len(xs))
+	h, c := make([][]float64, len(ls)), make([][]float64, len(ls))
+	for li, l := range ls {
+		h[li], c[li] = make([]float64, l.hidden), make([]float64, l.hidden)
+	}
+	for t, x := range xs {
+		in := x
+		for li, l := range ls {
+			rc := l.step(in, h[li], c[li])
+			caches[t] = append(caches[t], rc)
+			h[li], c[li], in = rc.h, rc.c, rc.h
+		}
+		outs[t] = in
+	}
+	dh, dc := make([][]float64, len(ls)), make([][]float64, len(ls))
+	for li, l := range ls {
+		dh[li], dc[li] = make([]float64, l.hidden), make([]float64, l.hidden)
+	}
+	for t := len(xs) - 1; t >= 0; t-- {
+		carry := dOut[t]
+		for li := len(ls) - 1; li >= 0; li-- {
+			dht := append([]float64(nil), dh[li]...)
+			for k := range carry {
+				dht[k] += carry[k]
+			}
+			carry, dh[li], dc[li] = ls[li].stepBackward(caches[t][li], dht, dc[li])
+		}
+	}
+	return outs
+}
+
+// TestInferStepMatchesLSTMStep pins the core bitwise contract: the packed
+// kernel's per-step output equals the blocked reference step
 // float-for-float, across shapes that exercise the SIMD group, scalar
 // remainder, and tiny-layer paths.
 func TestInferStepMatchesLSTMStep(t *testing.T) {
 	for _, sh := range kernelShapes {
-		lstm := NewLSTM(sh.in, sh.hidden, sh.layers, 7)
-		im := lstm.Compile()
+		im := NewLSTM(sh.in, sh.hidden, sh.layers, 7)
 		st := im.NewState()
-		ref := lstm.NewState()
 		xs := randSeq(31, 12, sh.in)
-		for _, x := range xs {
-			got := im.StepInto(st, x)
-			var want []float64
-			want, ref = lstm.Step(ref, x)
-			bitsEqual(t, "step output", got, want)
+		ref := refSequence(refStack(im), xs, make([][]float64, len(xs)))
+		for tt, x := range xs {
+			bitsEqual(t, "step output", im.StepInto(st, x), ref[tt])
+		}
+	}
+}
+
+// TestBackwardMatchesLSTMStepBackward is the gradient twin of
+// TestInferStepMatchesLSTMStep: back-propagation on the packed layout —
+// the gate cache, the gradient quads and the blocked-order input sums —
+// accumulates exactly the reference backward step's weight gradients,
+// bit for bit, over sequences from one step up.
+func TestBackwardMatchesLSTMStepBackward(t *testing.T) {
+	for _, sh := range kernelShapes {
+		if sh.hidden > 64 {
+			continue // the reference is slow; 96 wide runs in TestTrainingBitsGolden
+		}
+		for _, T := range []int{1, 2, 7} {
+			im := NewLSTM(sh.in, sh.hidden, sh.layers, 5)
+			xs := randSeq(int64(80+T), T, sh.in)
+			dOut := randSeq(int64(90+T), T, sh.hidden)
+			dOut[T-1] = make([]float64, sh.hidden) // an all-zero step, as a masked one is
+			ls := refStack(im)
+			refSequence(ls, xs, dOut)
+
+			var w bptt
+			w.forward(im, xs)
+			for tt := range dOut {
+				copy(w.dOut[tt*sh.hidden:], dOut[tt])
+			}
+			w.backward(im, xs)
+			for li, il := range im.Layers {
+				for ten := 0; ten < tensorsPerLayer; ten++ {
+					got := make([]float64, il.tensorLen(ten))
+					il.runs(ten, 0, len(got), func(i, pos, cnt int) {
+						for c := 0; c < cnt; c++ {
+							got[i+c] = il.w.Grad[pos+4*c]
+						}
+					})
+					bitsEqual(t, fmt.Sprintf("%dx%dx%d T=%d layer %d tensor %d gradient",
+						sh.in, sh.hidden, sh.layers, T, li, ten), got, ls[li].grad[ten])
+				}
+			}
 		}
 	}
 }
@@ -76,8 +243,7 @@ func TestInferStepMatchesLSTMStep(t *testing.T) {
 // window forward against the sequential step kernel, bitwise.
 func TestInferForwardMatchesStepInto(t *testing.T) {
 	for _, sh := range kernelShapes {
-		lstm := NewLSTM(sh.in, sh.hidden, sh.layers, 9)
-		im := lstm.Compile()
+		im := NewLSTM(sh.in, sh.hidden, sh.layers, 9)
 		for _, T := range []int{1, 2, 5, 9} {
 			xs := randSeq(int64(40+T), T, sh.in)
 			outs := im.Forward(xs)
@@ -104,7 +270,7 @@ func laneSeqs(in int) [][][]float64 {
 // sharedLanes returns laneCount lanes that all step one *InferModel — N
 // clients of one checkpoint.
 func sharedLanes(in, hidden, layers int) []*InferModel {
-	shared := NewLSTM(in, hidden, layers, 300).Compile()
+	shared := NewLSTM(in, hidden, layers, 300)
 	ims := make([]*InferModel, laneCount)
 	for b := range ims {
 		ims[b] = shared
@@ -161,8 +327,8 @@ func lanesMatchStep(t *testing.T, what string, ims []*InferModel, seqs [][][]flo
 // over distinct compiled stacks of one architecture, plain or resuming
 // from any pre-projected prefix, each advance bitwise-identically to
 // StepInto on their own model. n distinct copies of the paper-scale
-// stack would hold n×30 MB of weights in two layouts, so it runs only in
-// the shared-model tests.
+// stack would hold n×17 MB of weights, so it runs only in the
+// shared-model tests.
 func TestStepBatchLanesMatchesStep(t *testing.T) {
 	for _, sh := range kernelShapes {
 		if sh.hidden > 64 {
@@ -171,7 +337,7 @@ func TestStepBatchLanesMatchesStep(t *testing.T) {
 		ims := make([]*InferModel, laneCount)
 		for b := range ims {
 			// A distinct seed per lane: genuinely different weights.
-			ims[b] = NewLSTM(sh.in, sh.hidden, sh.layers, int64(300+b)).Compile()
+			ims[b] = NewLSTM(sh.in, sh.hidden, sh.layers, int64(300+b))
 		}
 		seqs := laneSeqs(sh.in)
 		for upto := -1; upto <= sh.in; upto++ {
@@ -209,8 +375,8 @@ func TestPreProjectedStepMatchesPlain(t *testing.T) {
 // TestStepBatchLanesPanicsOnMixedArch: lanes spanning incompatible
 // architectures must fail loudly instead of corrupting state.
 func TestStepBatchLanesPanicsOnMixedArch(t *testing.T) {
-	a := NewLSTM(4, 6, 2, 1).Compile()
-	b := NewLSTM(4, 7, 2, 2).Compile() // different hidden width
+	a := NewLSTM(4, 6, 2, 1)
+	b := NewLSTM(4, 7, 2, 2) // different hidden width
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for lanes over incompatible architectures")
@@ -225,8 +391,7 @@ func TestStepBatchLanesPanicsOnMixedArch(t *testing.T) {
 // TestStepIntoNoAllocs pins the zero-allocation contract of the
 // per-packet kernel step.
 func TestStepIntoNoAllocs(t *testing.T) {
-	lstm := NewLSTM(5, 24, 2, 17)
-	im := lstm.Compile()
+	im := NewLSTM(5, 24, 2, 17)
 	st := im.NewState()
 	x := randSeq(3, 1, 5)[0]
 	if n := testing.AllocsPerRun(100, func() { im.StepInto(st, x) }); n != 0 {
@@ -246,7 +411,7 @@ func TestPredictorStepNoAllocs(t *testing.T) {
 }
 
 // FuzzInferKernel fuzzes shape and data seeds: whatever the dimensions,
-// the compiled kernel must match the training-path step bitwise.
+// the packed kernel must match the blocked reference step bitwise.
 func FuzzInferKernel(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(2), uint8(4))
 	f.Add(int64(9), uint8(1), uint8(1), uint8(1), uint8(1))
@@ -256,18 +421,16 @@ func FuzzInferKernel(f *testing.F) {
 		hidden := 1 + int(hid8)%17
 		layers := 1 + int(lay8)%4
 		steps := 1 + int(steps8)%8
-		lstm := NewLSTM(in, hidden, layers, seed)
-		im := lstm.Compile()
+		im := NewLSTM(in, hidden, layers, seed)
 		st := im.NewState()
-		ref := lstm.NewState()
-		for _, x := range randSeq(seed+1, steps, in) {
+		xs := randSeq(seed+1, steps, in)
+		ref := refSequence(refStack(im), xs, make([][]float64, steps))
+		for tt, x := range xs {
 			got := im.StepInto(st, x)
-			var want []float64
-			want, ref = lstm.Step(ref, x)
 			for j := range got {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				if math.Float64bits(got[j]) != math.Float64bits(ref[tt][j]) {
 					t.Fatalf("in=%d hidden=%d layers=%d: h[%d] %v != %v",
-						in, hidden, layers, j, got[j], want[j])
+						in, hidden, layers, j, got[j], ref[tt][j])
 				}
 			}
 		}
@@ -277,8 +440,7 @@ func FuzzInferKernel(f *testing.F) {
 // TestInferStateResetReuse checks a reset state replays a sequence to the
 // same bits as a fresh one (the serving warm-registry reuse pattern).
 func TestInferStateResetReuse(t *testing.T) {
-	lstm := NewLSTM(4, 7, 2, 37)
-	im := lstm.Compile()
+	im := NewLSTM(4, 7, 2, 37)
 	xs := randSeq(88, 6, 4)
 	st := im.NewState()
 	first := make([][]float64, len(xs))

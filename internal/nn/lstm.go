@@ -6,331 +6,252 @@ import (
 	"ibox/internal/sim"
 )
 
-// LSTMLayer is one LSTM layer with the standard gate formulation
+// An LSTM layer uses the standard gate formulation
 //
 //	i = σ(Wx_i·x + Wh_i·h + b_i)    f = σ(Wx_f·x + Wh_f·h + b_f)
 //	g = tanh(Wx_g·x + Wh_g·h + b_g) o = σ(Wx_o·x + Wh_o·h + b_o)
 //	c' = f⊙c + i⊙g                  h' = o⊙tanh(c')
 //
-// The four gates are packed in i|f|g|o order. The forget-gate bias is
-// initialized to 1 (the standard trick for gradient flow over long
-// sequences).
-type LSTMLayer struct {
-	In, Hidden int
-	Wx         *Param // 4H×In
-	Wh         *Param // 4H×H
-	B          *Param // 4H
-}
+// with its weights in the packed layout of infer.go, the one layout both
+// inference and training run on. This file is the training side:
+// initialization, and back-propagation through time over the packed
+// kernel, with gradients accumulated into a packed buffer of the same
+// shape as the weights.
 
-// newLSTMLayer allocates a layer with all-zero weights.
-func newLSTMLayer(in, hidden int) *LSTMLayer {
-	return &LSTMLayer{
-		In: in, Hidden: hidden,
-		Wx: newParam(4 * hidden * in),
-		Wh: newParam(4 * hidden * hidden),
-		B:  newParam(4 * hidden),
-	}
-}
-
-// NewLSTMLayer returns a layer with Xavier-uniform weights.
-func NewLSTMLayer(in, hidden int, seed int64) *LSTMLayer {
-	l := newLSTMLayer(in, hidden)
-	rng := sim.NewRand(seed, 202)
-	bx := math.Sqrt(6.0 / float64(in+hidden))
-	for i := range l.Wx.W {
-		l.Wx.W[i] = (rng.Float64()*2 - 1) * bx
-	}
-	bh := math.Sqrt(6.0 / float64(2*hidden))
-	for i := range l.Wh.W {
-		l.Wh.W[i] = (rng.Float64()*2 - 1) * bh
-	}
-	for j := hidden; j < 2*hidden; j++ {
-		l.B.W[j] = 1 // forget gate bias
-	}
-	return l
-}
-
-// Params returns the layer's learnable parameters, in the tensorWx,
-// tensorWh, tensorB order the packed mapping (InferLayer.runs) numbers
-// them by.
-func (l *LSTMLayer) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
-
-// lstmCache stores one timestep's activations for BPTT.
-type lstmCache struct {
-	x, hPrev, cPrev []float64
-	i, f, g, o      []float64
-	c, tanhC, h     []float64
-}
-
-// attach carves the cache's seven activation vectors out of slab (length
-// at least 7*H). ForwardSequence allocates one slab per layer for the
-// whole sequence instead of seven small slices per step.
-func (c *lstmCache) attach(slab []float64, H int) {
-	c.i, slab = slab[:H:H], slab[H:]
-	c.f, slab = slab[:H:H], slab[H:]
-	c.g, slab = slab[:H:H], slab[H:]
-	c.o, slab = slab[:H:H], slab[H:]
-	c.c, slab = slab[:H:H], slab[H:]
-	c.tanhC, slab = slab[:H:H], slab[H:]
-	c.h = slab[:H:H]
-}
-
-// step computes one forward step into cache (whose activation vectors
-// must already be attached). pre is caller scratch of at least 4*Hidden;
-// the cache retains x, hPrev and cPrev by reference.
-func (l *LSTMLayer) step(x, hPrev, cPrev, pre []float64, cache *lstmCache) {
-	H := l.Hidden
-	for j := 0; j < 4*H; j++ {
-		s := l.B.W[j]
-		rx := l.Wx.W[j*l.In : (j+1)*l.In]
-		for k, xv := range x {
-			s += rx[k] * xv
-		}
-		rh := l.Wh.W[j*H : (j+1)*H]
-		for k, hv := range hPrev {
-			s += rh[k] * hv
-		}
-		pre[j] = s
-	}
-	cache.x, cache.hPrev, cache.cPrev = x, hPrev, cPrev
-	for j := 0; j < H; j++ {
-		cache.i[j] = sigmoid(pre[j])
-		cache.f[j] = sigmoid(pre[H+j])
-		cache.g[j] = math.Tanh(pre[2*H+j])
-		cache.o[j] = sigmoid(pre[3*H+j])
-		cache.c[j] = cache.f[j]*cPrev[j] + cache.i[j]*cache.g[j]
-		cache.tanhC[j] = math.Tanh(cache.c[j])
-		cache.h[j] = cache.o[j] * cache.tanhC[j]
-	}
-}
-
-// stepBackward accumulates gradients for one timestep. dh and dc are the
-// gradients flowing into this step's h and c outputs; dx, dhPrev and
-// dcPrev receive the gradients for x, hPrev and cPrev (dx and dhPrev are
-// zeroed here first; dcPrev may alias dc — every element is read before
-// it is overwritten). dPre is caller scratch of at least 4*Hidden. The
-// arithmetic and accumulation order are exactly the historical
-// allocate-per-step version's, so training remains byte-identical.
-func (l *LSTMLayer) stepBackward(cache *lstmCache, dh, dc, dPre, dx, dhPrev, dcPrev []float64) {
-	H := l.Hidden
-	for j := 0; j < H; j++ {
-		do := dh[j] * cache.tanhC[j]
-		dcj := dc[j] + dh[j]*cache.o[j]*(1-cache.tanhC[j]*cache.tanhC[j])
-		di := dcj * cache.g[j]
-		df := dcj * cache.cPrev[j]
-		dg := dcj * cache.i[j]
-		dcPrev[j] = dcj * cache.f[j]
-		dPre[j] = di * cache.i[j] * (1 - cache.i[j])
-		dPre[H+j] = df * cache.f[j] * (1 - cache.f[j])
-		dPre[2*H+j] = dg * (1 - cache.g[j]*cache.g[j])
-		dPre[3*H+j] = do * cache.o[j] * (1 - cache.o[j])
-	}
-	for k := range dx {
-		dx[k] = 0
-	}
-	for k := range dhPrev {
-		dhPrev[k] = 0
-	}
-	for j := 0; j < 4*H; j++ {
-		g := dPre[j]
-		if g == 0 {
-			continue
-		}
-		l.B.Grad[j] += g
-		rx := l.Wx.W[j*l.In : (j+1)*l.In]
-		gx := l.Wx.Grad[j*l.In : (j+1)*l.In]
-		for k, xv := range cache.x {
-			gx[k] += g * xv
-			dx[k] += g * rx[k]
-		}
-		rh := l.Wh.W[j*H : (j+1)*H]
-		gh := l.Wh.Grad[j*H : (j+1)*H]
-		for k, hv := range cache.hPrev {
-			gh[k] += g * hv
-			dhPrev[k] += g * rh[k]
-		}
-	}
-}
-
-// LSTM is a stack of LSTM layers (Fig 6's multi-layer state encoder).
-type LSTM struct {
-	Layers []*LSTMLayer
-}
-
-// NewLSTM builds a stack: the first layer maps in→hidden, the rest
-// hidden→hidden.
-func NewLSTM(in, hidden, layers int, seed int64) *LSTM {
+// NewLSTM builds a stack with Xavier-uniform weights: the first layer maps
+// in→hidden, the rest hidden→hidden. The forget-gate bias starts at 1 (the
+// standard trick for gradient flow over long sequences).
+func NewLSTM(in, hidden, layers int, seed int64) *InferModel {
 	if layers < 1 {
 		panic("nn: LSTM needs at least one layer")
 	}
-	m := &LSTM{}
-	for l := 0; l < layers; l++ {
-		szIn := hidden
-		if l == 0 {
-			szIn = in
-		}
-		m.Layers = append(m.Layers, NewLSTMLayer(szIn, hidden, seed+int64(l)*31))
-	}
-	return m
-}
-
-// Params returns all learnable parameters of the stack.
-func (m *LSTM) Params() []*Param {
-	var ps []*Param
-	for _, l := range m.Layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
-
-// Hidden returns the stack's hidden size.
-func (m *LSTM) Hidden() int { return m.Layers[0].Hidden }
-
-// State is the recurrent state (h, c per layer) of an LSTM stack.
-type State struct {
-	h, c [][]float64
-}
-
-// NewState returns a zero state for the stack.
-func (m *LSTM) NewState() *State {
-	s := &State{}
-	for _, l := range m.Layers {
-		s.h = append(s.h, make([]float64, l.Hidden))
-		s.c = append(s.c, make([]float64, l.Hidden))
-	}
-	return s
-}
-
-// Step advances the stack one timestep from state s, returning the top
-// layer's hidden vector and the new state. The input state is not
-// modified.
-func (m *LSTM) Step(s *State, x []float64) ([]float64, *State) {
-	out, ns, _ := m.stepCached(s, x)
-	return out, ns
-}
-
-func (m *LSTM) stepCached(s *State, x []float64) ([]float64, *State, []*lstmCache) {
-	ns := &State{}
-	caches := make([]*lstmCache, len(m.Layers))
-	in := x
-	for li, l := range m.Layers {
-		cache := &lstmCache{}
-		cache.attach(make([]float64, 7*l.Hidden), l.Hidden)
-		l.step(in, s.h[li], s.c[li], make([]float64, 4*l.Hidden), cache)
-		caches[li] = cache
-		ns.h = append(ns.h, cache.h)
-		ns.c = append(ns.c, cache.c)
-		in = cache.h
-	}
-	return in, ns, caches
-}
-
-// maxHidden returns the widest layer's hidden size.
-func (m *LSTM) maxHidden() int {
-	maxH := 0
-	for _, l := range m.Layers {
-		if l.Hidden > maxH {
-			maxH = l.Hidden
-		}
-	}
-	return maxH
-}
-
-// ForwardSequence runs the stack over a sequence from a zero state and
-// returns the top-layer hidden vector at every timestep plus the caches
-// needed by BackwardSequence. Scratch is allocated per sequence, not per
-// step: one activation slab per layer and one shared pre-activation
-// buffer, so a T-step forward costs O(layers) allocations instead of
-// O(T·layers) — the arithmetic is unchanged, so training stays
-// byte-identical.
-func (m *LSTM) ForwardSequence(xs [][]float64) ([][]float64, [][]*lstmCache) {
-	T := len(xs)
-	L := len(m.Layers)
-	outs := make([][]float64, T)
-	caches := make([][]*lstmCache, T)
-	structs := make([]lstmCache, T*L)
-	for t := range caches {
-		caches[t] = make([]*lstmCache, L)
-		for li := range caches[t] {
-			caches[t][li] = &structs[t*L+li]
-		}
-	}
-	for li, l := range m.Layers {
-		H := l.Hidden
-		slab := make([]float64, T*7*H)
-		for t := 0; t < T; t++ {
-			caches[t][li].attach(slab[t*7*H:(t+1)*7*H], H)
-		}
-	}
-	pre := make([]float64, 4*m.maxHidden())
-	state := m.NewState()
-	for t, x := range xs {
-		in := x
-		for li, l := range m.Layers {
-			c := caches[t][li]
-			l.step(in, state.h[li], state.c[li], pre, c)
-			state.h[li], state.c[li] = c.h, c.c
-			in = c.h
-		}
-		outs[t] = in
-	}
-	return outs, caches
-}
-
-// BackwardSequence back-propagates through time: dOut[t] is the loss
-// gradient with respect to the top-layer hidden output at step t.
-// Parameter gradients accumulate into the layers' Grad buffers. It returns
-// the gradient with respect to each input xs[t]. Like ForwardSequence it
-// allocates scratch per sequence, not per step: dc updates in place
-// (stepBackward reads each element before overwriting it), dh double-
-// buffers per layer, and upper layers' dx reuse one buffer each — only
-// layer 0's dx slices persist, carved from a single slab, because they
-// are the returned values.
-func (m *LSTM) BackwardSequence(caches [][]*lstmCache, dOut [][]float64) [][]float64 {
-	for _, p := range m.Params() {
-		p.grad() // the first backward pass allocates the gradients
-	}
-	L := len(m.Layers)
-	T := len(caches)
-	dxs := make([][]float64, T)
-	maxH := m.maxHidden()
-	// Per-layer gradients flowing backward in time.
-	dh := make([][]float64, L)
-	dhNext := make([][]float64, L)
-	dc := make([][]float64, L)
-	dxBuf := make([][]float64, L)
-	for li, l := range m.Layers {
-		dh[li] = make([]float64, l.Hidden)
-		dhNext[li] = make([]float64, l.Hidden)
-		dc[li] = make([]float64, l.Hidden)
+	im := &InferModel{maxH: hidden}
+	for li := 0; li < layers; li++ {
 		if li > 0 {
-			dxBuf[li] = make([]float64, l.In)
+			in = hidden
+		}
+		l := newInferLayer(in, hidden)
+		// Values are drawn in artifact order (Wx, then Wh, row-major).
+		rng := sim.NewRand(seed+int64(li)*31, 202)
+		for t, bound := range []float64{math.Sqrt(6.0 / float64(in+hidden)), math.Sqrt(6.0 / float64(2*hidden))} {
+			vals := make([]float64, l.tensorLen(t))
+			for i := range vals {
+				vals[i] = (rng.Float64()*2 - 1) * bound
+			}
+			l.scatter(t, 0, vals)
+		}
+		ones := make([]float64, hidden)
+		for j := range ones {
+			ones[j] = 1
+		}
+		l.scatter(tensorB, hidden, ones) // rows H…2H−1: the forget gate
+		im.Layers = append(im.Layers, l)
+	}
+	return im
+}
+
+// bptt is a model's training workspace, reused across sequences: every
+// buffer grows to the longest sequence seen and stays, so training a
+// sequence allocates nothing once the workspace has grown.
+type bptt struct {
+	// acts[l] holds layer l's activations, 7·H per timestep: the gates
+	// (4 per unit, unit-major i|f|g|o, as the packed kernel computes
+	// their pre-activations), then c, tanh(c) and h.
+	acts [][]float64
+	zero []float64 // max-hidden zeros: every layer's h and c before step 0
+	dOut []float64 // loss gradient into the top layer's h, T×H
+
+	// Per-layer gradients flowing backward in time, and the per-step
+	// scratch: the gradient into h, and the gate pre-activation
+	// gradients (unit-major, the packed layout's quads).
+	dh, dhNext, dc, dx [][]float64
+	dht, dPre          []float64
+}
+
+// grow sizes the workspace for a T-step sequence through im.
+func (w *bptt) grow(im *InferModel, T int) {
+	L := len(im.Layers)
+	if len(w.acts) != L {
+		*w = bptt{acts: make([][]float64, L), dh: make([][]float64, L), dhNext: make([][]float64, L),
+			dc: make([][]float64, L), dx: make([][]float64, L),
+			zero: make([]float64, im.maxH), dht: make([]float64, im.maxH), dPre: make([]float64, 4*im.maxH)}
+		for li, l := range im.Layers {
+			w.dh[li] = make([]float64, l.Hidden)
+			w.dhNext[li] = make([]float64, l.Hidden)
+			w.dc[li] = make([]float64, l.Hidden)
+			if li > 0 {
+				w.dx[li] = make([]float64, l.In)
+			}
 		}
 	}
-	in0 := m.Layers[0].In
-	dxSlab := make([]float64, T*in0)
-	dhTotal := make([]float64, maxH)
-	dPre := make([]float64, 4*maxH)
-	for t := T - 1; t >= 0; t-- {
+	for li, l := range im.Layers {
+		if n := T * 7 * l.Hidden; len(w.acts[li]) < n {
+			w.acts[li] = make([]float64, n)
+		}
+	}
+	if n := T * im.maxH; len(w.dOut) < n {
+		w.dOut = make([]float64, n)
+	}
+}
+
+// step returns layer li's activations at step t (gates, c, tanh c, h),
+// and its c and h from the step before (zeros at t = 0).
+func (w *bptt) step(li, H, t int) (gates, c, tanhC, h, cPrev, hPrev []float64) {
+	a := w.acts[li][t*7*H : (t+1)*7*H]
+	gates, c, tanhC, h = a[:4*H], a[4*H:5*H], a[5*H:6*H], a[6*H:]
+	cPrev, hPrev = w.zero[:H], w.zero[:H]
+	if t > 0 {
+		p := w.acts[li][(t-1)*7*H : t*7*H]
+		cPrev, hPrev = p[4*H:5*H], p[6*H:]
+	}
+	return
+}
+
+// input returns layer li's input at step t: the sequence's own row for
+// layer 0, the hidden output of the layer below otherwise.
+func (w *bptt) input(im *InferModel, xs [][]float64, li, t int) []float64 {
+	if li == 0 {
+		return xs[t]
+	}
+	_, _, _, h, _, _ := w.step(li-1, im.Layers[li-1].Hidden, t)
+	return h
+}
+
+// top returns the top layer's hidden output at step t.
+func (w *bptt) top(im *InferModel, t int) []float64 {
+	L := len(im.Layers)
+	_, _, _, h, _, _ := w.step(L-1, im.Layers[L-1].Hidden, t)
+	return h
+}
+
+// forward runs the stack over xs from a zero state, layer by layer,
+// keeping every step's activations for backward. The pre-activations come
+// from the inference kernel (gatePre), so the forward pass is the
+// inference forward bit for bit.
+func (w *bptt) forward(im *InferModel, xs [][]float64) {
+	w.grow(im, len(xs))
+	for li, l := range im.Layers {
+		H := l.Hidden
+		for t := range xs {
+			gates, c, tanhC, h, cPrev, hPrev := w.step(li, H, t)
+			l.gatePre(gates, hPrev, w.input(im, xs, li, t), nil, 0)
+			for j := 0; j < H; j++ {
+				q := gates[4*j : 4*j+4 : 4*j+4]
+				q[0] = sigmoid(q[0])
+				q[1] = sigmoid(q[1])
+				q[2] = math.Tanh(q[2])
+				q[3] = sigmoid(q[3])
+				c[j] = q[1]*cPrev[j] + q[0]*q[2]
+				tanhC[j] = math.Tanh(c[j])
+				h[j] = q[3] * tanhC[j]
+			}
+		}
+	}
+}
+
+// backward back-propagates through time from the loss gradients in
+// w.dOut, accumulating the stack's weight gradients. It computes no
+// gradient for the inputs xs: nobody reads it.
+func (w *bptt) backward(im *InferModel, xs [][]float64) {
+	for li, l := range im.Layers {
+		l.w.grad() // the first backward pass allocates the gradients
+		clear(w.dh[li])
+		clear(w.dc[li])
+	}
+	Htop := im.Layers[len(im.Layers)-1].Hidden
+	for t := len(xs) - 1; t >= 0; t-- {
 		// Gradient entering the top layer's h at step t: from the loss plus
 		// recurrent flow.
-		carry := dOut[t]
-		for li := L - 1; li >= 0; li-- {
-			l := m.Layers[li]
-			dht := dhTotal[:l.Hidden]
-			copy(dht, dh[li])
-			for k := range carry {
-				dht[k] += carry[k]
+		carry := w.dOut[t*Htop : (t+1)*Htop]
+		for li := len(im.Layers) - 1; li >= 0; li-- {
+			l := im.Layers[li]
+			H := l.Hidden
+			gates, _, tanhC, _, cPrev, hPrev := w.step(li, H, t)
+			dh, dc, dPre := w.dht[:H], w.dc[li], w.dPre[:4*H]
+			for k := range dh {
+				dh[k] = w.dh[li][k] + carry[k]
 			}
-			dx := dxBuf[li]
-			if li == 0 {
-				dx = dxSlab[t*in0 : (t+1)*in0]
+			for j := 0; j < H; j++ {
+				q := gates[4*j : 4*j+4 : 4*j+4]
+				do := dh[j] * tanhC[j]
+				dcj := dc[j] + dh[j]*q[3]*(1-tanhC[j]*tanhC[j])
+				di := dcj * q[2]
+				df := dcj * cPrev[j]
+				dg := dcj * q[0]
+				dc[j] = dcj * q[1]
+				dPre[4*j] = di * q[0] * (1 - q[0])
+				dPre[4*j+1] = df * q[1] * (1 - q[1])
+				dPre[4*j+2] = dg * (1 - q[2]*q[2])
+				dPre[4*j+3] = do * q[3] * (1 - q[3])
 			}
-			l.stepBackward(caches[t][li], dht, dc[li], dPre, dx, dhNext[li], dc[li])
-			dh[li], dhNext[li] = dhNext[li], dh[li]
-			carry = dx // becomes the gradient into the layer below's h
+			l.gradAdd(dPre, w.input(im, xs, li, t), hPrev)
+			l.inputGrad(dPre, w.dx[li], 4)            // into x; none at layer 0
+			l.inputGrad(dPre, w.dhNext[li], 4+4*l.In) // into h at t−1
+			w.dh[li], w.dhNext[li] = w.dhNext[li], w.dh[li]
+			carry = w.dx[li] // the gradient into the layer below's h
 		}
-		dxs[t] = carry
 	}
-	return dxs
+}
+
+// gradAdd accumulates one step's weight gradients: for unit j, the gate
+// gradient quad dq = dPre[4j:4j+4] onto the unit's bias quad, and x[k]·dq
+// (hPrev[k]·dq) onto input (recurrent) column k's quad. The SIMD kernel
+// covers whole 4-unit groups when available, the scalar loop the rest;
+// every element takes the same single multiply and add either way.
+func (l *InferLayer) gradAdd(dPre, x, hPrev []float64) {
+	j0 := 0
+	if groups := l.Hidden / 4; haveSIMD && groups > 0 {
+		layerGradSIMD(&l.w.Grad[0], &x[0], &hPrev[0], &dPre[0],
+			int64(l.In), int64(l.Hidden), int64(groups), int64(l.blkStride*8))
+		j0 = groups * 4
+	}
+	bs := l.blkStride
+	for j := j0; j < l.Hidden; j++ {
+		d0, d1, d2, d3 := dPre[4*j], dPre[4*j+1], dPre[4*j+2], dPre[4*j+3]
+		blk := l.w.Grad[j*bs : (j+1)*bs]
+		blk[0] += d0
+		blk[1] += d1
+		blk[2] += d2
+		blk[3] += d3
+		for _, v := range [2][]float64{x, hPrev} {
+			for k, vk := range v {
+				q := blk[4+4*k : 8+4*k : 8+4*k]
+				q[0] += d0 * vk
+				q[1] += d1 * vk
+				q[2] += d2 * vk
+				q[3] += d3 * vk
+			}
+			blk = blk[4*len(v):]
+		}
+	}
+}
+
+// inputGrad sets dst[k] = Σ_r dPre(r)·W(r)[k] over the columns that start
+// at float offset off of each unit block (4: the input columns; 4+4·In:
+// the recurrent ones): the gradient into a step's input or previous h. The sum takes the gate rows in
+// the blocked order r = g·Hidden + j (gate-major, so reading the packed
+// weights strided), the order these sums have always had; a row whose
+// gradient is zero adds nothing and is skipped.
+func (l *InferLayer) inputGrad(dPre, dst []float64, off int) {
+	clear(dst)
+	if len(dst) == 0 {
+		return
+	}
+	bs := l.blkStride
+	if haveSIMD {
+		inputGradSIMD(&l.w.W[off], &dPre[0], &dst[0], int64(len(dst)), int64(l.Hidden), int64(8*bs))
+		return
+	}
+	for g := 0; g < 4; g++ {
+		for j := 0; j < l.Hidden; j++ {
+			d := dPre[4*j+g]
+			if d == 0 {
+				continue
+			}
+			col := l.w.W[j*bs+off+g:] // column k's gate-g weight at col[4k]
+			for k := range dst {
+				dst[k] += d * col[4*k]
+			}
+		}
+	}
 }

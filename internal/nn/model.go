@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // GaussianOutput is a predicted delay distribution N(Mu, Sigma²), the
 // paper's P(d_t | h_t) with w₁ᵀh and w₂ᵀh heads (§4.1).
@@ -33,7 +30,7 @@ func gaussianFromHead(out []float64) GaussianOutput {
 // gaussianNLL returns the negative log likelihood of y under the head
 // output and the gradient with respect to the raw head outputs
 // (mu, logSigma).
-func gaussianNLL(out []float64, y float64) (loss float64, dOut []float64) {
+func gaussianNLL(out []float64, y float64) (loss float64, dOut [2]float64) {
 	g := gaussianFromHead(out)
 	z := (y - g.Mu) / g.Sigma
 	loss = 0.5*math.Log(2*math.Pi) + math.Log(g.Sigma) + 0.5*z*z
@@ -43,7 +40,7 @@ func gaussianNLL(out []float64, y float64) (loss float64, dOut []float64) {
 	if out[1] <= logSigmaMin || out[1] >= logSigmaMax {
 		dLogSigma = 0
 	}
-	return loss, []float64{dMu, dLogSigma}
+	return loss, [2]float64{dMu, dLogSigma}
 }
 
 // bceLoss returns the binary cross-entropy of label y ∈ {0,1} for a raw
@@ -70,89 +67,31 @@ const (
 // encoding the network state h_t from the input features, with a dense
 // head parameterizing the per-step output distribution.
 //
-// The LSTM weights live in one of two layouts, or both: the training
-// layout (LSTM, what backprop indexes) and the packed inference kernel
-// (see infer.go). A model built here and trained holds the training
-// layout and compiles the kernel on first inference. A model read from an
-// artifact holds only the kernel — its one weight copy — and gets a
-// training layout, rebuilt bit for bit from the kernel, only when
-// something trains or edits it (Params, TrainSequence). Questions about
-// the model (Arch, NumParams, Finite, WriteWeights) read whichever layout
-// exists and never rebuild one.
+// The LSTM weights exist once, in the packed layout (see infer.go):
+// inference steps and training both run on them, and a model read from an
+// artifact is decoded straight into them. Gradients and the training
+// workspace appear with the first TrainSequence.
 type SequenceModel struct {
 	Kind HeadKind
-	LSTM *LSTM // training layout; nil on a model read from an artifact until it trains
+	LSTM *InferModel
 	Head *Dense
 
-	// The inference kernel. Guarded by mu, as are the LSTM field's
-	// transitions; dropped whenever the training layout is handed out for
-	// writing, so a kernel never serves stale parameters.
-	mu    sync.Mutex
-	infer *InferModel
+	ws *bptt // training workspace, reused across sequences
 }
 
-// Infer returns the compiled inference kernel for the current weights,
-// compiling it on first use. Safe for concurrent callers.
-func (m *SequenceModel) Infer() *InferModel {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.infer == nil {
-		m.infer = m.LSTM.Compile()
-	}
-	return m.infer
-}
+// Infer returns the LSTM stack inference runs on: the model's live
+// weights, not a copy.
+func (m *SequenceModel) Infer() *InferModel { return m.LSTM }
 
-// layout returns the training layout and the kernel as they stand; at
-// least one is non-nil.
-func (m *SequenceModel) layout() (*LSTM, *InferModel) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.LSTM, m.infer
-}
-
-// trainable makes the training layout the model's weights before a caller
-// changes them: rebuilt from the kernel if the model has none (the only
-// copy must not be dropped first), and the kernel dropped, to be
-// recompiled by the next Infer.
-func (m *SequenceModel) trainable() *LSTM {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.LSTM == nil {
-		m.LSTM = m.infer.decompile()
-	}
-	m.infer = nil
-	return m.LSTM
-}
-
-// Arch returns the network's architecture — layer 0's input width, the
-// hidden width and the layer count — from whichever layout it holds.
-func (m *SequenceModel) Arch() (in, hidden, layers int) {
-	lstm, im := m.layout()
-	if lstm != nil && len(lstm.Layers) > 0 {
-		return lstm.Layers[0].In, lstm.Hidden(), len(lstm.Layers)
-	}
-	return im.Arch()
-}
+// Arch returns the network's architecture: layer 0's input width, the
+// hidden width and the layer count.
+func (m *SequenceModel) Arch() (in, hidden, layers int) { return m.LSTM.Arch() }
 
 // Finite reports whether every weight is finite. Order does not matter
-// here, so the kernel's packed buffers are read as they lie.
+// here, so the packed buffers are read as they lie.
 func (m *SequenceModel) Finite() bool {
-	lstm, im := m.layout()
-	var ws [][]float64
-	if lstm != nil {
-		for _, p := range lstm.Params() {
-			ws = append(ws, p.W)
-		}
-	} else {
-		for _, l := range im.Layers {
-			ws = append(ws, l.packed)
-		}
-	}
-	for _, p := range m.Head.Params() {
-		ws = append(ws, p.W)
-	}
-	for _, w := range ws {
-		for _, v := range w {
+	for _, p := range m.Params() {
+		for _, v := range p.W {
 			if math.Float64bits(v)&expMask == expMask {
 				return false
 			}
@@ -171,12 +110,15 @@ func NewSequenceModel(kind HeadKind, in, hidden, layers int, seed int64) *Sequen
 	}
 }
 
-// Params returns every learnable parameter, for a caller that trains or
-// edits the weights: a model holding only the kernel gets its training
-// layout rebuilt first, and the kernel is dropped so the next inference
-// compiles whatever the caller writes.
+// Params returns every learnable parameter: one packed Param per LSTM
+// layer (weights and gradient in the layout of infer.go), then the head's.
+// They are the live weights, so an edit reaches the next inference step.
 func (m *SequenceModel) Params() []*Param {
-	return append(m.trainable().Params(), m.Head.Params()...)
+	var ps []*Param
+	for _, l := range m.LSTM.Layers {
+		ps = append(ps, &l.w)
+	}
+	return append(ps, m.Head.Params()...)
 }
 
 // NumParams reports the total number of scalar parameters, from the
@@ -195,42 +137,41 @@ func (m *SequenceModel) TrainSequence(xs [][]float64, ys []float64, mask []bool)
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return math.NaN()
 	}
-	// The optimizer step that follows this call will change the weights:
-	// train on the training layout, and drop the kernel so the next
-	// Infer() sees the update.
-	lstm := m.trainable()
-	outs, caches := lstm.ForwardSequence(xs)
-	dOut := make([][]float64, len(xs))
+	if m.ws == nil {
+		m.ws = &bptt{}
+	}
+	w := m.ws
+	w.forward(m.LSTM, xs)
+	H := m.Head.In
+	dOut := w.dOut[:len(xs)*H]
+	clear(dOut)
+	var out [2]float64 // the head's output; Head.Out ≤ 2
 	total := 0.0
 	counted := 0
 	for t := range xs {
-		dOut[t] = make([]float64, lstm.Hidden())
 		if mask != nil && !mask[t] {
 			continue
 		}
-		headOut := m.Head.Forward(outs[t])
+		h, headOut := w.top(m.LSTM, t), out[:m.Head.Out]
+		m.Head.ForwardInto(h, headOut)
 		var loss float64
-		var dHead []float64
+		var dHead [2]float64
 		if m.Kind == GaussianHead {
 			loss, dHead = gaussianNLL(headOut, ys[t])
 		} else {
-			var dLogit float64
-			loss, dLogit = bceLoss(headOut[0], ys[t])
-			dHead = []float64{dLogit}
+			loss, dHead[0] = bceLoss(headOut[0], ys[t])
 		}
 		total += loss
 		counted++
-		dOut[t] = m.Head.Backward(outs[t], dHead)
+		m.Head.BackwardInto(h, dHead[:m.Head.Out], dOut[t*H:(t+1)*H])
 	}
 	if counted == 0 {
 		return math.NaN()
 	}
 	// Normalize so the step size is invariant to sequence length.
 	scale := 1 / float64(counted)
-	for t := range dOut {
-		for k := range dOut[t] {
-			dOut[t][k] *= scale
-		}
+	for i := range dOut {
+		dOut[i] *= scale
 	}
 	// The head gradients were accumulated unscaled; rescale them too.
 	for _, p := range m.Head.Params() {
@@ -238,7 +179,7 @@ func (m *SequenceModel) TrainSequence(xs [][]float64, ys []float64, mask []bool)
 			p.Grad[i] *= scale
 		}
 	}
-	lstm.BackwardSequence(caches, dOut)
+	w.backward(m.LSTM, xs)
 	return total * scale
 }
 
@@ -258,21 +199,18 @@ func (m *SequenceModel) FitSequence(opt *Adam, xs [][]float64, ys []float64, mas
 
 // Predictor is a stateful inference handle over a trained SequenceModel,
 // supporting the closed-loop unrolling of Fig 6 (predicted delays fed back
-// as the next step's input by the caller). It runs on the compiled
-// inference kernel (see infer.go): steps are allocation-free and
-// bitwise-identical to LSTM.Step. The kernel binds the weights as of
-// construction; build a new Predictor after further training.
+// as the next step's input by the caller). Steps run on the packed kernel
+// (see infer.go) and are allocation-free. A Predictor binds the model's
+// live weights: a step taken after further training sees the update.
 type Predictor struct {
 	model *SequenceModel
-	im    *InferModel
 	st    *InferState
 	head  []float64
 }
 
 // NewPredictor returns an inference handle with zero state.
 func (m *SequenceModel) NewPredictor() *Predictor {
-	im := m.Infer()
-	return &Predictor{model: m, im: im, st: im.NewState(), head: make([]float64, m.Head.Out)}
+	return &Predictor{model: m, st: m.LSTM.NewState(), head: make([]float64, m.Head.Out)}
 }
 
 // Reset zeroes the recurrent state in place.
@@ -281,7 +219,7 @@ func (p *Predictor) Reset() { p.st.Reset() }
 // StepGaussian advances one timestep and returns the predicted delay
 // distribution. Valid only for GaussianHead models. Allocation-free.
 func (p *Predictor) StepGaussian(x []float64) GaussianOutput {
-	h := p.im.StepInto(p.st, x)
+	h := p.model.LSTM.StepInto(p.st, x)
 	p.model.Head.ForwardInto(h, p.head)
 	return gaussianFromHead(p.head)
 }
@@ -289,7 +227,7 @@ func (p *Predictor) StepGaussian(x []float64) GaussianOutput {
 // StepProb advances one timestep and returns the predicted event
 // probability. Valid only for BinaryHead models. Allocation-free.
 func (p *Predictor) StepProb(x []float64) float64 {
-	h := p.im.StepInto(p.st, x)
+	h := p.model.LSTM.StepInto(p.st, x)
 	p.model.Head.ForwardInto(h, p.head)
 	return sigmoid(p.head[0])
 }

@@ -23,6 +23,8 @@ import (
 type Param struct {
 	W    []float64
 	Grad []float64
+	// layer is set when W and Grad are an LSTM layer's packed blocks.
+	layer *InferLayer
 }
 
 func newParam(n int) *Param { return &Param{W: make([]float64, n)} }
@@ -33,6 +35,28 @@ func (p *Param) grad() []float64 {
 		p.Grad = make([]float64, len(p.W))
 	}
 	return p.Grad
+}
+
+// sumSquares adds Σ g² over the gradient to acc in artifact order — a
+// packed layer tensor by tensor through runs — so the sum's bits do not
+// depend on the layout.
+func (p *Param) sumSquares(acc float64) float64 {
+	if p.layer == nil || p.Grad == nil {
+		for _, g := range p.Grad {
+			acc += g * g
+		}
+		return acc
+	}
+	l := p.layer
+	for t := 0; t < tensorsPerLayer; t++ {
+		l.runs(t, 0, l.tensorLen(t), func(_, pos, cnt int) {
+			for ; cnt > 0; cnt-- {
+				acc += p.Grad[pos] * p.Grad[pos]
+				pos += 4
+			}
+		})
+	}
+	return acc
 }
 
 // ZeroGrad clears the accumulated gradient.
@@ -85,9 +109,7 @@ func (a *Adam) Step() float64 {
 	a.t++
 	norm := 0.0
 	for _, p := range a.params {
-		for _, g := range p.Grad {
-			norm += g * g
-		}
+		norm = p.sumSquares(norm)
 	}
 	norm = math.Sqrt(norm)
 	if a.ClipNorm > 0 && norm > a.ClipNorm {
@@ -137,15 +159,7 @@ func NewDense(in, out int, seed int64) *Dense {
 	return d
 }
 
-// Forward computes the layer output for input x.
-func (d *Dense) Forward(x []float64) []float64 {
-	y := make([]float64, d.Out)
-	d.ForwardInto(x, y)
-	return y
-}
-
-// ForwardInto computes the layer output into dst (length Out) without
-// allocating. Identical arithmetic to Forward.
+// ForwardInto computes the layer output for input x into dst (length Out).
 func (d *Dense) ForwardInto(x, dst []float64) {
 	for o := 0; o < d.Out; o++ {
 		s := d.B.W[o]
@@ -157,10 +171,10 @@ func (d *Dense) ForwardInto(x, dst []float64) {
 	}
 }
 
-// Backward accumulates parameter gradients for output gradient dy at input
-// x, and returns the gradient with respect to x.
-func (d *Dense) Backward(x, dy []float64) []float64 {
-	dx := make([]float64, d.In)
+// BackwardInto accumulates parameter gradients for output gradient dy at
+// input x, and writes the gradient with respect to x into dx (length In).
+func (d *Dense) BackwardInto(x, dy, dx []float64) {
+	clear(dx)
 	bg, wg := d.B.grad(), d.W.grad()
 	for o := 0; o < d.Out; o++ {
 		g := dy[o]
@@ -172,7 +186,6 @@ func (d *Dense) Backward(x, dy []float64) []float64 {
 			dx[i] += g * row[i]
 		}
 	}
-	return dx
 }
 
 // Params returns the layer's learnable parameters.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,6 +41,20 @@ func gradCheck(t *testing.T, params []*Param, compute func() float64, loss func(
 			}
 		}
 	}
+}
+
+// Forward and Backward are ForwardInto and BackwardInto returning fresh
+// slices.
+func (d *Dense) Forward(x []float64) []float64 {
+	y := make([]float64, d.Out)
+	d.ForwardInto(x, y)
+	return y
+}
+
+func (d *Dense) Backward(x, dy []float64) []float64 {
+	dx := make([]float64, d.In)
+	d.BackwardInto(x, dy, dx)
+	return dx
 }
 
 func TestDenseForward(t *testing.T) {
@@ -93,20 +108,20 @@ func TestDenseBackwardInputGrad(t *testing.T) {
 
 func TestLSTMStepShapesAndDeterminism(t *testing.T) {
 	m := NewLSTM(3, 5, 2, 42)
-	s := m.NewState()
 	x := []float64{0.1, -0.2, 0.3}
-	h1, s1 := m.Step(s, x)
-	h2, _ := m.Step(s, x)
+	s1, s2 := m.NewState(), m.NewState()
+	h1 := append([]float64(nil), m.StepInto(s1, x)...)
+	h2 := m.StepInto(s2, x)
 	if len(h1) != 5 {
 		t.Fatalf("output size %d", len(h1))
 	}
 	for i := range h1 {
 		if h1[i] != h2[i] {
-			t.Fatal("Step not deterministic / mutated input state")
+			t.Fatal("StepInto not deterministic")
 		}
 	}
 	// Advancing state must change the output for the same input.
-	h3, _ := m.Step(s1, x)
+	h3 := m.StepInto(s1, x)
 	same := true
 	for i := range h1 {
 		if h1[i] != h3[i] {
@@ -125,7 +140,7 @@ func TestLSTMGradCheckGaussian(t *testing.T) {
 	xs := [][]float64{{0.5, -0.1}, {0.2, 0.8}, {-0.7, 0.3}, {0.1, 0.1}}
 	ys := []float64{0.3, -0.2, 0.5, 0.0}
 	loss := func() float64 {
-		outs, _ := m.LSTM.ForwardSequence(xs)
+		outs := m.LSTM.Forward(xs)
 		total := 0.0
 		for tt := range xs {
 			l, _ := gaussianNLL(m.Head.Forward(outs[tt]), ys[tt])
@@ -142,7 +157,7 @@ func TestLSTMGradCheckBinary(t *testing.T) {
 	xs := [][]float64{{0.5, -0.1}, {0.2, 0.8}, {-0.7, 0.3}}
 	ys := []float64{1, 0, 1}
 	loss := func() float64 {
-		outs, _ := m.LSTM.ForwardSequence(xs)
+		outs := m.LSTM.Forward(xs)
 		total := 0.0
 		for tt := range xs {
 			l, _ := bceLoss(m.Head.Forward(outs[tt])[0], ys[tt])
@@ -430,5 +445,43 @@ func TestLogisticEmptyFit(t *testing.T) {
 	l.Fit(nil, nil, 10, 0.1, 0) // must not panic
 	if p := l.Prob([]float64{1, 1}); p != 0.5 {
 		t.Errorf("untrained prob = %v, want 0.5", p)
+	}
+}
+
+// TestFitSequenceNoAllocs pins the reused BPTT workspace: once a model has
+// trained a sequence at least as long, training one more and applying the
+// Adam step allocates nothing.
+func TestFitSequenceNoAllocs(t *testing.T) {
+	m := NewSequenceModel(GaussianHead, 5, 16, 2, 3)
+	opt := NewAdam(0.01, m.Params())
+	xs := randSeq(4, 50, 5)
+	ys := randSeq(5, 1, 50)[0]
+	m.FitSequence(opt, xs, ys, nil)
+	if n := testing.AllocsPerRun(20, func() { m.FitSequence(opt, xs[:30], ys[:30], nil) }); n != 0 {
+		t.Fatalf("FitSequence allocates %v times per sequence, want 0", n)
+	}
+}
+
+// lossSink keeps benchmarked losses live.
+var lossSink float64
+
+// BenchmarkTrainSequence times one BPTT pass (TrainSequence, forward and
+// backward) over a 200-step sequence at iBoxML's bench-scale shape and at
+// the small served shape. With -benchmem it also shows that a warmed
+// model trains without allocating.
+func BenchmarkTrainSequence(b *testing.B) {
+	for _, sh := range []struct{ hidden, layers int }{{16, 2}, {96, 1}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.hidden, sh.layers), func(b *testing.B) {
+			const T = 200
+			m := NewSequenceModel(GaussianHead, 5, sh.hidden, sh.layers, 3)
+			xs := randSeq(4, T, 5)
+			ys := randSeq(5, 1, T)[0]
+			m.TrainSequence(xs, ys, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lossSink = m.TrainSequence(xs, ys, nil)
+			}
+		})
 	}
 }

@@ -12,8 +12,10 @@ import (
 // architecture, and where the weight values are. Artifacts written today
 // declare Weights and CRC32C and keep the values out of the JSON, in a raw
 // section of exactly 8·Weights bytes (little-endian IEEE-754 float64 in
-// Params() order; see WriteWeights and ReadWeights). Legacy artifacts carry
-// the values inline as Params and declare neither.
+// artifact order: per LSTM layer Wx, Wh and b, whose row r = g·Hidden + j
+// is gate g of unit j, then the head's W and b; see WriteWeights and
+// ReadWeights). Legacy artifacts carry the values inline as Params, one
+// array per tensor, and declare neither.
 type Header struct {
 	Kind   HeadKind `json:"kind"`
 	In     int      `json:"in"`
@@ -66,7 +68,7 @@ func headOut(kind HeadKind) int {
 }
 
 // tensorSizes lists the length of every tensor of the (validated)
-// architecture in Params() order, without allocating any of them.
+// architecture in artifact order, without allocating any of them.
 func (h Header) tensorSizes() []int64 {
 	H, in, out := int64(h.Hidden), int64(h.In), int64(headOut(h.Kind))
 	sizes := make([]int64, 0, 3*h.Layers+2)
@@ -88,8 +90,7 @@ func (h Header) weightCount() int64 {
 
 // empty allocates the architecture with all-zero weights: the shell a
 // reader fills, without the random init NewSequenceModel would run only
-// to have it overwritten. The LSTM exists only as the inference kernel,
-// which the readers decode straight into; no training layout is built.
+// to have it overwritten.
 func (h Header) empty() *SequenceModel {
 	im := &InferModel{maxH: h.Hidden}
 	for l := 0; l < h.Layers; l++ {
@@ -99,11 +100,11 @@ func (h Header) empty() *SequenceModel {
 		}
 		im.Layers = append(im.Layers, newInferLayer(in, h.Hidden))
 	}
-	return &SequenceModel{Kind: h.Kind, Head: newDense(h.Hidden, headOut(h.Kind)), infer: im}
+	return &SequenceModel{Kind: h.Kind, LSTM: im, Head: newDense(h.Hidden, headOut(h.Kind))}
 }
 
-// tensor is one weight tensor of a model in whichever layout holds it:
-// tensor t of kernel layer l, or the plain slice w.
+// tensor is one weight tensor of a model in artifact order: tensor t of
+// packed layer l, or the plain slice w.
 type tensor struct {
 	l *InferLayer
 	t int
@@ -135,20 +136,12 @@ func (x tensor) get(at int, dst []float64) {
 	copy(dst, x.w[at:])
 }
 
-// tensors lists the model's weight tensors in Params() order, from
-// whichever layout holds the LSTM, without building the other.
+// tensors lists the model's weight tensors in artifact order.
 func (m *SequenceModel) tensors() []tensor {
-	lstm, im := m.layout()
 	var ts []tensor
-	if lstm != nil {
-		for _, p := range lstm.Params() {
-			ts = append(ts, tensor{w: p.W})
-		}
-	} else {
-		for _, l := range im.Layers {
-			for t := 0; t < tensorsPerLayer; t++ {
-				ts = append(ts, tensor{l: l, t: t})
-			}
+	for _, l := range m.LSTM.Layers {
+		for t := 0; t < tensorsPerLayer; t++ {
+			ts = append(ts, tensor{l: l, t: t})
 		}
 	}
 	for _, p := range m.Head.Params() {
@@ -235,9 +228,8 @@ func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
 	return m, nil
 }
 
-// WriteWeights writes the raw weight section: every tensor in Params()
-// order as little-endian float64, read from whichever layout the model
-// holds.
+// WriteWeights writes the raw weight section: every tensor in artifact
+// order as little-endian float64.
 func (m *SequenceModel) WriteWeights(w io.Writer) error {
 	vals := make([]float64, weightChunk/8)
 	buf := make([]byte, 0, weightChunk)

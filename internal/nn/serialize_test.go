@@ -17,8 +17,10 @@ import (
 func inlineHeader(m *SequenceModel) Header {
 	h := m.Header()
 	h.Weights, h.CRC32C = 0, 0
-	for _, p := range m.Params() {
-		h.Params = append(h.Params, p.W)
+	for _, x := range m.tensors() {
+		w := make([]float64, x.len())
+		x.get(0, w)
+		h.Params = append(h.Params, w)
 	}
 	return h
 }
@@ -90,9 +92,9 @@ func readBack(t testing.TB, m *SequenceModel) *SequenceModel {
 	return got
 }
 
-// TestReadHoldsOneCopy: both readers build the packed kernel and the head
-// and nothing else — no training layout, no gradients — and running the
-// model or asking it questions builds neither.
+// TestReadHoldsOneCopy: both readers build the packed weights and the
+// head and nothing else — no gradients, no training workspace — and
+// running the model or asking it questions builds neither.
 func TestReadHoldsOneCopy(t *testing.T) {
 	m := NewSequenceModel(GaussianHead, 5, 9, 2, 3)
 	inline, err := inlineHeader(m).Inline()
@@ -102,13 +104,12 @@ func TestReadHoldsOneCopy(t *testing.T) {
 	for name, got := range map[string]*SequenceModel{"raw": readBack(t, m), "inline": inline} {
 		oneCopy := func(when string) {
 			t.Helper()
-			if got.LSTM != nil || got.infer == nil {
-				t.Fatalf("%s, %s: training layout %v, kernel %v; want only the kernel",
-					name, when, got.LSTM != nil, got.infer != nil)
+			if got.ws != nil {
+				t.Fatalf("%s, %s: model holds a training workspace", name, when)
 			}
-			for _, p := range got.Head.Params() {
+			for i, p := range got.Params() {
 				if p.Grad != nil {
-					t.Fatalf("%s, %s: head holds a gradient buffer", name, when)
+					t.Fatalf("%s, %s: parameter %d holds a gradient buffer", name, when, i)
 				}
 			}
 		}
@@ -124,11 +125,10 @@ func TestReadHoldsOneCopy(t *testing.T) {
 }
 
 // TestLoadedModelMatchesOriginal pins a model read back from its artifact
-// — kernel only — against the in-memory model it was written from, over
-// every kernel shape: the same bits from StepInto and PredictSequence, the
-// same bytes when written again (from either reader), and, once
-// TrainSequence has rebuilt the training layout, the same loss and
-// weights after one Adam step.
+// against the in-memory model it was written from, over every kernel
+// shape: the same bits from StepInto and PredictSequence, the same bytes
+// when written again (from either reader), and the same loss and weights
+// after one training step.
 func TestLoadedModelMatchesOriginal(t *testing.T) {
 	for _, sh := range kernelShapes {
 		name := fmt.Sprintf("%dx%dx%d", sh.in, sh.hidden, sh.layers)
@@ -173,7 +173,8 @@ func TestLoadedModelMatchesOriginal(t *testing.T) {
 }
 
 // TestTensorSizesMatchArchitecture pins the shape arithmetic the readers
-// check counts with against the tensors the constructors really allocate.
+// check counts with against the tensors the constructors really allocate:
+// each packed layer holds exactly its three tensors, and the head its two.
 func TestTensorSizesMatchArchitecture(t *testing.T) {
 	for _, h := range []Header{
 		{Kind: GaussianHead, In: 4, Hidden: 8, Layers: 1},
@@ -182,12 +183,16 @@ func TestTensorSizesMatchArchitecture(t *testing.T) {
 	} {
 		sizes := h.tensorSizes()
 		params := NewSequenceModel(h.Kind, h.In, h.Hidden, h.Layers, 1).Params()
-		if len(sizes) != len(params) {
-			t.Fatalf("%+v: %d sizes, %d tensors", h, len(sizes), len(params))
+		if len(sizes) != tensorsPerLayer*h.Layers+2 || len(params) != h.Layers+2 {
+			t.Fatalf("%+v: %d sizes, %d params", h, len(sizes), len(params))
 		}
 		for i, p := range params {
-			if sizes[i] != int64(len(p.W)) {
-				t.Fatalf("%+v: tensor %d is %d long, tensorSizes says %d", h, i, len(p.W), sizes[i])
+			want := sizes[tensorsPerLayer*h.Layers+i-h.Layers] // a head tensor
+			if i < h.Layers {
+				want = sizes[tensorsPerLayer*i] + sizes[tensorsPerLayer*i+1] + sizes[tensorsPerLayer*i+2]
+			}
+			if int64(len(p.W)) != want {
+				t.Fatalf("%+v: param %d is %d long, tensorSizes says %d", h, i, len(p.W), want)
 			}
 		}
 	}

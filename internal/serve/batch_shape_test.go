@@ -630,9 +630,8 @@ func sentinelClone(t testing.TB, m *iboxml.Model, scale float64) *iboxml.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The clone holds only the kernel it was read into; Params rebuilds
-	// the training layout for editing and drops that kernel, so the
-	// clone's first inference compiles the scaled weights.
+	// Params are the clone's live weights: its inference runs on the
+	// scaled values.
 	for _, p := range clone.Net.Params() {
 		for i := range p.W {
 			p.W[i] *= scale

@@ -182,7 +182,7 @@ func TestSchedulerStaleHandle(t *testing.T) {
 	s.Run()
 	// The free list is LIFO, so this event takes over the node old named.
 	fresh := s.At(2, func() { fired++ })
-	if fresh.ev != old.ev {
+	if fresh.slot != old.slot {
 		t.Fatalf("test premise: the fired node was not reused")
 	}
 	s.Cancel(old)
@@ -271,7 +271,37 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 // simulation: a standing population of a few hundred events, each firing
 // event scheduling its successor, and a timer that is cancelled and
 // re-armed on every round (the transport's RTO).
-func BenchmarkSchedulerChurn(b *testing.B) {
+func BenchmarkSchedulerChurn(b *testing.B) { schedulerChurn(b) }
+
+// BenchmarkSchedulerChurnUnderGC is the same churn while another goroutine
+// allocates pointer-rich garbage over a standing live set, so the
+// collector is marking for much of the run — as it is while iBoxML trains
+// beside a simulation. Pointer stores the scheduler makes then pay a write
+// barrier; BenchmarkSchedulerChurn, which allocates nothing, never shows
+// that cost. Its B/op counts the allocating goroutine's garbage.
+func BenchmarkSchedulerChurnUnderGC(b *testing.B) {
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		live := make([][]*int, 4096)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			live[i%len(live)] = make([]*int, 512)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	schedulerChurn(b)
+}
+
+func schedulerChurn(b *testing.B) {
 	s := NewScheduler()
 	rng := NewRand(1, 1)
 	var fn func()

@@ -35,15 +35,16 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 // FromSeconds converts floating-point seconds to a Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// event is the node behind one scheduled callback. Nodes are recycled
-// through the scheduler's free list, so a node outlives the event it
-// carried: seq names its current (or, once fired or cancelled, its last)
-// occupant and doubles as the generation that invalidates stale EventIDs.
+// event is the node behind one scheduled callback. Nodes live in the
+// scheduler's node array and are recycled through its free list, so a node
+// outlives the event it carried: seq names its current (or, once fired or
+// cancelled, its last) occupant and doubles as the generation that
+// invalidates stale EventIDs.
 type event struct {
 	fn   func()
 	seq  uint64
-	idx  int    // position in the heap, -1 when not queued
-	next *event // free-list link
+	idx  int32 // position in the heap, -1 when not queued
+	next int32 // free-list link: the next free slot, -1 at the end
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -51,17 +52,20 @@ type event struct {
 // cancelled; cancelling a stale id is a no-op even after the node behind
 // it has been reused for a later event.
 type EventID struct {
-	ev  *event
-	seq uint64
+	slot int32 // node index + 1, so the zero value names no node
+	seq  uint64
 }
 
 // entry is one heap slot. The ordering key (at, seq) lives in the slot by
 // value, so sifting compares without touching the nodes; seq is the
-// tie-breaker that fires equal timestamps in insertion order.
+// tie-breaker that fires equal timestamps in insertion order. The node is
+// named by its index, not a pointer: the heap holds no pointers, so a sift
+// step is plain stores, with no write barrier while the collector marks,
+// and the collector never scans the heap.
 type entry struct {
-	at  Time
-	seq uint64
-	ev  *event
+	at   Time
+	seq  uint64
+	slot int32
 }
 
 func (a *entry) before(b *entry) bool {
@@ -70,11 +74,6 @@ func (a *entry) before(b *entry) bool {
 	}
 	return a.seq < b.seq
 }
-
-// eventChunk is how many nodes the scheduler allocates at a time once its
-// free list runs dry (the first chunks are smaller, so a scheduler that
-// only ever holds a handful of events stays small).
-const eventChunk = 256
 
 // Scheduler is a discrete-event scheduler. The zero value is not usable;
 // call NewScheduler.
@@ -87,13 +86,13 @@ type Scheduler struct {
 	now   Time
 	heap  []entry // binary min-heap over (at, seq)
 	seq   uint64
-	free  *event
-	chunk int // size of the next node allocation
+	nodes []event // indexed by entry.slot; grows, never shrinks
+	free  int32   // first free node, -1 when none
 }
 
 // NewScheduler returns a scheduler with the clock at zero and no events.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
+	return &Scheduler{free: -1}
 }
 
 // Now returns the current simulation time.
@@ -133,55 +132,54 @@ func (s *Scheduler) schedule(t Time, seq uint64, fn func()) EventID {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	ev := s.free
-	if ev == nil {
-		ev = s.grow()
+	if s.free < 0 {
+		s.grow()
 	}
+	slot := s.free
+	ev := &s.nodes[slot]
 	s.free = ev.next
-	ev.fn, ev.seq, ev.next = fn, seq, nil
-	s.heap = append(s.heap, entry{at: t, seq: seq, ev: ev})
+	ev.fn, ev.seq, ev.next = fn, seq, -1
+	s.heap = append(s.heap, entry{at: t, seq: seq, slot: slot})
 	s.up(len(s.heap) - 1)
-	return EventID{ev, seq}
+	return EventID{slot + 1, seq}
 }
 
-// grow refills the free list with a freshly allocated chunk of nodes.
-func (s *Scheduler) grow() *event {
-	switch {
-	case s.chunk == 0:
-		s.chunk = 8
-	case s.chunk < eventChunk:
-		s.chunk *= 2
+// grow adds free nodes: doubling from eight, so a scheduler that only
+// ever holds a handful of events stays small.
+func (s *Scheduler) grow() {
+	n := len(s.nodes)
+	s.nodes = append(s.nodes, make([]event, max(n, 8))...)
+	for i := n; i < len(s.nodes); i++ {
+		s.nodes[i].idx, s.nodes[i].next = -1, int32(i+1)
 	}
-	nodes := make([]event, s.chunk)
-	for i := range nodes {
-		nodes[i].idx = -1
-		if i+1 < len(nodes) {
-			nodes[i].next = &nodes[i+1]
-		}
-	}
-	s.free = &nodes[0]
-	return s.free
+	s.nodes[len(s.nodes)-1].next = s.free
+	s.free = int32(n)
 }
 
 // release returns a fired or cancelled node to the free list. Its seq is
 // left in place: until the node is reused, a stale id still matches it and
 // is told apart by idx == -1.
-func (s *Scheduler) release(ev *event) {
+func (s *Scheduler) release(slot int32) {
+	ev := &s.nodes[slot]
 	ev.fn = nil
 	ev.idx = -1
 	ev.next = s.free
-	s.free = ev
+	s.free = slot
 }
 
 // Cancel removes a scheduled event. Cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (s *Scheduler) Cancel(id EventID) {
-	ev := id.ev
-	if ev == nil || ev.seq != id.seq || ev.idx < 0 {
+	slot := id.slot - 1
+	if slot < 0 {
 		return
 	}
-	s.remove(ev.idx)
-	s.release(ev)
+	ev := &s.nodes[slot]
+	if ev.seq != id.seq || ev.idx < 0 {
+		return
+	}
+	s.remove(int(ev.idx))
+	s.release(slot)
 }
 
 // Pending reports the number of live scheduled events.
@@ -194,12 +192,12 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	s.now = s.heap[0].at
-	ev := s.heap[0].ev
+	slot := s.heap[0].slot
 	s.remove(0)
 	// Recycle before running: the callback's own scheduling then reuses
 	// the node while it is still in cache.
-	fn := ev.fn
-	s.release(ev)
+	fn := s.nodes[slot].fn
+	s.release(slot)
 	fn()
 	return true
 }
@@ -225,14 +223,12 @@ func (s *Scheduler) Run() {
 
 // remove deletes heap slot i, restoring the heap order.
 func (s *Scheduler) remove(i int) {
-	h := s.heap
-	n := len(h) - 1
+	n := len(s.heap) - 1
 	if i != n {
-		h[i] = h[n]
-		h[i].ev.idx = i
+		s.heap[i] = s.heap[n]
+		s.nodes[s.heap[i].slot].idx = int32(i)
 	}
-	h[n] = entry{}
-	s.heap = h[:n]
+	s.heap = s.heap[:n] // same array: a length store, no write barrier
 	if i != n && !s.down(i) {
 		s.up(i)
 	}
@@ -240,7 +236,7 @@ func (s *Scheduler) remove(i int) {
 
 // up sifts slot i towards the root.
 func (s *Scheduler) up(i int) {
-	h := s.heap
+	h, nodes := s.heap, s.nodes
 	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -248,16 +244,16 @@ func (s *Scheduler) up(i int) {
 			break
 		}
 		h[i] = h[parent]
-		h[i].ev.idx = i
+		nodes[h[i].slot].idx = int32(i)
 		i = parent
 	}
 	h[i] = e
-	e.ev.idx = i
+	nodes[e.slot].idx = int32(i)
 }
 
 // down sifts slot i towards the leaves and reports whether it moved.
 func (s *Scheduler) down(i int) bool {
-	h := s.heap
+	h, nodes := s.heap, s.nodes
 	n := len(h)
 	e := h[i]
 	start := i
@@ -273,10 +269,10 @@ func (s *Scheduler) down(i int) bool {
 			break
 		}
 		h[i] = h[child]
-		h[i].ev.idx = i
+		nodes[h[i].slot].idx = int32(i)
 		i = child
 	}
 	h[i] = e
-	e.ev.idx = i
+	nodes[e.slot].idx = int32(i)
 	return i != start
 }
