@@ -14,7 +14,9 @@ import (
 // fidelity as Float64bits — and a change that moves any of them (a
 // kernel that rounds differently, a trainer that runs one more epoch, a
 // generator that draws one more trace) fails here. Recorded at tinyScale
-// on amd64; other architectures may fuse multiply-adds.
+// on amd64 with FMA: other architectures may fuse multiply-adds, and
+// math.Exp, which the LSTM gates run on, takes a different instruction
+// sequence on amd64 CPUs without FMA, so its bits differ there too.
 
 // goldenTable1Fidelity pins each Table 1 model's held-out calibration.
 var goldenTable1Fidelity = []struct {

@@ -16,34 +16,27 @@ import (
 // its own compiled weights (nn.StepBatchLanesInto) — they only have to
 // share a Shape: architecture plus windowing. This is the amortization
 // behind cross-checkpoint request micro-batching in internal/serve: the
-// per-window setup — feature extraction, standardization, and the layer-0
-// pre-projection below — is paid once per lane per call instead of once
-// per request round-trip, and the lockstep loop itself is allocation-free
-// (lane states, standardized rows, and the head scratch are set up once
-// per call and reused every step).
+// per-call setup — feature extraction, lane states and scratch — is paid
+// once per lane per call instead of once per request round-trip, and the
+// lockstep loop itself is allocation-free (lane states, one standardized
+// row per lane, and the head scratch are set up once per call and reused
+// every step).
 //
-// Two kernel-level savings apply on top of batching:
-//
-//   - every feature column except the closed-loop d_{t−1} feedback is
-//     known before the unroll starts, so those columns are standardized
-//     once up front and the layer-0 projection of the known prefix is
-//     pre-computed for the whole window in blocked passes
-//     (nn.PreProjectInput); the sequential step only adds the feedback
-//     and cross-traffic terms plus the recurrent matvec;
-//   - each lane steps through the packed inference layout, where a
-//     unit's four gate rows run as four parallel accumulator chains off
-//     one weight stream (SIMD lanes where available; see internal/nn).
+// Each lane steps through the packed inference layout, where a unit's
+// four gate rows run as four parallel accumulator chains off one weight
+// stream and the gate activations run four units at a time (SIMD lanes
+// where available; see internal/nn). Each step standardizes its whole
+// input row: projecting the columns known up front through layer 0 for
+// the whole window saves nothing against a SIMD step, and costs a
+// window-sized buffer (DESIGN.md, "LSTM kernels").
 //
 // Correctness contract: each lane's arithmetic — feature extraction,
 // standardization, the closed-loop d_{t−1} feedback, and the de-
 // standardized mu/sigma clamping — is the exact operation sequence of
-// PredictWindows against that lane's own model. Standardization is
-// elementwise, so standardizing known columns early is identical;
-// pre-projection resumes each gate row's accumulator mid-sum without
-// reordering any addition (bias first, then input terms ascending k, then
-// recurrent terms ascending k). Batched results therefore equal unbatched
-// results float-for-float regardless of batch composition or order —
-// including across distinct checkpoints in one batch.
+// PredictWindows against that lane's own model. Batched results
+// therefore equal unbatched results float-for-float regardless of batch
+// composition or order — including across distinct checkpoints in one
+// batch.
 
 // feedbackCol is the index of the closed-loop d_{t−1} feature — the only
 // input column not known before the unroll begins.
@@ -153,39 +146,9 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 			maxHead = o
 		}
 	}
-	// Standardize every known column of every lane's window once, with
-	// the lane's own scaler. Column feedbackCol is rewritten per step
-	// with the lane's own standardized previous prediction (t=0 keeps
-	// the teacher value, exactly as PredictWindows does).
-	rowsStd := make([][][]float64, n)
-	for i := range xss {
-		T := len(xss[i])
-		if T == 0 {
-			continue
-		}
-		d := len(xss[i][0])
-		slab := make([]float64, T*d)
-		rs := make([][]float64, T)
-		for t := 0; t < T; t++ {
-			rs[t] = slab[t*d : (t+1)*d]
-			lanes[i].Model.xScale.applyInto(xss[i][t], rs[t])
-		}
-		rowsStd[i] = rs
-	}
-
-	// Pre-project the known input prefix (columns k < feedbackCol) of
-	// every lane's whole window through that lane's layer 0 in blocked
-	// passes; the step loop resumes from the partials with tailOff =
-	// feedbackCol.
-	rowsPer := ims[0].InputRowsPerStep()
-	pres := make([][]float64, n)
-	for i := range rowsStd {
-		if len(rowsStd[i]) == 0 {
-			continue
-		}
-		pres[i] = make([]float64, len(rowsStd[i])*rowsPer)
-		ims[i].PreProjectInput(pres[i], rowsStd[i], feedbackCol)
-	}
+	// One standardized input row per lane, refilled every step.
+	d, _, _ := ims[0].Arch()
+	slab := make([]float64, n*d)
 
 	// Lockstep unroll. Lanes whose traces span fewer windows — or whose
 	// Emit abandoned them — drop out of the active set; each lane's state
@@ -198,32 +161,31 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 	batchIms := make([]*nn.InferModel, 0, n)
 	batchSts := make([]*nn.InferState, 0, n)
 	batchRows := make([][]float64, 0, n)
-	batchPres := make([][]float64, 0, n)
 	head := make([]float64, maxHead)
 	for t := 0; t < maxT; t++ {
 		active = active[:0]
 		batchIms = batchIms[:0]
 		batchSts = batchSts[:0]
 		batchRows = batchRows[:0]
-		batchPres = batchPres[:0]
 		for i := range xss {
 			if aborted[i] || t >= len(xss[i]) {
 				continue
 			}
-			r := rowsStd[i][t]
+			x := xss[i][t]
 			if t > 0 {
-				// Closed loop: the standardized d_{t−1} feedback.
-				// Elementwise, so identical to standardizing the raw row.
-				sc := lanes[i].Model.xScale
-				r[feedbackCol] = (prevDelay[i] - sc.Mean[feedbackCol]) / sc.Std[feedbackCol]
+				// Closed loop: the previous prediction replaces the
+				// teacher-forced d_{t−1} feature (t=0 keeps the teacher
+				// value), exactly as PredictWindows does.
+				x[feedbackCol] = prevDelay[i]
 			}
+			r := slab[i*d : (i+1)*d]
+			lanes[i].Model.xScale.applyInto(x, r)
 			active = append(active, i)
 			batchIms = append(batchIms, ims[i])
 			batchSts = append(batchSts, sts[i])
 			batchRows = append(batchRows, r)
-			batchPres = append(batchPres, pres[i][t*rowsPer:(t+1)*rowsPer])
 		}
-		nn.StepBatchLanesInto(batchIms, batchSts, batchRows, batchPres, feedbackCol)
+		nn.StepBatchLanesInto(batchIms, batchSts, batchRows, nil, 0)
 		for k, i := range active {
 			m := lanes[i].Model
 			out := m.Net.HeadGaussian(batchSts[k].Top(), head[:m.Net.Head.Out])

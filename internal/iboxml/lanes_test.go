@@ -245,3 +245,27 @@ func TestShapeString(t *testing.T) {
 		t.Fatalf("Shape.String() = %q, want %q", got, want)
 	}
 }
+
+// BenchmarkPredictWindowsLanes times one lockstep replay call at the
+// small-request shape: a 96×1 model, 40 windows per lane, 1 and 8 lanes
+// of one checkpoint. Run it with -benchmem: per-call allocation is most
+// of a small replay request's garbage.
+func BenchmarkPredictWindowsLanes(b *testing.B) {
+	m := laneModel(b, 96, 1, 5)
+	tr := synthTrace(41, 4*sim.Second)
+	if mu, _ := m.PredictWindows(tr, nil); len(mu) != 40 {
+		b.Fatalf("%d windows, want 40", len(mu))
+	}
+	for _, n := range []int{1, 8} {
+		lanes := make([]ReplayLane, n)
+		for i := range lanes {
+			lanes[i] = ReplayLane{Model: m, Input: tr}
+		}
+		b.Run(fmt.Sprintf("lanes=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				PredictWindowsLanes(lanes, 0)
+			}
+		})
+	}
+}

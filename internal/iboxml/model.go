@@ -336,7 +336,7 @@ func (m *Model) PredictWindows(tr *trace.Trace, ct *trace.Series) (mu, sigma []f
 		// Closed loop: overwrite the teacher-forced d_{t−1} feature with
 		// the model's own previous prediction.
 		if !first {
-			xs[t][3] = prevDelay
+			xs[t][feedbackCol] = prevDelay
 		}
 		m.xScale.applyInto(xs[t], row)
 		out := pred.StepGaussian(row)

@@ -30,19 +30,15 @@ import "math"
 // bias first, then input terms in ascending k, then recurrent terms in
 // ascending k — the order of the historical row-by-row blocked step, which
 // the package tests keep as a reference oracle — so every kernel in this
-// file, SIMD or scalar, produces the same bits.
+// file, SIMD or scalar, produces the same bits. The gate activations
+// (activate) are elementwise; their SIMD kernel reproduces sigmoid,
+// math.Tanh and math.Exp's amd64 instruction sequence lane by lane, so it
+// too gives the scalar loop's bits.
 //
-// Window pre-projection: when an input window is fully known up front
-// (open-loop replay, sequence forward), the input-and-bias half
-// b + Wx·x_t of every row is a GEMM over the whole window. preProject
-// computes it for all T timesteps in a register-blocked pass (weights
-// stream once per four timesteps instead of once per step), and the
-// sequential pass resumes each row's accumulator from the stored partial
-// sum — the addition sequence per row is unchanged, so bitwise identity
-// holds. Closed-loop replay knows a *prefix* of each input row up front
-// (the d_{t−1} feedback column and anything after it arrive at step
-// time); preProject with upto < In pre-projects just that prefix and
-// the step adds the remaining input terms, still in ascending k.
+// A step can also resume each row from a caller-supplied partial sum over
+// the input columns k < tailOff (StepBatchLanesInto's pres): the addition
+// sequence per row is unchanged, so the bits are too. No caller outside
+// the package tests supplies one; see StepBatchLanesInto.
 
 // InferLayer is one LSTM layer in the packed layout.
 type InferLayer struct {
@@ -240,8 +236,8 @@ func (im *InferModel) StepInto(st *InferState, x []float64) []float64 {
 
 // stepLane advances one state one timestep through this stack — the
 // shared inner body of StepInto and StepBatchLanesInto. pre/tailOff
-// optionally carry the timestep's pre-projected layer-0 prefix (see
-// PreProjectInput); pass (nil, 0) otherwise.
+// optionally carry the timestep's partial layer-0 row sums (see
+// StepBatchLanesInto); pass (nil, 0) otherwise.
 func (im *InferModel) stepLane(st *InferState, x, pre []float64, tailOff int) {
 	in := x
 	for li, l := range im.Layers {
@@ -257,7 +253,7 @@ func (im *InferModel) stepLane(st *InferState, x, pre []float64, tailOff int) {
 }
 
 // step advances one layer: hNew and c are written from hPrev, c and
-// input x. pre, when non-nil, holds this timestep's pre-projected partial
+// input x. pre, when non-nil, holds this timestep's partial
 // row sums (unit-major 4-per-unit order, covering the bias and input
 // columns k < tailOff); input terms k >= tailOff are taken from x. With
 // pre == nil the accumulators start from the packed biases and tailOff
@@ -265,7 +261,7 @@ func (im *InferModel) stepLane(st *InferState, x, pre []float64, tailOff int) {
 // updated in place; hNew must not alias hPrev.
 func (l *InferLayer) step(hPrev, c, hNew, x []float64, pre []float64, tailOff int, preAct []float64) {
 	l.gatePre(preAct[:4*l.Hidden], hPrev, x, pre, tailOff)
-	gateUpdate(preAct, c, hNew)
+	activate(preAct, c, c, nil, hNew)
 }
 
 // gatePre computes every gate row's pre-activation into dst (unit-major,
@@ -328,91 +324,42 @@ func (l *InferLayer) gatePreScalar(dst, hPrev, x, pre []float64, tailOff, j0 int
 	}
 }
 
-// gateUpdate applies the LSTM nonlinearities to pre-activations laid out
-// unit-major (4 per unit, i|f|g|o), updating c in place and writing the
-// new hidden vector; len(c) units are consumed.
-func gateUpdate(pre, c, hNew []float64) {
-	for j := range c {
-		ig := sigmoid(pre[j*4])
-		fg := sigmoid(pre[j*4+1])
-		gg := math.Tanh(pre[j*4+2])
-		og := sigmoid(pre[j*4+3])
-		cj := fg*c[j] + ig*gg
-		c[j] = cj
-		hNew[j] = og * math.Tanh(cj)
-	}
-}
-
-// preProject computes, for every timestep t of a known window, each gate
-// row's partial sum bias + Σ_{k<upto} Wx[row][k]·xs[t][k], blocked four
-// timesteps wide so each weight is loaded once per four steps. dst is
-// t-major with rows in the packed unit-major order:
-// dst[t*4H + j*4 + g]. Rows resume from these partial sums via the step
-// kernels with tailOff = upto; the per-row addition order (bias, then
-// input terms ascending k) is exactly the direct step's.
-func (l *InferLayer) preProject(dst []float64, xs [][]float64, upto int) {
-	H, bs := l.Hidden, l.blkStride
-	T := len(xs)
-	rows := 4 * H
-	for j := 0; j < H; j++ {
-		blk := l.w.W[j*bs : (j+1)*bs]
-		for g := 0; g < 4; g++ {
-			r := j*4 + g
-			b := blk[g]
-			var t int
-			for t = 0; t+4 <= T; t += 4 {
-				x0, x1, x2, x3 := xs[t], xs[t+1], xs[t+2], xs[t+3]
-				a0, a1, a2, a3 := b, b, b, b
-				for k := 0; k < upto; k++ {
-					w := blk[4+k*4+g]
-					a0 += w * x0[k]
-					a1 += w * x1[k]
-					a2 += w * x2[k]
-					a3 += w * x3[k]
-				}
-				dst[t*rows+r] = a0
-				dst[(t+1)*rows+r] = a1
-				dst[(t+2)*rows+r] = a2
-				dst[(t+3)*rows+r] = a3
-			}
-			for ; t < T; t++ {
-				x := xs[t]
-				a := b
-				for k := 0; k < upto; k++ {
-					a += blk[4+k*4+g] * x[k]
-				}
-				dst[t*rows+r] = a
-			}
+// activate applies the LSTM nonlinearities to one step of one layer.
+// gates holds the pre-activations unit-major (4 per unit, i|f|g|o) and
+// gets the activated gates back in place; it writes c = f·cPrev + i·g
+// (c may alias cPrev), tanh c when tanhC is non-nil, and h = o·tanh c;
+// len(c) units are consumed. The SIMD kernel covers whole 4-unit groups
+// when available, the scalar loop the rest, with the same bits.
+func activate(gates, cPrev, c, tanhC, h []float64) {
+	j0 := 0
+	if groups := len(c) / 4; haveSIMD && groups > 0 {
+		var tc *float64
+		if tanhC != nil {
+			tc = &tanhC[0]
 		}
+		gateActSIMD(&gates[0], &cPrev[0], &c[0], tc, &h[0], int64(groups))
+		j0 = groups * 4
 	}
-}
-
-// InputRowsPerStep reports the per-timestep row count of a layer-0
-// pre-projection buffer: 4 gate rows per hidden unit of the first layer.
-func (im *InferModel) InputRowsPerStep() int { return 4 * im.Layers[0].Hidden }
-
-// PreProjectInput fills dst (length len(xs)*InputRowsPerStep()) with the
-// first layer's pre-projected partial row sums over input columns
-// k < upto for every timestep: dst[t*rows+j*4+g] = bias + Σ_{k<upto}
-// Wx[row]·xs[t][k]. Pass the result as StepBatchLanesInto's pres (sliced
-// per timestep) with tailOff = upto; closed-loop callers use upto = the
-// first feedback column, so only the unknown tail runs per step.
-func (im *InferModel) PreProjectInput(dst []float64, xs [][]float64, upto int) {
-	l0 := im.Layers[0]
-	if upto < 0 || upto > l0.In {
-		panic("nn: PreProjectInput column bound out of range")
+	for j := j0; j < len(c); j++ {
+		q := gates[4*j : 4*j+4 : 4*j+4]
+		ig, fg, gg, og := sigmoid(q[0]), sigmoid(q[1]), math.Tanh(q[2]), sigmoid(q[3])
+		q[0], q[1], q[2], q[3] = ig, fg, gg, og
+		cj := fg*cPrev[j] + ig*gg
+		c[j] = cj
+		tcj := math.Tanh(cj)
+		if tanhC != nil {
+			tanhC[j] = tcj
+		}
+		h[j] = og * tcj
 	}
-	l0.preProject(dst, xs, upto)
 }
 
 // Forward runs the stack over a fully known input window from a zero
 // state and returns the top layer's hidden vector per timestep. It
 // traverses layer-major — each layer's inputs (the window for layer 0,
 // the full output sequence of the layer below otherwise) are known
-// before its sequential pass starts — and picks the input-projection
-// strategy per backend: per-step SIMD, or the whole-window blocked
-// scalar pre-projection. Results are bitwise-identical to stepping the
-// window through StepInto either way.
+// before its sequential pass starts — through the same per-step kernel
+// as StepInto, so the results are StepInto's bit for bit.
 func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 	T := len(xs)
 	if T == 0 {
@@ -420,7 +367,7 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 	}
 	in := xs
 	var outs [][]float64
-	var pre, preAct []float64
+	preAct := make([]float64, 4*im.maxH)
 	for _, l := range im.Layers {
 		H := l.Hidden
 		slab := make([]float64, T*H)
@@ -429,39 +376,10 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 			outs[t] = slab[t*H : (t+1)*H]
 		}
 		c := make([]float64, H)
-		switch {
-		case haveSIMD:
-			// With the vector backend, plain per-step input projection
-			// runs in SIMD and beats the scalar 4-timestep-blocked
-			// pre-projection. Pre-projected and plain steps are
-			// bitwise-identical (the partial-sum resume preserves each
-			// row's exact addition order), so the choice is free.
-			if cap(preAct) < 4*H {
-				preAct = make([]float64, 4*H)
-			}
-			h := make([]float64, H)
-			for t := 0; t < T; t++ {
-				l.step(h, c, outs[t], in[t], nil, 0, preAct)
-				h = outs[t]
-			}
-		default:
-			// Scalar backend: pre-compute every timestep's input
-			// projection in one blocked pass so each weight streams once
-			// per four steps, leaving only the recurrent matvec on the
-			// sequential path.
-			if cap(pre) < T*4*H {
-				pre = make([]float64, T*4*H)
-			}
-			pre = pre[:T*4*H]
-			l.preProject(pre, in, l.In)
-			if cap(preAct) < 4*H {
-				preAct = make([]float64, 4*H)
-			}
-			h := make([]float64, H)
-			for t := 0; t < T; t++ {
-				l.step(h, c, outs[t], nil, pre[t*4*H:(t+1)*4*H], l.In, preAct)
-				h = outs[t]
-			}
+		h := make([]float64, H)
+		for t := 0; t < T; t++ {
+			l.step(h, c, outs[t], in[t], nil, 0, preAct)
+			h = outs[t]
 		}
 		in = outs
 	}
@@ -482,9 +400,8 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 // accumulator chains) measured slower: the single-lane kernel already
 // carries four independent chains per unit — the fused gate rows, SIMD
 // lanes when available — and its weight reads are one linear stream the
-// prefetcher hides. What batching buys is the shared per-window setup —
-// feature standardization and layer-0 pre-projection — and the lockstep
-// call shape the serving batcher needs.
+// prefetcher hides. What batching buys is the lockstep call shape the
+// serving batcher needs.
 //
 // Per-lane weight pointers come for free from the fused kernel's shape:
 // the packed weight base (&w.W[0]) is a per-call argument of both the
@@ -500,8 +417,9 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 //
 // All lanes must share one architecture (SameArch: per-layer
 // In/Hidden); mixing shapes panics rather than corrupting state.
-// pres/tailOff optionally carry per-lane pre-projected layer-0 prefixes
-// (see PreProjectInput); pass (nil, 0) when inputs are not pre-projected.
+// pres/tailOff optionally carry per-lane partial layer-0 row sums over
+// the input columns k < tailOff, in the packed unit-major order (the
+// resume path; see the file comment); pass (nil, 0) otherwise.
 func StepBatchLanesInto(ims []*InferModel, sts []*InferState, xs [][]float64, pres [][]float64, tailOff int) {
 	n := len(ims)
 	if n != len(sts) || n != len(xs) {

@@ -2,8 +2,8 @@
 
 package nn
 
-// SIMD backend selection for the gate pre-activation kernel. The AVX2
-// path maps each hidden unit's four interleaved gate rows onto the four
+// SIMD backend selection for the LSTM kernels. The AVX2 gate
+// pre-activation path maps each hidden unit's four interleaved gate rows onto the four
 // lanes of a ymm register: lane g runs gate row g's accumulator chain
 // with a separate vector multiply and vector add per column (no FMA —
 // fused multiply-add rounds once where the scalar chain rounds twice, so
@@ -11,11 +11,14 @@ package nn
 // the exact scalar operation sequence, and SIMD on/off cannot change any
 // result bit.
 //
-// AVX2 support is detected at startup via CPUID/XGETBV rather than build
-// tags: GOAMD64=v1 binaries must still run on pre-AVX2 machines, where
-// gatePreScalar covers every unit.
+// The gate activation kernel (gateActSIMD) reproduces math.Exp, which on
+// amd64 takes an FMA instruction sequence exactly when the CPU has AVX
+// and FMA; so the backend requires AVX2 *and* FMA, and then every kernel
+// matches the scalar code bit for bit. Support is detected at startup via
+// CPUID/XGETBV rather than build tags: GOAMD64=v1 binaries must still run
+// on older machines, where the scalar loops cover every unit.
 
-var haveSIMD = cpuHasAVX2()
+var haveSIMD = cpuHasAVX2FMA()
 
 // layerPreSIMD computes gate pre-activations for groups*4 hidden units:
 // out[j*4+g] = init + Σ_{k=xoff}^{nx-1} Wx[row(j,g)][k]·x[k]
@@ -51,6 +54,16 @@ func layerGradSIMD(grad, x, h, dq *float64, nx, nh, groups, blkBytes int64)
 //go:noescape
 func inputGradSIMD(w, dq, dst *float64, n, units, blkBytes int64)
 
-// cpuHasAVX2 reports whether the CPU and OS support AVX2 (CPUID AVX2 +
-// OSXSAVE with XMM/YMM state enabled in XCR0).
-func cpuHasAVX2() bool
+// gateActSIMD applies the LSTM nonlinearities to groups*4 hidden units:
+// per unit j, with the gate pre-activations gates[4j:4j+4] (i|f|g|o),
+// it stores the activated gates back in place, c[j] = f·cPrev[j] + i·g,
+// tanhC[j] = tanh c[j] (skipped when tanhC is nil) and h[j] = o·tanh
+// c[j] — exactly activate's scalar loop, math.Exp and math.Tanh
+// included. c may alias cPrev.
+//
+//go:noescape
+func gateActSIMD(gates, cPrev, c, tanhC, h *float64, groups int64)
+
+// cpuHasAVX2FMA reports whether the CPU and OS support AVX2 and FMA
+// (CPUID AVX2 + AVX + FMA + OSXSAVE with XMM/YMM state enabled in XCR0).
+func cpuHasAVX2FMA() bool

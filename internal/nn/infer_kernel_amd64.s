@@ -363,17 +363,17 @@ idone:
 	VZEROUPPER
 	RET
 
-// func cpuHasAVX2() bool
+// func cpuHasAVX2FMA() bool
 //
-// CPUID.1:ECX must report OSXSAVE+AVX, XCR0 must have XMM+YMM state
-// enabled, and CPUID.7.0:EBX must report AVX2.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+// CPUID.1:ECX must report OSXSAVE, AVX and FMA, XCR0 must have XMM+YMM
+// state enabled, and CPUID.7.0:EBX must report AVX2.
+TEXT ·cpuHasAVX2FMA(SB), NOSPLIT, $0-1
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
 	MOVL CX, R8
-	ANDL $0x18000000, R8
-	CMPL R8, $0x18000000
+	ANDL $0x18001000, R8
+	CMPL R8, $0x18001000
 	JNE  no
 	XORL CX, CX
 	XGETBV
@@ -390,4 +390,230 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 
 no:
 	MOVB $0, ret+0(FP)
+	RET
+
+// Constants of the gate activations, each replicated into a 32-byte quad
+// so it serves as a ymm memory operand. The exp constants and their
+// roles are $GOROOT/src/math/exp_amd64.s's; the tanh ones are
+// math/tanh.go's.
+#define QUAD(sym, bits) \
+	DATA sym<>+0(SB)/8, $bits; \
+	DATA sym<>+8(SB)/8, $bits; \
+	DATA sym<>+16(SB)/8, $bits; \
+	DATA sym<>+24(SB)/8, $bits; \
+	GLOBL sym<>(SB), RODATA|NOPTR, $32
+
+QUAD(zero, 0)
+QUAD(signbit, 0x8000000000000000)
+QUAD(absmask, 0x7fffffffffffffff)
+QUAD(half, 0x3fe0000000000000)             // 0.5
+QUAD(one, 0x3ff0000000000000)              // 1.0
+QUAD(two, 0x4000000000000000)              // 2.0
+QUAD(tiny, 0x0010000000000000)             // 2^-1022
+QUAD(log2e, 0x3ff71547652b82fe)            // 1/ln 2
+QUAD(ln2u, 0x3fe62e42fefa3000)             // ln 2, upper half
+QUAD(ln2l, 0x3d53de6af278ece6)             // ln 2, lower half
+QUAD(sixteenth, 0x3fb0000000000000)        // 0.0625
+QUAD(exp3, 0x3fc5555555555555)             // 1/3!
+QUAD(exp4, 0x3fa5555555555555)             // 1/4!
+QUAD(exp5, 0x3f81111111111111)             // 1/5!
+QUAD(exp6, 0x3f56c16c16c16c17)             // 1/6!
+QUAD(exp7, 0x3f2a01a01a01a01a)             // 1/7!
+QUAD(exp8, 0x3efa01a01a01a01a)             // 1/8!
+QUAD(expbias, 0x3ff)                       // int64 1023
+QUAD(expbias1, 0x3fe)                      // int64 1022
+QUAD(minus52, 0xffffffffffffffcc)          // int64 -52
+QUAD(halfmaxlog, 0x404601e678fc457b)       // 0.5*MAXLOG
+QUAD(tanhsmall, 0x3fe4000000000000)        // 0.625
+QUAD(tanhp0, 0xbfeedc5baafd6f4b)
+QUAD(tanhp1, 0xc058d26a0e26682d)
+QUAD(tanhp2, 0xc0993ac030580563)
+QUAD(tanhq0, 0x405c33f28a581b86)
+QUAD(tanhq1, 0x40a176fa0e5535fa)
+QUAD(tanhq2, 0x40b2ec102442040c)
+
+// EXP(A) replaces each lane of A with math.Exp of it, bit for bit, for
+// every A ≤ 709 and NaN: exp_amd64.s's FMA path (taken wherever this
+// kernel runs, see haveSIMD) with its branches as lane masks. The
+// reduction x − e·ln2 (e the nearest integer to x/ln2, split ln2, one
+// rounding each), the scaled Taylor polynomial and the four squarings
+// are its instruction sequence lane for lane; the 2^e scaling takes its
+// two-multiply denormal route where e+1023 ≤ 0 (the normal route
+// multiplies by 1.0 more, which is exact). Then, as in its branches,
+// e+1023 < −52 gives +0 (−Inf lands here too) and NaN gives x unchanged.
+// Its overflow branch is left out: sigmoid passes arguments ≤ 0, and a
+// tanh lane uses exp(2|x|) only for |x| ≤ MAXLOG/2 ≈ 44. Clobbers
+// Y12–Y15.
+#define EXP(A) \
+	VMOVAPD      A, Y13; \
+	VMULPD       log2e<>(SB), A, Y14; \
+	VCVTPD2DQY   Y14, X15; \
+	VCVTDQ2PD    X15, Y14; \
+	VPMOVSXDQ    X15, Y15; \
+	VFNMADD231PD ln2u<>(SB), Y14, A; \
+	VFNMADD231PD ln2l<>(SB), Y14, A; \
+	VMULPD       sixteenth<>(SB), A, A; \
+	VMOVUPD      exp8<>(SB), Y14; \
+	VFMADD213PD  exp7<>(SB), A, Y14; \
+	VFMADD213PD  exp6<>(SB), A, Y14; \
+	VFMADD213PD  exp5<>(SB), A, Y14; \
+	VFMADD213PD  exp4<>(SB), A, Y14; \
+	VFMADD213PD  exp3<>(SB), A, Y14; \
+	VFMADD213PD  half<>(SB), A, Y14; \
+	VFMADD213PD  one<>(SB), A, Y14; \
+	VMULPD       Y14, A, A; \
+	VADDPD       two<>(SB), A, Y14; \
+	VMULPD       Y14, A, A; \
+	VADDPD       two<>(SB), A, Y14; \
+	VMULPD       Y14, A, A; \
+	VADDPD       two<>(SB), A, Y14; \
+	VMULPD       Y14, A, A; \
+	VADDPD       two<>(SB), A, Y14; \
+	VFMADD213PD  one<>(SB), Y14, A; \
+	VPADDQ       expbias<>(SB), Y15, Y15; \
+	VPCMPGTQ     zero<>(SB), Y15, Y14; \
+	VPANDN       expbias1<>(SB), Y14, Y12; \
+	VPADDQ       Y15, Y12, Y12; \
+	VPSLLQ       $52, Y12, Y12; \
+	VMULPD       Y12, A, A; \
+	VMOVUPD      tiny<>(SB), Y12; \
+	VBLENDVPD    Y14, one<>(SB), Y12, Y12; \
+	VMULPD       Y12, A, A; \
+	VMOVDQU      minus52<>(SB), Y14; \
+	VPCMPGTQ     Y15, Y14, Y14; \
+	VANDNPD      A, Y14, A; \
+	VCMPPD       $0x03, Y13, Y13, Y14; \
+	VBLENDVPD    Y14, Y13, A, A
+
+// SIGMOID(X) replaces each lane of X with sigmoid of it: m = x ≥ 0,
+// z = exp(m ? −x : x), then (m ? 1 : z) / (1 + z). Clobbers Y9–Y15.
+#define SIGMOID(X) \
+	VCMPPD    $0x1d, zero<>(SB), X, Y10; \
+	VANDPD    signbit<>(SB), Y10, Y11; \
+	VXORPD    X, Y11, Y11; \
+	EXP(Y11); \
+	VADDPD    one<>(SB), Y11, Y9; \
+	VBLENDVPD Y10, one<>(SB), Y11, Y11; \
+	VDIVPD    Y9, Y11, X
+
+// TANH(X) replaces each lane of X with math.Tanh of it. All three of
+// tanh.go's branches are computed and the lane picks one: |x| > MAXLOG/2
+// gives ±1; |x| ≥ 0.625 gives ±(1 − 2/(exp(2|x|)+1)); otherwise
+// x + x·s·P(s)/Q(s) with s = x², except that x = ±0 returns x (the
+// polynomial would turn −0 into +0). Clobbers Y5–Y15.
+#define TANH(X) \
+	VANDPD    absmask<>(SB), X, Y5; \
+	VCMPPD    $0x1e, halfmaxlog<>(SB), Y5, Y7; \
+	VCMPPD    $0x1d, tanhsmall<>(SB), Y5, Y6; \
+	VADDPD    Y5, Y5, Y8; \
+	EXP(Y8); \
+	VADDPD    one<>(SB), Y8, Y8; \
+	VMOVUPD   two<>(SB), Y9; \
+	VDIVPD    Y8, Y9, Y8; \
+	VMOVUPD   one<>(SB), Y9; \
+	VSUBPD    Y8, Y9, Y8; \
+	VANDPD    signbit<>(SB), X, Y11; \
+	VXORPD    Y11, Y8, Y8; \
+	VMULPD    X, X, Y9; \
+	VMULPD    tanhp0<>(SB), Y9, Y10; \
+	VADDPD    tanhp1<>(SB), Y10, Y10; \
+	VMULPD    Y9, Y10, Y10; \
+	VADDPD    tanhp2<>(SB), Y10, Y10; \
+	VADDPD    tanhq0<>(SB), Y9, Y5; \
+	VMULPD    Y9, Y5, Y5; \
+	VADDPD    tanhq1<>(SB), Y5, Y5; \
+	VMULPD    Y9, Y5, Y5; \
+	VADDPD    tanhq2<>(SB), Y5, Y5; \
+	VMULPD    Y9, X, Y9; \
+	VMULPD    Y10, Y9, Y9; \
+	VDIVPD    Y5, Y9, Y9; \
+	VADDPD    Y9, X, Y9; \
+	VCMPPD    $0x00, zero<>(SB), X, Y10; \
+	VBLENDVPD Y10, X, Y9, Y9; \
+	VBLENDVPD Y6, Y8, Y9, Y9; \
+	VORPD     one<>(SB), Y11, Y11; \
+	VBLENDVPD Y7, Y11, Y9, X
+
+// TRANSPOSE4 transposes the 4×4 block in Y0–Y3 (row r in Yr) in place:
+// four units' i|f|g|o quads become the i, f, g and o vectors of the four
+// units, and back. Clobbers Y4–Y7.
+#define TRANSPOSE4 \
+	VUNPCKLPD  Y1, Y0, Y4; \
+	VUNPCKHPD  Y1, Y0, Y5; \
+	VUNPCKLPD  Y3, Y2, Y6; \
+	VUNPCKHPD  Y3, Y2, Y7; \
+	VPERM2F128 $0x20, Y6, Y4, Y0; \
+	VPERM2F128 $0x20, Y7, Y5, Y1; \
+	VPERM2F128 $0x31, Y6, Y4, Y2; \
+	VPERM2F128 $0x31, Y7, Y5, Y3
+
+// func gateActSIMD(gates, cPrev, c, tanhC, h *float64, groups int64)
+//
+// Applies the LSTM nonlinearities to groups*4 hidden units, four units
+// per iteration with one unit per lane: the units' gate quads are
+// transposed into i, f, g and o vectors, activated, and transposed back
+// in place; then c = cPrev·f + g·i, tanh c (stored when tanhC is
+// non-nil) and h = tanh c · o. c may alias cPrev.
+//
+// Bitwise contract: each lane runs activate's scalar loop — sigmoid and
+// math.Tanh through EXP, which is math.Exp's own instruction sequence —
+// with the same operations and roundings. The one thing the source does
+// not fix is which NaN payload survives where two different NaNs meet in
+// one multiply or add: that follows operand order, which the compiler
+// picks for the scalar loop. The operand orders here are the ones go1.24
+// picks.
+//
+// Register map:
+//   AX gates, BX cPrev, CX c, DX tanhC (0: not stored), SI h cursors;
+//   DI remaining groups. Y0–Y3 the i, f, g, o vectors; Y4 c, then
+//   tanh c, then h; Y5–Y15 the macros' scratch.
+TEXT ·gateActSIMD(SB), NOSPLIT, $0-48
+	MOVQ gates+0(FP), AX
+	MOVQ cPrev+8(FP), BX
+	MOVQ c+16(FP), CX
+	MOVQ tanhC+24(FP), DX
+	MOVQ h+32(FP), SI
+	MOVQ groups+40(FP), DI
+
+agroup:
+	TESTQ DI, DI
+	JZ    adone
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD 64(AX), Y2
+	VMOVUPD 96(AX), Y3
+	TRANSPOSE4
+	SIGMOID(Y0)
+	SIGMOID(Y1)
+	TANH(Y2)
+	SIGMOID(Y3)
+
+	VMOVUPD (BX), Y4
+	VMULPD  Y1, Y4, Y4
+	VMULPD  Y0, Y2, Y5
+	VADDPD  Y5, Y4, Y4
+	VMOVUPD Y4, (CX)
+	TANH(Y4)
+	TESTQ   DX, DX
+	JZ      anotanh
+	VMOVUPD Y4, (DX)
+	ADDQ    $32, DX
+
+anotanh:
+	VMULPD  Y3, Y4, Y4
+	VMOVUPD Y4, (SI)
+	TRANSPOSE4
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	ADDQ    $128, AX
+	ADDQ    $32, BX
+	ADDQ    $32, CX
+	ADDQ    $32, SI
+	DECQ    DI
+	JMP     agroup
+
+adone:
+	VZEROUPPER
 	RET

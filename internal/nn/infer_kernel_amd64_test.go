@@ -10,14 +10,15 @@ import (
 	"testing"
 )
 
-// TestSIMDMatchesScalar runs the same sequences through the kernel with
-// the AVX2 backend on and off and demands bitwise-identical outputs —
+// TestSIMDMatchesScalar runs the same sequences through the kernels with
+// the SIMD backend on and off and demands bitwise-identical outputs —
 // the separate-multiply-then-add lane arithmetic must be exactly the
-// scalar chain. Skipped on machines without AVX2 (the toggle would test
+// scalar chain, and the vector gate activations exactly math.Exp and
+// math.Tanh. Skipped on machines without AVX2+FMA (the toggle would test
 // scalar against itself).
 func TestSIMDMatchesScalar(t *testing.T) {
 	if !haveSIMD {
-		t.Skip("no AVX2; SIMD path unavailable")
+		t.Skip("no AVX2+FMA; SIMD path unavailable")
 	}
 	defer func(v bool) { haveSIMD = v }(haveSIMD)
 	for _, sh := range kernelShapes {
@@ -75,14 +76,16 @@ var trainingBitsShapes = []struct {
 // must reproduce the recorded loss bits and weight-section hash. The
 // values were recorded before training moved onto the packed kernel, so
 // any change to the BPTT arithmetic, its summation order or Adam's norm
-// order shows here. Recorded on amd64 (math.Exp and friends differ by
-// architecture), hence the build tag.
+// order shows here. Recorded on amd64 with FMA: math.Exp's bits differ by
+// architecture, hence the build tag, and on amd64 between CPUs with and
+// without FMA (it takes an FMA instruction sequence when the CPU has
+// one), hence the skip.
 func TestTrainingBitsGolden(t *testing.T) {
+	if !cpuHasAVX2FMA() {
+		t.Skip("recorded where math.Exp takes its FMA path; this CPU lacks AVX2+FMA")
+	}
 	defer func(v bool) { haveSIMD = v }(haveSIMD)
 	for _, simd := range []bool{true, false} {
-		if simd && !cpuHasAVX2() {
-			continue
-		}
 		haveSIMD = simd
 		for _, sh := range trainingBitsShapes {
 			name := fmt.Sprintf("simd=%v kind=%d %d→%d×%d", simd, sh.kind, sh.in, sh.hidden, sh.layer)
@@ -114,5 +117,124 @@ func TestTrainingBitsGolden(t *testing.T) {
 				t.Errorf("%s: loss bits %s weights %s; want %s %s", name, gotLoss, gotW, sh.loss, sh.weights)
 			}
 		}
+	}
+}
+
+// activateMatches runs activate on copies of gates and cPrev with the
+// SIMD backend on and off, in training's form (a separate c, tanh c
+// stored) and inference's (c updated in place, no tanh c), and fails
+// unless every output — the activated gates, c, tanh c and h — is
+// bitwise identical.
+func activateMatches(t *testing.T, what string, gates, cPrev []float64) {
+	t.Helper()
+	defer func(v bool) { haveSIMD = v }(haveSIMD)
+	H := len(cPrev)
+	run := func(simd, inPlace bool) [][]float64 {
+		haveSIMD = simd
+		g := append([]float64(nil), gates...)
+		cp := append([]float64(nil), cPrev...)
+		c, tc, h := cp, []float64(nil), make([]float64, H)
+		if !inPlace {
+			c, tc = make([]float64, H), make([]float64, H)
+		}
+		activate(g, cp, c, tc, h)
+		return [][]float64{g, c, tc, h}
+	}
+	for _, inPlace := range []bool{false, true} {
+		want, got := run(false, inPlace), run(true, inPlace)
+		for i, name := range []string{"gates", "c", "tanh c", "h"} {
+			bitsEqual(t, fmt.Sprintf("%s in-place=%v %s", what, inPlace, name), got[i], want[i])
+		}
+	}
+}
+
+// TestGateActivationMatchesScalar pins the vector gate activations to
+// the scalar loop bit for bit at every kernelShapes width, on gate and
+// cell values scaled so that every branch of sigmoid, math.Tanh and
+// math.Exp runs: small and mid tanh, saturated tanh, and exp's
+// denormal and underflow results.
+func TestGateActivationMatchesScalar(t *testing.T) {
+	if !haveSIMD {
+		t.Skip("no AVX2+FMA; SIMD path unavailable")
+	}
+	for _, sh := range kernelShapes {
+		for i, scale := range []float64{1, 8, 400} {
+			gates := randSeq(int64(70+i), 1, 4*sh.hidden)[0]
+			cPrev := randSeq(int64(80+i), 1, sh.hidden)[0]
+			for j := range gates {
+				gates[j] *= scale
+			}
+			for j := range cPrev {
+				cPrev[j] *= scale
+			}
+			activateMatches(t, fmt.Sprintf("hidden=%d scale=%v", sh.hidden, scale), gates, cPrev)
+		}
+	}
+}
+
+// FuzzGateActivation feeds one arbitrary float64 bit pattern to every
+// gate slot and to the cell, one unit at a time beside finite
+// neighbours, then to all five slots of one unit at once, and demands
+// SIMD ≡ scalar bitwise. Each unit sees a single NaN payload, because
+// where two different NaNs meet the survivor follows operand order,
+// which the source does not fix (see gateActSIMD). The seeds sit on the
+// branch edges of sigmoid, math.Tanh and math.Exp.
+func FuzzGateActivation(f *testing.F) {
+	const maxLog = 8.8029691931113054295988e+01 // math/tanh.go's MAXLOG
+	for _, x := range []float64{
+		0, math.Copysign(0, -1),
+		0.625, -0.625, math.Nextafter(0.625, 0), -math.Nextafter(0.625, 0),
+		0.5 * maxLog, -0.5 * maxLog,
+		math.Nextafter(0.5*maxLog, 0), math.Nextafter(0.5*maxLog, 100),
+		-math.Nextafter(0.5*maxLog, 0), -math.Nextafter(0.5*maxLog, 100),
+		708, -708, 709, -709, 710, -710, -745,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1023, -0x1p-1030,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add(math.Float64bits(x))
+	}
+	f.Add(uint64(0x7ff0000000000001)) // a signalling NaN
+	f.Add(uint64(0xfff8000000000123)) // a negative NaN with a payload
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		if !haveSIMD {
+			t.Skip("no AVX2+FMA; SIMD path unavailable")
+		}
+		x := math.Float64frombits(bits)
+		neighbours := [5]float64{0.3, -1.7, 2.5, -0.4, 0.9}
+		const units = 24 // 20 with x in one slot, 4 with x everywhere
+		gates, cPrev := make([]float64, 4*units), make([]float64, units)
+		for u := 0; u < units; u++ {
+			slots := neighbours
+			if u < 20 {
+				slots[u%5] = x
+			} else {
+				slots = [5]float64{x, x, x, x, x}
+			}
+			copy(gates[4*u:4*u+4], slots[:4])
+			cPrev[u] = slots[4]
+		}
+		activateMatches(t, fmt.Sprintf("x=%x", bits), gates, cPrev)
+	})
+}
+
+// BenchmarkGateActivation times one paper-width (256-unit) layer's gate
+// activations with the SIMD backend on and off.
+func BenchmarkGateActivation(b *testing.B) {
+	defer func(v bool) { haveSIMD = v }(haveSIMD)
+	const H = 256
+	pre := randSeq(5, 1, 4*H)[0]
+	gates := make([]float64, 4*H)
+	c, h := randSeq(6, 1, H)[0], make([]float64, H)
+	for _, simd := range []bool{true, false} {
+		if simd && !cpuHasAVX2FMA() {
+			continue
+		}
+		b.Run(fmt.Sprintf("simd=%v", simd), func(b *testing.B) {
+			haveSIMD = simd
+			for i := 0; i < b.N; i++ {
+				copy(gates, pre)
+				activate(gates, c, c, nil, h)
+			}
+		})
 	}
 }

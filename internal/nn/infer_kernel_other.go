@@ -2,7 +2,7 @@
 
 package nn
 
-// Portable fallback: no SIMD backend, gatePreScalar covers every unit.
+// Portable fallback: no SIMD backend, the scalar loops cover every unit.
 
 const haveSIMD = false
 
@@ -16,4 +16,8 @@ func layerGradSIMD(grad, x, h, dq *float64, nx, nh, groups, blkBytes int64) {
 
 func inputGradSIMD(w, dq, dst *float64, n, units, blkBytes int64) {
 	panic("nn: inputGradSIMD called without SIMD support")
+}
+
+func gateActSIMD(gates, cPrev, c, tanhC, h *float64, groups int64) {
+	panic("nn: gateActSIMD called without SIMD support")
 }

@@ -239,8 +239,8 @@ func TestBackwardMatchesLSTMStepBackward(t *testing.T) {
 	}
 }
 
-// TestInferForwardMatchesStepInto pins the layer-major pre-projected
-// window forward against the sequential step kernel, bitwise.
+// TestInferForwardMatchesStepInto pins the layer-major window forward
+// against the sequential step kernel, bitwise.
 func TestInferForwardMatchesStepInto(t *testing.T) {
 	for _, sh := range kernelShapes {
 		im := NewLSTM(sh.in, sh.hidden, sh.layers, 9)
@@ -280,23 +280,11 @@ func sharedLanes(in, hidden, layers int) []*InferModel {
 
 // lanesMatchStep steps every lane through StepBatchLanesInto and fails
 // unless each advances bitwise-identically to StepInto on its own model.
-// upto = -1 runs layer 0 plain; upto >= 0 resumes it from a per-lane
-// pre-projected prefix [0, upto) of the input columns.
+// upto = -1 runs layer 0 plain; upto >= 0 resumes it from each lane's
+// partial row sums over the input prefix [0, upto) (prefixSums).
 func lanesMatchStep(t *testing.T, what string, ims []*InferModel, seqs [][][]float64, upto int) {
 	t.Helper()
 	n, steps := len(ims), len(seqs[0])
-	rows := ims[0].InputRowsPerStep()
-	var pres [][]float64
-	tailOff := 0
-	if upto >= 0 {
-		// Per-lane pre-projection through the lane's own layer 0.
-		tailOff = upto
-		pres = make([][]float64, n)
-		for b := range pres {
-			pres[b] = make([]float64, steps*rows)
-			ims[b].PreProjectInput(pres[b], seqs[b], upto)
-		}
-	}
 	sts := make([]*InferState, n)
 	refs := make([]*InferState, n)
 	for b := range sts {
@@ -304,18 +292,19 @@ func lanesMatchStep(t *testing.T, what string, ims []*InferModel, seqs [][][]flo
 		refs[b] = ims[b].NewState()
 	}
 	xs := make([][]float64, n)
-	var lanesPre [][]float64
-	if pres != nil {
-		lanesPre = make([][]float64, n)
+	var pres [][]float64
+	tailOff := 0
+	if upto >= 0 {
+		pres, tailOff = make([][]float64, n), upto
 	}
 	for tt := 0; tt < steps; tt++ {
 		for b := range xs {
 			xs[b] = seqs[b][tt]
 			if pres != nil {
-				lanesPre[b] = pres[b][tt*rows : (tt+1)*rows]
+				pres[b] = prefixSums(t, ims[b], xs[b], upto)
 			}
 		}
-		StepBatchLanesInto(ims, sts, xs, lanesPre, tailOff)
+		StepBatchLanesInto(ims, sts, xs, pres, tailOff)
 		for b := 0; b < n; b++ {
 			want := ims[b].StepInto(refs[b], seqs[b][tt])
 			bitsEqual(t, what, sts[b].Top(), want)
@@ -323,9 +312,29 @@ func lanesMatchStep(t *testing.T, what string, ims []*InferModel, seqs [][][]flo
 	}
 }
 
+// prefixSums returns layer 0's partial row sums bias + Σ_{k<upto}
+// Wx[row][k]·x[k], the resume input of a step with tailOff = upto, built
+// by gatePre itself from x with columns k ≥ upto zeroed and a zero
+// hidden state. The zero terms add ±0, which leaves a partial sum
+// unchanged unless it is −0; none is (checked).
+func prefixSums(t *testing.T, im *InferModel, x []float64, upto int) []float64 {
+	t.Helper()
+	l := im.Layers[0]
+	xp := make([]float64, l.In)
+	copy(xp, x[:upto])
+	pre := make([]float64, 4*l.Hidden)
+	l.gatePre(pre, make([]float64, l.Hidden), xp, nil, 0)
+	for _, v := range pre {
+		if v == 0 && math.Signbit(v) {
+			t.Fatal("prefixSums: a −0 partial sum, which zero padding would turn into +0")
+		}
+	}
+	return pre
+}
+
 // TestStepBatchLanesMatchesStep pins the per-lane-weights kernel: lanes
 // over distinct compiled stacks of one architecture, plain or resuming
-// from any pre-projected prefix, each advance bitwise-identically to
+// from any prefix's partial sums, each advance bitwise-identically to
 // StepInto on their own model. n distinct copies of the paper-scale
 // stack would hold n×17 MB of weights, so it runs only in the
 // shared-model tests.
@@ -357,11 +366,12 @@ func TestStepBatchIntoMatchesStepInto(t *testing.T) {
 	}
 }
 
-// TestPreProjectedStepMatchesPlain pins the prefix pre-projection path on
-// a shared model: pre-projecting any prefix [0, upto) of the input
-// columns and resuming with tailOff = upto must reproduce the plain step
-// bitwise, for every split point including the bias-only upto = 0.
-func TestPreProjectedStepMatchesPlain(t *testing.T) {
+// TestResumedStepMatchesPlain pins the kernel's resume path on a shared
+// model: a step that starts each gate row from its partial sum over any
+// input prefix [0, upto), built by gatePre, and adds the columns from
+// tailOff = upto on must reproduce the plain step bitwise, for every
+// split point including the bias-only upto = 0.
+func TestResumedStepMatchesPlain(t *testing.T) {
 	for _, sh := range kernelShapes {
 		ims := sharedLanes(sh.in, sh.hidden, sh.layers)
 		seqs := laneSeqs(sh.in)

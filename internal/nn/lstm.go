@@ -125,9 +125,9 @@ func (w *bptt) top(im *InferModel, t int) []float64 {
 }
 
 // forward runs the stack over xs from a zero state, layer by layer,
-// keeping every step's activations for backward. The pre-activations come
-// from the inference kernel (gatePre), so the forward pass is the
-// inference forward bit for bit.
+// keeping every step's activations for backward. It runs the inference
+// kernels (gatePre, activate), so the forward pass is the inference
+// forward bit for bit.
 func (w *bptt) forward(im *InferModel, xs [][]float64) {
 	w.grow(im, len(xs))
 	for li, l := range im.Layers {
@@ -135,16 +135,7 @@ func (w *bptt) forward(im *InferModel, xs [][]float64) {
 		for t := range xs {
 			gates, c, tanhC, h, cPrev, hPrev := w.step(li, H, t)
 			l.gatePre(gates, hPrev, w.input(im, xs, li, t), nil, 0)
-			for j := 0; j < H; j++ {
-				q := gates[4*j : 4*j+4 : 4*j+4]
-				q[0] = sigmoid(q[0])
-				q[1] = sigmoid(q[1])
-				q[2] = math.Tanh(q[2])
-				q[3] = sigmoid(q[3])
-				c[j] = q[1]*cPrev[j] + q[0]*q[2]
-				tanhC[j] = math.Tanh(c[j])
-				h[j] = q[3] * tanhC[j]
-			}
+			activate(gates, cPrev, c, tanhC, h)
 		}
 	}
 }

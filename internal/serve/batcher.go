@@ -39,10 +39,9 @@ import (
 // distinct checkpoints share no weight traffic, so paper-scale lanes run
 // in parallel on otherwise idle cores, while a saturated pool, a batch of
 // one and small requests keep the single lockstep batch. Within a
-// sub-batch the lockstep walk shares the per-window setup (feature build,
-// standardization, input pre-projection) and gives every member
-// incremental progress — the property streaming replay (stream.go) relies
-// on for fair time-to-first-chunk. Because every lane is
+// sub-batch the lockstep walk gives every member incremental progress —
+// the property streaming replay (stream.go) relies on for fair
+// time-to-first-chunk. Because every lane is
 // bitwise-identical to its unbatched replay whatever else shares its
 // (sub-)batch, batching and splitting change only latency and throughput
 // — never a single response byte.

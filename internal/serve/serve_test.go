@@ -872,12 +872,30 @@ func TestAdmissionDeadline(t *testing.T) {
 				})
 				done <- result{code, body}
 			}()
+			// The hold timer starts only once the queued request has
+			// provably arrived (it counts as waiting), so the slot stays
+			// held for tc.wait after its arrival however late its
+			// goroutine runs. A request shed before it is seen waiting
+			// ends the wait too.
 			var got result
-			select {
-			case got = <-done:
-			case <-time.After(tc.wait):
-				open() // frees the slot
-				got = <-done
+			finished := false
+			for giveUp := time.Now().Add(10 * time.Second); !finished && s.waiting.Load() != 1; {
+				if time.Now().After(giveUp) {
+					t.Fatal("queued request never arrived")
+				}
+				select {
+				case got = <-done:
+					finished = true
+				case <-time.After(time.Millisecond):
+				}
+			}
+			if !finished {
+				select {
+				case got = <-done:
+				case <-time.After(tc.wait):
+					open() // frees the slot
+					got = <-done
+				}
 			}
 			if got.code != tc.code {
 				t.Fatalf("queued request: status %d (%.200s), want %d", got.code, got.body, tc.code)
