@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ibox/internal/nn"
+	"ibox/internal/obs"
 	"ibox/internal/sim"
 	"ibox/internal/trace"
 )
@@ -29,6 +30,14 @@ import (
 // input row: projecting the columns known up front through layer 0 for
 // the whole window saves nothing against a SIMD step, and costs a
 // window-sized buffer (DESIGN.md, "LSTM kernels").
+//
+// A batch down to one active lane — the usual case for a lone
+// paper-scale request — would leave every other core idle, and its layers
+// cannot overlap (layer 0 at step t+1 waits on the top layer at step t
+// through the d_{t−1} feedback). A lane that carries Helpers therefore
+// borrows one idle worker once it is alone and splits each layer's units
+// with it (nn.Split); the helper goes back as soon as other work waits
+// for a worker, and the lane re-recruits at a later step if one parks.
 //
 // Correctness contract: each lane's arithmetic — feature extraction,
 // standardization, the closed-loop d_{t−1} feedback, and the de-
@@ -91,6 +100,21 @@ type ReplayLane struct {
 	// abandons the lane: its remaining windows are never computed, its
 	// results come back nil, and no other lane is affected.
 	Emit func(t0 int, mu, sigma []float64) bool
+	// Helpers, when non-nil, lends the lane one idle worker while it is
+	// its batch's only active lane (see the file comment). Offline
+	// callers leave it nil and never recruit.
+	Helpers Helpers
+}
+
+// Helpers is the worker pool a lone lane borrows a helper from;
+// *par.Pool is one.
+type Helpers interface {
+	// TryGo runs fn on an idle worker and reports whether one took it;
+	// it never waits.
+	TryGo(fn func()) bool
+	// Waiting reports how many jobs wait for a worker. A helper leaves
+	// as soon as it is positive.
+	Waiting() int
 }
 
 // PredictWindowsLanes runs the closed-loop window prediction of
@@ -162,6 +186,8 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 	batchSts := make([]*nn.InferState, 0, n)
 	batchRows := make([][]float64, 0, n)
 	head := make([]float64, maxHead)
+	var split *nn.Split // the last active lane's, once it has Helpers
+	var tryGo func(func()) bool
 	for t := 0; t < maxT; t++ {
 		active = active[:0]
 		batchIms = batchIms[:0]
@@ -185,7 +211,15 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 			batchSts = append(batchSts, sts[i])
 			batchRows = append(batchRows, r)
 		}
-		nn.StepBatchLanesInto(batchIms, batchSts, batchRows, nil, 0)
+		if a := active; split == nil && len(a) == 1 && lanes[a[0]].Helpers != nil && ims[a[0]].Splits() {
+			h := lanes[a[0]].Helpers
+			split, tryGo = nn.NewSplit(func() bool { return h.Waiting() > 0 }), h.TryGo
+		}
+		if split != nil && len(active) == 1 && split.Recruit(tryGo) {
+			split.StepInto(batchIms[0], batchSts[0], batchRows[0])
+		} else {
+			nn.StepBatchLanesInto(batchIms, batchSts, batchRows, nil, 0)
+		}
 		for k, i := range active {
 			m := lanes[i].Model
 			out := m.Net.HeadGaussian(batchSts[k].Top(), head[:m.Net.Head.Out])
@@ -207,6 +241,12 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 				}
 			}
 		}
+	}
+	if split != nil {
+		split.Release() // no helper outlives the unroll
+		reg := obs.Get()
+		reg.Counter("iboxml.split_halves").Add(int64(split.Halves))
+		reg.Counter("iboxml.split_helped").Add(int64(split.Helped))
 	}
 	return mus, sigmas
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"ibox/internal/par"
 	"ibox/internal/sim"
 	"ibox/internal/trace"
 )
@@ -48,6 +50,53 @@ func TestSimulateTraceLanesMixedCheckpoints(t *testing.T) {
 				if !bytes.Equal(encodeTrace(t, want), encodeTrace(t, outs[i])) {
 					t.Fatalf("lane %d: cross-checkpoint batched simulation differs from unbatched", i)
 				}
+			}
+		})
+	}
+}
+
+// countingHelpers is a pool that counts the helpers it lends.
+type countingHelpers struct {
+	*par.Pool
+	lent atomic.Int64
+}
+
+func (h *countingHelpers) TryGo(fn func()) bool {
+	if !h.Pool.TryGo(fn) {
+		return false
+	}
+	h.lent.Add(1)
+	return true
+}
+
+// TestLaneHelperMatchesUnhelped: lanes that may borrow a pool worker once
+// alone — the batch drains to its longest lane, which then splits each
+// layer's units with the helper — serialize to exactly the bytes of the
+// same batch without Helpers, on shapes that split (Hidden ≥ 8); a
+// narrower shape borrows nothing.
+func TestLaneHelperMatchesUnhelped(t *testing.T) {
+	pool := par.NewPool(1)
+	defer pool.Close()
+	for _, sh := range []struct{ hidden, layers int }{{16, 2}, {13, 1}, {6, 2}} {
+		t.Run(fmt.Sprintf("h%d_l%d", sh.hidden, sh.layers), func(t *testing.T) {
+			h := &countingHelpers{Pool: pool}
+			var plain, helped []ReplayLane
+			for i, d := range []sim.Time{2 * sim.Second, 500 * sim.Millisecond, 6 * sim.Second} {
+				l := ReplayLane{Model: laneModel(t, sh.hidden, sh.layers, int64(5+i)), Input: synthTrace(int64(71+i), d), Seed: int64(401 + i)}
+				plain = append(plain, l)
+				l.Helpers = h
+				helped = append(helped, l)
+			}
+			want, got := SimulateTraceLanes(plain, 0), SimulateTraceLanes(helped, 0)
+			for i := range want {
+				if !bytes.Equal(encodeTrace(t, want[i]), encodeTrace(t, got[i])) {
+					t.Fatalf("lane %d: helped replay differs from unhelped", i)
+				}
+			}
+			// The pool's one worker is idle for the whole unroll, so the
+			// last lane finds it (a lane re-offers every round).
+			if splits := sh.hidden >= 8; splits != (h.lent.Load() > 0) {
+				t.Fatalf("lane lent %d helpers; want some: %v", h.lent.Load(), splits)
 			}
 		})
 	}

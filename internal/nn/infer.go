@@ -230,22 +230,23 @@ func (s *InferState) swap() { s.h, s.hNxt = s.hNxt, s.h }
 // layer's hidden vector (valid until the next StepInto on this state).
 // It performs no allocation.
 func (im *InferModel) StepInto(st *InferState, x []float64) []float64 {
-	im.stepLane(st, x, nil, 0)
+	im.stepLane(st, x, nil, 0, nil)
 	return st.top()
 }
 
 // stepLane advances one state one timestep through this stack — the
-// shared inner body of StepInto and StepBatchLanesInto. pre/tailOff
-// optionally carry the timestep's partial layer-0 row sums (see
-// StepBatchLanesInto); pass (nil, 0) otherwise.
-func (im *InferModel) stepLane(st *InferState, x, pre []float64, tailOff int) {
+// shared inner body of StepInto, StepBatchLanesInto and Split.StepInto.
+// pre/tailOff optionally carry the timestep's partial layer-0 row sums
+// (see StepBatchLanesInto); pass (nil, 0) otherwise. sp, when non-nil,
+// offers each layer's upper unit half to its helper (split.go).
+func (im *InferModel) stepLane(st *InferState, x, pre []float64, tailOff int, sp *Split) {
 	in := x
 	for li, l := range im.Layers {
 		h, c, hn := st.layer(im, li)
 		if li == 0 {
-			l.step(h, c, hn, in, pre, tailOff, st.pre)
+			l.step(h, c, hn, in, pre, tailOff, st.pre, sp)
 		} else {
-			l.step(h, c, hn, in, nil, 0, st.pre)
+			l.step(h, c, hn, in, nil, 0, st.pre, sp)
 		}
 		in = hn
 	}
@@ -259,42 +260,81 @@ func (im *InferModel) stepLane(st *InferState, x, pre []float64, tailOff int) {
 // pre == nil the accumulators start from the packed biases and tailOff
 // must be 0. preAct is caller scratch of at least 4*Hidden floats. c is
 // updated in place; hNew must not alias hPrev.
-func (l *InferLayer) step(hPrev, c, hNew, x []float64, pre []float64, tailOff int, preAct []float64) {
-	l.gatePre(preAct[:4*l.Hidden], hPrev, x, pre, tailOff)
-	activate(preAct, c, c, nil, hNew)
+//
+// Without a Split the layer runs as one unit range, [0, Hidden), of the
+// one body unitTask.run. With one (and Hidden ≥ 8) it runs as two: the
+// upper [mid, Hidden) is published for the helper, the lower [0, mid)
+// runs here, and the layer is done once both are written (split.go).
+func (l *InferLayer) step(hPrev, c, hNew, x []float64, pre []float64, tailOff int, preAct []float64, sp *Split) {
+	t := unitTask{l: l, hPrev: hPrev, c: c, hNew: hNew, x: x, pre: pre, preAct: preAct, tailOff: tailOff, lo: 0, hi: l.Hidden}
+	mid := splitAt(l.Hidden)
+	if sp == nil || mid == 0 {
+		t.run()
+		return
+	}
+	upper := t
+	upper.lo = mid
+	sp.publish(upper)
+	t.hi = mid
+	t.run()
+	sp.finish()
 }
 
-// gatePre computes every gate row's pre-activation into dst (unit-major,
-// 4 per unit): the SIMD kernel covers whole 4-unit groups when available,
-// the scalar loop the rest. Both run the identical per-row operation
-// sequence.
-func (l *InferLayer) gatePre(dst, hPrev, x, pre []float64, tailOff int) {
-	j0 := 0
+// splitAt is the first unit of a split layer's upper half: half the
+// units, rounded down to whole SIMD groups so both halves run as many
+// 4-unit groups as the whole layer would. 0 (Hidden < 8) means the layer
+// does not split.
+func splitAt(hidden int) int { return (hidden / 2) &^ 3 }
+
+// unitTask is one layer-step over the unit range [lo, hi): step's
+// arguments plus the range.
+type unitTask struct {
+	l                              *InferLayer
+	hPrev, c, hNew, x, pre, preAct []float64
+	tailOff, lo, hi                int
+}
+
+// run advances units [lo, hi): their gate pre-activations into
+// preAct[4lo:4hi], then the activations, writing c and hNew over the
+// range. Unit j's arithmetic reads only hPrev, x, pre and its own weight
+// block, so disjoint ranges may run concurrently with the same bits.
+func (t *unitTask) run() {
+	lo, hi := t.lo, t.hi
+	t.l.gatePre(t.preAct, t.hPrev, t.x, t.pre, t.tailOff, lo, hi)
+	activate(t.preAct[4*lo:4*hi], t.c[lo:hi], t.c[lo:hi], nil, t.hNew[lo:hi])
+}
+
+// gatePre computes the gate pre-activations of units [lo, hi) into
+// dst[4lo:4hi] (unit-major, 4 per unit; pre is indexed the same way):
+// the SIMD kernel covers whole 4-unit groups when available, the scalar
+// loop the rest. Both run the identical per-row operation sequence.
+func (l *InferLayer) gatePre(dst, hPrev, x, pre []float64, tailOff, lo, hi int) {
+	j0 := lo
 	if haveSIMD {
-		if groups := l.Hidden / 4; groups > 0 {
+		if groups := (hi - lo) / 4; groups > 0 {
 			var preP *float64
 			if pre != nil {
-				preP = &pre[0]
+				preP = &pre[4*lo]
 			}
 			hp := &hPrev[0]
 			xp := hp // x is never read when tailOff == In (nil x allowed)
 			if len(x) > 0 {
 				xp = &x[0]
 			}
-			layerPreSIMD(&l.w.W[0], xp, hp, preP, &dst[0],
+			layerPreSIMD(&l.w.W[lo*l.blkStride], xp, hp, preP, &dst[4*lo],
 				int64(l.In), int64(len(hPrev)), int64(groups), int64(tailOff), int64(l.blkStride*8))
-			j0 = groups * 4
+			j0 = lo + groups*4
 		}
 	}
-	l.gatePreScalar(dst, hPrev, x, pre, tailOff, j0)
+	l.gatePreScalar(dst, hPrev, x, pre, tailOff, j0, hi)
 }
 
 // gatePreScalar is the portable gate pre-activation kernel, covering
-// units [j0, Hidden). The four gate rows of a unit run as four
+// units [j0, hi). The four gate rows of a unit run as four
 // independent accumulator chains off shared x/h loads.
-func (l *InferLayer) gatePreScalar(dst, hPrev, x, pre []float64, tailOff, j0 int) {
+func (l *InferLayer) gatePreScalar(dst, hPrev, x, pre []float64, tailOff, j0, hi int) {
 	In, bs := l.In, l.blkStride
-	for j := j0; j < l.Hidden; j++ {
+	for j := j0; j < hi; j++ {
 		blk := l.w.W[j*bs : (j+1)*bs]
 		var ai, af, ag, ao float64
 		if pre != nil {
@@ -378,7 +418,7 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 		c := make([]float64, H)
 		h := make([]float64, H)
 		for t := 0; t < T; t++ {
-			l.step(h, c, outs[t], in[t], nil, 0, preAct)
+			l.step(h, c, outs[t], in[t], nil, 0, preAct, nil)
 			h = outs[t]
 		}
 		in = outs
@@ -410,10 +450,12 @@ func (im *InferModel) Forward(xs [][]float64) [][]float64 {
 // Each lane runs the exact single-member operation sequence (bias first,
 // input terms ascending k, then recurrent terms ascending k; no FMA), so
 // results are bitwise-identical to StepInto on that lane's own model
-// regardless of batch composition or order. Callers that care about
-// throughput should place lanes of the same checkpoint adjacently: a
-// checkpoint's packed weight stream then stays cache-resident across its
-// lanes.
+// regardless of batch composition or order. Placing lanes of the same
+// checkpoint adjacently lets the later lanes read its packed weights
+// from cache, but only when they fit in L2: a 96×1 checkpoint (≈313 KB)
+// does. A paper-scale 256×4 one (14.7 MB) does not, and every lane
+// re-streams it from L3, ≈640 µs a step at ≈23 GB/s per core. A lone
+// lane can take a second core instead (Split).
 //
 // All lanes must share one architecture (SameArch: per-layer
 // In/Hidden); mixing shapes panics rather than corrupting state.
@@ -439,6 +481,6 @@ func StepBatchLanesInto(ims []*InferModel, sts []*InferState, xs [][]float64, pr
 		if pres != nil {
 			pre = pres[b]
 		}
-		ims[b].stepLane(sts[b], xs[b], pre, tailOff)
+		ims[b].stepLane(sts[b], xs[b], pre, tailOff, nil)
 	}
 }

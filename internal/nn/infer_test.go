@@ -323,7 +323,7 @@ func prefixSums(t *testing.T, im *InferModel, x []float64, upto int) []float64 {
 	xp := make([]float64, l.In)
 	copy(xp, x[:upto])
 	pre := make([]float64, 4*l.Hidden)
-	l.gatePre(pre, make([]float64, l.Hidden), xp, nil, 0)
+	l.gatePre(pre, make([]float64, l.Hidden), xp, nil, 0, 0, l.Hidden)
 	for _, v := range pre {
 		if v == 0 && math.Signbit(v) {
 			t.Fatal("prefixSums: a −0 partial sum, which zero padding would turn into +0")
@@ -421,12 +421,14 @@ func TestPredictorStepNoAllocs(t *testing.T) {
 }
 
 // FuzzInferKernel fuzzes shape and data seeds: whatever the dimensions,
-// the packed kernel must match the blocked reference step bitwise.
+// the packed kernel must match the blocked reference step bitwise — and
+// so must the split step (split.go), whose helper leaves after a fuzzed
+// number of idle polls, so at a random layer-step.
 func FuzzInferKernel(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(5), uint8(2), uint8(4))
-	f.Add(int64(9), uint8(1), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(42), uint8(8), uint8(16), uint8(4), uint8(7))
-	f.Fuzz(func(t *testing.T, seed int64, in8, hid8, lay8, steps8 uint8) {
+	f.Add(int64(1), uint8(3), uint8(5), uint8(2), uint8(4), uint8(0))
+	f.Add(int64(9), uint8(1), uint8(1), uint8(1), uint8(1), uint8(255))
+	f.Add(int64(42), uint8(8), uint8(16), uint8(4), uint8(7), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, in8, hid8, lay8, steps8, leave8 uint8) {
 		in := 1 + int(in8)%9
 		hidden := 1 + int(hid8)%17
 		layers := 1 + int(lay8)%4
@@ -444,6 +446,8 @@ func FuzzInferKernel(f *testing.F) {
 				}
 			}
 		}
+		plan := helperPlan{name: "fuzzed leave", polls: int64(leave8)}
+		splitMatchesStep(t, fmt.Sprintf("in=%d hidden=%d layers=%d", in, hidden, layers), im, xs, -1, plan)
 	})
 }
 

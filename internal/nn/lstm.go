@@ -134,7 +134,7 @@ func (w *bptt) forward(im *InferModel, xs [][]float64) {
 		H := l.Hidden
 		for t := range xs {
 			gates, c, tanhC, h, cPrev, hPrev := w.step(li, H, t)
-			l.gatePre(gates, hPrev, w.input(im, xs, li, t), nil, 0)
+			l.gatePre(gates, hPrev, w.input(im, xs, li, t), nil, 0, 0, l.Hidden)
 			activate(gates, cPrev, c, tanhC, h)
 		}
 	}

@@ -42,7 +42,12 @@ type Pool struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	queued   *obs.Gauge     // jobs submitted but not yet picked up
+	// waiting counts Do submitters whose job no worker has picked up yet
+	// (Waiting). It is kept whether or not observability is on: a lane's
+	// helper (TryGo) yields its worker when it is positive.
+	waiting atomic.Int64
+
+	queued   *obs.Gauge     // par.pool_queue: waiting, mirrored
 	wait     *obs.Histogram // submit → pickup latency, ns
 	jobsC    *obs.Counter   // jobs executed by workers
 	busy     *obs.Histogram // per-job worker occupancy, ns (see PoolUtilization)
@@ -66,7 +71,8 @@ type poolJob struct {
 	fn    func()
 	enq   time.Time
 	inst  bool
-	depth int // PoolMap nesting depth of this job; 0 for Do jobs
+	waits bool // a Do job: counted in waiting until a worker picks it up
+	depth int  // PoolMap nesting depth of this job; 0 for Do jobs
 }
 
 // goroutineID parses the current goroutine's id from its stack header
@@ -132,9 +138,11 @@ func NewPool(workers int) *Pool {
 				// sees done and returns ErrPoolClosed.
 				select {
 				case j := <-p.jobs:
+					if j.waits {
+						p.queue(-1)
+					}
 					if j.inst {
 						p.wait.Observe(int64(time.Since(j.enq)))
-						p.queued.Add(-1)
 					}
 					ws.depth = j.depth
 					var t0 time.Time
@@ -162,6 +170,16 @@ func NewPool(workers int) *Pool {
 // Workers reports the pool's concurrency.
 func (p *Pool) Workers() int { return p.workers }
 
+// Waiting reports how many Do calls are waiting for a worker to pick
+// their job up. TryGo never waits, so it never counts here.
+func (p *Pool) Waiting() int { return int(p.waiting.Load()) }
+
+// queue moves the waiting count, and par.pool_queue with it, by d.
+func (p *Pool) queue(d int64) {
+	p.waiting.Add(d)
+	p.queued.Add(float64(d))
+}
+
 // Do runs fn on a pool worker and waits for it to finish. If ctx expires
 // while the job is still queued, Do returns ctx.Err() without running fn;
 // if it expires while fn is running, Do returns ctx.Err() immediately but
@@ -172,10 +190,10 @@ func (p *Pool) Do(ctx context.Context, fn func() error) error {
 	var enq time.Time
 	if inst {
 		enq = time.Now()
-		p.queued.Add(1)
 	}
+	p.queue(1)
 	ran := make(chan error, 1)
-	j := poolJob{enq: enq, inst: inst, fn: func() {
+	j := poolJob{enq: enq, inst: inst, waits: true, fn: func() {
 		// The submitter may have given up (ctx expired after pickup);
 		// the buffered channel lets the job finish regardless.
 		ran <- fn()
@@ -183,14 +201,10 @@ func (p *Pool) Do(ctx context.Context, fn func() error) error {
 	select {
 	case p.jobs <- j:
 	case <-ctx.Done():
-		if inst {
-			p.queued.Add(-1)
-		}
+		p.queue(-1)
 		return ctx.Err()
 	case <-p.done:
-		if inst {
-			p.queued.Add(-1)
-		}
+		p.queue(-1)
 		return ErrPoolClosed
 	}
 	select {
@@ -217,15 +231,11 @@ func (p *Pool) tryGo(depth int, fn func()) bool {
 	j := poolJob{depth: depth, fn: fn, inst: p.queued != nil}
 	if j.inst {
 		j.enq = time.Now()
-		p.queued.Add(1)
 	}
 	select {
 	case p.jobs <- j:
 		return true
 	default:
-		if j.inst {
-			p.queued.Add(-1)
-		}
 		return false
 	}
 }

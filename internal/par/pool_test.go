@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -269,6 +270,58 @@ func TestPoolTryGoInstrumented(t *testing.T) {
 	}
 	if q := reg.Gauge("par.pool_queue").Value(); q != 0 {
 		t.Fatalf("par.pool_queue = %v after every job ran, want 0", q)
+	}
+}
+
+// TestPoolWaiting: Waiting counts Do calls whose job no worker has
+// picked up — with observability off, since a lane's helper yields by
+// it — and drops as each is picked up or gives up; a refused TryGo
+// never counts.
+func TestPoolWaiting(t *testing.T) {
+	obs.Disable()
+	p := NewPool(1)
+	defer p.Close()
+	block := make(chan struct{})
+	var unblock sync.Once
+	release := func() { unblock.Do(func() { close(block) }) }
+	defer release() // before Close, on failure too
+	started := make(chan struct{})
+	go p.Do(context.Background(), func() error {
+		close(started)
+		<-block
+		return nil
+	})
+	<-started
+	if p.TryGo(func() {}) || p.Waiting() != 0 {
+		t.Fatalf("TryGo with the only worker busy: Waiting = %d, want 0 and a refusal", p.Waiting())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gaveUp := make(chan error, 1)
+	go func() { gaveUp <- p.Do(ctx, func() error { return nil }) }()
+	ran := make(chan struct{})
+	go p.Do(context.Background(), func() error {
+		close(ran)
+		return nil
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Waiting() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("Waiting = %d with two Do calls queued, want 2", p.Waiting())
+		}
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-gaveUp; !errors.Is(err, context.Canceled) {
+		t.Fatalf("queued Do after cancel: %v, want context.Canceled", err)
+	}
+	if n := p.Waiting(); n != 1 {
+		t.Fatalf("Waiting = %d after one waiter gave up, want 1", n)
+	}
+	release()
+	<-ran
+	if n := p.Waiting(); n != 0 {
+		t.Fatalf("Waiting = %d after every job was picked up, want 0", n)
 	}
 }
 

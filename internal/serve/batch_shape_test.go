@@ -62,14 +62,17 @@ func saveModel(t testing.TB, m *iboxml.Model, dir, id string) {
 // splitCase is one way a batch may be scheduled on the pool: how
 // wide the pool is, the split floor, whether every other worker is held
 // busy, whether the batch has one request or two (on two checkpoints),
-// and how many pool jobs must run the batch as a result.
+// how many pool jobs must run the batch's lanes as a result (lane
+// hand-offs), and how many helper workers its lanes may recruit.
 type splitCase struct {
-	name     string
-	workers  int
-	floor    int64
-	saturate bool
-	single   bool
-	wantJobs int64
+	name       string
+	workers    int
+	floor      int64
+	saturate   bool
+	single     bool
+	wantJobs   int64
+	minHelpers int64
+	maxHelpers int64
 }
 
 // requests is how many requests the case's batch holds.
@@ -80,16 +83,32 @@ func (sc splitCase) requests() int {
 	return 2
 }
 
-// splitCases covers both sides of every hand-off rule: an idle 2-worker
-// pool splits a 2-checkpoint batch into two pool jobs; a 1-worker pool, a
-// saturated pool, a batch below the floor and a batch of one keep it in
-// one lockstep job, exactly the unsplit schedule.
+// checkCounts fails the test unless a batch ran as the case's lane
+// hand-offs and recruited a number of helpers in its range; counts is
+// newSplitServer's jobs.
+func (sc splitCase) checkCounts(t *testing.T, counts func() (jobs, helpers int64)) {
+	t.Helper()
+	jobs, helpers := counts()
+	if jobs != sc.wantJobs {
+		t.Fatalf("batch ran as %d pool jobs, want %d", jobs, sc.wantJobs)
+	}
+	if helpers < sc.minHelpers || helpers > sc.maxHelpers {
+		t.Fatalf("lanes recruited %d helpers, want %d to %d", helpers, sc.minHelpers, sc.maxHelpers)
+	}
+}
+
+// splitCases covers both sides of every hand-off and recruitment rule:
+// an idle 2-worker pool splits a 2-checkpoint batch into two pool jobs,
+// and the lane that finishes last may recruit the worker the other frees;
+// a batch of one keeps one job and recruits the idle worker as a helper;
+// a 1-worker pool, a saturated pool and a batch below the floor keep it
+// in one lockstep job on one core, exactly the unsplit schedule.
 var splitCases = []splitCase{
 	{name: "one worker", workers: 1, floor: 0, wantJobs: 1},
-	{name: "split", workers: 2, floor: 0, wantJobs: 2},
+	{name: "split", workers: 2, floor: 0, wantJobs: 2, maxHelpers: 1},
 	{name: "saturated", workers: 2, floor: 0, saturate: true, wantJobs: 1},
 	{name: "below floor", workers: 2, floor: splitFloor, wantJobs: 1},
-	{name: "batch of one", workers: 2, floor: 0, single: true, wantJobs: 1},
+	{name: "batch of one", workers: 2, floor: 0, single: true, wantJobs: 1, minHelpers: 1, maxHelpers: 1},
 }
 
 // gatePool holds n workers of pool on jobs that block until the returned
@@ -159,10 +178,11 @@ func parkedWorkers() int {
 // scoring off (it would add pool jobs). Every worker is held busy — the
 // saturating ones until the test's cleanup, the rest on a gate — so the
 // case's requests queue in one group. It returns the server, its model
-// dir, a counter of the pool jobs run besides the holding ones, and
-// release, which waits until the group holds the case's requests and
+// dir, a counter of the pool jobs run besides the holding ones and the
+// lanes' helpers (lane hand-offs) together with the helpers recruited,
+// and release, which waits until the group holds the case's requests and
 // then lets the pool run it.
-func newSplitServer(t *testing.T, sc splitCase, mutate func(*Config)) (s *Server, dir string, jobs func() int64, release func()) {
+func newSplitServer(t *testing.T, sc splitCase, mutate func(*Config)) (s *Server, dir string, jobs func() (handoffs, helpers int64), release func()) {
 	t.Helper()
 	reg := obs.Enable()
 	t.Cleanup(obs.Disable)
@@ -181,8 +201,12 @@ func newSplitServer(t *testing.T, sc splitCase, mutate func(*Config)) (s *Server
 	}
 	open := gatePool(t, s.pool, free)
 	// A job counts into par.pool_wait_ns when a worker picks it up, so
-	// once every response of a batch is in, its count is exact.
-	jobs = func() int64 { return reg.Histogram("par.pool_wait_ns").Count() - int64(sc.workers) }
+	// once every response of a batch is in, its count is exact; a
+	// recruited helper is a pool job too.
+	jobs = func() (int64, int64) {
+		helpers := reg.Counter("serve.lane_helpers").Value()
+		return reg.Histogram("par.pool_wait_ns").Count() - int64(sc.workers) - helpers, helpers
+	}
 	queue := reg.Gauge("par.pool_queue")
 	release = func() {
 		t.Helper()
@@ -252,9 +276,7 @@ func TestCrossCheckpointBatchEquivalence(t *testing.T) {
 			}
 			release()
 			wg.Wait()
-			if got := jobs(); got != sc.wantJobs {
-				t.Fatalf("batch ran as %d pool jobs, want %d", got, sc.wantJobs)
-			}
+			sc.checkCounts(t, jobs)
 			for i := 0; i < n; i++ {
 				if codes[i] != 200 {
 					t.Fatalf("request %d: status %d: %s", i, codes[i], bodies[i])
@@ -720,4 +742,71 @@ func TestBatchClosedLaneNeverStarts(t *testing.T) {
 	if n := reg.Counter("serve.batches").Value(); n != 0 {
 		t.Fatalf("%d batches ran for a lane closed before pickup, want 0", n)
 	}
+}
+
+// helpedLane runs one lone replay lane of a trainedMLShape(8, 1, 5)
+// checkpoint inside a job on pool (two workers), lent the pool through a
+// batcher's laneHelpers, and fails unless its output is the offline
+// replay's. onHelped runs at the lane's first chunk boundary after a helper
+// was recruited (chunk = 1 window), on the lane's own worker; the lane
+// keeps offering the idle worker every window until one is.
+func helpedLane(t *testing.T, pool *par.Pool, in *trace.Trace, seed int64, onHelped func()) {
+	t.Helper()
+	b := newBatcher(pool, 0, 1)
+	b.helpers.recruits = obs.NewRegistry().Counter("serve.lane_helpers")
+	helped := false
+	lane := iboxml.ReplayLane{Model: trainedMLShape(t, 8, 1, 5), Input: in, Seed: seed, Helpers: b.helpers,
+		Emit: func(int, []float64, []float64) bool {
+			if !helped && b.helpers.recruits.Value() > 0 {
+				helped = true
+				onHelped()
+			}
+			return true
+		}}
+	var out []*trace.Trace
+	if err := pool.Do(context.Background(), func() error {
+		out = iboxml.SimulateTraceLanes([]iboxml.ReplayLane{lane}, 1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !helped {
+		t.Fatal("the lone lane never recruited the idle worker")
+	}
+	want := lane.Model.SimulateTrace(in, nil, seed)
+	if !bytes.Equal(encodeResponse(t, SimulateResponse{Trace: want}), encodeResponse(t, SimulateResponse{Trace: out[0]})) {
+		t.Fatal("helped lane's trace differs from the offline replay")
+	}
+}
+
+// TestHelperYieldsToQueuedJob: a lone lane's helper hands its worker back
+// as soon as a pool.Do job waits. Mid-unroll, the lane's Emit queues a
+// job and blocks until it has started, so the lane holds one of the
+// pool's two workers and its helper the other: only the helper yielding
+// lets the job start. If it does not yield, the test hangs and fails by
+// timeout. No clocks.
+func TestHelperYieldsToQueuedJob(t *testing.T) {
+	pool := par.NewPool(2)
+	defer pool.Close()
+	helpedLane(t, pool, synthTrace(91, 3*sim.Second), 9, func() {
+		started := make(chan struct{})
+		go pool.Do(context.Background(), func() error {
+			close(started)
+			return nil
+		})
+		<-started
+	})
+	spinUntil(t, "both workers to park", func() bool { return parkedWorkers() == 2 })
+}
+
+// TestHelperEndsWithPoolClose: Close mid-unroll waits for the lane's job
+// and its helper like any in-flight jobs, and the helper leaves when the
+// unroll ends, so Close returns with the replay complete and exact.
+func TestHelperEndsWithPoolClose(t *testing.T) {
+	pool := par.NewPool(2)
+	closed := make(chan struct{})
+	helpedLane(t, pool, synthTrace(92, 20*sim.Second), 10, func() {
+		go func() { pool.Close(); close(closed) }()
+	})
+	<-closed
 }

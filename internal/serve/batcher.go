@@ -37,14 +37,19 @@ import (
 // worker, and the rest — including any sub-batch no idle worker took —
 // stay in the batch's own pool job as one lockstep batch. Lanes of
 // distinct checkpoints share no weight traffic, so paper-scale lanes run
-// in parallel on otherwise idle cores, while a saturated pool, a batch of
-// one and small requests keep the single lockstep batch. Within a
+// in parallel on otherwise idle cores. A lane that clears splitFloor
+// also carries the pool as its iboxml.Helpers: once it is the last
+// active lane of its sub-batch — a batch of one from the start — it
+// borrows one idle worker and splits each layer's units with it
+// (nn.Split), and the helper goes back as soon as another pool job
+// waits. A saturated pool, a one-worker pool and small requests
+// therefore keep the single lockstep batch on one core. Within a
 // sub-batch the lockstep walk gives every member incremental progress —
 // the property streaming replay (stream.go) relies on for fair
 // time-to-first-chunk. Because every lane is
 // bitwise-identical to its unbatched replay whatever else shares its
-// (sub-)batch, batching and splitting change only latency and throughput
-// — never a single response byte.
+// (sub-)batch or helps it, batching, splitting and helping change only
+// latency and throughput — never a single response byte.
 //
 // Open groups are keyed by Shape alone, never by *iboxml.Model: an
 // LRU-evicted-then-reloaded checkpoint gets a fresh pointer but must land
@@ -53,7 +58,9 @@ type batcher struct {
 	pool  *par.Pool
 	max   int
 	chunk int   // streaming emission granularity, in windows
-	floor int64 // least unroll work a sub-batch needs to leave; splitFloor
+	floor int64 // least unroll work a sub-batch needs to leave, or a lane to recruit; splitFloor
+
+	helpers *laneHelpers // the pool, lent to lanes that clear floor
 
 	mu      sync.Mutex
 	pending map[iboxml.Shape]*group // open groups, whose job no worker has picked up yet
@@ -140,18 +147,38 @@ func (l *lane) drain() []streamChunk {
 func (l *lane) close() { l.closed.Store(true) }
 
 // splitFloor is the least unroll work, in parameter-steps (unrollWork),
-// that a sub-batch must carry to be handed to another pool worker; below
-// it the sub-batch stays in its batch's own pool job. A hand-off
-// costs a goroutine switch, a cold core and, on a busy daemon, a core
-// another request wanted, so it pays only for long unrolls. 5e7
+// that a sub-batch must carry to be handed to another pool worker, and
+// that a lane must carry to recruit a helper worker when it is left
+// alone (laneHelpers); below it the sub-batch stays in its batch's own
+// pool job and the lane on one core. A hand-off or a helper costs a
+// goroutine switch, a cold core and, on a busy daemon, a core another
+// request wanted, so it pays only for long unrolls. 5e7
 // parameter-steps is ≈15 ms of kernel at the ≈6.4 GFLOP/s the 256×4
 // kernel sustains (one multiply-add, two flops, per parameter per step).
 // A paper-scale 256×4 lane over a 10 s trace (1.84 M parameters × 100
 // windows ≈ 1.8e8) clears it; a 96×1 lane over a 2 MB trace (≈1.2e7) or
 // a 31 KB one (≈1.6e6) does not — splitting those ≈1 ms batches gained a
 // few percent of throughput on 2 vCPU but cost 4–18 % more CPU per
-// simulated second.
+// simulated second. A 96×1 step is too short to share well between
+// cores: a helper buys ≈15–20 % for a whole second core
+// (BenchmarkStepSplit: ≈6.3–7.1 µs helped, ≈7.7–8.7 µs not).
 const splitFloor = 50_000_000
+
+// laneHelpers lends a batch's lone lanes idle pool workers
+// (iboxml.Helpers) and counts each helper recruited in
+// serve.lane_helpers, apart from the sub-batch hand-offs split makes.
+type laneHelpers struct {
+	*par.Pool
+	recruits *obs.Counter
+}
+
+func (h *laneHelpers) TryGo(fn func()) bool {
+	if !h.Pool.TryGo(fn) {
+		return false
+	}
+	h.recruits.Add(1)
+	return true
+}
 
 func newBatcher(pool *par.Pool, max, chunk int) *batcher {
 	if max <= 0 {
@@ -166,8 +193,10 @@ func newBatcher(pool *par.Pool, max, chunk int) *batcher {
 		chunk:   chunk,
 		floor:   splitFloor,
 		pending: make(map[iboxml.Shape]*group),
+		helpers: &laneHelpers{Pool: pool},
 	}
 	if r := obs.Get(); r != nil {
+		b.helpers.recruits = r.Counter("serve.lane_helpers")
 		b.sizeHist = r.Histogram("serve.batch_size")
 		b.batches = r.Counter("serve.batches")
 		b.shapeOcc = r.HistogramVec("serve.batch_shape", "shape")
@@ -249,8 +278,10 @@ func (b *batcher) run(key iboxml.Shape, jobs []batchJob) {
 	if len(jobs) == 0 {
 		return
 	}
-	// Same-checkpoint lanes step adjacently so each checkpoint's packed
-	// weight stream stays cache-resident across its lanes.
+	// Same-checkpoint lanes step adjacently, so a checkpoint whose packed
+	// weights fit in L2 (96×1: ≈313 KB) streams them from there for its
+	// later lanes. A paper-scale 256×4 checkpoint's 14.7 MB does not: every
+	// lane re-streams it from L3 at ≈23 GB/s per core (≈640 µs a step).
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
 
 	b.sizeHist.Observe(int64(len(jobs)))
@@ -288,8 +319,9 @@ func (b *batcher) run(key iboxml.Shape, jobs []batchJob) {
 // when it carries at least b.floor of work. It returns the jobs
 // the calling pool job keeps: the first sub-batch plus every later one
 // that stayed below the floor or found no idle worker. A batch of one, a
-// one-worker pool and a saturated daemon therefore keep the whole batch:
-// one lockstep SimulateTraceLanes, exactly the unsplit schedule.
+// one-worker pool and a saturated daemon therefore keep the whole batch
+// in one lockstep SimulateTraceLanes (whose last lane may still borrow a
+// helper; see simulate).
 func (b *batcher) split(jobs []batchJob) []batchJob {
 	k := min(b.pool.Workers(), len(jobs))
 	if k < 2 {
@@ -324,11 +356,15 @@ func (b *batcher) split(jobs []batchJob) []batchJob {
 
 // simulate steps jobs as one lockstep lane batch and delivers each job's
 // result. size is the whole batch's request count, which responses
-// report however the batch was split.
+// report however the batch was split. Lanes whose unroll work clears
+// b.floor may recruit a helper worker once they are the last active one.
 func (b *batcher) simulate(jobs []batchJob, size int) {
 	lanes := make([]iboxml.ReplayLane, len(jobs))
 	for i, j := range jobs {
 		lanes[i] = iboxml.ReplayLane{Model: j.model, Input: j.input, Seed: j.seed, Emit: j.lane.push}
+		if unrollWork(j) >= b.floor {
+			lanes[i].Helpers = b.helpers
+		}
 	}
 	outs := iboxml.SimulateTraceLanes(lanes, b.chunk)
 	for i, j := range jobs {

@@ -212,9 +212,7 @@ func TestReplayStreamSSEConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := jobs(); got != sc.wantJobs {
-				t.Fatalf("batch ran as %d pool jobs, want %d", got, sc.wantJobs)
-			}
+			sc.checkCounts(t, jobs)
 			for i := 0; i < n; i++ {
 				types, chunks, end := decodeSSEReplay(t, bodies[i])
 				wantMu, wantSigma := models[i].PredictWindows(inputs[i], nil)
@@ -357,10 +355,35 @@ func TestReplayStreamCancelFreesSlot(t *testing.T) {
 		types, chunks, end := decodeSSEReplay(t, bodyA)
 		wantMu, wantSigma := mA.PredictWindows(inA, nil)
 		checkReplayChunks(t, types, chunks, end, 1, wantMu, wantSigma)
-		if got := jobs(); got != 2 {
+		if got, _ := jobs(); got != 2 {
 			t.Fatalf("batch ran as %d pool jobs, want 2 (b's lane handed off)", got)
 		}
 		waitFor(t, "both admission slots back", func() bool { return len(s.sem) == 0 })
+		spinUntil(t, "both workers to park", func() bool { return parkedWorkers() == 2 })
+	})
+
+	// A lone lane recruits the idle worker as its helper at its first
+	// window. Hanging up ends the unroll at the next chunk boundary, and
+	// the helper must leave with it: both workers park again.
+	t.Run("helped lane", func(t *testing.T) {
+		s, dir, jobs, release := newSplitServer(t, splitCase{workers: 2, floor: 0, single: true}, func(c *Config) {
+			c.StreamChunk = 1
+		})
+		saveModel(t, trainedMLShape(t, 8, 1, 5), dir, "a.json")
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+
+		ctx, cancel := context.WithCancel(context.Background())
+		resp := postReplay(t, ctx, ts.URL, ReplayRequest{
+			Model: "a.json", Input: synthTrace(59, 120*sim.Second), Seed: 8,
+		}, true)
+		release()
+		hangUpAfterFirstChunk(t, resp, cancel)
+		waitFor(t, "the admission slot back", func() bool { return len(s.sem) == 0 })
+		spinUntil(t, "both workers to park", func() bool { return parkedWorkers() == 2 })
+		if got, helpers := jobs(); got != 1 || helpers != 1 {
+			t.Fatalf("lane ran as %d pool jobs with %d helpers, want 1 and 1", got, helpers)
+		}
 	})
 }
 
