@@ -162,13 +162,3 @@ type ABRResult = abr.Result
 
 // ABRSession is a running adaptive-bitrate client.
 type ABRSession = abr.Session
-
-// MLPacketModel is the per-packet iBoxML delay model — Fig 6's native
-// granularity (one LSTM step per packet). The window-based MLModel is the
-// CPU-friendly default.
-type MLPacketModel = iboxml.PacketModel
-
-// TrainMLPacket fits a per-packet iBoxML model.
-func TrainMLPacket(samples []TrainingSample, cfg MLConfig) (*MLPacketModel, error) {
-	return iboxml.TrainPacket(samples, cfg)
-}

@@ -109,6 +109,22 @@ func WindowFeatures(tr *trace.Trace, ct *trace.Series, window sim.Time) (xs [][]
 	return xs, ys, mask
 }
 
+// features returns tr's window feature rows as m reads them: with the
+// cross-traffic column exactly when m was trained on it, zero throughout
+// when ct is nil.
+func (m *Model) features(tr *trace.Trace, ct *trace.Series) [][]float64 {
+	if !m.Cfg.UseCrossTraffic {
+		ct = nil
+	}
+	xs, _, _ := WindowFeatures(tr, ct, m.Cfg.Window)
+	if m.Cfg.UseCrossTraffic && ct == nil {
+		for i := range xs {
+			xs[i] = append(xs[i], 0)
+		}
+	}
+	return xs
+}
+
 // PacketFeatures extracts per-packet features (send side only):
 //
 //	[0] instantaneous sending rate: bytes sent during the second
@@ -118,8 +134,7 @@ func WindowFeatures(tr *trace.Trace, ct *trace.Series, window sim.Time) (xs [][]
 //	[3] cross-traffic estimate at the send time (bytes/window), when
 //	    ct != nil
 //
-// This is the feature set of the §5.1 reordering predictors and the
-// per-packet inference mode used by the §4.2 speed analysis.
+// This is the feature set of the §5.1 reordering predictors.
 func PacketFeatures(tr *trace.Trace, ct *trace.Series) [][]float64 {
 	n := len(tr.Packets)
 	dim := 3

@@ -2,8 +2,8 @@ package iboxml
 
 import (
 	"math"
+	"math/rand"
 
-	"ibox/internal/nn"
 	"ibox/internal/sim"
 	"ibox/internal/trace"
 )
@@ -26,7 +26,8 @@ import (
 // HierarchicalPredictor prices packets in amortized O(1) LSTM work.
 type HierarchicalPredictor struct {
 	model *Model
-	rng   interface{ NormFloat64() float64 }
+	lane  lane
+	rng   *rand.Rand
 
 	window   sim.Time
 	groupEnd sim.Time
@@ -34,9 +35,6 @@ type HierarchicalPredictor struct {
 	curMu, curSigma   float64
 	prevMu, prevSigma float64
 	started           bool
-	pred              interface {
-		StepGaussian(x []float64) nn.GaussianOutput
-	}
 	// Running send-side features for the current group.
 	bytes   float64
 	count   int
@@ -44,9 +42,9 @@ type HierarchicalPredictor struct {
 	// OU state for the per-packet residual.
 	z        float64
 	lastSend sim.Time
-	// Reusable group-feature buffers (raw and standardized) so the
-	// per-group LSTM advance allocates nothing.
-	x, row []float64
+	// The reusable raw group-feature row, so the per-group LSTM advance
+	// allocates nothing.
+	x []float64
 }
 
 // NewHierarchical returns a per-packet predictor that advances the
@@ -55,18 +53,14 @@ func (m *Model) NewHierarchical(seed int64) *HierarchicalPredictor {
 	if !m.trained {
 		panic("iboxml: model not trained")
 	}
-	dim := 4
-	if m.Cfg.UseCrossTraffic {
-		dim = 5
-	}
+	l := m.newLane()
 	return &HierarchicalPredictor{
 		model:    m,
+		lane:     l,
 		rng:      sim.NewRand(seed, 83),
 		window:   m.Cfg.Window,
-		pred:     m.Net.NewPredictor(),
 		lastSend: -1,
-		x:        make([]float64, dim),
-		row:      make([]float64, dim),
+		x:        make([]float64, len(l.row)),
 	}
 }
 
@@ -100,7 +94,7 @@ func (h *HierarchicalPredictor) PacketDelay(sendTime sim.Time, size int) float64
 	rho := math.Exp(-dt / tau)
 	h.z = rho*h.z + math.Sqrt(1-rho*rho)*h.rng.NormFloat64()
 	var d float64
-	if u, ok := h.rng.(interface{ Float64() float64 }); ok && u.Float64() < h.model.outlierRate {
+	if h.rng.Float64() < h.model.outlierRate {
 		d = h.model.minDelayMs * (1 + 0.1*math.Abs(h.rng.NormFloat64()))
 	} else {
 		amp := 0.15 * sigma
@@ -141,14 +135,8 @@ func (h *HierarchicalPredictor) advanceGroup(now sim.Time) {
 		}
 		x[3] = h.lastOut
 	}
-	h.model.xScale.applyInto(x, h.row)
-	out := h.pred.StepGaussian(h.row)
 	h.prevMu, h.prevSigma = h.curMu, h.curSigma
-	h.curMu = out.Mu*h.model.yStd + h.model.yMean
-	if h.curMu < 0 {
-		h.curMu = 0
-	}
-	h.curSigma = out.Sigma * h.model.yStd
+	h.curMu, h.curSigma = h.lane.step(x, nil)
 	h.lastOut = h.curMu
 	if !h.started {
 		h.started = true

@@ -10,18 +10,22 @@ import (
 	"ibox/internal/trace"
 )
 
-// Batched closed-loop inference: unroll several independent traces in
-// lockstep, one window-step per member per round, on the compiled
-// inference kernel (nn.InferModel). Lanes need not share a checkpoint —
-// each lane carries its own trained Model and the kernel steps it through
-// its own compiled weights (nn.StepBatchLanesInto) — they only have to
-// share a Shape: architecture plus windowing. This is the amortization
-// behind cross-checkpoint request micro-batching in internal/serve: the
-// per-call setup — feature extraction, lane states and scratch — is paid
-// once per lane per call instead of once per request round-trip, and the
-// lockstep loop itself is allocation-free (lane states, one standardized
-// row per lane, and the head scratch are set up once per call and reused
-// every step).
+// The one iBoxML inference engine: a lane is one model's recurrent
+// state, and lane.step is the only code that turns a raw feature row into
+// a delay distribution (standardize, one kernel step, the Gaussian head,
+// de-standardize, clamp mu at 0). Every consumer steps lanes: the
+// closed-loop unroll below, the teacher-forced PredictWindowsOpenLoop,
+// the per-packet PredictPacketDelay and the hierarchical predictor.
+//
+// Batched closed-loop inference unrolls several independent traces in
+// lockstep, one window-step per member per round. Lanes need not share a
+// checkpoint — each steps its own trained Model through its own packed
+// weights — they only have to share a Shape: architecture plus
+// windowing. This is the amortization behind cross-checkpoint request
+// micro-batching in internal/serve: the per-call setup — feature
+// extraction, lane states and scratch — is paid once per lane per call
+// instead of once per request round-trip, and the lockstep loop itself is
+// allocation-free.
 //
 // Each lane steps through the packed inference layout, where a unit's
 // four gate rows run as four parallel accumulator chains off one weight
@@ -39,13 +43,12 @@ import (
 // with it (nn.Split); the helper goes back as soon as other work waits
 // for a worker, and the lane re-recruits at a later step if one parks.
 //
-// Correctness contract: each lane's arithmetic — feature extraction,
-// standardization, the closed-loop d_{t−1} feedback, and the de-
-// standardized mu/sigma clamping — is the exact operation sequence of
-// PredictWindows against that lane's own model. Batched results
-// therefore equal unbatched results float-for-float regardless of batch
-// composition or order — including across distinct checkpoints in one
-// batch.
+// Correctness contract: a lane's arithmetic depends only on its own
+// model and inputs, so its results are independent of batch composition
+// and order — including across distinct checkpoints in one batch — and
+// of whether a helper shared its steps. The package tests check them
+// bitwise against refPredictWindows, a closed loop written out without
+// lanes.
 
 // feedbackCol is the index of the closed-loop d_{t−1} feature — the only
 // input column not known before the unroll begins.
@@ -117,14 +120,45 @@ type Helpers interface {
 	Waiting() int
 }
 
+// lane is one model's inference state: the recurrent state, the
+// standardized input row and the head's scratch, all reused every step.
+type lane struct {
+	m    *Model
+	st   *nn.InferState
+	row  []float64
+	head []float64
+}
+
+// newLane returns a lane of m at zero state.
+func (m *Model) newLane() lane {
+	in, _, _ := m.Net.Arch()
+	return lane{m: m, st: m.Net.LSTM.NewState(), row: make([]float64, in), head: make([]float64, m.Net.Head.Out)}
+}
+
+// step advances the lane one step on the raw feature row x and returns
+// the step's predicted delay distribution in ms, mu clamped at 0. sp, when
+// non-nil, shares the step with its helper (nn.Split). It performs no
+// allocation.
+func (l *lane) step(x []float64, sp *nn.Split) (mu, sigma float64) {
+	m := l.m
+	m.xScale.applyInto(x, l.row)
+	out := m.Net.HeadGaussian(sp.StepInto(m.Net.LSTM, l.st, l.row), l.head)
+	mu = out.Mu*m.yStd + m.yMean
+	if mu < 0 {
+		mu = 0
+	}
+	return mu, out.Sigma * m.yStd
+}
+
 // PredictWindowsLanes runs the closed-loop window prediction of
 // PredictWindows for several (model, trace) lanes at once, in lockstep.
 // All lane models must be trained and share one Shape; mixing shapes
 // panics rather than corrupting state. chunk sets the Emit granularity in
 // windows (<= 0 selects a default; irrelevant when no lane has an Emit).
-// The returned mu/sigma slices are per-lane and bitwise identical to
-// calling lanes[i].Model.PredictWindows(lanes[i].Input, lanes[i].CT);
-// a lane abandoned by its Emit returns nil slices instead.
+// The returned mu/sigma slices are per-lane, bitwise independent of the
+// batch's composition and order, and equal to the package tests'
+// reference closed loop (refPredictWindows); a lane abandoned by its Emit
+// returns nil slices instead.
 func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64) {
 	n := len(lanes)
 	mus = make([][]float64, n)
@@ -137,106 +171,55 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 	}
 	checkLaneShapes(lanes)
 
-	// Per-lane setup, each against the lane's own model parameters:
-	// feature extraction first.
 	xss := make([][][]float64, n)
+	ls := make([]lane, n)
 	maxT := 0
 	for i := range lanes {
 		m := lanes[i].Model
-		var ctArg *trace.Series
-		if m.Cfg.UseCrossTraffic {
-			ctArg = lanes[i].CT
-		}
-		xs, _, _ := WindowFeatures(lanes[i].Input, ctArg, m.Cfg.Window)
-		if m.Cfg.UseCrossTraffic && ctArg == nil {
-			for t := range xs {
-				xs[t] = append(xs[t], 0)
-			}
-		}
-		xss[i] = xs
-		if len(xs) > maxT {
-			maxT = len(xs)
-		}
-	}
-	ims := make([]*nn.InferModel, n)
-	sts := make([]*nn.InferState, n)
-	maxHead := 0
-	for i := range lanes {
-		ims[i] = lanes[i].Model.Net.Infer()
-		sts[i] = ims[i].NewState()
+		xss[i] = m.features(lanes[i].Input, lanes[i].CT)
+		ls[i] = m.newLane()
 		mus[i] = make([]float64, len(xss[i]))
 		sigmas[i] = make([]float64, len(xss[i]))
-		if o := lanes[i].Model.Net.Head.Out; o > maxHead {
-			maxHead = o
-		}
+		maxT = max(maxT, len(xss[i]))
 	}
-	// One standardized input row per lane, refilled every step.
-	d, _, _ := ims[0].Arch()
-	slab := make([]float64, n*d)
 
 	// Lockstep unroll. Lanes whose traces span fewer windows — or whose
-	// Emit abandoned them — drop out of the active set; each lane's state
-	// advances through exactly its own inputs on its own weights, so
-	// membership never changes results.
-	prevDelay := make([]float64, n)
-	aborted := make([]bool, n)
+	// Emit abandoned them (nil mus) — drop out of the active set.
 	emitted := make([]int, n) // per lane: first window not yet streamed
 	active := make([]int, 0, n)
-	batchIms := make([]*nn.InferModel, 0, n)
-	batchSts := make([]*nn.InferState, 0, n)
-	batchRows := make([][]float64, 0, n)
-	head := make([]float64, maxHead)
 	var split *nn.Split // the last active lane's, once it has Helpers
 	var tryGo func(func()) bool
 	for t := 0; t < maxT; t++ {
 		active = active[:0]
-		batchIms = batchIms[:0]
-		batchSts = batchSts[:0]
-		batchRows = batchRows[:0]
 		for i := range xss {
-			if aborted[i] || t >= len(xss[i]) {
-				continue
+			if mus[i] != nil && t < len(xss[i]) {
+				active = append(active, i)
 			}
+		}
+		var sp *nn.Split
+		if len(active) == 1 {
+			i := active[0]
+			if h := lanes[i].Helpers; split == nil && h != nil && lanes[i].Model.Net.LSTM.Splits() {
+				split, tryGo = nn.NewSplit(func() bool { return h.Waiting() > 0 }), h.TryGo
+			}
+			if split != nil && split.Recruit(tryGo) {
+				sp = split
+			}
+		}
+		for _, i := range active {
 			x := xss[i][t]
 			if t > 0 {
 				// Closed loop: the previous prediction replaces the
-				// teacher-forced d_{t−1} feature (t=0 keeps the teacher
-				// value), exactly as PredictWindows does.
-				x[feedbackCol] = prevDelay[i]
+				// teacher-forced d_{t−1} feature; t=0 keeps the teacher
+				// value.
+				x[feedbackCol] = mus[i][t-1]
 			}
-			r := slab[i*d : (i+1)*d]
-			lanes[i].Model.xScale.applyInto(x, r)
-			active = append(active, i)
-			batchIms = append(batchIms, ims[i])
-			batchSts = append(batchSts, sts[i])
-			batchRows = append(batchRows, r)
-		}
-		if a := active; split == nil && len(a) == 1 && lanes[a[0]].Helpers != nil && ims[a[0]].Splits() {
-			h := lanes[a[0]].Helpers
-			split, tryGo = nn.NewSplit(func() bool { return h.Waiting() > 0 }), h.TryGo
-		}
-		if split != nil && len(active) == 1 && split.Recruit(tryGo) {
-			split.StepInto(batchIms[0], batchSts[0], batchRows[0])
-		} else {
-			nn.StepBatchLanesInto(batchIms, batchSts, batchRows, nil, 0)
-		}
-		for k, i := range active {
-			m := lanes[i].Model
-			out := m.Net.HeadGaussian(batchSts[k].Top(), head[:m.Net.Head.Out])
-			mu := out.Mu*m.yStd + m.yMean
-			sg := out.Sigma * m.yStd
-			if mu < 0 {
-				mu = 0
-			}
-			mus[i][t] = mu
-			sigmas[i][t] = sg
-			prevDelay[i] = mu
+			mus[i][t], sigmas[i][t] = ls[i].step(x, sp)
 			if lanes[i].Emit != nil && (t+1 == len(xss[i]) || (t+1)%chunk == 0) {
 				lo := emitted[i]
 				if lanes[i].Emit(lo, mus[i][lo:t+1], sigmas[i][lo:t+1]) {
 					emitted[i] = t + 1
 				} else {
-					aborted[i] = true
 					mus[i], sigmas[i] = nil, nil
 				}
 			}
@@ -270,9 +253,10 @@ func checkLaneShapes(lanes []ReplayLane) {
 // SimulateTraceLanes produces one predicted output trace per lane, with
 // the closed-loop window predictions computed in one lockstep batch and
 // the per-packet sampling done per lane from its own model and Seed.
-// Outputs are bitwise identical to calling
+// A lane's output is independent of the batch: it is bitwise the trace
+// refPredictWindows's mu and sigma sample to from the lane's Seed, as
 // lanes[i].Model.SimulateTrace(lanes[i].Input, lanes[i].CT, lanes[i].Seed)
-// one at a time; a lane abandoned by its Emit returns nil.
+// gives one at a time; a lane abandoned by its Emit returns nil.
 func SimulateTraceLanes(lanes []ReplayLane, chunk int) []*trace.Trace {
 	mus, sigmas := PredictWindowsLanes(lanes, chunk)
 	out := make([]*trace.Trace, len(lanes))

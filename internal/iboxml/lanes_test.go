@@ -113,9 +113,49 @@ func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
 	return b.Bytes()
 }
 
+// refPredictWindows is the reference closed-loop unroll (§4.1) the lane
+// engine is checked against, written out without lane: per window,
+// standardize, InferModel.StepInto, HeadGaussian, de-standardize, clamp
+// mu at 0, and feed mu back as the next window's d_{t−1}.
+func refPredictWindows(m *Model, tr *trace.Trace, ct *trace.Series) (mu, sigma []float64) {
+	xs := m.features(tr, ct)
+	im := m.Net.LSTM
+	st := im.NewState()
+	head := make([]float64, m.Net.Head.Out)
+	mu = make([]float64, len(xs))
+	sigma = make([]float64, len(xs))
+	for t, x := range xs {
+		if t > 0 {
+			x[feedbackCol] = mu[t-1]
+		}
+		out := m.Net.HeadGaussian(im.StepInto(st, m.xScale.apply(x)), head)
+		mu[t] = out.Mu*m.yStd + m.yMean
+		if mu[t] < 0 {
+			mu[t] = 0
+		}
+		sigma[t] = out.Sigma * m.yStd
+	}
+	return mu, sigma
+}
+
+// sameWindows fails unless two window predictions are bitwise identical.
+func sameWindows(t *testing.T, what string, mu, sigma, wantMu, wantSigma []float64) {
+	t.Helper()
+	if len(mu) != len(wantMu) {
+		t.Fatalf("%s: %d windows, reference %d", what, len(mu), len(wantMu))
+	}
+	for w := range wantMu {
+		if math.Float64bits(mu[w]) != math.Float64bits(wantMu[w]) ||
+			math.Float64bits(sigma[w]) != math.Float64bits(wantSigma[w]) {
+			t.Fatalf("%s window %d: (%v,%v) != reference (%v,%v)",
+				what, w, mu[w], sigma[w], wantMu[w], wantSigma[w])
+		}
+	}
+}
+
 // sharedLanesMatchSingle replays trs as lanes that all run through m —
-// N clients of one checkpoint — and fails unless every lane is bitwise
-// identical to per-trace PredictWindows.
+// N clients of one checkpoint — and fails unless every lane, and
+// per-trace PredictWindows, is bitwise identical to refPredictWindows.
 func sharedLanesMatchSingle(t *testing.T, m *Model, trs []*trace.Trace) {
 	t.Helper()
 	lanes := make([]ReplayLane, len(trs))
@@ -124,22 +164,15 @@ func sharedLanesMatchSingle(t *testing.T, m *Model, trs []*trace.Trace) {
 	}
 	mus, sigmas := PredictWindowsLanes(lanes, 0)
 	for i := range lanes {
+		wantMu, wantSigma := refPredictWindows(m, trs[i], nil)
+		sameWindows(t, fmt.Sprintf("lane %d", i), mus[i], sigmas[i], wantMu, wantSigma)
 		mu, sigma := m.PredictWindows(trs[i], nil)
-		if len(mus[i]) != len(mu) {
-			t.Fatalf("trace %d: lanes %d windows, single %d", i, len(mus[i]), len(mu))
-		}
-		for w := range mu {
-			if math.Float64bits(mus[i][w]) != math.Float64bits(mu[w]) ||
-				math.Float64bits(sigmas[i][w]) != math.Float64bits(sigma[w]) {
-				t.Fatalf("trace %d window %d: lanes (%v,%v) != single (%v,%v)",
-					i, w, mus[i][w], sigmas[i][w], mu[w], sigma[w])
-			}
-		}
+		sameWindows(t, fmt.Sprintf("trace %d alone", i), mu, sigma, wantMu, wantSigma)
 	}
 }
 
 // TestPredictWindowsBatchMatchesSingle: a lane batch over one shared
-// model is bitwise identical to per-trace PredictWindows, including when
+// model is bitwise identical to the reference unroll, including when
 // lanes span different window counts (shorter traces drop out of the
 // active set mid-unroll).
 func TestPredictWindowsBatchMatchesSingle(t *testing.T) {
@@ -162,7 +195,7 @@ func TestPredictWindowsBatchSingleton(t *testing.T) {
 
 // TestSimulateTraceLanesMatchesSingle checks the full serving-path
 // contract for one shared model: lane-batched simulation serializes to
-// the same bytes as per-trace SimulateTrace.
+// the same bytes as the reference unroll's windows sampled per trace.
 func TestSimulateTraceLanesMatchesSingle(t *testing.T) {
 	m := laneModel(t, 8, 1, 5)
 	lanes := []ReplayLane{
@@ -173,7 +206,8 @@ func TestSimulateTraceLanesMatchesSingle(t *testing.T) {
 	}
 	outs := SimulateTraceLanes(lanes, 0)
 	for i, l := range lanes {
-		if !bytes.Equal(encodeTrace(t, outs[i]), encodeTrace(t, m.SimulateTrace(l.Input, nil, l.Seed))) {
+		mu, sigma := refPredictWindows(m, l.Input, nil)
+		if !bytes.Equal(encodeTrace(t, outs[i]), encodeTrace(t, m.samplePackets(l.Input, mu, sigma, l.Seed))) {
 			t.Fatalf("trace %d: lane-batched simulation differs from unbatched", i)
 		}
 	}

@@ -307,52 +307,11 @@ func (m *Model) NumParams() int { return m.Net.NumParams() }
 // PredictWindows replays a test trace's sending-rate timeline through the
 // model closed-loop (§4.1: "we feed the predicted delays as we unroll the
 // LSTM network over time") and returns the predicted per-window delay
-// means and standard deviations in milliseconds. ct may be nil.
+// means and standard deviations in milliseconds. ct may be nil. It is a
+// one-lane PredictWindowsLanes.
 func (m *Model) PredictWindows(tr *trace.Trace, ct *trace.Series) (mu, sigma []float64) {
-	if !m.trained {
-		panic("iboxml: model not trained")
-	}
-	useCT := m.Cfg.UseCrossTraffic
-	var ctArg *trace.Series
-	if useCT {
-		ctArg = ct
-	}
-	xs, _, _ := WindowFeatures(tr, ctArg, m.Cfg.Window)
-	if useCT && ctArg == nil {
-		for i := range xs {
-			xs[i] = append(xs[i], 0)
-		}
-	}
-	pred := m.Net.NewPredictor()
-	mu = make([]float64, len(xs))
-	sigma = make([]float64, len(xs))
-	var row []float64
-	if len(xs) > 0 {
-		row = make([]float64, len(xs[0]))
-	}
-	prevDelay := 0.0
-	first := true
-	for t := range xs {
-		// Closed loop: overwrite the teacher-forced d_{t−1} feature with
-		// the model's own previous prediction.
-		if !first {
-			xs[t][feedbackCol] = prevDelay
-		}
-		m.xScale.applyInto(xs[t], row)
-		out := pred.StepGaussian(row)
-		mu[t] = out.Mu*m.yStd + m.yMean
-		sigma[t] = out.Sigma * m.yStd
-		if mu[t] < 0 {
-			mu[t] = 0
-		}
-		prevDelay = mu[t]
-		if first {
-			// The t=0 feature used the teacher value; subsequent steps are
-			// fully closed-loop.
-			first = false
-		}
-	}
-	return mu, sigma
+	mus, sigmas := PredictWindowsLanes([]ReplayLane{{Model: m, Input: tr, CT: ct}}, 0)
+	return mus[0], sigmas[0]
 }
 
 // SimulateTrace produces a full predicted output trace for the given input
@@ -446,54 +405,27 @@ func (m *Model) PredictWindowsOpenLoop(tr *trace.Trace, ct *trace.Series) (mu, s
 	if !m.trained {
 		panic("iboxml: model not trained")
 	}
-	var ctArg *trace.Series
-	if m.Cfg.UseCrossTraffic {
-		ctArg = ct
-	}
-	xs, _, _ := WindowFeatures(tr, ctArg, m.Cfg.Window)
-	if m.Cfg.UseCrossTraffic && ctArg == nil {
-		for i := range xs {
-			xs[i] = append(xs[i], 0)
-		}
-	}
-	// Teacher forcing means the whole window is known up front, so the
-	// input projections run as one blocked pass per layer instead of per
-	// step (InferModel.Forward) — bitwise-identical to stepping.
-	rows := make([][]float64, len(xs))
-	for t := range xs {
-		rows[t] = m.xScale.apply(xs[t])
-	}
-	outs := m.Net.PredictSequence(rows)
+	xs := m.features(tr, ct)
+	l := m.newLane()
 	mu = make([]float64, len(xs))
 	sigma = make([]float64, len(xs))
-	for t, out := range outs {
-		mu[t] = out.Mu*m.yStd + m.yMean
-		sigma[t] = out.Sigma * m.yStd
-		if mu[t] < 0 {
-			mu[t] = 0
-		}
+	for t, x := range xs {
+		mu[t], sigma[t] = l.step(x, nil)
 	}
 	return mu, sigma
 }
 
 // PredictPacketDelay is the per-packet inference mode used by the §4.2
 // speed analysis: one LSTM step per packet. The returned function advances
-// the model one packet at a time and reports the predicted delay (ms).
-// The closure performs no per-call allocation — all scratch (input
-// buffers, kernel state) is owned by the closure and reused.
+// the model one packet at a time and reports the predicted delay (ms),
+// clamped at 0. The closure performs no per-call allocation.
 func (m *Model) PredictPacketDelay() func(features []float64) float64 {
-	pred := m.Net.NewPredictor()
-	dim := 4
-	if m.Cfg.UseCrossTraffic {
-		dim = 5
-	}
-	buf := make([]float64, dim)
-	row := make([]float64, dim)
+	l := m.newLane()
+	buf := make([]float64, len(l.row))
 	return func(features []float64) float64 {
 		copy(buf, features)
-		m.xScale.applyInto(buf, row)
-		out := pred.StepGaussian(row)
-		return out.Mu*m.yStd + m.yMean
+		mu, _ := l.step(buf, nil)
+		return mu
 	}
 }
 

@@ -84,16 +84,7 @@ func (m *Model) Validity(tr *trace.Trace, ct *trace.Series) ValidityReport {
 	if !m.trained {
 		panic("iboxml: model not trained")
 	}
-	var ctArg *trace.Series
-	if m.Cfg.UseCrossTraffic {
-		ctArg = ct
-	}
-	xs, _, _ := WindowFeatures(tr, ctArg, m.Cfg.Window)
-	if m.Cfg.UseCrossTraffic && ctArg == nil {
-		for i := range xs {
-			xs[i] = append(xs[i], 0)
-		}
-	}
+	xs := m.features(tr, ct)
 	rep := ValidityReport{Windows: len(xs), OutOfRange: map[string]float64{}}
 	if len(xs) == 0 || len(m.env.Min) == 0 {
 		return rep

@@ -394,54 +394,21 @@ func activate(gates, cPrev, c, tanhC, h []float64) {
 	}
 }
 
-// Forward runs the stack over a fully known input window from a zero
-// state and returns the top layer's hidden vector per timestep. It
-// traverses layer-major — each layer's inputs (the window for layer 0,
-// the full output sequence of the layer below otherwise) are known
-// before its sequential pass starts — through the same per-step kernel
-// as StepInto, so the results are StepInto's bit for bit.
-func (im *InferModel) Forward(xs [][]float64) [][]float64 {
-	T := len(xs)
-	if T == 0 {
-		return nil
-	}
-	in := xs
-	var outs [][]float64
-	preAct := make([]float64, 4*im.maxH)
-	for _, l := range im.Layers {
-		H := l.Hidden
-		slab := make([]float64, T*H)
-		outs = make([][]float64, T)
-		for t := range outs {
-			outs[t] = slab[t*H : (t+1)*H]
-		}
-		c := make([]float64, H)
-		h := make([]float64, H)
-		for t := 0; t < T; t++ {
-			l.step(h, c, outs[t], in[t], nil, 0, preAct, nil)
-			h = outs[t]
-		}
-		in = outs
-	}
-	return outs
-}
-
 // StepBatchLanesInto advances n independent states one timestep each:
 // lane b advances sts[b] through its *own* stack ims[b], fed
 // xs[b]. Lanes may repeat one *InferModel (N clients of one checkpoint)
-// or mix distinct ones; this is the kernel behind cross-checkpoint shape
-// batching in the serving layer (internal/serve): many distinct trained
-// checkpoints that share one architecture advance pad-free in one
-// dispatch. States advance in place (read each lane's output from its
-// state's Top).
+// or mix distinct ones that share one architecture. States advance in
+// place (read each lane's output from its state's Top). The serving
+// layer's cross-checkpoint batches step the same way, one lane at a time
+// (internal/iboxml); this entry point times that lockstep shape in the
+// benchmark.
 //
 // Lanes advance one at a time through the fused single-lane kernel. A
 // lane-interleaved variant (each weight load shared by four lanes'
 // accumulator chains) measured slower: the single-lane kernel already
 // carries four independent chains per unit — the fused gate rows, SIMD
 // lanes when available — and its weight reads are one linear stream the
-// prefetcher hides. What batching buys is the lockstep call shape the
-// serving batcher needs.
+// prefetcher hides.
 //
 // Per-lane weight pointers come for free from the fused kernel's shape:
 // the packed weight base (&w.W[0]) is a per-call argument of both the

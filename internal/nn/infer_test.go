@@ -38,6 +38,17 @@ func randSeq(seed int64, steps, dim int) [][]float64 {
 	return xs
 }
 
+// predictSeq runs a Gaussian model over xs from a zero state, one
+// StepInto and HeadGaussian per step.
+func predictSeq(m *SequenceModel, xs [][]float64) []GaussianOutput {
+	st, head := m.LSTM.NewState(), make([]float64, m.Head.Out)
+	out := make([]GaussianOutput, len(xs))
+	for t, x := range xs {
+		out[t] = m.HeadGaussian(m.LSTM.StepInto(st, x), head)
+	}
+	return out
+}
+
 // bitsEqual fails the test unless a and b are bitwise-identical.
 func bitsEqual(t *testing.T, what string, a, b []float64) {
 	t.Helper()
@@ -239,23 +250,6 @@ func TestBackwardMatchesLSTMStepBackward(t *testing.T) {
 	}
 }
 
-// TestInferForwardMatchesStepInto pins the layer-major window forward
-// against the sequential step kernel, bitwise.
-func TestInferForwardMatchesStepInto(t *testing.T) {
-	for _, sh := range kernelShapes {
-		im := NewLSTM(sh.in, sh.hidden, sh.layers, 9)
-		for _, T := range []int{1, 2, 5, 9} {
-			xs := randSeq(int64(40+T), T, sh.in)
-			outs := im.Forward(xs)
-			st := im.NewState()
-			for tt, x := range xs {
-				want := im.StepInto(st, x)
-				bitsEqual(t, "forward output", outs[tt], want)
-			}
-		}
-	}
-}
-
 const laneCount, laneSteps = 5, 6
 
 // laneSeqs returns one deterministic input sequence per lane.
@@ -413,10 +407,10 @@ func TestStepIntoNoAllocs(t *testing.T) {
 // per-packet prediction path (kernel step + dense head).
 func TestPredictorStepNoAllocs(t *testing.T) {
 	m := NewSequenceModel(GaussianHead, 5, 24, 2, 19)
-	p := m.NewPredictor()
+	st, head := m.LSTM.NewState(), make([]float64, m.Head.Out)
 	x := randSeq(4, 1, 5)[0]
-	if n := testing.AllocsPerRun(100, func() { p.StepGaussian(x) }); n != 0 {
-		t.Fatalf("StepGaussian allocates %v times per step, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { m.HeadGaussian(m.LSTM.StepInto(st, x), head) }); n != 0 {
+		t.Fatalf("StepInto + HeadGaussian allocates %v times per step, want 0", n)
 	}
 }
 

@@ -197,11 +197,11 @@ func (m *SequenceModel) FitSequence(opt *Adam, xs [][]float64, ys []float64, mas
 	return loss, opt.Step(), true
 }
 
-// Predictor is a stateful inference handle over a trained SequenceModel,
-// supporting the closed-loop unrolling of Fig 6 (predicted delays fed back
-// as the next step's input by the caller). Steps run on the packed kernel
-// (see infer.go) and are allocation-free. A Predictor binds the model's
-// live weights: a step taken after further training sees the update.
+// Predictor is a stateful inference handle over a trained BinaryHead
+// SequenceModel: it steps the packed kernel (see infer.go) and maps the
+// head to an event probability, allocation-free. A Predictor binds the
+// model's live weights: a step taken after further training sees the
+// update.
 type Predictor struct {
 	model *SequenceModel
 	st    *InferState
@@ -211,17 +211,6 @@ type Predictor struct {
 // NewPredictor returns an inference handle with zero state.
 func (m *SequenceModel) NewPredictor() *Predictor {
 	return &Predictor{model: m, st: m.LSTM.NewState(), head: make([]float64, m.Head.Out)}
-}
-
-// Reset zeroes the recurrent state in place.
-func (p *Predictor) Reset() { p.st.Reset() }
-
-// StepGaussian advances one timestep and returns the predicted delay
-// distribution. Valid only for GaussianHead models. Allocation-free.
-func (p *Predictor) StepGaussian(x []float64) GaussianOutput {
-	h := p.model.LSTM.StepInto(p.st, x)
-	p.model.Head.ForwardInto(h, p.head)
-	return gaussianFromHead(p.head)
 }
 
 // StepProb advances one timestep and returns the predicted event
@@ -234,23 +223,8 @@ func (p *Predictor) StepProb(x []float64) float64 {
 
 // HeadGaussian maps a top-layer hidden vector (e.g. InferState.Top)
 // through the Gaussian head without allocating; scratch must have
-// length Head.Out. Identical arithmetic to StepGaussian's head stage.
+// length Head.Out.
 func (m *SequenceModel) HeadGaussian(h, scratch []float64) GaussianOutput {
 	m.Head.ForwardInto(h, scratch)
 	return gaussianFromHead(scratch)
-}
-
-// PredictSequence runs Gaussian inference over a whole input sequence from
-// a fresh state (open loop: the caller supplies all features). Because the
-// window is fully known, the input projections run as one blocked GEMM per
-// layer (InferModel.Forward) — same results, far fewer weight streams.
-func (m *SequenceModel) PredictSequence(xs [][]float64) []GaussianOutput {
-	hs := m.Infer().Forward(xs)
-	out := make([]GaussianOutput, len(xs))
-	head := make([]float64, m.Head.Out)
-	for t, h := range hs {
-		m.Head.ForwardInto(h, head)
-		out[t] = gaussianFromHead(head)
-	}
-	return out
 }

@@ -140,10 +140,10 @@ func TestLSTMGradCheckGaussian(t *testing.T) {
 	xs := [][]float64{{0.5, -0.1}, {0.2, 0.8}, {-0.7, 0.3}, {0.1, 0.1}}
 	ys := []float64{0.3, -0.2, 0.5, 0.0}
 	loss := func() float64 {
-		outs := m.LSTM.Forward(xs)
+		st := m.LSTM.NewState()
 		total := 0.0
-		for tt := range xs {
-			l, _ := gaussianNLL(m.Head.Forward(outs[tt]), ys[tt])
+		for tt, x := range xs {
+			l, _ := gaussianNLL(m.Head.Forward(m.LSTM.StepInto(st, x)), ys[tt])
 			total += l
 		}
 		return total / float64(len(xs))
@@ -157,10 +157,10 @@ func TestLSTMGradCheckBinary(t *testing.T) {
 	xs := [][]float64{{0.5, -0.1}, {0.2, 0.8}, {-0.7, 0.3}}
 	ys := []float64{1, 0, 1}
 	loss := func() float64 {
-		outs := m.LSTM.Forward(xs)
+		st := m.LSTM.NewState()
 		total := 0.0
-		for tt := range xs {
-			l, _ := bceLoss(m.Head.Forward(outs[tt])[0], ys[tt])
+		for tt, x := range xs {
+			l, _ := bceLoss(m.Head.Forward(m.LSTM.StepInto(st, x))[0], ys[tt])
 			total += l
 		}
 		return total / float64(len(xs))
@@ -227,7 +227,7 @@ func TestLSTMLearnsSyntheticPattern(t *testing.T) {
 	}
 	// Check predictions directly.
 	xs, ys := makeSeq()
-	outs := m.PredictSequence(xs)
+	outs := predictSeq(m, xs)
 	mse := 0.0
 	for t := 1; t < len(xs); t++ {
 		d := outs[t].Mu - ys[t]
@@ -342,14 +342,15 @@ func TestBCELoss(t *testing.T) {
 
 func TestPredictorClosedLoop(t *testing.T) {
 	m := NewSequenceModel(GaussianHead, 2, 4, 1, 33)
-	p := m.NewPredictor()
-	out1 := p.StepGaussian([]float64{1, 0})
-	out2 := p.StepGaussian([]float64{1, 0})
+	st, head := m.LSTM.NewState(), make([]float64, m.Head.Out)
+	step := func() GaussianOutput { return m.HeadGaussian(m.LSTM.StepInto(st, []float64{1, 0}), head) }
+	out1 := step()
+	out2 := step()
 	if out1 == out2 {
 		t.Error("recurrent state not advancing")
 	}
-	p.Reset()
-	out3 := p.StepGaussian([]float64{1, 0})
+	st.Reset()
+	out3 := step()
 	if out1 != out3 {
 		t.Error("Reset did not restore initial state")
 	}

@@ -71,8 +71,8 @@ func TestSequenceModelJSONRoundTrip(t *testing.T) {
 		}
 		// Identical outputs.
 		xs := [][]float64{{0.1, -0.2, 0.3}, {0.5, 0.5, -0.5}}
-		a := m.PredictSequence(xs)
-		b := got.PredictSequence(xs)
+		a := predictSeq(m, xs)
+		b := predictSeq(got, xs)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: output %d differs: %v vs %v", name, i, a[i], b[i])
@@ -118,15 +118,14 @@ func TestReadHoldsOneCopy(t *testing.T) {
 		got.NumParams()
 		got.Finite()
 		got.Header()
-		got.PredictSequence(randSeq(1, 3, 5))
-		got.NewPredictor().StepGaussian(randSeq(2, 1, 5)[0])
+		predictSeq(got, randSeq(1, 3, 5))
 		oneCopy("after inference and questions")
 	}
 }
 
 // TestLoadedModelMatchesOriginal pins a model read back from its artifact
 // against the in-memory model it was written from, over every kernel
-// shape: the same bits from StepInto and PredictSequence, the same bytes
+// shape: the same bits from StepInto and the Gaussian head, the same bytes
 // when written again (from either reader), and the same loss and weights
 // after one training step.
 func TestLoadedModelMatchesOriginal(t *testing.T) {
@@ -151,7 +150,7 @@ func TestLoadedModelMatchesOriginal(t *testing.T) {
 		for _, x := range xs {
 			bitsEqual(t, name+" step", got.Infer().StepInto(loaded, x), m.Infer().StepInto(want, x))
 		}
-		a, b := m.PredictSequence(xs), got.PredictSequence(xs)
+		a, b := predictSeq(m, xs), predictSeq(got, xs)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: prediction %d: %v vs %v", name, i, b[i], a[i])

@@ -67,7 +67,8 @@ func (im *InferModel) Splits() bool {
 }
 
 // StepInto is im.StepInto with every layer's upper unit half offered to
-// the helper; the bits are StepInto's.
+// the helper; the bits are StepInto's. A nil Split steps alone, as
+// im.StepInto does.
 func (sp *Split) StepInto(im *InferModel, st *InferState, x []float64) []float64 {
 	im.stepLane(st, x, nil, 0, sp)
 	return st.top()

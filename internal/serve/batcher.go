@@ -25,7 +25,7 @@ import (
 // requests closes at once, and the next arrival opens a new group with a
 // job of its own. Same-shape requests share a batch even when they hit
 // distinct model artifacts: each lane steps through its own compiled
-// weights (nn.StepBatchLanesInto), so a multi-tenant mix of many fitted
+// weights (iboxml.PredictWindowsLanes), so a multi-tenant mix of many fitted
 // same-architecture models coalesces instead of fragmenting into
 // per-checkpoint singleton groups.
 //
