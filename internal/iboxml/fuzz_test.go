@@ -110,6 +110,36 @@ func mutate(t testing.TB, data []byte, fn func(map[string]any)) []byte {
 	return append(append(out, '\n'), section...)
 }
 
+// withWeight overwrites weight i of a current-layout artifact's section
+// and re-stamps the CRC, so only a check on the values themselves can
+// object.
+func withWeight(t testing.TB, good []byte, i int, v float64) []byte {
+	t.Helper()
+	header, section := splitArtifact(t, good)
+	section = append([]byte(nil), section...)
+	binary.LittleEndian.PutUint64(section[8*i:], math.Float64bits(v))
+	crc := crc32.Checksum(section, crc32.MakeTable(crc32.Castagnoli))
+	return mutate(t, append(append([]byte(nil), header...), section...), func(d map[string]any) {
+		d["net"].(map[string]any)["crc32c"] = crc
+	})
+}
+
+// narrowed returns a weight section of net as a model read from it
+// holds it: each LSTM weight (all but the head's, which come last)
+// rounded through float32.
+func narrowed(section []byte, net *nn.Header) []byte {
+	section = append([]byte(nil), section...)
+	head := 2
+	if net.Kind == nn.BinaryHead {
+		head = 1
+	}
+	for i := 0; i < int(net.Weights)-head*(net.Hidden+1); i++ {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(section[8*i:]))
+		binary.LittleEndian.PutUint64(section[8*i:], math.Float64bits(float64(float32(v))))
+	}
+	return section
+}
+
 // unsized hides a reader's Len method, so Read cannot learn how much
 // input remains and has to take its buffering path.
 type unsized struct{ io.Reader }
@@ -119,8 +149,10 @@ type unsized struct{ io.Reader }
 // runs without panicking. This is the registry's warm-load guarantee — a
 // checkpoint either loads into a working model or is rejected. An
 // accepted artifact also re-serializes to itself: byte for byte once its
-// header is in the writer's canonical JSON, and writing, reading and
-// writing again reproduces the same bytes whichever layout came in.
+// header is in the writer's canonical JSON and its LSTM weights are
+// rounded to the float32 a model holds (a no-op on any artifact written
+// since; the header's CRC follows), and writing, reading and writing
+// again reproduces the same bytes whichever layout came in.
 func FuzzRead(f *testing.F) {
 	m := corpusModel(f)
 	good, legacy := artifactBytes(f, m), legacyBytes(f, m)
@@ -146,6 +178,15 @@ func FuzzRead(f *testing.F) {
 	for _, a := range [][]byte{good, legacy} {
 		f.Add(string(mutate(f, a, func(d map[string]any) { d["config"].(map[string]any)["Window"] = 3 })))
 	}
+	// A section from when LSTM weights were float64 (a weight off the
+	// float32 grid), and LSTM weights float32 cannot hold, in both
+	// layouts.
+	for _, v := range []float64{0.1, 1e39} {
+		f.Add(string(withWeight(f, good, 0, v)))
+		f.Add(string(mutate(f, legacy, func(d map[string]any) {
+			d["net"].(map[string]any)["params"].([]any)[0].([]any)[0] = v
+		})))
+	}
 	tr := synthTrace(9, 500*sim.Millisecond)
 	f.Fuzz(func(t *testing.T, s string) {
 		m, err := Read(strings.NewReader(s))
@@ -170,11 +211,13 @@ func FuzzRead(f *testing.F) {
 		if json.NewDecoder(strings.NewReader(s)).Decode(&hdr) != nil || hdr.Format != formatRaw {
 			return // legacy: the weights were JSON numbers, not these bytes
 		}
+		section := narrowed([]byte(s[len(s)-8*m.NumParams():]), hdr.Net)
+		hdr.Net.CRC32C = crc32.Checksum(section, crc32.MakeTable(crc32.Castagnoli))
 		var canonical bytes.Buffer
 		if err := json.NewEncoder(&canonical).Encode(hdr); err != nil {
 			t.Fatal(err)
 		}
-		canonical.WriteString(s[len(s)-8*m.NumParams():])
+		canonical.Write(section)
 		if !bytes.Equal(out, canonical.Bytes()) {
 			t.Fatal("accepted artifact does not re-serialize to itself")
 		}
@@ -201,18 +244,8 @@ func TestReadRejectsCorruptModels(t *testing.T) {
 	fixed := func(data string) func(*testing.T, []byte) []byte {
 		return func(*testing.T, []byte) []byte { return []byte(data) }
 	}
-	// withWeight overwrites weight i of the section and re-stamps the CRC,
-	// so only a check on the values themselves can object.
-	withWeight := func(i int, v float64) func(*testing.T, []byte) []byte {
-		return func(t *testing.T, good []byte) []byte {
-			header, section := splitArtifact(t, good)
-			section = append([]byte(nil), section...)
-			binary.LittleEndian.PutUint64(section[8*i:], math.Float64bits(v))
-			crc := crc32.Checksum(section, crc32.MakeTable(crc32.Castagnoli))
-			return mutate(t, append(append([]byte(nil), header...), section...), func(d map[string]any) {
-				d["net"].(map[string]any)["crc32c"] = crc
-			})
-		}
+	weight := func(i int, v float64) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, good []byte) []byte { return withWeight(t, good, i, v) }
 	}
 	cases := []struct {
 		name string
@@ -279,8 +312,12 @@ func TestReadRejectsCorruptModels(t *testing.T) {
 			out[len(out)-20] ^= 0x10
 			return out
 		}},
-		{"nan-weight", both[:1], withWeight(3, math.NaN())},
-		{"inf-weight", both[:1], withWeight(0, math.Inf(1))},
+		{"nan-weight", both[:1], weight(3, math.NaN())},
+		{"inf-weight", both[:1], weight(0, math.Inf(1))},
+		{"weight-beyond-float32", both[:1], weight(3, 1e39)},
+		{"legacy-weight-beyond-float32", both[1:], net(func(n map[string]any) {
+			n["params"].([]any)[0].([]any)[0] = -1e39
+		})},
 		{"count-below-shape", both[:1], func(t *testing.T, good []byte) []byte {
 			return net(func(n map[string]any) { n["weights"] = n["weights"].(float64) - 1 })(t, good[:len(good)-8])
 		}},

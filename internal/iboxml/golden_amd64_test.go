@@ -26,20 +26,20 @@ var inferenceBitsCases = []struct {
 	closed, open, sim, hier string
 }{
 	{"16x2", 16, 2, false,
-		"1e614920ad1bf232d85aa964cd60e273984a978a82b346e49ee565ff98fe3678",
-		"c71f6e3e5562239ac50d4220c3d05e57ab21edf0ed7045db595bd453cdc6bd0f",
-		"4982035d61c14fd391e3786aaa9c0e68864f894a75b5b309abce3e3c800bc8c4",
-		"52563b6fa2841c468b7feb0ffbf260c56b6928b4381770f040e35357f8de0fce"},
+		"f861b9ec8563ae49db449c38f0b1df392ffd08b7aa3caa93b522fcc1b8289568",
+		"bac5d790b030d06a36de8082b00f67539fd616eaa26041b43c48b9b569d231b3",
+		"847e1138ef3b1ff5b40926db92ad18ecfb430b975421e7e2e83d441c81da9226",
+		"8fee5c0177bb0f7b292d7d5eaae89f49bda46b18f1390e5213b00c3181620f14"},
 	{"12x1+ct", 12, 1, true,
-		"d1d1ae3dca6114886eebecec74de306696f1295e075dbe9b1a3062cde669354e",
-		"64abf1a888e8a3bc6bc012843042440bde6b4f95cd837049d9b0edabf9f3baa9",
-		"08a31628c2d0566011b3d1880f57c64e2abd395455a66781f78ca46e072f050a",
-		"99af036ec1814b3d27cda42170a4a04b26b2163c606419dcd760487fb907dcec"},
+		"766e5a9344a3f260f2124f09f0e5dd9d398a5e7da41cefb2beb87e7b5f4f7e63",
+		"7e042fe90267ce4a4d87fb3f22a7bd186df397422b44139c51bf1140d93fb992",
+		"0f40219ae4c5fc36d651250b4fdacc7d321fd89da5036da0d15bb4323cb14939",
+		"9c1134495aae1b34bd3dc991c02702a6bf71a38109e5d12946037534e40642d7"},
 	{"32x3", 32, 3, false,
-		"685f0470a36597ad865d6492e04de43973191c7146fbe5348994b35d00721156",
-		"1931f8c31d924d7fae21c0f6f9a74c93529283c944360802bcac40b777391105",
-		"aa253487140fbde4279985d89fd1833074e6db35e606ca562f336c7a49247aa8",
-		"195e7b3498df358391feb6f83a12916520b531783aa4bb88c4a06d445f82c8c2"},
+		"ce17dda966db1f46ecfa206a0493de8f073a19e04d7399f4e5eca609011f9b96",
+		"13d9d57707be62a9e9555824f0695ea9e25ddaf9c6532d53191dbde4a12f76b8",
+		"cc51e199fdeb9140d735972f36b239bc6da47cdf6b82f78b49c7a575f807a21d",
+		"d766a30b228d7de881f3c0b4ac1fd55b2afdf3ebd04c079ed2ecc59d2c649016"},
 }
 
 // ctSeries is a cross-traffic estimate that ramps over the trace.

@@ -2,6 +2,7 @@ package iboxml
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -240,11 +241,34 @@ func TestLegacyCheckpoint(t *testing.T) {
 	}
 	// The test-side legacy encoder reproduces the old writer exactly,
 	// which is what lets the other tests stand in for old files with it.
+	// The old writer's LSTM weights were float64 and a loaded model's
+	// are float32, so the reference is the file re-encoded with each
+	// LSTM weight rounded through float32 — and re-encoding it unrounded
+	// must give the file itself.
+	var doc modelJSON
+	if err := json.Unmarshal(onDisk, &doc); err != nil {
+		t.Fatal(err)
+	}
+	encode := func() []byte {
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(doc); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(encode(), onDisk) {
+		t.Fatal("re-encoding the legacy file does not reproduce it")
+	}
+	for _, w := range doc.Net.Params[:3*doc.Net.Layers] { // Wx, Wh, b per LSTM layer
+		for i, v := range w {
+			w[i] = float64(float32(v))
+		}
+	}
 	second, err := Load(legacyPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(legacyBytes(t, second), onDisk) {
+	if !bytes.Equal(legacyBytes(t, second), encode()) {
 		t.Fatal("legacyBytes no longer reproduces the old writer's output")
 	}
 
@@ -420,12 +444,13 @@ func TestLoadedModelHasNoTrainingState(t *testing.T) {
 // TestFirstInferenceAllocatesNoWeights: the reader builds a loaded model's
 // kernel, so its first PredictWindows or SimulateTrace compiles nothing
 // and allocates nothing weight-sized. A copy of the in-memory model's
-// LSTM weights shows the measurement would see it.
+// LSTM weights (float32, 4 bytes each) shows the measurement would see
+// it.
 func TestFirstInferenceAllocatesNoWeights(t *testing.T) {
 	m := syntheticModel(256, 4, false)
 	raw := artifactBytes(t, m)
 	in := synthTrace(5, sim.Second)
-	weights := 8 * uint64(m.NumParams())
+	weights := 4 * uint64(m.NumParams())
 	for name, first := range map[string]func(*Model){
 		"PredictWindows": func(m *Model) { m.PredictWindows(in, nil) },
 		"SimulateTrace":  func(m *Model) { m.SimulateTrace(in, nil, 1) },

@@ -8,7 +8,16 @@ import "math"
 // and accumulates gradients into a buffer of the same shape (lstm.go), and
 // a model read from an artifact is decoded straight into it.
 //
-// Packed layout (InferLayer.w.W): one block per hidden unit, holding
+// Weights are stored as float32 and everything else is float64: the
+// kernels widen each weight exactly (float64(w)) and run the float64
+// arithmetic they always ran, so a step's accumulators, the recurrent
+// state, the activations and training's gradients and Adam moments keep
+// full precision. A paper-scale step is bound by the bandwidth its
+// weights stream at, not by arithmetic, and float32 halves those bytes.
+// There is no float64 copy: Adam rounds its float64 update into the
+// float32 weights (nn.go), and the artifact readers round once on load.
+//
+// Packed layout (InferLayer.w.w32): one block per hidden unit, holding
 // the unit's four gate rows (i, f, g, o) *interleaved by column*:
 //
 //	unit j block:  [ b_i  b_f  b_g  b_o ]                     biases
@@ -19,18 +28,20 @@ import "math"
 //
 // A forward step walks this buffer front to back exactly once, so the
 // whole weight set streams through cache linearly per step, and each
-// column k yields the four gates' weights as one contiguous 32-byte
+// column k yields the four gates' weights as one contiguous 16-byte
 // quad: the natural shape both for four independent scalar accumulator
 // chains (≈4× ILP on the latency-bound dot products) and for one 4-lane
-// SIMD vector per unit (see infer_kernel_amd64.s — lane g runs gate row
+// float64 SIMD vector per unit, widened as it loads (see
+// infer_kernel_amd64.s — lane g runs gate row
 // g's chain with separate multiply and add roundings, so SIMD changes
 // nothing numerically).
 //
 // Correctness contract: per gate row the floating-point operation order is
 // bias first, then input terms in ascending k, then recurrent terms in
-// ascending k — the order of the historical row-by-row blocked step, which
-// the package tests keep as a reference oracle — so every kernel in this
-// file, SIMD or scalar, produces the same bits. The gate activations
+// ascending k — the order of the historical row-by-row blocked step, run
+// in float64 on the widened weights, which the package tests keep as a
+// reference oracle — so every kernel in this file, SIMD or scalar,
+// produces the same bits. The gate activations
 // (activate) are elementwise; their SIMD kernel reproduces sigmoid,
 // math.Tanh and math.Exp's amd64 instruction sequence lane by lane, so it
 // too gives the scalar loop's bits.
@@ -43,9 +54,9 @@ import "math"
 // InferLayer is one LSTM layer in the packed layout.
 type InferLayer struct {
 	In, Hidden int
-	blkStride  int // floats per unit block: 4*(1 + In + Hidden)
-	// w.W is the Hidden unit blocks (see file comment); w.Grad, once a
-	// backward pass has run, is the gradient in the same layout.
+	blkStride  int // weights per unit block: 4*(1 + In + Hidden)
+	// w.w32 is the Hidden unit blocks (see file comment); w.Grad, once a
+	// backward pass has run, is the float64 gradient in the same layout.
 	w Param
 }
 
@@ -60,7 +71,7 @@ type InferModel struct {
 func newInferLayer(in, hidden int) *InferLayer {
 	bs := 4 * (1 + in + hidden)
 	l := &InferLayer{In: in, Hidden: hidden, blkStride: bs}
-	l.w = Param{W: make([]float64, hidden*bs), layer: l}
+	l.w = Param{w32: make([]float32, hidden*bs), layer: l}
 	return l
 }
 
@@ -94,7 +105,7 @@ func (l *InferLayer) tensorLen(t int) int { return 4 * l.Hidden * l.rowLen(t) }
 // that start at row-major index at into row pieces and calls
 // fn(i, pos, cnt) for each:
 // values at+i … at+i+cnt−1 sit at packed[pos], packed[pos+4], … — a
-// row's columns lie 4 floats apart inside its unit's block, one slot per
+// row's columns lie 4 weights apart inside its unit's block, one slot per
 // gate.
 func (l *InferLayer) runs(t, at, n int, fn func(i, pos, cnt int)) {
 	cols := l.rowLen(t)
@@ -113,21 +124,23 @@ func (l *InferLayer) runs(t, at, n int, fn func(i, pos, cnt int)) {
 	}
 }
 
-// scatter stores vals as values [at, at+len(vals)) of tensor t.
+// scatter stores vals as values [at, at+len(vals)) of tensor t, each
+// rounded to the nearest float32.
 func (l *InferLayer) scatter(t, at int, vals []float64) {
 	l.runs(t, at, len(vals), func(i, pos, cnt int) {
 		for _, v := range vals[i : i+cnt] {
-			l.w.W[pos] = v
+			l.w.w32[pos] = float32(v)
 			pos += 4
 		}
 	})
 }
 
-// gather reads values [at, at+len(dst)) of tensor t into dst.
+// gather reads values [at, at+len(dst)) of tensor t into dst, widened
+// exactly.
 func (l *InferLayer) gather(t, at int, dst []float64) {
 	l.runs(t, at, len(dst), func(i, pos, cnt int) {
 		for c := range dst[i : i+cnt] {
-			dst[i+c] = l.w.W[pos]
+			dst[i+c] = float64(l.w.w32[pos])
 			pos += 4
 		}
 	})
@@ -139,7 +152,7 @@ func (im *InferModel) Compile() *InferModel {
 	c := &InferModel{maxH: im.maxH}
 	for _, l := range im.Layers {
 		cl := newInferLayer(l.In, l.Hidden)
-		copy(cl.w.W, l.w.W)
+		copy(cl.w.w32, l.w.w32)
 		c.Layers = append(c.Layers, cl)
 	}
 	return c
@@ -321,8 +334,8 @@ func (l *InferLayer) gatePre(dst, hPrev, x, pre []float64, tailOff, lo, hi int) 
 			if len(x) > 0 {
 				xp = &x[0]
 			}
-			layerPreSIMD(&l.w.W[lo*l.blkStride], xp, hp, preP, &dst[4*lo],
-				int64(l.In), int64(len(hPrev)), int64(groups), int64(tailOff), int64(l.blkStride*8))
+			layerPreSIMD(&l.w.w32[lo*l.blkStride], xp, hp, preP, &dst[4*lo],
+				int64(l.In), int64(len(hPrev)), int64(groups), int64(tailOff), int64(l.blkStride*4))
 			j0 = lo + groups*4
 		}
 	}
@@ -335,27 +348,27 @@ func (l *InferLayer) gatePre(dst, hPrev, x, pre []float64, tailOff, lo, hi int) 
 func (l *InferLayer) gatePreScalar(dst, hPrev, x, pre []float64, tailOff, j0, hi int) {
 	In, bs := l.In, l.blkStride
 	for j := j0; j < hi; j++ {
-		blk := l.w.W[j*bs : (j+1)*bs]
+		blk := l.w.w32[j*bs : (j+1)*bs]
 		var ai, af, ag, ao float64
 		if pre != nil {
 			ai, af, ag, ao = pre[j*4], pre[j*4+1], pre[j*4+2], pre[j*4+3]
 		} else {
-			ai, af, ag, ao = blk[0], blk[1], blk[2], blk[3]
+			ai, af, ag, ao = float64(blk[0]), float64(blk[1]), float64(blk[2]), float64(blk[3])
 		}
 		wx := blk[4 : 4+In*4]
 		for k := tailOff; k < In; k++ {
 			xv := x[k]
-			ai += wx[k*4] * xv
-			af += wx[k*4+1] * xv
-			ag += wx[k*4+2] * xv
-			ao += wx[k*4+3] * xv
+			ai += float64(wx[k*4]) * xv
+			af += float64(wx[k*4+1]) * xv
+			ag += float64(wx[k*4+2]) * xv
+			ao += float64(wx[k*4+3]) * xv
 		}
 		wh := blk[4+In*4:]
 		for k, hv := range hPrev {
-			ai += wh[k*4] * hv
-			af += wh[k*4+1] * hv
-			ag += wh[k*4+2] * hv
-			ao += wh[k*4+3] * hv
+			ai += float64(wh[k*4]) * hv
+			af += float64(wh[k*4+1]) * hv
+			ag += float64(wh[k*4+2]) * hv
+			ao += float64(wh[k*4+3]) * hv
 		}
 		dst[j*4] = ai
 		dst[j*4+1] = af
@@ -411,7 +424,7 @@ func activate(gates, cPrev, c, tanhC, h []float64) {
 // prefetcher hides.
 //
 // Per-lane weight pointers come for free from the fused kernel's shape:
-// the packed weight base (&w.W[0]) is a per-call argument of both the
+// the packed weight base (&w.w32[0]) is a per-call argument of both the
 // AVX2 fast path and the scalar fallback, so swapping checkpoints between
 // lanes is just a different base pointer — no layout change, no copying.
 // Each lane runs the exact single-member operation sequence (bias first,
@@ -419,10 +432,10 @@ func activate(gates, cPrev, c, tanhC, h []float64) {
 // results are bitwise-identical to StepInto on that lane's own model
 // regardless of batch composition or order. Placing lanes of the same
 // checkpoint adjacently lets the later lanes read its packed weights
-// from cache, but only when they fit in L2: a 96×1 checkpoint (≈313 KB)
-// does. A paper-scale 256×4 one (14.7 MB) does not, and every lane
-// re-streams it from L3, ≈640 µs a step at ≈23 GB/s per core. A lone
-// lane can take a second core instead (Split).
+// from cache, but only when they fit in L2: a 96×1 checkpoint (≈157 KB
+// of float32 weights) does. A paper-scale 256×4 one (≈7.4 MB) does not,
+// and every lane re-streams it from L3, ≈320 µs a step at ≈23 GB/s per
+// core (2 vCPU). A lone lane can take a second core instead (Split).
 //
 // All lanes must share one architecture (SameArch: per-layer
 // In/Hidden); mixing shapes panics rather than corrupting state.

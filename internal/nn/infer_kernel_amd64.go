@@ -3,13 +3,14 @@
 package nn
 
 // SIMD backend selection for the LSTM kernels. The AVX2 gate
-// pre-activation path maps each hidden unit's four interleaved gate rows onto the four
-// lanes of a ymm register: lane g runs gate row g's accumulator chain
-// with a separate vector multiply and vector add per column (no FMA —
-// fused multiply-add rounds once where the scalar chain rounds twice, so
-// it would break the bitwise contract). Per-lane arithmetic is therefore
-// the exact scalar operation sequence, and SIMD on/off cannot change any
-// result bit.
+// pre-activation path maps each hidden unit's four interleaved gate rows
+// onto the four lanes of a ymm register: a column's float32 weight quad
+// widens exactly into four float64 lanes (VCVTPS2PD), and lane g runs
+// gate row g's accumulator chain with a separate vector multiply and
+// vector add per column (no FMA — fused multiply-add rounds once where
+// the scalar chain rounds twice, so it would break the bitwise contract).
+// Per-lane arithmetic is therefore the exact scalar operation sequence,
+// and SIMD on/off cannot change any result bit.
 //
 // The gate activation kernel (gateActSIMD) reproduces math.Exp, which on
 // amd64 takes an FMA instruction sequence exactly when the CPU has AVX
@@ -25,12 +26,13 @@ var haveSIMD = cpuHasAVX2FMA()
 //   - Σ_{k=0}^{nh-1}    Wh[row(j,g)][k]·h[k]
 //
 // where init is pre[j*4+g] when pre is non-nil and the packed bias
-// otherwise. blocks points at InferLayer.packed (unit-interleaved layout,
-// blkBytes bytes per unit block); x is never dereferenced when
-// xoff == nx, but must be a valid pointer.
+// otherwise, and every weight is widened to float64. blocks points at the
+// layer's float32 weights (unit-interleaved layout, blkBytes bytes per
+// unit block); x is never dereferenced when xoff == nx, but must be a
+// valid pointer.
 //
 //go:noescape
-func layerPreSIMD(blocks, x, h, pre, out *float64, nx, nh, groups, xoff, blkBytes int64)
+func layerPreSIMD(blocks *float32, x, h, pre, out *float64, nx, nh, groups, xoff, blkBytes int64)
 
 // layerGradSIMD accumulates one step's weight gradients for groups*4
 // hidden units: with dq the unit's gate-gradient quad dq[j*4+g],
@@ -40,19 +42,19 @@ func layerPreSIMD(blocks, x, h, pre, out *float64, nx, nh, groups, xoff, blkByte
 //	grad[Wh(j,g)][k] += h[k]·dq[j*4+g]   k = 0 … nh−1
 //
 // each as one multiply and one add, so per element it is exactly the
-// scalar loop (gradAdd). grad points at the layer's packed gradient, laid
-// out like its weights.
+// scalar loop (gradAdd). grad points at the layer's packed float64
+// gradient, laid out like its weights (blkBytes: a gradient unit block).
 //
 //go:noescape
 func layerGradSIMD(grad, x, h, dq *float64, nx, nh, groups, blkBytes int64)
 
 // inputGradSIMD adds dq[4j+g]·W(j,g)[k] into dst[k] for k < n over every
 // row, gate-major (r = g·units + j), skipping zero rows: the gradient into
-// a step's input (or recurrent) columns, whose weights start at w. See
-// inputGrad for the scalar loop it matches bit for bit.
+// a step's input (or recurrent) columns, whose float32 weights start at
+// w. See inputGrad for the scalar loop it matches bit for bit.
 //
 //go:noescape
-func inputGradSIMD(w, dq, dst *float64, n, units, blkBytes int64)
+func inputGradSIMD(w *float32, dq, dst *float64, n, units, blkBytes int64)
 
 // gateActSIMD applies the LSTM nonlinearities to groups*4 hidden units:
 // per unit j, with the gate pre-activations gates[4j:4j+4] (i|f|g|o),

@@ -2,31 +2,34 @@
 
 #include "textflag.h"
 
-// func layerPreSIMD(blocks, x, h, pre, out *float64, nx, nh, groups, xoff, blkBytes int64)
+// func layerPreSIMD(blocks *float32, x, h, pre, out *float64, nx, nh, groups, xoff, blkBytes int64)
 //
 // Computes gate pre-activations for groups*4 hidden units of one layer
 // step. Four unit blocks are processed per outer iteration, one ymm
 // accumulator each; within a block the four f64 lanes are the unit's
 // four gate rows (i|f|g|o), matching the unit-interleaved packed layout,
-// so each weight column k is a single 32-byte load.
+// so each weight column k is a single 16-byte float32 quad, which
+// VCVTPS2PD loads and widens exactly into four float64 lanes.
 //
 // Bitwise contract: per lane the accumulation is init, then input terms
 // in ascending k, then recurrent terms in ascending k, each as a
-// separate VMULPD + VADDPD (never FMA: its single rounding differs from
-// the scalar multiply-then-add), i.e. exactly gatePreScalar's chain.
+// separate VMULPD + VADDPD on the widened weight (never FMA: its single
+// rounding differs from the scalar multiply-then-add), i.e. exactly
+// gatePreScalar's chain.
 //
 // Register map:
-//   R8-R11  the four unit-block cursors; weights are contiguous within a
-//           block, so they advance 32 bytes per column and finish each
-//           iteration at the next block — R11 lands on the next group.
+//   R8-R11  the group's four unit-block bases, moved past the biases and
+//           then past the input columns, so column k of the current
+//           section is at base + 16k
+//   CX      twice the column index: one register indexes x and h
+//           (CX*4 = 8k) and all four blocks' columns (CX*8 = 16k)
 //   SI, DI  x, h base pointers
 //   AX      pre cursor (nil: accumulators start from the packed biases)
 //   DX      out cursor
-//   BX, R12 nx, nh
+//   BX, R12 2·nx, 2·nh
 //   R13     remaining groups
-//   R14     xoff (first non-pre-projected input column)
+//   R14     2·xoff (first non-pre-projected input column)
 //   R15     blkBytes
-//   CX      column counter / scratch
 //   Y0-Y3   accumulators, Y4 broadcast column value, Y5-Y8 weight quads
 TEXT ·layerPreSIMD(SB), NOSPLIT, $0-80
 	MOVQ blocks+0(FP), R8
@@ -35,16 +38,19 @@ TEXT ·layerPreSIMD(SB), NOSPLIT, $0-80
 	MOVQ pre+24(FP), AX
 	MOVQ out+32(FP), DX
 	MOVQ nx+40(FP), BX
+	SHLQ $1, BX
 	MOVQ nh+48(FP), R12
+	SHLQ $1, R12
 	MOVQ groups+56(FP), R13
 	MOVQ xoff+64(FP), R14
+	SHLQ $1, R14
 	MOVQ blkBytes+72(FP), R15
 
 group:
 	TESTQ R13, R13
 	JZ    done
 
-	// Cursors for the group's four unit blocks.
+	// Bases of the group's four unit blocks.
 	MOVQ R8, R9
 	ADDQ R15, R9
 	MOVQ R9, R10
@@ -64,31 +70,28 @@ group:
 	JMP     accready
 
 frombias:
-	VMOVUPD (R8), Y0
-	VMOVUPD (R9), Y1
-	VMOVUPD (R10), Y2
-	VMOVUPD (R11), Y3
+	VCVTPS2PD (R8), Y0
+	VCVTPS2PD (R9), Y1
+	VCVTPS2PD (R10), Y2
+	VCVTPS2PD (R11), Y3
 
 accready:
-	// Skip the bias quad and the pre-projected input columns [0, xoff).
-	MOVQ R14, CX
-	SHLQ $5, CX
-	ADDQ $32, CX
-	ADDQ CX, R8
-	ADDQ CX, R9
-	ADDQ CX, R10
-	ADDQ CX, R11
+	// Past the bias quads: input column k is at base + 16k.
+	ADDQ $16, R8
+	ADDQ $16, R9
+	ADDQ $16, R10
+	ADDQ $16, R11
 
 	// Input terms, k = xoff .. nx-1 (ascending).
 	MOVQ R14, CX
 xloop:
 	CMPQ CX, BX
 	JGE  xdone
-	VBROADCASTSD (SI)(CX*8), Y4
-	VMOVUPD      (R8), Y5
-	VMOVUPD      (R9), Y6
-	VMOVUPD      (R10), Y7
-	VMOVUPD      (R11), Y8
+	VBROADCASTSD (SI)(CX*4), Y4
+	VCVTPS2PD    (R8)(CX*8), Y5
+	VCVTPS2PD    (R9)(CX*8), Y6
+	VCVTPS2PD    (R10)(CX*8), Y7
+	VCVTPS2PD    (R11)(CX*8), Y8
 	VMULPD       Y4, Y5, Y5
 	VMULPD       Y4, Y6, Y6
 	VMULPD       Y4, Y7, Y7
@@ -97,24 +100,26 @@ xloop:
 	VADDPD       Y6, Y1, Y1
 	VADDPD       Y7, Y2, Y2
 	VADDPD       Y8, Y3, Y3
-	ADDQ         $32, R8
-	ADDQ         $32, R9
-	ADDQ         $32, R10
-	ADDQ         $32, R11
-	INCQ         CX
+	ADDQ         $2, CX
 	JMP          xloop
 
 xdone:
+	// Past the input columns: recurrent column k is at base + 16k.
+	LEAQ (R8)(BX*8), R8
+	LEAQ (R9)(BX*8), R9
+	LEAQ (R10)(BX*8), R10
+	LEAQ (R11)(BX*8), R11
+
 	// Recurrent terms, k = 0 .. nh-1 (ascending).
 	XORQ CX, CX
 hloop:
 	CMPQ CX, R12
 	JGE  hdone
-	VBROADCASTSD (DI)(CX*8), Y4
-	VMOVUPD      (R8), Y5
-	VMOVUPD      (R9), Y6
-	VMOVUPD      (R10), Y7
-	VMOVUPD      (R11), Y8
+	VBROADCASTSD (DI)(CX*4), Y4
+	VCVTPS2PD    (R8)(CX*8), Y5
+	VCVTPS2PD    (R9)(CX*8), Y6
+	VCVTPS2PD    (R10)(CX*8), Y7
+	VCVTPS2PD    (R11)(CX*8), Y8
 	VMULPD       Y4, Y5, Y5
 	VMULPD       Y4, Y6, Y6
 	VMULPD       Y4, Y7, Y7
@@ -123,11 +128,7 @@ hloop:
 	VADDPD       Y6, Y1, Y1
 	VADDPD       Y7, Y2, Y2
 	VADDPD       Y8, Y3, Y3
-	ADDQ         $32, R8
-	ADDQ         $32, R9
-	ADDQ         $32, R10
-	ADDQ         $32, R11
-	INCQ         CX
+	ADDQ         $2, CX
 	JMP          hloop
 
 hdone:
@@ -137,9 +138,9 @@ hdone:
 	VMOVUPD Y3, 96(DX)
 	ADDQ    $128, DX
 
-	// R11 has walked exactly one block past its start, i.e. onto the
-	// next group's first block.
-	MOVQ R11, R8
+	// The last block ends 16·nh bytes past R11, where the next group's
+	// first block starts.
+	LEAQ (R11)(R12*8), R8
 	DECQ R13
 	JMP  group
 
@@ -159,7 +160,9 @@ done:
 // FMA), i.e. exactly gradAdd's scalar multiply-then-add.
 //
 // Register map:
-//   R8-R11  the four unit-block cursors (as in layerPreSIMD)
+//   R8-R11  the four unit-block cursors of the float64 gradient; they
+//           advance 32 bytes per column and finish each iteration at the
+//           next block, so R11 lands on the next group
 //   SI, DI  x, h base pointers
 //   AX      dq cursor
 //   BX, R12 nx, nh
@@ -269,18 +272,19 @@ gdone:
 	VZEROUPPER
 	RET
 
-// func inputGradSIMD(w, dq, dst *float64, n, units, blkBytes int64)
+// func inputGradSIMD(w *float32, dq, dst *float64, n, units, blkBytes int64)
 //
 // Sums gate gradients back through the weights into one input of a step:
 // dst[k] += dq[4j+g]·W(j,g)[k] for k < n, over rows in the blocked order
 // r = g·units + j (gate-major), skipping rows whose gradient is exactly
 // zero. w points at column 0, gate 0 of unit 0's columns of interest
 // (the input or the recurrent columns); column k of gate g of unit j is at
-// w + j·blkBytes + 32k + 8g, so a row is read strided, four columns at a
-// time assembled into one ymm.
+// w + j·blkBytes + 16k + 4g, so a row is read strided: four columns'
+// float32 weights are gathered into one xmm and widened into one ymm.
 //
 // Bitwise contract: each dst element takes its terms in row order, each as
-// one multiply and one add (never FMA) — exactly inputGrad's scalar loop.
+// one multiply by the widened weight and one add (never FMA) — exactly
+// inputGrad's scalar loop.
 //
 // Register map:
 //   SI      w;  AX  dq;  DI  dst;  BX  n;  R12  units;  R15  blkBytes
@@ -288,7 +292,7 @@ gdone:
 //   R8      row cursor (column 0 of the current unit and gate)
 //   R9      dq cursor (the current unit's gate-g gradient)
 //   R10     column cursor;  R11  dst cursor;  CX  remaining columns
-//   X7      zero;  Y4  broadcast row gradient;  Y5, Y6  columns
+//   X7      zero;  Y4  broadcast row gradient;  Y5  columns
 TEXT ·inputGradSIMD(SB), NOSPLIT, $0-48
 	MOVQ   w+0(FP), SI
 	MOVQ   dq+8(FP), AX
@@ -302,7 +306,7 @@ TEXT ·inputGradSIMD(SB), NOSPLIT, $0-48
 igate:
 	CMPQ R13, $4
 	JGE  idone
-	LEAQ (SI)(R13*8), R8
+	LEAQ (SI)(R13*4), R8
 	LEAQ (AX)(R13*8), R9
 	MOVQ R12, R14
 
@@ -322,32 +326,33 @@ irow:
 	MOVQ         BX, CX
 
 iquad:
-	CMPQ        CX, $4
-	JLT         itail
-	VMOVSD      (R10), X5
-	VMOVHPD     32(R10), X5, X5
-	VMOVSD      64(R10), X6
-	VMOVHPD     96(R10), X6, X6
-	VINSERTF128 $1, X6, Y5, Y5
-	VMULPD      Y4, Y5, Y5
-	VADDPD      (R11), Y5, Y5
-	VMOVUPD     Y5, (R11)
-	ADDQ        $128, R10
-	ADDQ        $32, R11
-	SUBQ        $4, CX
-	JMP         iquad
+	CMPQ      CX, $4
+	JLT       itail
+	VMOVSS    (R10), X5
+	VINSERTPS $0x10, 16(R10), X5, X5
+	VINSERTPS $0x20, 32(R10), X5, X5
+	VINSERTPS $0x30, 48(R10), X5, X5
+	VCVTPS2PD X5, Y5
+	VMULPD    Y4, Y5, Y5
+	VADDPD    (R11), Y5, Y5
+	VMOVUPD   Y5, (R11)
+	ADDQ      $64, R10
+	ADDQ      $32, R11
+	SUBQ      $4, CX
+	JMP       iquad
 
 itail:
-	TESTQ  CX, CX
-	JZ     inext
-	VMOVSD (R10), X5
-	VMULSD X4, X5, X5
-	VADDSD (R11), X5, X5
-	VMOVSD X5, (R11)
-	ADDQ   $32, R10
-	ADDQ   $8, R11
-	DECQ   CX
-	JMP    itail
+	TESTQ     CX, CX
+	JZ        inext
+	VMOVSS    (R10), X5
+	VCVTSS2SD X5, X5, X5
+	VMULSD    X4, X5, X5
+	VADDSD    (R11), X5, X5
+	VMOVSD    X5, (R11)
+	ADDQ      $16, R10
+	ADDQ      $8, R11
+	DECQ      CX
+	JMP       itail
 
 inext:
 	ADDQ R15, R8

@@ -55,18 +55,20 @@ var trainingBitsShapes = []struct {
 	in, hidden, layer int
 	loss, weights     string // Float64bits of the last loss; SHA-256 of WriteWeights
 }{
-	{GaussianHead, 5, 7, 2, "40009c695b0fe95e", "d26aff38575dc2420b6ed18dd305bb6d924c40fcdeaddc6b373777816d89012b"},
-	{GaussianHead, 5, 16, 2, "3ff7259ab00814e3", "65dd32fde97e352b1dbc6ad1aa805bcf33ecfb35a709ca57fa03dfc727e8ca6c"},
-	{BinaryHead, 4, 6, 1, "3fe5f2b7ba42b4a7", "25837da1c562878d1bfc3009e5d58e36c7ef19f7b5b56ec2b3a1a435540a2db1"},
-	{GaussianHead, 5, 96, 1, "400142b6aa7ec0b0", "da1347fa080384d2e253681aee94f88e8a430471945f1134b1b24f873f809629"},
+	{GaussianHead, 5, 7, 2, "40009c6950ede0aa", "612a6d9764c37d5e4a6780ecd1ba22bb9a0c7a8a32badfcaeb71ab03f16e4b76"},
+	{GaussianHead, 5, 16, 2, "3ff7259aad4c63af", "ed1ad0a58b7d2b4a8d552852e557c949ae232d836cbf21cc63784b14cfa48fe8"},
+	{BinaryHead, 4, 6, 1, "3fe5f2b7ba8519f7", "92d5e880e2f4034f554ce7ebfa06a31cbcb33f3492183bc63a783930bb2b1c63"},
+	{GaussianHead, 5, 96, 1, "400142b6a885e1bd", "60b8982a3543b5680746ad927a8a3dbac44ee94efb2fa8846455adb64fed6f71"},
 }
 
 // TestTrainingBitsGolden pins training to the bit: a few FitSequence +
 // Adam rounds over masked sequences, with the SIMD backend on and off,
 // must reproduce the recorded loss bits and weight-section hash. The
-// values were recorded before training moved onto the packed kernel, so
-// any change to the BPTT arithmetic, its summation order or Adam's norm
-// order shows here. Recorded on amd64 with FMA: math.Exp's bits differ by
+// values were recorded when LSTM weights became float32 (the BPTT
+// arithmetic, its summation orders and Adam's norm order had been pinned
+// unchanged since before training moved onto the packed kernel), so any
+// change to that arithmetic, those orders or where Adam rounds shows
+// here. Recorded on amd64 with FMA: math.Exp's bits differ by
 // architecture, hence the build tag, and on amd64 between CPUs with and
 // without FMA (it takes an FMA instruction sequence when the CPU has
 // one), hence the skip.

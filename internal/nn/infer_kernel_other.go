@@ -6,7 +6,7 @@ package nn
 
 const haveSIMD = false
 
-func layerPreSIMD(blocks, x, h, pre, out *float64, nx, nh, groups, xoff, blkBytes int64) {
+func layerPreSIMD(blocks *float32, x, h, pre, out *float64, nx, nh, groups, xoff, blkBytes int64) {
 	panic("nn: layerPreSIMD called without SIMD support")
 }
 
@@ -14,7 +14,7 @@ func layerGradSIMD(grad, x, h, dq *float64, nx, nh, groups, blkBytes int64) {
 	panic("nn: layerGradSIMD called without SIMD support")
 }
 
-func inputGradSIMD(w, dq, dst *float64, n, units, blkBytes int64) {
+func inputGradSIMD(w *float32, dq, dst *float64, n, units, blkBytes int64) {
 	panic("nn: inputGradSIMD called without SIMD support")
 }
 

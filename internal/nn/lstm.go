@@ -15,12 +15,13 @@ import (
 // with its weights in the packed layout of infer.go, the one layout both
 // inference and training run on. This file is the training side:
 // initialization, and back-propagation through time over the packed
-// kernel, with gradients accumulated into a packed buffer of the same
-// shape as the weights.
+// kernel, with float64 gradients accumulated into a packed buffer of the
+// same shape as the float32 weights.
 
-// NewLSTM builds a stack with Xavier-uniform weights: the first layer maps
-// in→hidden, the rest hidden→hidden. The forget-gate bias starts at 1 (the
-// standard trick for gradient flow over long sequences).
+// NewLSTM builds a stack with Xavier-uniform weights, each draw rounded to
+// float32: the first layer maps in→hidden, the rest hidden→hidden. The
+// forget-gate bias starts at 1 (the standard trick for gradient flow over
+// long sequences).
 func NewLSTM(in, hidden, layers int, seed int64) *InferModel {
 	if layers < 1 {
 		panic("nn: LSTM needs at least one layer")
@@ -218,11 +219,12 @@ func (l *InferLayer) gradAdd(dPre, x, hPrev []float64) {
 }
 
 // inputGrad sets dst[k] = Σ_r dPre(r)·W(r)[k] over the columns that start
-// at float offset off of each unit block (4: the input columns; 4+4·In:
-// the recurrent ones): the gradient into a step's input or previous h. The sum takes the gate rows in
-// the blocked order r = g·Hidden + j (gate-major, so reading the packed
-// weights strided), the order these sums have always had; a row whose
-// gradient is zero adds nothing and is skipped.
+// at weight offset off of each unit block (4: the input columns; 4+4·In:
+// the recurrent ones): the gradient into a step's input or previous h.
+// The sum takes the gate rows in the blocked order r = g·Hidden + j
+// (gate-major, so reading the packed weights strided), the order these
+// sums have always had, each term a float64 product with the widened
+// weight; a row whose gradient is zero adds nothing and is skipped.
 func (l *InferLayer) inputGrad(dPre, dst []float64, off int) {
 	clear(dst)
 	if len(dst) == 0 {
@@ -230,7 +232,7 @@ func (l *InferLayer) inputGrad(dPre, dst []float64, off int) {
 	}
 	bs := l.blkStride
 	if haveSIMD {
-		inputGradSIMD(&l.w.W[off], &dPre[0], &dst[0], int64(len(dst)), int64(l.Hidden), int64(8*bs))
+		inputGradSIMD(&l.w.w32[off], &dPre[0], &dst[0], int64(len(dst)), int64(l.Hidden), int64(4*bs))
 		return
 	}
 	for g := 0; g < 4; g++ {
@@ -239,9 +241,9 @@ func (l *InferLayer) inputGrad(dPre, dst []float64, off int) {
 			if d == 0 {
 				continue
 			}
-			col := l.w.W[j*bs+off+g:] // column k's gate-g weight at col[4k]
+			col := l.w.w32[j*bs+off+g:] // column k's gate-g weight at col[4k]
 			for k := range dst {
-				dst[k] += d * col[4*k]
+				dst[k] += d * float64(col[4*k])
 			}
 		}
 	}

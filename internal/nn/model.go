@@ -67,7 +67,8 @@ const (
 // encoding the network state h_t from the input features, with a dense
 // head parameterizing the per-step output distribution.
 //
-// The LSTM weights exist once, in the packed layout (see infer.go):
+// The LSTM weights exist once, as float32 in the packed layout (see
+// infer.go):
 // inference steps and training both run on them, and a model read from an
 // artifact is decoded straight into them. Gradients and the training
 // workspace appear with the first TrainSequence.
@@ -93,6 +94,11 @@ func (m *SequenceModel) Finite() bool {
 	for _, p := range m.Params() {
 		for _, v := range p.W {
 			if math.Float64bits(v)&expMask == expMask {
+				return false
+			}
+		}
+		for _, v := range p.w32 {
+			if math.Float64bits(float64(v))&expMask == expMask {
 				return false
 			}
 		}

@@ -18,21 +18,34 @@ import (
 
 // Param is one learnable tensor: its weights W and the gradient Grad that
 // backward passes accumulate. Grad is nil until the first backward pass
-// touches the tensor, so a model that is only ever run holds W alone;
-// optimizer state lives in the optimizer (Adam), not here.
+// touches the tensor, so a model that is only ever run holds its weights
+// alone; optimizer state lives in the optimizer (Adam), not here.
+//
+// An LSTM layer's packed blocks are the one exception to float64
+// weights: they are stored as float32, in w32, and W is nil (see
+// infer.go). Their gradient is float64 like every other.
 type Param struct {
 	W    []float64
 	Grad []float64
-	// layer is set when W and Grad are an LSTM layer's packed blocks.
+	w32  []float32
+	// layer is set when w32 and Grad are an LSTM layer's packed blocks.
 	layer *InferLayer
 }
 
 func newParam(n int) *Param { return &Param{W: make([]float64, n)} }
 
+// size returns the parameter's weight count.
+func (p *Param) size() int {
+	if p.layer != nil {
+		return len(p.w32)
+	}
+	return len(p.W)
+}
+
 // grad returns the gradient buffer, allocating it on first use.
 func (p *Param) grad() []float64 {
 	if p.Grad == nil {
-		p.Grad = make([]float64, len(p.W))
+		p.Grad = make([]float64, p.size())
 	}
 	return p.Grad
 }
@@ -85,8 +98,8 @@ func NewAdam(lr float64, params []*Param) *Adam {
 	a := &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, ClipNorm: 5, params: params,
 		m: make([][]float64, len(params)), v: make([][]float64, len(params))}
 	for i, p := range params {
-		a.m[i] = make([]float64, len(p.W))
-		a.v[i] = make([]float64, len(p.W))
+		a.m[i] = make([]float64, p.size())
+		a.v[i] = make([]float64, p.size())
 	}
 	return a
 }
@@ -104,7 +117,9 @@ func (a *Adam) ZeroGrad() {
 // loops record as a divergence diagnostic; callers that don't need it can
 // ignore the value. A parameter no backward pass has reached has no Grad
 // and zero moments, so it is left exactly as a zero gradient would leave
-// it: unchanged.
+// it: unchanged. The update is float64 arithmetic; an LSTM layer's
+// float32 weights take its result rounded once, the one place training
+// rounds.
 func (a *Adam) Step() float64 {
 	a.t++
 	norm := 0.0
@@ -123,17 +138,26 @@ func (a *Adam) Step() float64 {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for pi, p := range a.params {
-		m, v := a.m[pi], a.v[pi]
-		for i, g := range p.Grad {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mh := m[i] / bc1
-			vh := v[i] / bc2
-			p.W[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+		if p.layer != nil {
+			adamUpdate(a, p.w32, p.Grad, a.m[pi], a.v[pi], bc1, bc2)
+		} else {
+			adamUpdate(a, p.W, p.Grad, a.m[pi], a.v[pi], bc1, bc2)
 		}
 		p.ZeroGrad()
 	}
 	return norm
+}
+
+// adamUpdate applies one Adam update from grad and the moments m, v to w:
+// w − lr·m̂/(√v̂ + ε) in float64, converted once to w's element type.
+func adamUpdate[T float32 | float64](a *Adam, w []T, grad, m, v []float64, bc1, bc2 float64) {
+	for i, g := range grad {
+		m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
+		v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+		mh := m[i] / bc1
+		vh := v[i] / bc2
+		w[i] = T(float64(w[i]) - a.LR*mh/(math.Sqrt(vh)+a.Eps))
+	}
 }
 
 // Dense is a fully connected layer y = W·x + b.

@@ -10,9 +10,20 @@ import (
 )
 
 // numericalGrad computes a central-difference gradient of loss() with
-// respect to p.W[i].
+// respect to weight i of p. An LSTM layer's weights are float32, so there
+// the perturbed weights are rounded, and the difference is divided by the
+// perturbation actually realised.
 func numericalGrad(p *Param, i int, loss func() float64) float64 {
 	const h = 1e-5
+	if p.layer != nil {
+		orig := p.w32[i]
+		p.w32[i] = float32(float64(orig) + h)
+		wp, lp := float64(p.w32[i]), loss()
+		p.w32[i] = float32(float64(orig) - h)
+		wm, lm := float64(p.w32[i]), loss()
+		p.w32[i] = orig
+		return (lp - lm) / (wp - wm)
+	}
 	orig := p.W[i]
 	p.W[i] = orig + h
 	lp := loss()
@@ -32,7 +43,7 @@ func gradCheck(t *testing.T, params []*Param, compute func() float64, loss func(
 	}
 	compute()
 	for pi, p := range params {
-		for i := range p.W {
+		for i := range p.size() {
 			want := numericalGrad(p, i, loss)
 			got := p.Grad[i]
 			tol := 1e-4 * math.Max(1, math.Abs(want))
@@ -467,11 +478,11 @@ func TestFitSequenceNoAllocs(t *testing.T) {
 var lossSink float64
 
 // BenchmarkTrainSequence times one BPTT pass (TrainSequence, forward and
-// backward) over a 200-step sequence at iBoxML's bench-scale shape and at
-// the small served shape. With -benchmem it also shows that a warmed
-// model trains without allocating.
+// backward) over a 200-step sequence at iBoxML's bench-scale shape, at
+// the small served shape and at the paper's 256×4. With -benchmem it also
+// shows that a warmed model trains without allocating.
 func BenchmarkTrainSequence(b *testing.B) {
-	for _, sh := range []struct{ hidden, layers int }{{16, 2}, {96, 1}} {
+	for _, sh := range []struct{ hidden, layers int }{{16, 2}, {96, 1}, {256, 4}} {
 		b.Run(fmt.Sprintf("%dx%d", sh.hidden, sh.layers), func(b *testing.B) {
 			const T = 200
 			m := NewSequenceModel(GaussianHead, 5, sh.hidden, sh.layers, 3)

@@ -16,6 +16,13 @@ import (
 // is gate g of unit j, then the head's W and b; see WriteWeights and
 // ReadWeights). Legacy artifacts carry the values inline as Params, one
 // array per tensor, and declare neither.
+//
+// The section stays float64 although a model holds its LSTM weights as
+// float32: the writer emits each widened, so an artifact loads to exactly
+// the weights it was written from. An artifact written when those weights
+// were float64 rounds each to the nearest float32 once, on load; one
+// beyond float32's range is rejected as corrupt rather than turned into
+// ±Inf.
 type Header struct {
 	Kind   HeadKind `json:"kind"`
 	In     int      `json:"in"`
@@ -118,13 +125,22 @@ func (x tensor) len() int {
 	return len(x.w)
 }
 
-// put stores vals as values [at, at+len(vals)) of the tensor.
-func (x tensor) put(at int, vals []float64) {
-	if x.l != nil {
-		x.l.scatter(x.t, at, vals)
-		return
+// put stores vals as values [at, at+len(vals)) of the tensor. An LSTM
+// tensor is float32, so there put rounds each value, and refuses (storing
+// nothing) a run holding a magnitude float32 cannot reach, which would
+// narrow to ±Inf.
+func (x tensor) put(at int, vals []float64) error {
+	if x.l == nil {
+		copy(x.w[at:], vals)
+		return nil
 	}
-	copy(x.w[at:], vals)
+	for _, v := range vals {
+		if math.Abs(v) > math.MaxFloat32 {
+			return fmt.Errorf("weight %g is outside float32 range", v)
+		}
+	}
+	x.l.scatter(x.t, at, vals)
+	return nil
 }
 
 // get reads values [at, at+len(dst)) of the tensor into dst.
@@ -170,7 +186,9 @@ func (h Header) Inline() (*SequenceModel, error) {
 	}
 	m := h.empty()
 	for i, x := range m.tensors() {
-		x.put(0, h.Params[i])
+		if err := x.put(0, h.Params[i]); err != nil {
+			return nil, fmt.Errorf("nn: tensor %d: %w", i, err)
+		}
 	}
 	return m, nil
 }
@@ -180,8 +198,8 @@ func (h Header) Inline() (*SequenceModel, error) {
 // is compared with the declared count before any tensor is allocated, so a
 // small file cannot claim a large model. The section is then read in
 // weightChunk pieces, each LSTM tensor scattered straight into its layer's
-// packed unit blocks. Truncation, trailing bytes, a CRC mismatch and
-// non-finite values are errors.
+// packed float32 unit blocks. Truncation, trailing bytes, a CRC mismatch,
+// non-finite values and LSTM weights beyond float32's range are errors.
 func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
 	if err := h.validate(); err != nil {
 		return nil, err
@@ -214,7 +232,9 @@ func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
 				}
 				run[j] = math.Float64frombits(bits)
 			}
-			x.put(at, run)
+			if err := x.put(at, run); err != nil {
+				return nil, fmt.Errorf("nn: tensor %d: %w", i, err)
+			}
 		}
 	}
 	if n, err := io.ReadFull(r, buf[:1]); n != 0 {
@@ -229,7 +249,7 @@ func (h Header) ReadWeights(r io.Reader, size int64) (*SequenceModel, error) {
 }
 
 // WriteWeights writes the raw weight section: every tensor in artifact
-// order as little-endian float64.
+// order as little-endian float64, the LSTM's float32 weights widened.
 func (m *SequenceModel) WriteWeights(w io.Writer) error {
 	vals := make([]float64, weightChunk/8)
 	buf := make([]byte, 0, weightChunk)

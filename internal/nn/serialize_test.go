@@ -190,8 +190,8 @@ func TestTensorSizesMatchArchitecture(t *testing.T) {
 			if i < h.Layers {
 				want = sizes[tensorsPerLayer*i] + sizes[tensorsPerLayer*i+1] + sizes[tensorsPerLayer*i+2]
 			}
-			if int64(len(p.W)) != want {
-				t.Fatalf("%+v: param %d is %d long, tensorSizes says %d", h, i, len(p.W), want)
+			if int64(p.size()) != want {
+				t.Fatalf("%+v: param %d is %d long, tensorSizes says %d", h, i, p.size(), want)
 			}
 		}
 	}
@@ -215,6 +215,14 @@ func TestSequenceModelUnmarshalRejectsCorrupt(t *testing.T) {
 	if _, err := h.Inline(); err == nil {
 		t.Error("wrong tensor size accepted")
 	}
+	// LSTM weights float32 cannot hold: they would narrow to ±Inf.
+	for _, v := range []float64{1e39, -math.MaxFloat64} {
+		h = inlineHeader(good)
+		h.Params[1][2] = v
+		if _, err := h.Inline(); err == nil {
+			t.Errorf("inline LSTM weight %g accepted", v)
+		}
+	}
 	if _, err := inlineHeader(good).Inline(); err != nil {
 		t.Fatalf("pristine inline header rejected: %v", err)
 	}
@@ -232,6 +240,10 @@ func TestSequenceModelUnmarshalRejectsCorrupt(t *testing.T) {
 	nanSec := setWeight(3, math.NaN())
 	nanHdr := good.Header()
 	nanHdr.CRC32C = crc32.Checksum(nanSec, castagnoli)
+	// Likewise an LSTM weight beyond float32's range.
+	bigSec := setWeight(3, -1e39)
+	bigHdr := good.Header()
+	bigHdr.CRC32C = crc32.Checksum(bigSec, castagnoli)
 	cases := []struct {
 		name string
 		hdr  func(*Header)
@@ -248,6 +260,7 @@ func TestSequenceModelUnmarshalRejectsCorrupt(t *testing.T) {
 		{"bit flip in section", nil, setWeight(5, 0.125), 0},
 		{"nan weight", func(h *Header) { *h = nanHdr }, nanSec, 0},
 		{"inf weight", nil, setWeight(0, math.Inf(-1)), 0},
+		{"weight beyond float32", func(h *Header) { *h = bigHdr }, bigSec, 0},
 		{"count below shape", func(h *Header) { h.Weights-- }, sec[:len(sec)-8], 0},
 		{"count above shape", func(h *Header) { h.Weights++ }, append(append([]byte(nil), sec...), make([]byte, 8)...), 0},
 		{"zero count", func(h *Header) { h.Weights = 0 }, nil, 0},
@@ -301,10 +314,26 @@ func TestReadWeightsChecksLengthBeforeAllocating(t *testing.T) {
 	}
 }
 
-// FuzzReadWeights checks the raw-section reader never panics and never
-// accepts a header or section its own writer would not reproduce: the
-// accepted model describes itself with the header it was read with, and
-// writes the section back byte for byte.
+// narrowed returns sec, a raw section read with header h, as a model
+// holds it: each LSTM weight (all but the head's, which come last)
+// rounded through float32.
+func narrowed(h Header, sec []byte) []byte {
+	out := append([]byte(nil), sec...)
+	lstm := int(h.Weights) - headOut(h.Kind)*(h.Hidden+1)
+	for i := 0; i < lstm; i++ {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(out[8*i:]))
+		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(float64(float32(v))))
+	}
+	return out
+}
+
+// FuzzReadWeights checks the raw-section reader never panics, never
+// accepts a weight that narrows to ±Inf, and never accepts a header or
+// section its own writer would not reproduce, once
+// the LSTM weights are rounded to the float32 a model holds (a no-op on
+// any section written since): the accepted model describes itself with
+// the header it was read with, its CRC over the rounded section, and
+// writes the rounded section back byte for byte.
 func FuzzReadWeights(f *testing.F) {
 	good := NewSequenceModel(GaussianHead, 2, 3, 1, 1)
 	hdr, _ := json.Marshal(good.Header())
@@ -314,6 +343,17 @@ func FuzzReadWeights(f *testing.F) {
 	f.Add(hdr, append(append([]byte(nil), sec...), 0))
 	f.Add([]byte(`{"kind":0,"in":4096,"hidden":4096,"layers":64,"weights":1}`), []byte{})
 	f.Add([]byte(`{}`), sec)
+	// A section from when LSTM weights were float64 (its first weight
+	// off the float32 grid), and one whose first weight float32 cannot
+	// hold, each under a matching CRC.
+	for _, v := range []float64{0.1, 1e39, -math.MaxFloat64} {
+		s := append([]byte(nil), sec...)
+		binary.LittleEndian.PutUint64(s, math.Float64bits(v))
+		h := good.Header()
+		h.CRC32C = crc32.Checksum(s, castagnoli)
+		hb, _ := json.Marshal(h)
+		f.Add(hb, s)
+	}
 	f.Fuzz(func(t *testing.T, hdr, sec []byte) {
 		var h Header
 		if json.Unmarshal(hdr, &h) != nil {
@@ -323,9 +363,14 @@ func FuzzReadWeights(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := rawSection(t, m); !bytes.Equal(got, sec) {
+		if !m.Finite() {
+			t.Fatal("accepted section narrows to a non-finite weight")
+		}
+		want := narrowed(h, sec)
+		if got := rawSection(t, m); !bytes.Equal(got, want) {
 			t.Fatal("accepted section does not round-trip")
 		}
+		h.CRC32C = crc32.Checksum(want, castagnoli)
 		if got := m.Header(); !reflect.DeepEqual(got, h) {
 			t.Fatalf("accepted header %+v re-serializes as %+v", h, got)
 		}

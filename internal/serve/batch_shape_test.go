@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -642,22 +645,32 @@ func sameTrace(t testing.TB, got, want *trace.Trace) bool {
 // sentinelClone returns a same-shape copy of m whose weights are scaled
 // into saturation — a sentinel: if lane batching leaked any state across
 // lanes, a sentinel neighbor would visibly corrupt the victim's outputs.
+// Every weight is scaled in m's artifact, whose weight section (after the
+// header line) is raw little-endian float64 under the CRC-32C its header
+// declares.
 func sentinelClone(t testing.TB, m *iboxml.Model, scale float64) *iboxml.Model {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := m.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	clone, err := iboxml.Read(&buf)
+	header, sec, _ := bytes.Cut(buf.Bytes(), []byte{'\n'})
+	for i := 0; i < len(sec); i += 8 {
+		w := math.Float64frombits(binary.LittleEndian.Uint64(sec[i:]))
+		binary.LittleEndian.PutUint64(sec[i:], math.Float64bits(w*scale))
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(header, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["net"].(map[string]any)["crc32c"] = crc32.Checksum(sec, crc32.MakeTable(crc32.Castagnoli))
+	header, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Params are the clone's live weights: its inference runs on the
-	// scaled values.
-	for _, p := range clone.Net.Params() {
-		for i := range p.W {
-			p.W[i] *= scale
-		}
+	clone, err := iboxml.Read(bytes.NewReader(append(append(header, '\n'), sec...)))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return clone
 }

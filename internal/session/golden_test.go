@@ -15,12 +15,15 @@ import (
 // ring records encoded on read, when every event was json.Marshal'ed at
 // publish time — so a match proves the hand-written encoder, the
 // recycled event core and the lazy cross-traffic replay reproduce that
-// stream byte for byte. amd64 only (see internal/core/golden_test.go).
+// stream byte for byte. goldenStreamML was re-recorded when LSTM weights
+// became float32: the model's predicted delays moved, the encoder did
+// not (goldenStreamNet, untouched, still pins it). amd64 only (see
+// internal/core/golden_test.go).
 
 const (
 	goldenEvents    = 20000
 	goldenStreamNet = "954f163fc36ea90c3d83efb11481074bb20d4cef1cd2a8c9b70f33362081aad0"
-	goldenStreamML  = "44c4275c06a4d11e4ff33fe38e51d2712ec9b9ad1fd81868c9806e0e1fdb7a66"
+	goldenStreamML  = "95f06658719b6dc5fcae1df3f67930ada5d4009b5caaca84d509643b26dc4b96"
 )
 
 // streamDigest runs an unpaced session to completion and hashes events
