@@ -208,6 +208,18 @@ func TestSimulateTraceValidAndStochastic(t *testing.T) {
 	}
 }
 
+// TestSimulateTraceAllocs bounds the allocations of one SimulateTrace of
+// a fixed 784-packet trace at the count recorded when samplePackets came
+// to size its output once (89; appending every packet to a nil slice
+// grew it ten more times).
+func TestSimulateTraceAllocs(t *testing.T) {
+	m := laneModel(t, 8, 1, 1)
+	in := synthTrace(55, 6*sim.Second)
+	if n := testing.AllocsPerRun(10, func() { m.SimulateTrace(in, nil, 7) }); n > 89 {
+		t.Fatalf("SimulateTrace allocates %v times, want at most 89", n)
+	}
+}
+
 func TestPredictPacketDelayStateful(t *testing.T) {
 	m, err := Train(trainSamples(2, 4*sim.Second), Config{Hidden: 8, Layers: 1, Epochs: 5, Seed: 2})
 	if err != nil {

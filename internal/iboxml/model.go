@@ -344,6 +344,7 @@ func (m *Model) samplePackets(tr *trace.Trace, mu, sigma []float64, seed int64) 
 	if len(tr.Packets) == 0 {
 		return out
 	}
+	out.Packets = make([]trace.Packet, 0, len(tr.Packets))
 	// jitterFrac scales the predicted window sigma down to a per-packet
 	// jitter magnitude. The amplitude is additionally capped at a few send
 	// gaps: a FIFO queue's jitter cannot reorder packets, so the smooth

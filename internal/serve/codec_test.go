@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func decodeSeeds(f *testing.F) []string {
 	deep := func(levels int) string { // levels of nesting in all, the top-level object included
 		return `{"x":` + strings.Repeat("[", levels-1) + strings.Repeat("]", levels-1) + `}`
 	}
-	return []string{
+	seeds := []string{
 		string(bench),
 		`{"model": "m.json", "seed": 3, "include_trace": true, "hierarchical": false, "input": {"protocol": "cubic", "path_id": "p", "packets": [{"seq": 0, "size": 1500, "send": 0, "recv": 20000000, "lost": false}, {"seq": 1, "size": 1500, "send": 10, "recv": 0, "lost": true}]}}`,
 		`{"Input":{"Packets":[{"SEQ":1,"Size":2,"Send":3,"RECV":4,"Lost":true}],"PROTOCOL":"x"},"SEED":5,"Model":"x","Timeout_MS":9}`,
@@ -76,6 +77,21 @@ func decodeSeeds(f *testing.F) []string {
 		"\t\n\r {\n\"model\"\t:\r\"m\" } ",
 		deep(10000), deep(10001),
 	}
+	// The wire reader's fast-path cases, as a seed and as a packet.
+	fast, err := os.ReadFile("../wire/testdata/fastpaths.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(fast), "\n") {
+		switch {
+		case line == "" || line[0] == '#':
+		case line[0] == '{':
+			seeds = append(seeds, `{"input":{"packets":[`+line+`]}}`)
+		default:
+			seeds = append(seeds, `{"seed":`+line+`,"input":{"packets":[{"seq":`+line+`}]}}`)
+		}
+	}
+	return seeds
 }
 
 func FuzzDecodeSimulateRequest(f *testing.F) {
@@ -353,6 +369,20 @@ func TestStreamedBodies(t *testing.T) {
 		if !bytes.Equal(rec.Body.Bytes(), want) {
 			t.Fatalf("streamed end frame (sse=%v) differs from encoding/json's", sse)
 		}
+	}
+}
+
+// TestDecodeBulkAllocs bounds the allocations of decoding a
+// replay_bulk-shaped /v1/simulate body at six: the reader's container
+// stack, the trace, its packets in one slice, and the three strings
+// (model, protocol and path_id).
+func TestDecodeBulkAllocs(t *testing.T) {
+	body, err := json.Marshal(SimulateRequest{Model: "small-0.json", Seed: 1, Input: bulkTrace()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() { sinkRequest, _ = decodeSimulateRequest(body) }); n > 6 {
+		t.Fatalf("decoding a bulk /v1/simulate body allocates %v times, want at most 6", n)
 	}
 }
 

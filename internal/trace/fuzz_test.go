@@ -4,34 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ibox/internal/wire"
 )
-
-// FuzzReadCSV checks the CSV trace parser never panics and that anything
-// it accepts satisfies the trace invariants.
-func FuzzReadCSV(f *testing.F) {
-	var good bytes.Buffer
-	tr := mkTrace(5, 100, 1000, 500)
-	tr.WriteCSV(&good)
-	f.Add(good.String())
-	f.Add("")
-	f.Add("seq,size,send_ns,recv_ns,lost\n1,2,3\n")
-	f.Add("# protocol=x path=y\n0,100,0,50,0\n")
-	f.Add("0,100,0,50,2\n0,100,-5,50,0\n")
-	f.Fuzz(func(t *testing.T, s string) {
-		tr, err := ReadCSV(strings.NewReader(s))
-		if err != nil {
-			return
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("ReadCSV accepted an invalid trace: %v", err)
-		}
-	})
-}
 
 // FuzzReadJSON checks the JSON form against encoding/json as the oracle:
 // ReadJSON accepts what json.Decoder decodes into a valid Trace, to the
@@ -52,6 +31,20 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add(`{"packets":[{"seq":1,"size":1,"send":1.0,"recv":2}]}`)
 	f.Add(`{"protocol":"aé\"<>","path_id":"\xff","packets":[]}`)
 	f.Add(`{"packets":[{"size":1,"SIZE":2}]}`)
+	// The wire reader's fast-path cases, as a packet.
+	fast, err := os.ReadFile("../wire/testdata/fastpaths.txt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(fast), "\n") {
+		switch {
+		case line == "" || line[0] == '#':
+		case line[0] == '{':
+			f.Add(`{"packets":[` + line + `]}`)
+		default:
+			f.Add(`{"packets":[{"seq":` + line + `,"size":1}]}`)
+		}
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		got, err := ReadJSON(strings.NewReader(s))
 		if errors.Is(err, wire.ErrDuplicateMember) {

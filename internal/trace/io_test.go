@@ -40,14 +40,6 @@ func TestReadJSONRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestReadCSVValidatesSemantics(t *testing.T) {
-	// recv < send must be rejected by the Validate pass.
-	csv := "seq,size,send_ns,recv_ns,lost\n0,100,1000,500,0\n"
-	if _, err := ReadCSV(bytes.NewBufferString(csv)); err == nil {
-		t.Error("recv<send accepted")
-	}
-}
-
 func TestTraceStart(t *testing.T) {
 	tr := mkTrace(3, 100, sim.Millisecond, sim.Millisecond)
 	tr.Packets[0].SendTime = 7 * sim.Millisecond

@@ -302,39 +302,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	tr := mkTrace(50, 1500, sim.Millisecond, 15*sim.Millisecond)
-	tr.Packets[7].Lost = true
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Protocol != "test" || got.PathID != "p0" {
-		t.Errorf("metadata lost: %q %q", got.Protocol, got.PathID)
-	}
-	if len(got.Packets) != 50 {
-		t.Fatalf("want 50 packets, got %d", len(got.Packets))
-	}
-	for i := range got.Packets {
-		if got.Packets[i] != tr.Packets[i] {
-			t.Fatalf("packet %d mismatch: %+v vs %+v", i, got.Packets[i], tr.Packets[i])
-		}
-	}
-}
-
-func TestCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("seq,size,send_ns,recv_ns,lost\n1,2,3\n")); err == nil {
-		t.Error("short line accepted")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("x,y,z,w,v\n")); err == nil {
-		t.Error("non-numeric line accepted")
-	}
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileProperty(t *testing.T) {
 	prop := func(raw []float64, a, b uint8) bool {

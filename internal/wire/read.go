@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -60,6 +61,9 @@ func (r *Reader) fail(err error) {
 // error for an empty body) and io.ErrUnexpectedEOF otherwise, and
 // returns 0.
 func (r *Reader) peek() byte {
+	if r.pos < len(r.buf) && r.buf[r.pos] > ' ' { // no whitespace to skip
+		return r.buf[r.pos]
+	}
 	for r.pos < len(r.buf) {
 		switch c := r.buf[r.pos]; c {
 		case ' ', '\t', '\n', '\r':
@@ -131,9 +135,8 @@ func (r *Reader) literal(lit string) {
 	r.pos += len(lit)
 }
 
-// number consumes the number token at r.pos (a minus sign or a digit)
-// and reports whether it is an integer: no fraction and no exponent.
-func (r *Reader) number() (isInt bool) {
+// number consumes the number token at r.pos (a minus sign or a digit).
+func (r *Reader) number() {
 	b, i := r.buf, r.pos
 	if b[i] == '-' {
 		i++
@@ -146,18 +149,16 @@ func (r *Reader) number() (isInt bool) {
 	default:
 		r.pos = i
 		r.syntax("in numeric literal")
-		return false
+		return
 	}
-	isInt = true
 	if i < len(b) && b[i] == '.' {
 		i++
 		if i >= len(b) || !isDigit(b[i]) {
 			r.pos = i
 			r.syntax("after decimal point in numeric literal")
-			return false
+			return
 		}
 		i = skipDigits(b, i)
-		isInt = false
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
@@ -167,13 +168,11 @@ func (r *Reader) number() (isInt bool) {
 		if i >= len(b) || !isDigit(b[i]) {
 			r.pos = i
 			r.syntax("in exponent of numeric literal")
-			return false
+			return
 		}
 		i = skipDigits(b, i)
-		isInt = false
 	}
 	r.pos = i
-	return isInt
 }
 
 func skipDigits(b []byte, i int) int {
@@ -316,10 +315,26 @@ func (r *Reader) More() bool {
 // fields: exact name first, then case-folded. An unknown key returns -1
 // and the caller must Skip its value. seen records the members this
 // object has set; a second one is ErrDuplicateMember. names must hold at
-// most 64 members that are distinct under case folding.
+// most 64 printable-ASCII members that are distinct under case folding.
+//
+// Members usually arrive in declaration order, so Key first tries the
+// lowest unset member: if the bytes at the cursor are exactly its quoted
+// name and a colon, the key is that name with no escapes, and an exact
+// match is the one encoding/json selects (no two names are equal). The
+// member is unset, so the hit cannot be a duplicate. Anything else
+// (whitespace, another order, other case, escapes) takes the general
+// path below.
 func (r *Reader) Key(names []string, seen *uint64) int {
 	if r.err != nil {
 		return -1
+	}
+	if next := bits.TrailingZeros64(^*seen); next < len(names) {
+		n, b := names[next], r.buf[r.pos:]
+		if len(b) >= len(n)+3 && b[0] == '"' && string(b[1:1+len(n)]) == n && b[1+len(n)] == '"' && b[2+len(n)] == ':' {
+			r.pos += len(n) + 3
+			*seen |= 1 << next
+			return next
+		}
 	}
 	if r.peek() != '"' {
 		r.syntax("looking for beginning of object key string")
@@ -441,47 +456,64 @@ func (r *Reader) Bool() bool {
 
 // numberToken consumes a number value and returns its token, or nil on
 // null or an error.
-func (r *Reader) numberToken(want string) (tok []byte, isInt bool) {
+func (r *Reader) numberToken(want string) []byte {
 	if r.err != nil {
-		return nil, false
+		return nil
 	}
 	c := r.peek()
 	switch {
 	case c == '-' || isDigit(c):
 		start := r.pos
-		isInt = r.number()
+		r.number()
 		if r.err != nil {
-			return nil, false
+			return nil
 		}
-		return r.buf[start:r.pos], isInt
+		return r.buf[start:r.pos]
 	case c == 'n':
 		r.literal("null")
 	default:
 		r.mismatch(c, want)
 	}
-	return nil, false
+	return nil
 }
 
 // Int64 reads an integer value; null reads as 0. A fraction, an exponent
 // or a value outside int64 is an error, as strconv.ParseInt judges it.
+//
+// The common token, an optional minus sign and 1–18 digits with no
+// leading zero, is parsed while it is scanned: it cannot overflow, and it
+// is the whole number token when the byte after it is none of a digit,
+// '.', 'e' or 'E'. Any other token (null, 19 or more digits, a fraction,
+// an exponent, a leading zero, a bare minus sign) is scanned by
+// numberToken and judged by strconv.ParseInt.
 func (r *Reader) Int64() int64 {
-	tok, isInt := r.numberToken("int64")
-	if tok == nil {
+	if r.err != nil {
 		return 0
 	}
-	if isInt && len(tok) <= 18 { // at most 18 digits cannot overflow
-		neg := tok[0] == '-'
-		if neg {
-			tok = tok[1:]
+	if c := r.peek(); c == '-' || isDigit(c) {
+		b, i := r.buf, r.pos
+		if c == '-' {
+			i++
 		}
+		start := i
 		var n int64
-		for _, d := range tok {
-			n = n*10 + int64(d-'0')
+		for i < len(b) && i-start < 18 && isDigit(b[i]) {
+			n = n*10 + int64(b[i]-'0')
+			i++
 		}
-		if neg {
-			n = -n
+		digits := i - start
+		if digits > 0 && (digits == 1 || b[start] != '0') &&
+			(i == len(b) || !isDigit(b[i]) && b[i] != '.' && b[i] != 'e' && b[i] != 'E') {
+			r.pos = i
+			if c == '-' {
+				n = -n
+			}
+			return n
 		}
-		return n
+	}
+	tok := r.numberToken("int64")
+	if tok == nil {
+		return 0
 	}
 	n, err := strconv.ParseInt(string(tok), 10, 64)
 	if err != nil {
@@ -503,7 +535,7 @@ func (r *Reader) Int() int {
 // Float64 reads a number value; null reads as 0. A value outside float64
 // is an error, as strconv.ParseFloat judges it.
 func (r *Reader) Float64() float64 {
-	tok, _ := r.numberToken("float64")
+	tok := r.numberToken("float64")
 	if tok == nil {
 		return 0
 	}
