@@ -14,12 +14,16 @@ import (
 // goldens (internal/core/golden_test.go) do not reach: token-bucket
 // shaping, RED, the PF cell and a multi-hop chain. Recorded on the commit
 // before packets and link service became recycled objects; amd64 only.
+// goldenJitter and goldenReorder were recorded on the commit before the
+// propagation delays moved off the scheduler's heap into delay lines.
 
 const (
 	goldenTokenBucket = "4b701b032a93fc1047146dd209ff3fd405ec55ec0f9b610a202ebdf2a9cb6ee7"
 	goldenRED         = "9434cd7922117aa0d8a142347816357048c8e97a36355a1e129ff942c2ac707b"
 	goldenPFCell      = "909a3d52254d13cc6c7ac4540ad1eb9a889866fb5939a601dafc63d173eb77a9"
 	goldenChain       = "dd7719282425bc0ee6044f20a1e6cc9c34879503c93d8c111723b75eddb3567e"
+	goldenJitter      = "19310a787d4b1735f42dabba781509932edcfdf7b67aef2bb500637dbdbe58f6"
+	goldenReorder     = "9d6e6ed247df7a1784a278e6a028a4f50da28cdc8140d702d13b329d1399f6ff"
 )
 
 // sender is the minimal network the goldens drive: Path.Port and
@@ -75,6 +79,11 @@ func TestGoldenBottleneckVariants(t *testing.T) {
 	red.RED = &REDModel{MinBytes: 10_000, MaxBytes: 40_000}
 	pf := base
 	pf.PFCell = &PFCellModel{PeakRate: 4_000_000, Background: 3}
+	jitter := base
+	jitter.Jitter = 3 * sim.Millisecond
+	jitter.LossProb = 0.01
+	reorder := base
+	reorder.Reorder = &ReorderModel{Prob: 0.1, ExtraMin: 2 * sim.Millisecond, ExtraMax: 30 * sim.Millisecond}
 
 	for _, tc := range []struct {
 		name, want string
@@ -87,6 +96,8 @@ func TestGoldenBottleneckVariants(t *testing.T) {
 		}},
 		{"red", goldenRED, func(s *sim.Scheduler) sender { return New(s, red).Port("main") }},
 		{"pf-cell", goldenPFCell, func(s *sim.Scheduler) sender { return New(s, pf).Port("main") }},
+		{"jitter", goldenJitter, func(s *sim.Scheduler) sender { return New(s, jitter).Port("main") }},
+		{"reorder", goldenReorder, func(s *sim.Scheduler) sender { return New(s, reorder).Port("main") }},
 		{"chain", goldenChain, func(s *sim.Scheduler) sender {
 			c := NewChain(s, []HopConfig{
 				{Rate: 2_000_000, BufferBytes: 40_000, PropDelay: 5 * sim.Millisecond},

@@ -239,6 +239,17 @@ type Session struct {
 // New validates cfg, builds the session's private simulation, and
 // starts its run goroutine in the Running state.
 func New(cfg Config) (*Session, error) {
+	s, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	go s.run()
+	return s, nil
+}
+
+// build is New without the run goroutine: the session is Running, but
+// nothing steps it yet.
+func build(cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("session: Config.ID is required")
@@ -305,7 +316,6 @@ func New(cfg Config) (*Session, error) {
 	s.sched.After(cfg.Summary, sumTick)
 
 	s.state.Store(int32(Running))
-	go s.run()
 	return s, nil
 }
 
@@ -415,23 +425,26 @@ func (s *Session) Resume() error {
 // Mutate applies a live path change at the next tick boundary.
 func (s *Session) Mutate(mu Mutation) error {
 	s.touch()
-	return s.do(func() error {
-		applied, err := s.applyMutation(mu)
-		if err != nil {
-			return err
-		}
-		s.mutations.Add(1)
-		if s.cfg.onMutate != nil {
-			s.cfg.onMutate()
-		}
-		s.emitEncoded(Event{
-			Type:     EventMutate,
-			VT:       s.sched.Now().Seconds(),
-			Mutation: applied,
-		})
-		s.publishPending()
-		return nil
+	return s.do(func() error { return s.mutate(mu) })
+}
+
+// mutate is Mutate's body, run between ticks on the run goroutine.
+func (s *Session) mutate(mu Mutation) error {
+	applied, err := s.applyMutation(mu)
+	if err != nil {
+		return err
+	}
+	s.mutations.Add(1)
+	if s.cfg.onMutate != nil {
+		s.cfg.onMutate()
+	}
+	s.emitEncoded(Event{
+		Type:     EventMutate,
+		VT:       s.sched.Now().Seconds(),
+		Mutation: applied,
 	})
+	s.publishPending()
+	return nil
 }
 
 // Close finishes the session with the given reason ("client", "drain").
