@@ -431,12 +431,21 @@ func TestFlowSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkFlowPacket is the cost of one packet through cc.Flow (cubic)
-// over a netsim.Path, everything included.
+// over a netsim.Path, everything included. A flow sends for an hour of
+// simulated time (≈3 M packets); once its scheduler runs dry the count
+// continues on a fresh warm flow, so any -benchtime finishes.
 func BenchmarkFlowPacket(b *testing.B) {
 	sched, flow := steadyFlow()
 	b.ReportAllocs()
 	b.ResetTimer()
-	for target := flow.Sent() + int64(b.N); flow.Sent() < target; {
-		sched.Step()
+	for left := int64(b.N); left > 0; {
+		sent := flow.Sent()
+		if !sched.Step() {
+			b.StopTimer()
+			sched, flow = steadyFlow()
+			b.StartTimer()
+			continue
+		}
+		left -= flow.Sent() - sent
 	}
 }

@@ -148,6 +148,12 @@ type Path struct {
 	cfg   Config
 	link  *link
 	rng   *randState
+	// access carries main-path packets through the access half of
+	// PropDelay to the bottleneck; deliveries carries them from the
+	// bottleneck to the receiver. Both delays are monotone by
+	// construction (a constant, and a clamped FIFO time), so both are
+	// delay lines rather than heap events.
+	access, deliveries *sim.Line
 	// lastDeliver is the latest scheduled main-path delivery, used to keep
 	// jittered deliveries FIFO.
 	lastDeliver sim.Time
@@ -180,8 +186,10 @@ func New(sched *sim.Scheduler, cfg Config) *Path {
 		panic(err)
 	}
 	p := &Path{
-		sched: sched,
-		cfg:   cfg,
+		sched:      sched,
+		cfg:        cfg,
+		access:     sched.NewLine(),
+		deliveries: sched.NewLine(),
 		rng: &randState{
 			loss:    &randSource{sim.NewRand(cfg.Seed, 1)},
 			reorder: &randSource{sim.NewRand(cfg.Seed, 2)},
@@ -283,7 +291,7 @@ func (pt *Port) Send(size int, onDeliver func(recv sim.Time), onDrop func()) {
 
 	// Main path: pre-propagation, queue, post-propagation (+ optional
 	// jitter and random loss).
-	p.sched.After(p.cfg.PropDelay/2, k.arriveFn)
+	p.access.After(p.cfg.PropDelay/2, k.arriveFn)
 }
 
 // pkt is one packet in flight on a Path. Packets are recycled through the
@@ -345,7 +353,7 @@ func (k *pkt) served() {
 		at = p.lastDeliver + 1
 	}
 	p.lastDeliver = at
-	p.sched.At(at, k.deliverFn)
+	p.deliveries.At(at, k.deliverFn)
 }
 
 func (k *pkt) deliver() {

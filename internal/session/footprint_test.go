@@ -47,33 +47,35 @@ func TestSessionMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestUnwatchedSessionAllocs: with no subscriber, producing and
-// publishing telemetry allocates nothing — events stay flat records in a
-// ring that is already at capacity, and nothing is encoded. The session
-// is parked in Paused and ticked from here, exactly as its run loop would,
-// so the measurement sees the virtual side alone.
-func TestUnwatchedSessionAllocs(t *testing.T) {
-	s, err := New(Config{
-		ID: "unwatched", Kind: KindIBoxNet, Net: testNetParams(),
+// unpacedTicker builds a session with no run goroutine and returns it
+// with a function that steps it one tick, exactly as its run loop would,
+// after 20 virtual seconds of warm-up: the ring is full and every pool
+// and slice is at its working size.
+func unpacedTicker(tb testing.TB, id string) (*Session, func()) {
+	tb.Helper()
+	s, err := build(Config{
+		ID: id, Kind: KindIBoxNet, Net: testNetParams(),
 		Protocol: "cubic", Seed: 9, Speed: -1, Duration: 1e6 * sim.Second,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		s.Close("test")
-		<-s.Done()
-	}()
-	if err := s.Pause(); err != nil { // the run goroutine now only waits for control ops
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	tick := func() {
 		s.step(s.sched.Now() + s.cfg.Tick)
 		s.publishPending()
 	}
-	for i := 0; i < 400; i++ { // 20 virtual seconds: ring full, pools and slices at size
+	for i := 0; i < 400; i++ {
 		tick()
 	}
+	return s, tick
+}
+
+// TestUnwatchedSessionAllocs: with no subscriber, producing and
+// publishing telemetry allocates nothing — events stay flat records in a
+// ring that is already at capacity, and nothing is encoded. The session
+// is ticked from here, so the measurement sees the virtual side alone.
+func TestUnwatchedSessionAllocs(t *testing.T) {
+	s, tick := unpacedTicker(t, "unwatched")
 	const rounds = 200
 	events := s.events.Load()
 	allocs := testing.AllocsPerRun(rounds, tick)
@@ -85,6 +87,23 @@ func TestUnwatchedSessionAllocs(t *testing.T) {
 		t.Errorf("%.3f allocations per published event (%.1f per tick of %.0f events), want amortised 0",
 			perEvent, allocs, perTick)
 	}
+}
+
+// BenchmarkSessionUnpaced is the session plane's in-process cost: one
+// unpaced iBoxNet cubic session with full telemetry (an event per
+// acknowledged packet), stepped tick by tick. One op is one 50 ms tick;
+// ns/ack and virt-s/s put it in the units of the session_live workload.
+func BenchmarkSessionUnpaced(b *testing.B) {
+	s, tick := unpacedTicker(b, "bench")
+	acks, vt := s.acks, s.sched.Now()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(s.acks-acks, 1)), "ns/ack")
+	b.ReportMetric((s.sched.Now()-vt).Seconds()/b.Elapsed().Seconds(), "virt-s/s")
 }
 
 // TestIdleSessionPopulation: the population the idle-TTL reaper exists

@@ -178,6 +178,31 @@ func TestSchedulerOrderProperty(t *testing.T) {
 	}
 }
 
+// TestLineRejectsOutOfOrder: a line's times may tie but never decrease,
+// and its events, like any, cannot be scheduled in the past.
+func TestLineRejectsOutOfOrder(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	s := NewScheduler()
+	l := s.NewLine()
+	l.At(10, func() {})
+	l.At(10, func() {}) // a tie is in order
+	mustPanic("an earlier time on a non-empty line", func() { l.At(9, func() {}) })
+	s.Run()
+	mustPanic("a time before now on an empty line", func() { l.At(5, func() {}) })
+	l.At(10, func() {}) // the empty line accepts any time from now on
+	if s.Pending() != 1 {
+		t.Fatalf("pending %d, want 1", s.Pending())
+	}
+}
+
 func TestNewRandDeterministic(t *testing.T) {
 	a := NewRand(42, 1)
 	b := NewRand(42, 1)
