@@ -13,6 +13,7 @@ package cc
 
 import (
 	"fmt"
+	"sync"
 
 	"ibox/internal/sim"
 	"ibox/internal/trace"
@@ -161,8 +162,30 @@ type Flow struct {
 	done       bool
 	free       *outPacket
 
-	trace trace.Trace
+	// The packet records: until Trace is first called, the first
+	// recorded records of chunks, which are borrowed from chunkPool;
+	// from then on, trace (see Trace).
+	chunks   []*recordChunk
+	recorded int
+	trace    *trace.Trace
 }
+
+// chunkLen is the number of packet records in one recording chunk.
+const chunkLen = 512
+
+// recordChunk is one fixed-size block of a flow's packet records.
+type recordChunk [chunkLen]trace.Packet
+
+// chunkPool recycles recording chunks across flows: a finished flow's
+// chunks record the next flow's packets, so recording allocates little
+// beyond the exact-size trace each flow returns.
+var chunkPool = sync.Pool{New: func() any { return new(recordChunk) }}
+
+// packetPool hands the free packet objects of a flow whose trace was
+// taken to the next flow built, each pooled value the head of a free
+// list: a flow allocates packet objects only beyond what its
+// predecessors left.
+var packetPool sync.Pool
 
 // outPacket is one packet's transport state, from transmit until both
 // parties are finished with it: the flow (it was acked or declared lost)
@@ -199,10 +222,15 @@ func NewFlow(sched *sim.Scheduler, net Network, sender Sender, cfg FlowConfig) *
 		window:     make([]*outPacket, 64),
 		highestAck: -1,
 	}
+	if pkt, _ := packetPool.Get().(*outPacket); pkt != nil {
+		f.free = pkt
+		for ; pkt != nil; pkt = pkt.next {
+			pkt.flow = f
+		}
+	}
 	f.rtoTimer = sched.NewTimer(f.onRTO)
 	f.pacing = sched.NewTimer(f.trySend)
 	f.acks = sched.NewLine()
-	f.trace.Protocol = sender.Name()
 	return f
 }
 
@@ -219,10 +247,58 @@ func (f *Flow) Start() {
 }
 
 // Trace returns the packet trace recorded so far (empty under
-// FlowConfig.NoTrace). The returned pointer aliases the flow's internal
-// state; read it only after the simulation has been driven past the flow's
-// end.
-func (f *Flow) Trace() *trace.Trace { return &f.trace }
+// FlowConfig.NoTrace); read it only after the simulation has been driven
+// past the flow's end. The trace is an allocation of its own, holding
+// exactly the packets sent, so keeping it keeps neither the flow nor its
+// scheduler reachable. Every call returns the same trace: a packet the
+// network delivers after the first call is marked delivered in it, and
+// one sent after it is appended to it.
+func (f *Flow) Trace() *trace.Trace {
+	if f.trace != nil {
+		return f.trace
+	}
+	f.trace = &trace.Trace{Protocol: f.sender.Name()}
+	if f.recorded > 0 {
+		f.trace.Packets = make([]trace.Packet, f.recorded)
+		for i, c := range f.chunks {
+			copy(f.trace.Packets[i*chunkLen:], c[:])
+			chunkPool.Put(c)
+		}
+	}
+	f.chunks = nil
+	if f.free != nil {
+		for pkt := f.free; pkt != nil; pkt = pkt.next {
+			pkt.flow = nil // a pooled packet must not keep this flow reachable
+		}
+		packetPool.Put(f.free)
+		f.free = nil
+	}
+	return f.trace
+}
+
+// record appends pkt's record to the trace, lost until delivered.
+func (f *Flow) record(pkt *outPacket) {
+	rec := trace.Packet{Seq: pkt.seq, Size: pkt.size, SendTime: pkt.sendTime, Lost: true}
+	if f.trace != nil {
+		pkt.traceIdx = len(f.trace.Packets)
+		f.trace.Packets = append(f.trace.Packets, rec)
+		return
+	}
+	pkt.traceIdx = f.recorded
+	if f.recorded%chunkLen == 0 {
+		f.chunks = append(f.chunks, chunkPool.Get().(*recordChunk))
+	}
+	f.chunks[f.recorded/chunkLen][f.recorded%chunkLen] = rec
+	f.recorded++
+}
+
+// recordOf returns the trace record of packet i.
+func (f *Flow) recordOf(i int) *trace.Packet {
+	if f.trace != nil {
+		return &f.trace.Packets[i]
+	}
+	return &f.chunks[i/chunkLen][i%chunkLen]
+}
 
 // Done reports whether the flow has finished sending and has no packets
 // outstanding.
@@ -369,10 +445,7 @@ func (f *Flow) transmit() {
 	f.window[f.slot(seq)] = pkt
 	f.inflight++
 	if !f.cfg.NoTrace {
-		pkt.traceIdx = len(f.trace.Packets)
-		f.trace.Packets = append(f.trace.Packets, trace.Packet{
-			Seq: seq, Size: pkt.size, SendTime: now, Lost: true, // until delivered
-		})
+		f.record(pkt)
 	}
 	f.armRTO()
 	f.net.Send(pkt.size, pkt.deliveredFn, pkt.droppedFn)
@@ -383,8 +456,8 @@ func (f *Flow) transmit() {
 func (pkt *outPacket) delivered(recv sim.Time) {
 	f := pkt.flow
 	if !f.cfg.NoTrace {
-		f.trace.Packets[pkt.traceIdx].RecvTime = recv
-		f.trace.Packets[pkt.traceIdx].Lost = false
+		rec := f.recordOf(pkt.traceIdx)
+		rec.RecvTime, rec.Lost = recv, false
 	}
 	pkt.recv = recv
 	f.acks.After(f.cfg.AckDelay, pkt.ackedFn)

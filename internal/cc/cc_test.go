@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ibox/internal/netsim"
@@ -391,6 +392,40 @@ func TestByteLimitedFlowCompletesDespiteLoss(t *testing.T) {
 	sched.RunUntil(30 * sim.Second)
 	if !fired {
 		t.Error("OnComplete never fired on a lossy path")
+	}
+}
+
+// TestTraceTakenMidFlight: Trace is the same trace whenever it is taken.
+// Taken while packets are in flight, the packets delivered afterwards are
+// marked delivered in it and the packets sent afterwards are appended to
+// it, so it ends equal to the trace of the same flow taken at the end.
+func TestTraceTakenMidFlight(t *testing.T) {
+	run := func(peekAt sim.Time) *trace.Trace {
+		sched := sim.NewScheduler()
+		path := netsim.New(sched, tenMbps())
+		flow := NewFlow(sched, path.Port("main"), NewCubic(), FlowConfig{Duration: 3 * sim.Second, AckDelay: 20 * sim.Millisecond})
+		flow.Start()
+		var early *trace.Trace
+		if peekAt > 0 {
+			sched.RunUntil(peekAt)
+			early = flow.Trace()
+			if flow.Inflight() == 0 {
+				t.Fatal("nothing in flight when the trace was taken")
+			}
+		}
+		sched.RunUntil(5 * sim.Second)
+		if tr := flow.Trace(); early != nil && tr != early {
+			t.Fatal("Trace returned a different trace after the first call")
+		}
+		return flow.Trace()
+	}
+	want := run(0)
+	for _, at := range []sim.Time{1 * sim.Millisecond, 1500 * sim.Millisecond} {
+		got := run(at)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("trace taken at %v: %d packets, differs from the one taken at the end (%d packets)",
+				at, len(got.Packets), len(want.Packets))
+		}
 	}
 }
 

@@ -126,3 +126,21 @@ func TestRunFeatures(t *testing.T) {
 		t.Errorf("in-phase delay corr %.2f not above anti-phase %.2f", f[1], f[3])
 	}
 }
+
+// BenchmarkEnsembleRow is one row of the Fig 2 ensemble test: the
+// treatment on the ground-truth instance, a fit of the control trace,
+// both protocols on the fitted model and the four rows of metrics, over a
+// 10-s India-cellular cubic trace. With -benchmem, B/op is the
+// allocation one row costs.
+func BenchmarkEnsembleRow(b *testing.B) {
+	corpus, err := pantheon.Generate(pantheon.IndiaCellular(), 1, "cubic", 10*sim.Second, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EnsembleTest(corpus, "vegas", iboxnet.Full, 10*sim.Second, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

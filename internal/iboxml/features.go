@@ -34,11 +34,16 @@ import (
 // (ms) and mask marks windows with at least one delivered packet (lost
 // packets have unobserved delay, §4.1).
 func WindowFeatures(tr *trace.Trace, ct *trace.Series, window sim.Time) (xs [][]float64, ys []float64, mask []bool) {
+	return windowFeatures(tr, tr.Duration(), ct, window)
+}
+
+// windowFeatures is WindowFeatures given tr's duration.
+func windowFeatures(tr *trace.Trace, dur sim.Time, ct *trace.Series, window sim.Time) (xs [][]float64, ys []float64, mask []bool) {
 	if len(tr.Packets) == 0 {
 		return nil, nil, nil
 	}
 	start := tr.Packets[0].SendTime
-	end := start + tr.Duration()
+	end := start + dur
 	n := int((end - start) / window)
 	if n <= 0 {
 		n = 1
@@ -111,12 +116,12 @@ func WindowFeatures(tr *trace.Trace, ct *trace.Series, window sim.Time) (xs [][]
 
 // features returns tr's window feature rows as m reads them: with the
 // cross-traffic column exactly when m was trained on it, zero throughout
-// when ct is nil.
-func (m *Model) features(tr *trace.Trace, ct *trace.Series) [][]float64 {
+// when ct is nil. dur is tr's duration.
+func (m *Model) features(tr *trace.Trace, ct *trace.Series, dur sim.Time) [][]float64 {
 	if !m.Cfg.UseCrossTraffic {
 		ct = nil
 	}
-	xs, _, _ := WindowFeatures(tr, ct, m.Cfg.Window)
+	xs, _, _ := windowFeatures(tr, dur, ct, m.Cfg.Window)
 	if m.Cfg.UseCrossTraffic && ct == nil {
 		for i := range xs {
 			xs[i] = append(xs[i], 0)

@@ -160,6 +160,22 @@ func (l *lane) step(x []float64, sp *nn.Split) (mu, sigma float64) {
 // reference closed loop (refPredictWindows); a lane abandoned by its Emit
 // returns nil slices instead.
 func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64) {
+	return predictWindowsLanes(lanes, chunk, inputDurations(lanes))
+}
+
+// inputDurations returns each lane's input trace duration, which the
+// feature rows and the per-packet sampling of a lane both read.
+func inputDurations(lanes []ReplayLane) []sim.Time {
+	durs := make([]sim.Time, len(lanes))
+	for i := range lanes {
+		durs[i] = lanes[i].Input.Duration()
+	}
+	return durs
+}
+
+// predictWindowsLanes is PredictWindowsLanes given each lane's input
+// duration.
+func predictWindowsLanes(lanes []ReplayLane, chunk int, durs []sim.Time) (mus, sigmas [][]float64) {
 	n := len(lanes)
 	mus = make([][]float64, n)
 	sigmas = make([][]float64, n)
@@ -176,7 +192,7 @@ func PredictWindowsLanes(lanes []ReplayLane, chunk int) (mus, sigmas [][]float64
 	maxT := 0
 	for i := range lanes {
 		m := lanes[i].Model
-		xss[i] = m.features(lanes[i].Input, lanes[i].CT)
+		xss[i] = m.features(lanes[i].Input, lanes[i].CT, durs[i])
 		ls[i] = m.newLane()
 		mus[i] = make([]float64, len(xss[i]))
 		sigmas[i] = make([]float64, len(xss[i]))
@@ -258,13 +274,14 @@ func checkLaneShapes(lanes []ReplayLane) {
 // lanes[i].Model.SimulateTrace(lanes[i].Input, lanes[i].CT, lanes[i].Seed)
 // gives one at a time; a lane abandoned by its Emit returns nil.
 func SimulateTraceLanes(lanes []ReplayLane, chunk int) []*trace.Trace {
-	mus, sigmas := PredictWindowsLanes(lanes, chunk)
+	durs := inputDurations(lanes)
+	mus, sigmas := predictWindowsLanes(lanes, chunk, durs)
 	out := make([]*trace.Trace, len(lanes))
 	for i := range lanes {
 		if mus[i] == nil { // abandoned mid-unroll by its Emit
 			continue
 		}
-		out[i] = lanes[i].Model.samplePackets(lanes[i].Input, mus[i], sigmas[i], lanes[i].Seed)
+		out[i] = lanes[i].Model.samplePackets(lanes[i].Input, durs[i], mus[i], sigmas[i], lanes[i].Seed)
 	}
 	return out
 }

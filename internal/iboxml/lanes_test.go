@@ -118,7 +118,7 @@ func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
 // standardize, InferModel.StepInto, HeadGaussian, de-standardize, clamp
 // mu at 0, and feed mu back as the next window's d_{t−1}.
 func refPredictWindows(m *Model, tr *trace.Trace, ct *trace.Series) (mu, sigma []float64) {
-	xs := m.features(tr, ct)
+	xs := m.features(tr, ct, tr.Duration())
 	im := m.Net.LSTM
 	st := im.NewState()
 	head := make([]float64, m.Net.Head.Out)
@@ -207,7 +207,7 @@ func TestSimulateTraceLanesMatchesSingle(t *testing.T) {
 	outs := SimulateTraceLanes(lanes, 0)
 	for i, l := range lanes {
 		mu, sigma := refPredictWindows(m, l.Input, nil)
-		if !bytes.Equal(encodeTrace(t, outs[i]), encodeTrace(t, m.samplePackets(l.Input, mu, sigma, l.Seed))) {
+		if !bytes.Equal(encodeTrace(t, outs[i]), encodeTrace(t, m.samplePackets(l.Input, l.Input.Duration(), mu, sigma, l.Seed))) {
 			t.Fatalf("trace %d: lane-batched simulation differs from unbatched", i)
 		}
 	}

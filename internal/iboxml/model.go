@@ -330,15 +330,17 @@ func (m *Model) PredictWindows(tr *trace.Trace, ct *trace.Series) (mu, sigma []f
 //
 // Lost packets in the input are echoed as lost.
 func (m *Model) SimulateTrace(tr *trace.Trace, ct *trace.Series, seed int64) *trace.Trace {
-	mu, sigma := m.PredictWindows(tr, ct)
-	return m.samplePackets(tr, mu, sigma, seed)
+	dur := tr.Duration()
+	mus, sigmas := predictWindowsLanes([]ReplayLane{{Model: m, Input: tr, CT: ct}}, 0, []sim.Time{dur})
+	return m.samplePackets(tr, dur, mus[0], sigmas[0], seed)
 }
 
 // samplePackets turns per-window closed-loop delay distributions into the
 // per-packet output trace (the sampling half of SimulateTrace). It is
 // shared between the single-trace path and SimulateTraceLanes so both
-// produce identical bytes for identical (mu, sigma, seed).
-func (m *Model) samplePackets(tr *trace.Trace, mu, sigma []float64, seed int64) *trace.Trace {
+// produce identical bytes for identical (mu, sigma, seed). dur is tr's
+// duration.
+func (m *Model) samplePackets(tr *trace.Trace, dur sim.Time, mu, sigma []float64, seed int64) *trace.Trace {
 	rng := sim.NewRand(seed, 71)
 	out := &trace.Trace{Protocol: tr.Protocol + "-iboxml", PathID: tr.PathID}
 	if len(tr.Packets) == 0 {
@@ -352,7 +354,7 @@ func (m *Model) samplePackets(tr *trace.Trace, mu, sigma []float64, seed int64) 
 	// outlier component's job.
 	const jitterFrac = 0.15
 	start := tr.Packets[0].SendTime
-	meanGapMs := tr.Duration().Millis() / float64(len(tr.Packets))
+	meanGapMs := dur.Millis() / float64(len(tr.Packets))
 	tau := 3 * m.Cfg.Window.Seconds() // OU correlation time, seconds
 	z := 0.0                          // standardized smooth-deviation state
 	var lastSend sim.Time = -1
@@ -406,7 +408,7 @@ func (m *Model) PredictWindowsOpenLoop(tr *trace.Trace, ct *trace.Series) (mu, s
 	if !m.trained {
 		panic("iboxml: model not trained")
 	}
-	xs := m.features(tr, ct)
+	xs := m.features(tr, ct, tr.Duration())
 	l := m.newLane()
 	mu = make([]float64, len(xs))
 	sigma = make([]float64, len(xs))

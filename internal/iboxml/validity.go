@@ -84,7 +84,7 @@ func (m *Model) Validity(tr *trace.Trace, ct *trace.Series) ValidityReport {
 	if !m.trained {
 		panic("iboxml: model not trained")
 	}
-	xs := m.features(tr, ct)
+	xs := m.features(tr, ct, tr.Duration())
 	rep := ValidityReport{Windows: len(xs), OutOfRange: map[string]float64{}}
 	if len(xs) == 0 || len(m.env.Min) == 0 {
 		return rep

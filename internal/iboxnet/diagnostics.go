@@ -55,8 +55,8 @@ func (d Diagnostics) Trustworthy() bool {
 func Diagnose(tr *trace.Trace, p Params, cfg EstimatorConfig) Diagnostics {
 	cfg = cfg.withDefaults()
 	var d Diagnostics
-	del := tr.Delivered()
-	if len(del) == 0 || p.Bandwidth <= 0 {
+	ndel := delivered(tr)
+	if ndel == 0 || p.Bandwidth <= 0 {
 		return d
 	}
 
@@ -75,19 +75,19 @@ func Diagnose(tr *trace.Trace, p Params, cfg EstimatorConfig) Diagnostics {
 	// Empty queue: packets whose delay is within 20% of the minimum.
 	minD, _ := tr.MinDelay()
 	near := 0
-	for _, pk := range del {
-		if float64(pk.Delay()) <= 1.2*float64(minD) {
+	for _, pk := range tr.Packets {
+		if !pk.Lost && float64(pk.Delay()) <= 1.2*float64(minD) {
 			near++
 		}
 	}
-	d.EmptyQueueFraction = float64(near) / float64(len(del))
+	d.EmptyQueueFraction = float64(near) / float64(ndel)
 
 	// Full buffer: a delay within 10% of the implied maximum plus at least
 	// one loss in the trace.
 	maxImplied := minD + sim.Time(float64(p.BufferBytes)/p.Bandwidth*float64(sim.Second))
 	sawDeep := false
-	for _, pk := range del {
-		if float64(pk.Delay()) >= 0.9*float64(maxImplied) {
+	for _, pk := range tr.Packets {
+		if !pk.Lost && float64(pk.Delay()) >= 0.9*float64(maxImplied) {
 			sawDeep = true
 			break
 		}

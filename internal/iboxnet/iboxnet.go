@@ -110,9 +110,9 @@ func Estimate(tr *trace.Trace, cfg EstimatorConfig) (Params, error) {
 	if err := tr.Validate(); err != nil {
 		return Params{}, err
 	}
-	del := tr.Delivered()
-	if len(del) < 10 {
-		return Params{}, fmt.Errorf("iboxnet: trace has only %d delivered packets; need ≥ 10", len(del))
+	n := delivered(tr)
+	if n < 10 {
+		return Params{}, fmt.Errorf("iboxnet: trace has only %d delivered packets; need ≥ 10", n)
 	}
 
 	bw := tr.PeakRecvRate(cfg.BandwidthWindow) / 8 // bits/s → bytes/s
@@ -135,8 +135,19 @@ func Estimate(tr *trace.Trace, cfg EstimatorConfig) (Params, error) {
 		BufferBytes: buf,
 		LossRate:    tr.LossRate(),
 	}
-	p.CrossTraffic = estimateCrossTraffic(tr, p, cfg)
+	p.CrossTraffic = estimateCrossTraffic(tr, n, p, cfg)
 	return p, nil
+}
+
+// delivered counts tr's delivered packets.
+func delivered(tr *trace.Trace) int {
+	n := 0
+	for _, pkt := range tr.Packets {
+		if !pkt.Lost {
+			n++
+		}
+	}
+	return n
 }
 
 // estimateCrossTraffic implements §3's three-force queue analysis.
@@ -150,9 +161,8 @@ func Estimate(tr *trace.Trace, cfg EstimatorConfig) (Params, error) {
 //
 // so inflowCT = Δbacklog − inflowS + b̂·Δ. Windows where the queue may
 // have emptied contribute the conservative lower bound 0 (the drain term
-// is unknown there).
-func estimateCrossTraffic(tr *trace.Trace, p Params, cfg EstimatorConfig) *trace.Series {
-	del := tr.Delivered()
+// is unknown there). ndel is the number of delivered packets in tr.
+func estimateCrossTraffic(tr *trace.Trace, ndel int, p Params, cfg EstimatorConfig) *trace.Series {
 	start := tr.Packets[0].SendTime
 	end := start + tr.Duration()
 	n := int((end - start) / cfg.CTWindow)
@@ -166,8 +176,11 @@ func estimateCrossTraffic(tr *trace.Trace, p Params, cfg EstimatorConfig) *trace
 		at      sim.Time
 		backlog float64
 	}
-	samples := make([]sample, 0, len(del))
-	for _, pkt := range del {
+	samples := make([]sample, 0, ndel)
+	for _, pkt := range tr.Packets {
+		if pkt.Lost {
+			continue
+		}
 		q := pkt.Delay() - p.PropDelay
 		if q < 0 {
 			q = 0
@@ -178,9 +191,9 @@ func estimateCrossTraffic(tr *trace.Trace, p Params, cfg EstimatorConfig) *trace
 	// Sender inflow per window (delivered bytes only: drop-tail losses
 	// never occupied the queue).
 	inflow := make([]float64, n)
-	for _, pkt := range del {
+	for _, pkt := range tr.Packets {
 		w := int((pkt.SendTime - start) / cfg.CTWindow)
-		if w >= 0 && w < n {
+		if !pkt.Lost && w >= 0 && w < n {
 			inflow[w] += float64(pkt.Size)
 		}
 	}

@@ -47,11 +47,11 @@ func TestSessionMemoryBounded(t *testing.T) {
 	}
 }
 
-// unpacedTicker builds a session with no run goroutine and returns it
-// with a function that steps it one tick, exactly as its run loop would,
-// after 20 virtual seconds of warm-up: the ring is full and every pool
-// and slice is at its working size.
-func unpacedTicker(tb testing.TB, id string) (*Session, func()) {
+// unpacedTicker builds a session with no run goroutine, applies mus, and
+// returns it with a function that steps it one tick, exactly as its run
+// loop would, after 20 virtual seconds of warm-up: the ring is full and
+// every pool and slice is at its working size.
+func unpacedTicker(tb testing.TB, id string, mus ...Mutation) (*Session, func()) {
 	tb.Helper()
 	s, err := build(Config{
 		ID: id, Kind: KindIBoxNet, Net: testNetParams(),
@@ -59,6 +59,11 @@ func unpacedTicker(tb testing.TB, id string) (*Session, func()) {
 	})
 	if err != nil {
 		tb.Fatal(err)
+	}
+	for _, mu := range mus {
+		if err := s.mutate(mu); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	tick := func() {
 		s.step(s.sched.Now() + s.cfg.Tick)
@@ -74,18 +79,36 @@ func unpacedTicker(tb testing.TB, id string) (*Session, func()) {
 // publishing telemetry allocates nothing — events stay flat records in a
 // ring that is already at capacity, and nothing is encoded. The session
 // is ticked from here, so the measurement sees the virtual side alone.
+// It holds under live impairments too: a packet a reorder burst holds
+// back is a recycled object, not a pair of closures.
 func TestUnwatchedSessionAllocs(t *testing.T) {
-	s, tick := unpacedTicker(t, "unwatched")
-	const rounds = 200
-	events := s.events.Load()
-	allocs := testing.AllocsPerRun(rounds, tick)
-	perTick := float64(s.events.Load()-events) / (rounds + 1)
-	if perTick < 20 {
-		t.Fatalf("only %.1f events per tick", perTick)
-	}
-	if perEvent := allocs / perTick; perEvent > 0.01 {
-		t.Errorf("%.3f allocations per published event (%.1f per tick of %.0f events), want amortised 0",
-			perEvent, allocs, perTick)
+	loss, reorder := 0.05, 0.3
+	for _, c := range []struct {
+		name       string
+		mus        []Mutation
+		minPerTick float64 // events per tick below which the flow has stalled
+	}{
+		{"steady", nil, 20},
+		// Bursts with no end; cubic backs off under them.
+		{"loss and reorder bursts", []Mutation{
+			{LossRate: &loss},
+			{ReorderRate: &reorder, ReorderExtraMs: 15},
+		}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, tick := unpacedTicker(t, "unwatched", c.mus...)
+			const rounds = 200
+			events := s.events.Load()
+			allocs := testing.AllocsPerRun(rounds, tick)
+			perTick := float64(s.events.Load()-events) / (rounds + 1)
+			if perTick < c.minPerTick {
+				t.Fatalf("only %.1f events per tick", perTick)
+			}
+			if perEvent := allocs / perTick; perEvent > 0.01 {
+				t.Errorf("%.3f allocations per published event (%.1f per tick of %.0f events), want amortised 0",
+					perEvent, allocs, perTick)
+			}
+		})
 	}
 }
 

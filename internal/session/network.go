@@ -87,6 +87,47 @@ type pathShim struct {
 	reorderRate  float64
 	reorderExtra sim.Time
 	reorderUntil sim.Time
+	free         *shimPkt
+}
+
+// shimPkt is one packet a reorder burst holds back: a recycled object
+// whose callbacks are bound once, like mlPkt. The inner path reports it
+// through deliveredFn or droppedFn; a delivery then waits out extra
+// before reaching the flow.
+type shimPkt struct {
+	shim        *pathShim
+	onDeliver   func(recv sim.Time)
+	onDrop      func()
+	extra       sim.Time
+	recv        sim.Time
+	next        *shimPkt
+	deliveredFn func(recv sim.Time)
+	droppedFn   func()
+	arriveFn    func()
+}
+
+func (k *shimPkt) delivered(recv sim.Time) {
+	k.recv = recv
+	k.shim.sched.After(k.extra, k.arriveFn)
+}
+
+func (k *shimPkt) dropped() {
+	onDrop := k.onDrop
+	k.release()
+	onDrop()
+}
+
+func (k *shimPkt) arrive() {
+	onDeliver, recv := k.onDeliver, k.recv+k.extra
+	k.release()
+	onDeliver(recv)
+}
+
+// release returns k to its shim's free list.
+func (k *shimPkt) release() {
+	p := k.shim
+	k.onDeliver, k.onDrop, k.next = nil, nil, p.free
+	p.free = k
 }
 
 func (p *pathShim) Now() sim.Time { return p.sched.Now() }
@@ -98,10 +139,15 @@ func (p *pathShim) Send(size int, onDeliver func(recv sim.Time), onDrop func()) 
 		return
 	}
 	if p.reorderRate > 0 && now < p.reorderUntil && p.rng.Float64() < p.reorderRate {
-		extra, deliver := p.reorderExtra, onDeliver
-		onDeliver = func(recv sim.Time) {
-			p.sched.After(extra, func() { deliver(recv + extra) })
+		k := p.free
+		if k == nil {
+			k = &shimPkt{shim: p}
+			k.deliveredFn, k.droppedFn, k.arriveFn = k.delivered, k.dropped, k.arrive
+		} else {
+			p.free = k.next
 		}
+		k.onDeliver, k.onDrop, k.extra = onDeliver, onDrop, p.reorderExtra
+		onDeliver, onDrop = k.deliveredFn, k.droppedFn
 	}
 	p.inner.Send(size, onDeliver, onDrop)
 }

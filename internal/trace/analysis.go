@@ -13,14 +13,18 @@ import (
 // in milliseconds: J += (|D| − J)/16 over consecutive delivered packets,
 // where D is the difference in one-way delay.
 func (t *Trace) Jitter() float64 {
-	del := t.Delivered()
-	if len(del) < 2 {
-		return 0
-	}
 	j := 0.0
-	for i := 1; i < len(del); i++ {
-		d := math.Abs((del[i].Delay() - del[i-1].Delay()).Millis())
-		j += (d - j) / 16
+	var prev sim.Time
+	first := true
+	for _, p := range t.Packets {
+		if p.Lost {
+			continue
+		}
+		if !first {
+			d := math.Abs((p.Delay() - prev).Millis())
+			j += (d - j) / 16
+		}
+		prev, first = p.Delay(), false
 	}
 	return j
 }
@@ -62,14 +66,16 @@ func autocorr(xs []float64, lag int) float64 {
 // arrival times (CV = std/mean): ≈1 for Poisson arrivals, ≫1 for bursty
 // delivery, ≈0 for perfectly paced delivery.
 func (t *Trace) Burstiness() float64 {
-	del := t.Delivered()
-	if len(del) < 3 {
+	n := t.numDelivered()
+	if n < 3 {
 		return 0
 	}
 	// Sort arrivals by receive time (reordering perturbs seq order).
-	arr := make([]sim.Time, len(del))
-	for i, p := range del {
-		arr[i] = p.RecvTime
+	arr := make([]sim.Time, 0, n)
+	for _, p := range t.Packets {
+		if !p.Lost {
+			arr = append(arr, p.RecvTime)
+		}
 	}
 	for i := 1; i < len(arr); i++ {
 		for j := i; j > 0 && arr[j] < arr[j-1]; j-- {

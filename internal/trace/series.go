@@ -171,15 +171,20 @@ func (t *Trace) DelaySeries(step sim.Time) *Series {
 // granularity. This is the paper's bottleneck-bandwidth estimator input
 // (§3: "the peak receiving rate, over 1s sliding windows").
 func (t *Trace) PeakRecvRate(window sim.Time) float64 {
-	del := t.Delivered()
-	if len(del) == 0 || window <= 0 {
+	if window <= 0 {
 		return 0
 	}
 	// Sort arrivals by receive time; a true sliding window over arrivals.
-	arr := make([]Packet, len(del))
-	copy(arr, del)
+	buf := arrivalScratch.get(len(t.Packets))
+	defer arrivalScratch.put(buf)
+	for _, p := range t.Packets {
+		if !p.Lost {
+			*buf = append(*buf, arrival{p.RecvTime, p.Size})
+		}
+	}
+	arr := *buf
 	for i := 1; i < len(arr); i++ {
-		for j := i; j > 0 && arr[j].RecvTime < arr[j-1].RecvTime; j-- {
+		for j := i; j > 0 && arr[j].recv < arr[j-1].recv; j-- {
 			arr[j], arr[j-1] = arr[j-1], arr[j]
 		}
 	}
@@ -187,9 +192,9 @@ func (t *Trace) PeakRecvRate(window sim.Time) float64 {
 	lo := 0
 	bytes := 0
 	for hi := 0; hi < len(arr); hi++ {
-		bytes += arr[hi].Size
-		for arr[hi].RecvTime-arr[lo].RecvTime > window {
-			bytes -= arr[lo].Size
+		bytes += arr[hi].size
+		for arr[hi].recv-arr[lo].recv > window {
+			bytes -= arr[lo].size
 			lo++
 		}
 		if r := float64(bytes) * 8 / window.Seconds(); r > best {
@@ -198,6 +203,15 @@ func (t *Trace) PeakRecvRate(window sim.Time) float64 {
 	}
 	return best
 }
+
+// arrival is one delivered packet as PeakRecvRate reads it.
+type arrival struct {
+	recv sim.Time
+	size int
+}
+
+// arrivalScratch holds PeakRecvRate's arrivals.
+var arrivalScratch scratch[arrival]
 
 // MinDelay returns the minimum delivered one-way delay (the paper's
 // propagation-delay estimator) and MaxDelay the maximum. Both return
