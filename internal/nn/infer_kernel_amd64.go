@@ -34,27 +34,30 @@ var haveSIMD = cpuHasAVX2FMA()
 //go:noescape
 func layerPreSIMD(blocks *float32, x, h, pre, out *float64, nx, nh, groups, xoff, blkBytes int64)
 
-// layerGradSIMD accumulates one step's weight gradients for groups*4
-// hidden units: with dq the unit's gate-gradient quad dq[j*4+g],
-//
-//	grad[bias(j,g)]  += dq[j*4+g]
-//	grad[Wx(j,g)][k] += x[k]·dq[j*4+g]   k = 0 … nx−1
-//	grad[Wh(j,g)][k] += h[k]·dq[j*4+g]   k = 0 … nh−1
-//
-// each as one multiply and one add, so per element it is exactly the
-// scalar loop (gradAdd). grad points at the layer's packed float64
-// gradient, laid out like its weights (blkBytes: a gradient unit block).
+// gradAccSIMD adds a block of steps' weight gradients to a layer's
+// packed float64 gradient: for every unit j < units and column c < n,
+// grad[4n·j + 4c + g] += dq[t·4·units + 4j + g]·v[t·n + c] for t = steps−1
+// down to 0, each as one multiply (the gate gradient first) and one add
+// (the product first): exactly gradAcc's scalar loop.
 //
 //go:noescape
-func layerGradSIMD(grad, x, h, dq *float64, nx, nh, groups, blkBytes int64)
+func gradAccSIMD(grad, dq, v *float64, units, n, steps int64)
 
-// inputGradSIMD adds dq[4j+g]·W(j,g)[k] into dst[k] for k < n over every
-// row, gate-major (r = g·units + j), skipping zero rows: the gradient into
-// a step's input (or recurrent) columns, whose float32 weights start at
-// w. See inputGrad for the scalar loop it matches bit for bit.
+// inputGradTSIMD sets dst[k] = Σ_r dq[4j+g]·img(r)[k] for k < cols over
+// the rows r = g·units + j of a transposed weight image (rowBytes apart,
+// img at the first column wanted), gate-major, skipping rows whose
+// gradient is ±0. See inputGrad for the scalar loop it matches bit for
+// bit.
 //
 //go:noescape
-func inputGradSIMD(w *float32, dq, dst *float64, n, units, blkBytes int64)
+func inputGradTSIMD(img *float32, dq, dst *float64, cols, rowBytes, units int64)
+
+// gateGradSIMD computes the gate pre-activation gradients of groups*4
+// hidden units into dq and carries their cell gradients dc back a step:
+// exactly gateGrad's scalar loop, operand orders included.
+//
+//go:noescape
+func gateGradSIMD(gates, tanhC, cPrev, dhRec, carry, dc, dq *float64, groups int64)
 
 // gateActSIMD applies the LSTM nonlinearities to groups*4 hidden units:
 // per unit j, with the gate pre-activations gates[4j:4j+4] (i|f|g|o),
