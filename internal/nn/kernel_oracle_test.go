@@ -90,8 +90,9 @@ func chainInputGrad(l *InferLayer, dPre []float64, recurrent bool) []float64 {
 // gate pre-activations of gatePre (layerPreSIMD over whole 4-unit groups
 // where the SIMD backend runs, the scalar loop after them) and of
 // gatePreScalar alone, plain and resumed from partial sums; the gradient
-// into a step's input and previous h (inputGradSIMD where available);
-// and a whole step of the stack through Split.StepInto with a helper.
+// into a step's input and previous h (inputGrads: inputGradTSIMD on the
+// transposed image where the SIMD backend runs); and a whole step of
+// the stack through Split.StepInto with a helper.
 func TestKernelMatchesWidenedChain(t *testing.T) {
 	for _, sh := range oracleShapes {
 		im := NewLSTM(sh.in, sh.hidden, sh.layers, 91)
@@ -120,15 +121,12 @@ func TestKernelMatchesWidenedChain(t *testing.T) {
 					dPre[i] = 0 // a skipped row, as a masked step leaves them
 				}
 			}
-			for _, recurrent := range []bool{false, true} {
-				off, dst := 4, make([]float64, l.In)
-				if recurrent {
-					off, dst = 4+4*l.In, make([]float64, l.Hidden)
-				}
-				l.inputGrad(dPre, dst, off)
-				bitsEqual(t, fmt.Sprintf("%s recurrent=%v inputGrad", name, recurrent),
-					dst, chainInputGrad(l, dPre, recurrent))
-			}
+			img := make([]float32, 4*l.Hidden*(l.In+l.Hidden))
+			l.transposeInto(img)
+			dst := make([]float64, l.In+l.Hidden)
+			l.inputGrads(dPre, dst, img, true)
+			bitsEqual(t, name+" inputGrads into x", dst[:l.In], chainInputGrad(l, dPre, false))
+			bitsEqual(t, name+" inputGrads into h", dst[l.In:], chainInputGrad(l, dPre, true))
 		}
 
 		xs := randSeq(96, 4, sh.in)
@@ -141,5 +139,54 @@ func TestKernelMatchesWidenedChain(t *testing.T) {
 				sp.StepInto(im, st, x), ref[tt])
 		}
 		sp.Release()
+	}
+}
+
+// chainWeightGrad is the historical per-step weight gradient of layer li
+// after a backward pass through w: for each step t from the last down,
+// every element (unit j, gate g, column c) of the packed gradient takes
+// dq_t[4j+g]·v_t[c], with v_t = [1; x_t; h_{t−1}] the step's input row.
+func chainWeightGrad(w *bptt, im *InferModel, xs [][]float64, li int) []float64 {
+	l := im.Layers[li]
+	H, bs := l.Hidden, l.blkStride
+	grad := make([]float64, H*bs)
+	for t := len(xs) - 1; t >= 0; t-- {
+		dq := w.dqs[li][t*4*H : (t+1)*4*H]
+		_, _, _, _, _, hPrev := w.step(li, H, t)
+		v := append(append([]float64{1}, w.input(im, xs, li, t)...), hPrev...)
+		for j := 0; j < H; j++ {
+			for c, vc := range v {
+				for g := 0; g < 4; g++ {
+					grad[j*bs+4*c+g] += dq[4*j+g] * vc
+				}
+			}
+		}
+	}
+	return grad
+}
+
+// TestWeightGradMatchesStepChain pins the deferred, time-blocked weight
+// gradient (weightGrad: gradAccSIMD where the SIMD backend runs, the
+// scalar loop elsewhere) to the per-step accumulation it replaced, at
+// sequence lengths below, at and around multiples of gradBlock, so a
+// change to the order in which blocks or steps are summed shows.
+func TestWeightGradMatchesStepChain(t *testing.T) {
+	for _, sh := range []struct{ in, hidden, layers int }{{5, 7, 2}, {3, 16, 1}, {4, 13, 2}} {
+		im := NewLSTM(sh.in, sh.hidden, sh.layers, 23)
+		for _, T := range []int{1, gradBlock - 1, gradBlock, gradBlock + 1, 2*gradBlock + 5} {
+			xs := randSeq(int64(T), T, sh.in)
+			dOut := randSeq(int64(T+1), 1, T*sh.hidden)[0]
+			w := &bptt{}
+			w.forward(im, xs)
+			copy(w.dOut, dOut)
+			for _, l := range im.Layers {
+				l.w.Grad = nil
+			}
+			w.backward(im, xs)
+			for li, l := range im.Layers {
+				bitsEqual(t, fmt.Sprintf("%dx%dx%d T=%d layer %d", sh.in, sh.hidden, sh.layers, T, li),
+					l.w.Grad, chainWeightGrad(w, im, xs, li))
+			}
+		}
 	}
 }
