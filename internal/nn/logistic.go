@@ -108,12 +108,6 @@ func (l *Logistic) Prob(x []float64) float64 {
 	return sigmoid(l.logit(x) - l.priorShift)
 }
 
-// Score returns the uncalibrated (class-balanced) probability, useful as a
-// ranking score with a 0.5 decision threshold on imbalanced data.
-func (l *Logistic) Score(x []float64) float64 {
-	return sigmoid(l.logit(x))
-}
-
 func (l *Logistic) logit(x []float64) float64 {
 	z := l.B
 	for j := range l.W {

@@ -360,10 +360,10 @@ func TestPredictorClosedLoop(t *testing.T) {
 	if out1 == out2 {
 		t.Error("recurrent state not advancing")
 	}
-	st.Reset()
+	st = m.LSTM.NewState()
 	out3 := step()
 	if out1 != out3 {
-		t.Error("Reset did not restore initial state")
+		t.Error("a fresh state did not restore the initial output")
 	}
 	if out1.Sigma <= 0 {
 		t.Error("non-positive sigma")
@@ -428,11 +428,12 @@ func TestLogisticImbalancedClasses(t *testing.T) {
 	}
 	l := NewLogistic(2)
 	l.Fit(xs, ys, 300, 0.5, 0)
-	// The balanced Score discriminates at the 0.5 threshold.
+	// The balanced (uncalibrated) probability discriminates at the 0.5
+	// threshold.
 	tp, fn := 0, 0
 	for i := range xs {
 		if ys[i] == 1 {
-			if l.Score(xs[i]) > 0.5 {
+			if sigmoid(l.logit(xs[i])) > 0.5 {
 				tp++
 			} else {
 				fn++
