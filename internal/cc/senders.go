@@ -102,8 +102,12 @@ func (c *Cubic) OnAck(now sim.Time, ack Ack) {
 		}
 		c.k = math.Cbrt(c.wMax * (1 - cubicBeta) / cubicC)
 	}
-	t := (now - c.epochStart).Seconds()
-	target := cubicC*math.Pow(t-c.k, 3) + c.wMax
+	// d*(d*d) is math.Pow(d, 3) bit for bit here: Pow takes the same two
+	// products on frexp mantissas, and rounds a second time only when the
+	// cube is subnormal, which needs 0 < |d| < 2^-340. Since K ≥ ∛1.5
+	// (wMax ≥ 2), t−K is 0 or at least 2^-53 in magnitude.
+	d := (now - c.epochStart).Seconds() - c.k
+	target := cubicC*(d*(d*d)) + c.wMax
 	if target > c.cwnd {
 		// Approach the cubic target over one RTT's worth of acks.
 		c.cwnd += (target - c.cwnd) / c.cwnd

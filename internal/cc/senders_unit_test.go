@@ -1,6 +1,8 @@
 package cc
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"ibox/internal/sim"
@@ -104,6 +106,55 @@ func TestCubicConcaveThenConvex(t *testing.T) {
 		if traj[i] < traj[i-1] {
 			t.Fatalf("window decreased without loss at step %d", i)
 		}
+	}
+}
+
+// TestCubicCubeMatchesPow: Cubic.OnAck cubes t−K as d*(d*d), which must
+// be math.Pow(d, 3) bit for bit, or every Cubic trace would move. Pow
+// multiplies the same frexp mantissas in the same order and scales by a
+// power of two, which is exact unless the cube is subnormal: there
+// (0 < |d| < 2^-340 or so) Pow rounds twice and the product once, and
+// they differ in about 1 % of inputs. Cubic's d never gets there: t is
+// whole nanoseconds and K is 0 or at least ∛1.5, so t−K is 0 or at least
+// 2^-53 in magnitude. The domains below are every other range, Cubic's
+// own included.
+func TestCubicCubeMatchesPow(t *testing.T) {
+	n := 1 << 18
+	if testing.Short() {
+		n = 1 << 14
+	}
+	rng := rand.New(rand.NewSource(1))
+	check := func(domain string, d float64) {
+		t.Helper()
+		want, got := math.Pow(d, 3), d*(d*d)
+		if math.IsNaN(want) && math.IsNaN(got) {
+			return
+		}
+		if math.Float64bits(want) != math.Float64bits(got) {
+			t.Fatalf("%s: d=%v (%#x): Pow %v (%#x), d*(d*d) %v (%#x)", domain, d, math.Float64bits(d),
+				want, math.Float64bits(want), got, math.Float64bits(got))
+		}
+	}
+	for _, d := range []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022, -0x1p-1022, 1, -1, 0x1p-340, 0x1p341, 0x1p342, -0x1p342,
+	} {
+		check("special", d)
+	}
+	for i := 0; i < n; i++ {
+		sign := float64(1 - 2*rng.Intn(2))
+		// Any magnitude over 2^±300, with a random mantissa.
+		check("wide", sign*math.Exp2(600*rng.Float64()-300))
+		// Cubes that overflow, or nearly do.
+		check("overflow", sign*math.Exp2(340+4*rng.Float64()))
+		// Denormal inputs, whose cubes are zero.
+		check("denormal", sign*math.Float64frombits(rng.Uint64()&(1<<52-1)))
+		// Cubic's own: t in whole nanoseconds up to 1000 s, K from a
+		// window of 2 to maxWindow packets, and t near K.
+		k := math.Cbrt((2 + rng.Float64()*(maxWindow-2)) * (1 - cubicBeta) / cubicC)
+		check("cubic", sim.Time(rng.Int63n(1000*int64(sim.Second))).Seconds()-k)
+		check("cubic near K", (sim.FromSeconds(k)+sim.Time(rng.Intn(2001)-1000)).Seconds()-k)
 	}
 }
 

@@ -426,8 +426,9 @@ func activate(gates, cPrev, c, tanhC, h []float64) {
 // checkpoint adjacently lets the later lanes read its packed weights
 // from cache, but only when they fit in L2: a 96×1 checkpoint (≈157 KB
 // of float32 weights) does. A paper-scale 256×4 one (≈7.4 MB) does not,
-// and every lane re-streams it from L3, ≈320 µs a step at ≈23 GB/s per
-// core (2 vCPU). A lone lane can take a second core instead (Split).
+// yet its ≈320 µs step (2 vCPU) costs little more per weight than an
+// L1-resident layer's (BenchmarkLayerPre): the kernel's instruction rate
+// bounds it, not L3. A lone lane can take a second core instead (Split).
 //
 // All lanes must share one architecture (SameArch: per-layer
 // In/Hidden); mixing shapes panics rather than corrupting state.

@@ -296,3 +296,43 @@ func BenchmarkGateActivation(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLayerPre times the SIMD gate pre-activation kernel alone, in
+// picoseconds per weight (one widen, multiply and add), over layers whose
+// float32 weights sit in L1 (in 32 × H 32, ≈33 KB), in L2 (64 × 64,
+// ≈130 KB; 5 × 256, ≈1.1 MB), at the L2/L3 edge (256 × 256, ≈2.1 MB) and
+// in L3 (the paper-scale 256×4 stack, ≈7.4 MB, one step's four layers).
+// A cost that stays flat from L1 to L3 says the kernel is bound by the
+// rate it issues instructions at, not by the bandwidth its weights
+// stream at.
+func BenchmarkLayerPre(b *testing.B) {
+	if !cpuHasAVX2FMA() {
+		b.Skip("no AVX2+FMA")
+	}
+	for _, sh := range []struct {
+		name               string
+		in, hidden, layers int
+	}{
+		{"32x32", 32, 32, 1}, {"64x64", 64, 64, 1}, {"5x256", 5, 256, 1},
+		{"256x256", 256, 256, 1}, {"256x4", 5, 256, 4},
+	} {
+		im := NewLSTM(sh.in, sh.hidden, sh.layers, 83)
+		weights, bytes := 0, 0
+		xs := make([][]float64, len(im.Layers))
+		for i, l := range im.Layers {
+			weights += 4 * l.Hidden * (l.In + l.Hidden)
+			bytes += 4 * len(l.w.w32)
+			xs[i] = randSeq(84+int64(i), 1, l.In)[0]
+		}
+		h := randSeq(90, 1, sh.hidden)[0]
+		dst := make([]float64, 4*sh.hidden)
+		b.Run(fmt.Sprintf("%s/%dKB", sh.name, bytes>>10), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for li, l := range im.Layers {
+					l.gatePre(dst, h, xs[li], nil, 0, 0, l.Hidden)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())*1000/(float64(b.N)*float64(weights)), "ps/weight")
+		})
+	}
+}

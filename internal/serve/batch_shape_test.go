@@ -776,6 +776,9 @@ func helpedLane(t *testing.T, pool *par.Pool, in *trace.Trace, seed int64, onHel
 			}
 			return true
 		}}
+	// The lane can only recruit a worker parked for its next job, and a
+	// short input offers it few windows: start the lane once both are.
+	spinUntil(t, "both workers to park", func() bool { return parkedWorkers() == 2 })
 	var out []*trace.Trace
 	if err := pool.Do(context.Background(), func() error {
 		out = iboxml.SimulateTraceLanes([]iboxml.ReplayLane{lane}, 1)
@@ -817,6 +820,7 @@ func TestHelperYieldsToQueuedJob(t *testing.T) {
 // unroll ends, so Close returns with the replay complete and exact.
 func TestHelperEndsWithPoolClose(t *testing.T) {
 	pool := par.NewPool(2)
+	defer pool.Close() // if the lane fails unhelped, its workers must not outlive the test
 	closed := make(chan struct{})
 	helpedLane(t, pool, synthTrace(92, 20*sim.Second), 10, func() {
 		go func() { pool.Close(); close(closed) }()

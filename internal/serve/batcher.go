@@ -283,8 +283,8 @@ func (b *batcher) run(key iboxml.Shape, jobs []batchJob) {
 	// Same-checkpoint lanes step adjacently, so a checkpoint whose packed
 	// weights fit in L2 (96×1: ≈157 KB of float32) streams them from there
 	// for its later lanes. A paper-scale 256×4 checkpoint's ≈7.4 MB does
-	// not: every lane re-streams it from L3 at ≈23 GB/s per core (≈320 µs
-	// a step).
+	// not, but costs little more per weight from L3 (BenchmarkLayerPre):
+	// its ≈320 µs step is bound by the kernel's instruction rate.
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].id < jobs[j].id })
 
 	b.sizeHist.Observe(int64(len(jobs)))

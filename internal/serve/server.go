@@ -628,6 +628,13 @@ func (s *Server) simulateNet(ctx context.Context, model *Model, req *SimulateReq
 func (s *Server) replay(ctx context.Context, model *Model, in *trace.Trace, seed int64, emit func([]streamChunk) bool) batchResult {
 	l := s.batch.enqueue(ctx, model.ID, model.ML, in, seed, emit != nil)
 	defer l.close()
+	if err := ctx.Err(); err != nil {
+		// Admitted after its deadline. On a free worker the lane could
+		// finish before the wait below, which would then pick the result
+		// or ctx at random; closed now, it is dropped at pickup like any
+		// lane whose request left while it queued.
+		return batchResult{err: err}
+	}
 	for {
 		select {
 		case <-l.notify: // never ready for a unary lane

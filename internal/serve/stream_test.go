@@ -355,11 +355,13 @@ func TestReplayStreamCancelFreesSlot(t *testing.T) {
 		types, chunks, end := decodeSSEReplay(t, bodyA)
 		wantMu, wantSigma := mA.PredictWindows(inA, nil)
 		checkReplayChunks(t, types, chunks, end, 1, wantMu, wantSigma)
+		// a's lone lane may recruit the idle worker once b's has left;
+		// only with both workers parked has every job been counted.
+		waitFor(t, "both admission slots back", func() bool { return len(s.sem) == 0 })
+		spinUntil(t, "both workers to park", func() bool { return parkedWorkers() == 2 })
 		if got, _ := jobs(); got != 2 {
 			t.Fatalf("batch ran as %d pool jobs, want 2 (b's lane handed off)", got)
 		}
-		waitFor(t, "both admission slots back", func() bool { return len(s.sem) == 0 })
-		spinUntil(t, "both workers to park", func() bool { return parkedWorkers() == 2 })
 	})
 
 	// A lone lane recruits the idle worker as its helper at its first

@@ -145,14 +145,15 @@ func TestRecordRoundTrip(t *testing.T) {
 			rec = record{kind: recSummary, vt: ev.VT, n: [5]int64{int64(s.Cwnd), int64(s.Inflight), s.Sent, s.Delivered, s.Lost}, x: [2]float64{s.SRTTMs, s.ThroughputBps}}
 			ev.Type = EventSummary
 		default:
-			var ok bool
 			evCopy := ev
-			if rec, ok = encodedRecord(&evCopy); !ok {
+			raw, ok := encodeRaw(&evCopy)
+			if !ok {
 				if _, err := json.Marshal(&ev); err == nil {
-					t.Fatalf("encodedRecord refused an encodable event %+v", ev)
+					t.Fatalf("encodeRaw refused an encodable event %+v", ev)
 				}
 				continue
 			}
+			rec = record{kind: recEncoded, raw: raw}
 		}
 		ev.Seq = 77
 		want, err := json.Marshal(&ev)

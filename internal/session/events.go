@@ -136,15 +136,15 @@ func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // seqPrefix opens every encoded event; the sequence number follows.
 const seqPrefix = `{"seq":`
 
-// encodedRecord encodes a state or mutate event into a record, or reports
-// false if the event cannot be encoded.
-func encodedRecord(ev *Event) (record, bool) {
+// encodeRaw encodes a state or mutate event for a recEncoded record's raw
+// bytes, or reports false if the event cannot be encoded.
+func encodeRaw(ev *Event) ([]byte, bool) {
 	ev.Seq = 0
 	b, ok := appendEvent(nil, ev)
 	if !ok {
-		return record{}, false
+		return nil, false
 	}
-	return record{kind: recEncoded, raw: b[len(seqPrefix)+1:]}, true
+	return b[len(seqPrefix)+1:], true
 }
 
 // appendRecord appends the JSON encoding of r as event number seq.

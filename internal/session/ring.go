@@ -37,14 +37,20 @@ func newRing(capacity int) *ring {
 	return &ring{max: capacity}
 }
 
-// publish appends recs as the next len(recs) events and wakes waiting
-// readers: one lock and at most one wake-up per batch.
-func (r *ring) publish(recs []record) {
+// publish appends the records of recs that JSON can carry as the next
+// events, wakes waiting readers and reports how many it appended: one
+// lock and at most one wake-up per batch.
+func (r *ring) publish(recs []record) int {
 	if len(recs) == 0 {
-		return
+		return 0
 	}
 	r.mu.Lock()
+	n := 0
 	for i := range recs {
+		if !recs[i].encodable() {
+			continue
+		}
+		n++
 		switch {
 		case r.n < len(r.buf):
 			r.buf[(r.start+r.n)%len(r.buf)] = recs[i]
@@ -61,12 +67,13 @@ func (r *ring) publish(recs []record) {
 			r.start = (r.start + 1) % len(r.buf)
 		}
 	}
-	r.last += int64(len(recs))
-	if r.notify != nil {
+	r.last += int64(n)
+	if n > 0 && r.notify != nil {
 		close(r.notify)
 		r.notify = nil
 	}
 	r.mu.Unlock()
+	return n
 }
 
 // closeRing marks the stream complete and wakes all waiters for good.

@@ -201,10 +201,11 @@ func (s *Scheduler) Pending() int { return len(s.heap) + s.lined }
 // Step runs the earliest pending event, advancing the clock to its
 // timestamp. It reports false when no events remain.
 func (s *Scheduler) Step() bool {
-	if !s.settle() {
+	ev := s.settle()
+	if ev == nil {
 		return false
 	}
-	s.fire()
+	s.fire(ev)
 	return true
 }
 
@@ -213,36 +214,43 @@ func (s *Scheduler) Step() bool {
 // deadline if it was reached, so successive RunUntil calls see monotonic
 // time.
 func (s *Scheduler) RunUntil(deadline Time) {
-	for s.settle() && s.heap[0].at <= deadline {
-		s.fire()
+	for {
+		ev := s.settle()
+		if ev == nil || s.heap[0].at > deadline {
+			break
+		}
+		s.fire(ev)
 	}
 	if s.now < deadline {
 		s.now = deadline
 	}
 }
 
-// settle reports whether any event is queued, first moving a timer at
-// the root that was re-armed to a later deadline while queued to the key
-// it now fires at. Afterwards the root is the next event to fire.
-func (s *Scheduler) settle() bool {
+// settle returns the node at the root, or nil when no event is queued,
+// first moving a timer at the root that was re-armed to a later deadline
+// while queued to the key it now fires at. Afterwards the root is the
+// next event to fire, and the node is handed on to fire so that each
+// event reads it once.
+func (s *Scheduler) settle() *event {
 	for len(s.heap) > 0 {
 		root := &s.heap[0]
-		t := s.nodes[root.slot].timer
+		ev := &s.nodes[root.slot]
+		t := ev.timer
 		if t == nil || root.at == t.at && root.seq == t.seq {
-			return true
+			return ev
 		}
 		root.at, root.seq = t.at, t.seq
 		s.down(0)
 	}
-	return false
+	return nil
 }
 
-// fire runs the event at the root, advancing the clock to its timestamp.
-func (s *Scheduler) fire() {
+// fire runs the event at the root, whose node settle returned, advancing
+// the clock to its timestamp.
+func (s *Scheduler) fire(ev *event) {
 	root := &s.heap[0]
 	s.now = root.at
 	slot := root.slot
-	ev := &s.nodes[slot]
 	if l := ev.line; l != nil {
 		fn := l.pop()
 		if l.n > 0 {
