@@ -162,12 +162,13 @@ type Flow struct {
 	done       bool
 	free       *outPacket
 
-	// The packet records: until Trace is first called, the first
-	// recorded records of chunks, which are borrowed from chunkPool;
-	// from then on, trace (see Trace).
+	// The packet records: trace, once Trace was called or the flow
+	// records into a caller's slice (RecordInto); until then, the first
+	// recorded records of chunks, which are borrowed from chunkPool.
 	chunks   []*recordChunk
 	recorded int
 	trace    *trace.Trace
+	taken    bool // Trace was called
 }
 
 // chunkLen is the number of packet records in one recording chunk.
@@ -184,8 +185,13 @@ var chunkPool = sync.Pool{New: func() any { return new(recordChunk) }}
 // packetPool hands the free packet objects of a flow whose trace was
 // taken to the next flow built, each pooled value the head of a free
 // list: a flow allocates packet objects only beyond what its
-// predecessors left.
+// predecessors left. A free packet's flow pointer is nil, so the list
+// changes hands without a walk and keeps no flow reachable.
 var packetPool sync.Pool
+
+// windowPool hands the window of a flow that finished to the next flow
+// built, so that flow starts with the room its predecessor grew to.
+var windowPool sync.Pool
 
 // outPacket is one packet's transport state, from transmit until both
 // parties are finished with it: the flow (it was acked or declared lost)
@@ -219,15 +225,14 @@ func NewFlow(sched *sim.Scheduler, net Network, sender Sender, cfg FlowConfig) *
 		net:        net,
 		sender:     sender,
 		cfg:        cfg.withDefaults(),
-		window:     make([]*outPacket, 64),
 		highestAck: -1,
 	}
-	if pkt, _ := packetPool.Get().(*outPacket); pkt != nil {
-		f.free = pkt
-		for ; pkt != nil; pkt = pkt.next {
-			pkt.flow = f
-		}
+	if w, _ := windowPool.Get().(*[]*outPacket); w != nil {
+		f.window = *w
+	} else {
+		f.window = make([]*outPacket, 64)
 	}
+	f.free, _ = packetPool.Get().(*outPacket)
 	f.rtoTimer = sched.NewTimer(f.onRTO)
 	f.pacing = sched.NewTimer(f.trySend)
 	f.acks = sched.NewLine()
@@ -248,32 +253,51 @@ func (f *Flow) Start() {
 
 // Trace returns the packet trace recorded so far (empty under
 // FlowConfig.NoTrace); read it only after the simulation has been driven
-// past the flow's end. The trace is an allocation of its own, holding
-// exactly the packets sent, so keeping it keeps neither the flow nor its
+// past the flow's end. Unless the flow records into a caller's slice
+// (RecordInto), the trace is an allocation of its own, holding exactly
+// the packets sent, so keeping it keeps neither the flow nor its
 // scheduler reachable. Every call returns the same trace: a packet the
 // network delivers after the first call is marked delivered in it, and
 // one sent after it is appended to it.
 func (f *Flow) Trace() *trace.Trace {
-	if f.trace != nil {
+	if f.taken {
 		return f.trace
 	}
-	f.trace = &trace.Trace{Protocol: f.sender.Name()}
-	if f.recorded > 0 {
-		f.trace.Packets = make([]trace.Packet, f.recorded)
-		for i, c := range f.chunks {
-			copy(f.trace.Packets[i*chunkLen:], c[:])
-			chunkPool.Put(c)
+	f.taken = true
+	if f.trace == nil {
+		f.trace = &trace.Trace{Protocol: f.sender.Name()}
+		if f.recorded > 0 {
+			f.trace.Packets = make([]trace.Packet, f.recorded)
+			for i, c := range f.chunks {
+				copy(f.trace.Packets[i*chunkLen:], c[:])
+				chunkPool.Put(c)
+			}
 		}
+		f.chunks = nil
 	}
-	f.chunks = nil
 	if f.free != nil {
-		for pkt := f.free; pkt != nil; pkt = pkt.next {
-			pkt.flow = nil // a pooled packet must not keep this flow reachable
-		}
 		packetPool.Put(f.free)
 		f.free = nil
 	}
+	if f.Done() {
+		// Nothing is outstanding and nothing more will be sent, so the
+		// window (every slot nil) and the empty ack line are done with.
+		w := f.window
+		f.window = nil
+		windowPool.Put(&w)
+		f.acks.Release()
+	}
 	return f.trace
+}
+
+// RecordInto makes the flow record its packets by appending them to pkts,
+// an empty slice the caller owns, rather than into chunks of its own; the
+// trace Trace returns is then the one over that slice, with no copy. It
+// is for a caller that only reduces the trace to numbers and then reuses
+// the slice (see trace.Borrow), so the run allocates no trace of its own.
+// Call it before Start.
+func (f *Flow) RecordInto(pkts []trace.Packet) {
+	f.trace = &trace.Trace{Protocol: f.sender.Name(), Packets: pkts[:0]}
 }
 
 // record appends pkt's record to the trace, lost until delivered.
@@ -398,6 +422,7 @@ func (f *Flow) getPacket() *outPacket {
 		return pkt
 	}
 	f.free = pkt.next
+	pkt.flow = f
 	return pkt
 }
 
@@ -416,6 +441,7 @@ func (f *Flow) recycle(pkt *outPacket) {
 	if pkt.tracked || pkt.inNet {
 		return
 	}
+	pkt.flow = nil // a free packet keeps no flow reachable (see packetPool)
 	pkt.next = f.free
 	f.free = pkt
 }
@@ -423,7 +449,7 @@ func (f *Flow) recycle(pkt *outPacket) {
 // growWindow doubles the window, re-placing the outstanding packets.
 func (f *Flow) growWindow() {
 	old := f.window
-	f.window = make([]*outPacket, 2*len(old))
+	f.window = make([]*outPacket, max(2*len(old), 64))
 	for _, pkt := range old {
 		if pkt != nil {
 			f.window[f.slot(pkt.seq)] = pkt

@@ -61,3 +61,52 @@ func TestRunBytesPerPacket(t *testing.T) {
 		})
 	}
 }
+
+// TestLentRunBytesPerPacket is TestRunBytesPerPacket for measured runs:
+// a run that lends its trace records into a packet array an earlier run
+// gave back, so it allocates no trace at all, and what is left per
+// packet is the run's own working set beyond what the pools hand it.
+func TestLentRunBytesPerPacket(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	inst := pantheon.Ethernet().Sample(3, 0)
+	gt, err := inst.Run("cubic", 10*sim.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := Fit(gt, iboxnet.Full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		lend func(seed int64, use func(*trace.Trace)) error
+	}{
+		{"pantheon.Instance.LendRun", func(seed int64, use func(*trace.Trace)) error {
+			return inst.LendRun("cubic", 10*sim.Second, seed, use)
+		}},
+		{"core.Model.LendRun", func(seed int64, use func(*trace.Trace)) error {
+			return model.LendRun("cubic", 10*sim.Second, seed, use)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// The smallest of a few runs, as in TestRunBytesPerPacket.
+			var perPkt []float64
+			for seed := int64(1); seed <= 5; seed++ {
+				var before, after runtime.MemStats
+				n := 0
+				runtime.ReadMemStats(&before)
+				err := c.lend(seed, func(tr *trace.Trace) { n = len(tr.Packets) })
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				perPkt = append(perPkt, float64(after.TotalAlloc-before.TotalAlloc)/float64(n))
+			}
+			if got := slices.Min(perPkt); got > 8 {
+				t.Errorf("%.2f B allocated per recorded packet (runs: %.2f), want ≤ 8", got, perPkt)
+			}
+		})
+	}
+}

@@ -68,6 +68,40 @@ func (m *Model) Run(protocol string, dur sim.Time, seed int64) (*trace.Trace, er
 
 // RunSender is Run with a caller-constructed sender.
 func (m *Model) RunSender(sender cc.Sender, dur sim.Time, seed int64) (*trace.Trace, error) {
+	flow, err := m.run(sender, dur, seed, false)
+	if err != nil {
+		return nil, err
+	}
+	tr := flow.Trace()
+	tr.PathID = m.pathID()
+	return tr, nil
+}
+
+// LendRun is Run for a caller that only reduces the trace to numbers: it
+// lends the trace to use instead of returning it. The flow records into
+// a packet array borrowed from the trace package (trace.Borrow), given
+// back when use returns, so the run allocates no trace of its own. use
+// must keep neither the trace nor its packets.
+func (m *Model) LendRun(protocol string, dur sim.Time, seed int64, use func(*trace.Trace)) error {
+	sender, err := cc.NewSender(protocol, 1500)
+	if err != nil {
+		return err
+	}
+	flow, err := m.run(sender, dur, seed, true)
+	if err != nil {
+		return err
+	}
+	tr := flow.Trace()
+	tr.PathID = m.pathID()
+	use(tr)
+	trace.Return(tr.Packets)
+	return nil
+}
+
+// run drives sender over the emulated model until the flow has ended and
+// returns the flow. A lent run's flow records into a borrowed packet
+// array (see LendRun).
+func (m *Model) run(sender cc.Sender, dur sim.Time, seed int64, lent bool) (*cc.Flow, error) {
 	if dur <= 0 {
 		return nil, fmt.Errorf("core: non-positive duration %v", dur)
 	}
@@ -77,12 +111,17 @@ func (m *Model) RunSender(sender cc.Sender, dur sim.Time, seed int64) (*trace.Tr
 		Duration: dur,
 		AckDelay: m.Params.PropDelay,
 	})
+	if lent {
+		flow.RecordInto(trace.Borrow(0))
+	}
 	flow.Start()
 	sched.RunUntil(dur + 3*sim.Second)
-	tr := flow.Trace()
-	tr.PathID = m.TrainTrace + "/" + m.Variant.String()
-	return tr, nil
+	path.Release()
+	return flow, nil
 }
+
+// pathID names the path of a trace run over the model.
+func (m *Model) pathID() string { return m.TrainTrace + "/" + m.Variant.String() }
 
 // EnsembleResult is the outcome of an ensemble A/B test (§3.1.1, Fig 2):
 // the distribution of per-flow metrics for the control protocol A and the
@@ -148,12 +187,11 @@ func EnsembleTestOpts(corpus *pantheon.Corpus, treatment string, variant iboxnet
 		if replayHist != nil {
 			t0 = time.Now()
 		}
-		gtB, err := inst.Run(treatment, dur, seed+int64(i))
+		err := inst.LendRun(treatment, dur, seed+int64(i), func(lent *trace.Trace) { row.gtTreatment = MetricsOf(lent) })
 		if err != nil {
 			return row, fmt.Errorf("core: GT treatment on %s: %w", inst.ID, err)
 		}
 		replayHist.ObserveSince(t0)
-		row.gtTreatment = MetricsOf(gtB)
 
 		if fitHist != nil {
 			t0 = time.Now()
@@ -166,18 +204,16 @@ func EnsembleTestOpts(corpus *pantheon.Corpus, treatment string, variant iboxnet
 		if replayHist != nil {
 			t0 = time.Now()
 		}
-		simA, err := model.Run(corpus.Protocol, dur, seed+int64(i)*2+1)
+		err = model.LendRun(corpus.Protocol, dur, seed+int64(i)*2+1, func(lent *trace.Trace) { row.simControl = MetricsOf(lent) })
 		if err != nil {
 			return row, err
 		}
-		row.simControl = MetricsOf(simA)
-		simB, err := model.Run(treatment, dur, seed+int64(i)*2+2)
+		err = model.LendRun(treatment, dur, seed+int64(i)*2+2, func(lent *trace.Trace) { row.simTreatment = MetricsOf(lent) })
 		if err != nil {
 			return row, err
 		}
 		// One observation covers both model replays (control + treatment).
 		replayHist.ObserveSince(t0)
-		row.simTreatment = MetricsOf(simB)
 		return row, nil
 	})
 	if err != nil {

@@ -92,6 +92,7 @@ func rtcTrace(seed int64, i int, dur sim.Time) *trace.Trace {
 		})
 	flow.Start()
 	sched.RunUntil(dur + 3*sim.Second)
+	path.Release()
 	tr := flow.Trace()
 	tr.PathID = fmt.Sprintf("rtc-%d", i)
 	return tr
@@ -184,13 +185,10 @@ func Table1(s Scale) (*Table1Result, error) {
 	evals, err := par.Map(n-nTrain, s.Par(), func(k int) (evalRow, error) {
 		i := nTrain + k
 		gt := all[i]
-		simNo := noCT.SimulateTrace(gt, nil, s.Seed+int64(i))
-		simCT := withCT.SimulateTrace(gt, cts[i], s.Seed+int64(i))
-		return evalRow{
-			gt:     gt.DelayPercentile(95),
-			noCT:   simNo.DelayPercentile(95),
-			withCT: simCT.DelayPercentile(95),
-		}, nil
+		row := evalRow{gt: gt.DelayPercentile(95)}
+		noCT.LendSimulatedTrace(gt, nil, s.Seed+int64(i), func(out *trace.Trace) { row.noCT = out.DelayPercentile(95) })
+		withCT.LendSimulatedTrace(gt, cts[i], s.Seed+int64(i), func(out *trace.Trace) { row.withCT = out.DelayPercentile(95) })
+		return row, nil
 	})
 	if err != nil {
 		return nil, err

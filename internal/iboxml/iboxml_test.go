@@ -2,6 +2,7 @@ package iboxml
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ibox/internal/sim"
@@ -391,6 +392,39 @@ func TestReorderTrainRejectsEmpty(t *testing.T) {
 	}
 	if _, err := TrainLinearReorder(nil, false, 0); err == nil {
 		t.Error("empty linear reorder training accepted")
+	}
+}
+
+// TestLendSimulatedTraceMatches checks Table 1's measured output against
+// the kept one: for models trained with and without the cross-traffic
+// input, the trace LendSimulatedTrace lends holds SimulateTrace's packets
+// and gives its p95 delay bit for bit, also when it reuses the array an
+// earlier lend gave back.
+func TestLendSimulatedTraceMatches(t *testing.T) {
+	in := synthTrace(55, 6*sim.Second)
+	in.Packets[10].Lost = true
+	ct := trace.NewSeries(0, 100*sim.Millisecond, 60)
+	for i := range ct.Vals {
+		ct.Vals[i] = float64(i%7) * 900
+	}
+	for _, useCT := range []bool{false, true} {
+		m, err := Train(trainSamples(2, 4*sim.Second), Config{Hidden: 8, Layers: 1, Epochs: 3, UseCrossTraffic: useCT, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*trace.Series{nil, ct} {
+			for seed := int64(1); seed <= 2; seed++ {
+				kept := m.SimulateTrace(in, c, seed)
+				m.LendSimulatedTrace(in, c, seed, func(lent *trace.Trace) {
+					if lent.Protocol != kept.Protocol || lent.PathID != kept.PathID || !slices.Equal(lent.Packets, kept.Packets) {
+						t.Errorf("useCT=%v ct=%v seed %d: lent trace differs from the kept one", useCT, c != nil, seed)
+					}
+					if got, want := lent.DelayPercentile(95), kept.DelayPercentile(95); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("useCT=%v ct=%v seed %d: lent p95 %v, kept %v", useCT, c != nil, seed, got, want)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -281,7 +281,8 @@ func SimulateTraceLanes(lanes []ReplayLane, chunk int) []*trace.Trace {
 		if mus[i] == nil { // abandoned mid-unroll by its Emit
 			continue
 		}
-		out[i] = lanes[i].Model.samplePackets(lanes[i].Input, durs[i], mus[i], sigmas[i], lanes[i].Seed)
+		in := lanes[i].Input
+		out[i] = lanes[i].Model.samplePackets(in, durs[i], mus[i], sigmas[i], lanes[i].Seed, make([]trace.Packet, 0, len(in.Packets)))
 	}
 	return out
 }

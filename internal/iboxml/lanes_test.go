@@ -207,7 +207,7 @@ func TestSimulateTraceLanesMatchesSingle(t *testing.T) {
 	outs := SimulateTraceLanes(lanes, 0)
 	for i, l := range lanes {
 		mu, sigma := refPredictWindows(m, l.Input, nil)
-		if !bytes.Equal(encodeTrace(t, outs[i]), encodeTrace(t, m.samplePackets(l.Input, l.Input.Duration(), mu, sigma, l.Seed))) {
+		if !bytes.Equal(encodeTrace(t, outs[i]), encodeTrace(t, m.samplePackets(l.Input, l.Input.Duration(), mu, sigma, l.Seed, nil))) {
 			t.Fatalf("trace %d: lane-batched simulation differs from unbatched", i)
 		}
 	}

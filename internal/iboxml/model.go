@@ -190,13 +190,9 @@ func Train(samples []TrainingSample, cfg Config) (*Model, error) {
 	// Delay-structure statistics for per-packet sampling (SimulateTrace).
 	reordered, delivered := 0, 0
 	for _, s := range samples {
-		flags := s.Trace.ReorderedFlags()
-		for _, f := range flags {
-			if f {
-				reordered++
-			}
-		}
-		delivered += len(flags)
+		r, d := s.Trace.Reordered()
+		reordered += r
+		delivered += d
 	}
 	if delivered > 0 {
 		m.outlierRate = float64(reordered) / float64(delivered)
@@ -205,6 +201,11 @@ func Train(samples []TrainingSample, cfg Config) (*Model, error) {
 	sortFloats(sortedY)
 	m.minDelayMs = sortedY[len(sortedY)/20]
 	m.Net = nn.NewSequenceModel(nn.GaussianHead, dim, cfg.Hidden, cfg.Layers, cfg.Seed)
+	longest := 0
+	for _, s := range seqs {
+		longest = max(longest, len(s.xs))
+	}
+	m.Net.ReserveSteps(longest)
 	opt := nn.NewAdam(cfg.LR, m.Net.Params())
 
 	// Per-epoch training telemetry: mean sequence loss (gauge; the last
@@ -330,23 +331,40 @@ func (m *Model) PredictWindows(tr *trace.Trace, ct *trace.Series) (mu, sigma []f
 //
 // Lost packets in the input are echoed as lost.
 func (m *Model) SimulateTrace(tr *trace.Trace, ct *trace.Series, seed int64) *trace.Trace {
+	return m.simulate(tr, ct, seed, make([]trace.Packet, 0, len(tr.Packets)))
+}
+
+// LendSimulatedTrace is SimulateTrace for a caller that only reduces the
+// output to numbers: it lends the trace to use, its packets held in an
+// array borrowed from the trace package (trace.Borrow) and given back
+// when use returns, so the call allocates no output trace of its own. use
+// must keep neither the trace nor its packets.
+func (m *Model) LendSimulatedTrace(tr *trace.Trace, ct *trace.Series, seed int64, use func(*trace.Trace)) {
+	out := m.simulate(tr, ct, seed, trace.Borrow(len(tr.Packets)))
+	use(out)
+	trace.Return(out.Packets)
+}
+
+// simulate is SimulateTrace sampling into pkts, an empty slice with room
+// for tr's packets.
+func (m *Model) simulate(tr *trace.Trace, ct *trace.Series, seed int64, pkts []trace.Packet) *trace.Trace {
 	dur := tr.Duration()
 	mus, sigmas := predictWindowsLanes([]ReplayLane{{Model: m, Input: tr, CT: ct}}, 0, []sim.Time{dur})
-	return m.samplePackets(tr, dur, mus[0], sigmas[0], seed)
+	return m.samplePackets(tr, dur, mus[0], sigmas[0], seed, pkts)
 }
 
 // samplePackets turns per-window closed-loop delay distributions into the
-// per-packet output trace (the sampling half of SimulateTrace). It is
-// shared between the single-trace path and SimulateTraceLanes so both
-// produce identical bytes for identical (mu, sigma, seed). dur is tr's
-// duration.
-func (m *Model) samplePackets(tr *trace.Trace, dur sim.Time, mu, sigma []float64, seed int64) *trace.Trace {
+// per-packet output trace (the sampling half of SimulateTrace), appending
+// its packets to pkts, an empty slice with room for tr's. It is shared
+// between the single-trace path and SimulateTraceLanes so both produce
+// identical bytes for identical (mu, sigma, seed). dur is tr's duration.
+func (m *Model) samplePackets(tr *trace.Trace, dur sim.Time, mu, sigma []float64, seed int64, pkts []trace.Packet) *trace.Trace {
 	rng := sim.NewRand(seed, 71)
 	out := &trace.Trace{Protocol: tr.Protocol + "-iboxml", PathID: tr.PathID}
 	if len(tr.Packets) == 0 {
 		return out
 	}
-	out.Packets = make([]trace.Packet, 0, len(tr.Packets))
+	out.Packets = pkts
 	// jitterFrac scales the predicted window sigma down to a per-packet
 	// jitter magnitude. The amplitude is additionally capped at a few send
 	// gaps: a FIFO queue's jitter cannot reorder packets, so the smooth

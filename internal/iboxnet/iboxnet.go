@@ -21,7 +21,6 @@ package iboxnet
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ibox/internal/netsim"
@@ -135,7 +134,7 @@ func Estimate(tr *trace.Trace, cfg EstimatorConfig) (Params, error) {
 		BufferBytes: buf,
 		LossRate:    tr.LossRate(),
 	}
-	p.CrossTraffic = estimateCrossTraffic(tr, n, p, cfg)
+	p.CrossTraffic = estimateCrossTraffic(tr, p, cfg)
 	return p, nil
 }
 
@@ -161,8 +160,12 @@ func delivered(tr *trace.Trace) int {
 //
 // so inflowCT = Δbacklog − inflowS + b̂·Δ. Windows where the queue may
 // have emptied contribute the conservative lower bound 0 (the drain term
-// is unknown there). ndel is the number of delivered packets in tr.
-func estimateCrossTraffic(tr *trace.Trace, ndel int, p Params, cfg EstimatorConfig) *trace.Series {
+// is unknown there).
+//
+// The backlog samples are the delivered packets in send order, read in
+// place: the window boundaries only move forward, so one cursor over
+// tr.Packets finds each boundary's neighbouring samples.
+func estimateCrossTraffic(tr *trace.Trace, p Params, cfg EstimatorConfig) *trace.Series {
 	start := tr.Packets[0].SendTime
 	end := start + tr.Duration()
 	n := int((end - start) / cfg.CTWindow)
@@ -170,23 +173,6 @@ func estimateCrossTraffic(tr *trace.Trace, ndel int, p Params, cfg EstimatorConf
 		n = 1
 	}
 	ct := trace.NewSeries(start, cfg.CTWindow, n)
-
-	// Backlog samples in send-time order: (sendTime, backlogBytes).
-	type sample struct {
-		at      sim.Time
-		backlog float64
-	}
-	samples := make([]sample, 0, ndel)
-	for _, pkt := range tr.Packets {
-		if pkt.Lost {
-			continue
-		}
-		q := pkt.Delay() - p.PropDelay
-		if q < 0 {
-			q = 0
-		}
-		samples = append(samples, sample{pkt.SendTime, q.Seconds() * p.Bandwidth})
-	}
 
 	// Sender inflow per window (delivered bytes only: drop-tail losses
 	// never occupied the queue).
@@ -199,57 +185,75 @@ func estimateCrossTraffic(tr *trace.Trace, ndel int, p Params, cfg EstimatorConf
 	}
 
 	epsBytes := cfg.QueueEpsilon.Seconds() * p.Bandwidth
-
-	// backlogAt interpolates the backlog at time t from the nearest
-	// samples; ok is false when no sample is within one window of t.
-	backlogAt := func(t sim.Time) (float64, bool) {
-		i := sort.Search(len(samples), func(i int) bool { return samples[i].at >= t })
-		switch {
-		case i == 0:
-			if samples[0].at-t > cfg.CTWindow {
-				return 0, false
-			}
-			return samples[0].backlog, true
-		case i == len(samples):
-			if t-samples[i-1].at > cfg.CTWindow {
-				return 0, false
-			}
-			return samples[i-1].backlog, true
-		default:
-			lo, hi := samples[i-1], samples[i]
-			if hi.at == lo.at {
-				return hi.backlog, true
-			}
-			if t-lo.at > cfg.CTWindow && hi.at-t > cfg.CTWindow {
-				return 0, false
-			}
-			frac := float64(t-lo.at) / float64(hi.at-lo.at)
-			return lo.backlog*(1-frac) + hi.backlog*frac, true
+	pkts := tr.Packets
+	backlog := func(i int) float64 {
+		q := pkts[i].Delay() - p.PropDelay
+		if q < 0 {
+			q = 0
 		}
+		return q.Seconds() * p.Bandwidth
 	}
 
-	// minBacklogIn returns the smallest backlog sample in [t0, t1), or +∞
-	// when the window has no samples.
-	minBacklogIn := func(t0, t1 sim.Time) (float64, bool) {
-		i := sort.Search(len(samples), func(i int) bool { return samples[i].at >= t0 })
-		best, found := 0.0, false
-		for ; i < len(samples) && samples[i].at < t1; i++ {
-			if !found || samples[i].backlog < best {
-				best, found = samples[i].backlog, true
+	// The cursor: next is the first sample sent at or after the time last
+	// sought (len(pkts) if none), prev the last sample before it (-1 if
+	// none).
+	next, prev := 0, -1
+	seek := func(t sim.Time) {
+		for ; next < len(pkts) && (pkts[next].Lost || pkts[next].SendTime < t); next++ {
+			if !pkts[next].Lost {
+				prev = next
 			}
 		}
-		return best, found
+	}
+	// backlogAt moves the cursor to t and interpolates the backlog at t
+	// from the nearest samples; ok is false when no sample is within one
+	// window of t.
+	backlogAt := func(t sim.Time) (float64, bool) {
+		seek(t)
+		switch {
+		case prev < 0:
+			if pkts[next].SendTime-t > cfg.CTWindow {
+				return 0, false
+			}
+			return backlog(next), true
+		case next == len(pkts):
+			if t-pkts[prev].SendTime > cfg.CTWindow {
+				return 0, false
+			}
+			return backlog(prev), true
+		default:
+			lo, hi := pkts[prev].SendTime, pkts[next].SendTime
+			if hi == lo {
+				return backlog(next), true
+			}
+			if t-lo > cfg.CTWindow && hi-t > cfg.CTWindow {
+				return 0, false
+			}
+			frac := float64(t-lo) / float64(hi-lo)
+			return backlog(prev)*(1-frac) + backlog(next)*frac, true
+		}
 	}
 
 	for w := 0; w < n; w++ {
 		t0 := start + sim.Time(w)*cfg.CTWindow
 		t1 := t0 + cfg.CTWindow
 		b0, ok0 := backlogAt(t0)
+		first := next // the window's first sample, if it has any
 		b1, ok1 := backlogAt(t1)
 		if !ok0 || !ok1 {
 			continue // no observations: conservative 0
 		}
-		minB, any := minBacklogIn(t0, t1)
+		// The smallest backlog sample in [t0, t1): those are the samples
+		// from first up to the one next now names.
+		minB, any := 0.0, false
+		for i := first; i < next; i++ {
+			if pkts[i].Lost {
+				continue
+			}
+			if b := backlog(i); !any || b < minB {
+				minB, any = b, true
+			}
+		}
 		if !any {
 			minB = (b0 + b1) / 2
 		}

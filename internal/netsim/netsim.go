@@ -14,6 +14,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"ibox/internal/sim"
 )
@@ -147,7 +148,12 @@ type Path struct {
 	sched *sim.Scheduler
 	cfg   Config
 	link  *link
-	rng   *randState
+	// The random sources of the stochastic subsystems, each its own
+	// (Seed, stream) so that no subsystem's draws move another's. A path
+	// builds only the sources its Config uses (nil otherwise): seeding one
+	// costs ≈5 KB and a few microseconds, and an emulated iBoxNet path,
+	// for one, uses none.
+	lossRng, reorderRng, cellRng, jitterRng *randSource
 	// access carries main-path packets through the access half of
 	// PropDelay to the bottleneck; deliveries carries them from the
 	// bottleneck to the receiver. Both delays are monotone by
@@ -160,20 +166,18 @@ type Path struct {
 	freePkts    *pkt
 }
 
-type randState struct {
-	loss    *randSource
-	reorder *randSource
-	cell    *randSource
-	jitter  *randSource
-}
-
-// randSource is a tiny wrapper so the three stochastic subsystems consume
+// randSource is a tiny wrapper so the stochastic subsystems consume
 // independent streams.
 type randSource struct {
 	r interface{ Float64() float64 }
 }
 
 func (s *randSource) Float64() float64 { return s.r.Float64() }
+
+// newRandSource returns the source of stream on seed.
+func newRandSource(seed, stream int64) *randSource {
+	return &randSource{sim.NewRand(seed, stream)}
+}
 
 // New creates a path on the given scheduler. It panics on an invalid
 // configuration (construction-time misuse, not a runtime condition).
@@ -190,12 +194,19 @@ func New(sched *sim.Scheduler, cfg Config) *Path {
 		cfg:        cfg,
 		access:     sched.NewLine(),
 		deliveries: sched.NewLine(),
-		rng: &randState{
-			loss:    &randSource{sim.NewRand(cfg.Seed, 1)},
-			reorder: &randSource{sim.NewRand(cfg.Seed, 2)},
-			cell:    &randSource{sim.NewRand(cfg.Seed, 3)},
-			jitter:  &randSource{sim.NewRand(cfg.Seed, 5)},
-		},
+	}
+	p.freePkts, _ = pktPool.Get().(*pkt)
+	if cfg.LossProb > 0 {
+		p.lossRng = newRandSource(cfg.Seed, 1)
+	}
+	if cfg.Reorder != nil {
+		p.reorderRng = newRandSource(cfg.Seed, 2)
+	}
+	if cfg.Cellular != nil || cfg.PFCell != nil {
+		p.cellRng = newRandSource(cfg.Seed, 3)
+	}
+	if cfg.Jitter > 0 {
+		p.jitterRng = newRandSource(cfg.Seed, 5)
 	}
 	p.link = newLink(sched, cfg.Rate, cfg.BufferBytes)
 	if tb := cfg.TokenBucket; tb != nil {
@@ -206,12 +217,12 @@ func New(sched *sim.Scheduler, cfg Config) *Path {
 		}
 	}
 	if pf := cfg.PFCell; pf != nil {
-		startPFCell(sched, p.link, *pf, p.rng.cell)
+		startPFCell(sched, p.link, *pf, p.cellRng)
 	}
 	if r := cfg.RED; r != nil {
 		p.link.red = &redState{
 			cfg:  r.withDefaults(),
-			rng:  &randSource{sim.NewRand(cfg.Seed, 4)},
+			rng:  newRandSource(cfg.Seed, 4),
 			rate: cfg.Rate,
 		}
 	}
@@ -220,7 +231,7 @@ func New(sched *sim.Scheduler, cfg Config) *Path {
 		var step func()
 		step = func() {
 			// Geometric random walk on the share, clamped.
-			g := gaussian(p.rng.cell)
+			g := gaussian(p.cellRng)
 			share *= math.Exp(cm.Sigma * g)
 			if share < cm.MinShare {
 				share = cm.MinShare
@@ -280,10 +291,10 @@ func (pt *Port) Send(size int, onDeliver func(recv sim.Time), onDrop func()) {
 	k.size, k.onDeliver, k.onDrop = size, onDeliver, onDrop
 
 	// Multipath: some packets bypass the bottleneck entirely.
-	if rm := p.cfg.Reorder; rm != nil && p.rng.reorder.Float64() < rm.Prob {
+	if rm := p.cfg.Reorder; rm != nil && p.reorderRng.Float64() < rm.Prob {
 		extra := rm.ExtraMin
 		if rm.ExtraMax > rm.ExtraMin {
-			extra += sim.Time(p.rng.reorder.Float64() * float64(rm.ExtraMax-rm.ExtraMin))
+			extra += sim.Time(p.reorderRng.Float64() * float64(rm.ExtraMax-rm.ExtraMin))
 		}
 		p.sched.After(p.cfg.PropDelay+extra, k.deliverFn)
 		return
@@ -321,11 +332,35 @@ func (p *Path) getPkt() *pkt {
 		return k
 	}
 	p.freePkts = k.next
+	k.path = p
 	return k
 }
 
+// pktPool hands the free packet objects of a released path to the next
+// path built, each pooled value the head of a free list: a process that
+// runs one path after another allocates packet objects only beyond what
+// its predecessors left. A free packet's path pointer is nil, so the list
+// changes hands without a walk and keeps no path reachable.
+var pktPool sync.Pool
+
+// Release ends the path's run: call it once the scheduler it is bound to
+// will be driven no further. The path's free packet objects go to the
+// next path built, and the rings of its empty delay lines and bottleneck
+// queue to the next ones that need them. Packets still in flight stay
+// with the path, so driving the scheduler on after Release is still
+// correct, merely not recycled.
+func (p *Path) Release() {
+	if p.freePkts != nil {
+		pktPool.Put(p.freePkts)
+		p.freePkts = nil
+	}
+	p.access.Release()
+	p.deliveries.Release()
+	p.link.release()
+}
+
 func (p *Path) putPkt(k *pkt) {
-	k.onDeliver, k.onDrop = nil, nil
+	k.path, k.onDeliver, k.onDrop = nil, nil, nil // a free packet keeps no path reachable
 	k.next = p.freePkts
 	p.freePkts = k
 }
@@ -338,13 +373,13 @@ func (k *pkt) arrive() {
 
 func (k *pkt) served() {
 	p := k.path
-	if p.cfg.LossProb > 0 && p.rng.loss.Float64() < p.cfg.LossProb {
+	if p.cfg.LossProb > 0 && p.lossRng.Float64() < p.cfg.LossProb {
 		k.drop()
 		return
 	}
 	post := p.cfg.PropDelay / 2
 	if p.cfg.Jitter > 0 {
-		post += sim.Time(math.Abs(gaussian(p.rng.jitter)) * float64(p.cfg.Jitter))
+		post += sim.Time(math.Abs(gaussian(p.jitterRng)) * float64(p.cfg.Jitter))
 	}
 	at := p.sched.Now() + post
 	// FIFO clamp: a small jitter draw must not overtake an earlier
@@ -472,13 +507,35 @@ func (l *link) enqueue(size int, done func()) bool {
 	return true
 }
 
-// growQueue doubles the ring, unrolling it so the head is at index 0.
+// queuePool holds the rings of released links (link.release), each of a
+// power-of-two length and empty.
+var queuePool sync.Pool
+
+// growQueue doubles the ring, unrolling it so the head is at index 0. A
+// link without a ring first takes one a released link left.
 func (l *link) growQueue() {
+	if len(l.queue) == 0 {
+		if q, _ := queuePool.Get().(*[]queued); q != nil {
+			l.queue, l.head = *q, 0
+			return
+		}
+	}
 	grown := make([]queued, max(2*len(l.queue), 16))
 	for i := 0; i < l.n; i++ {
 		grown[i] = l.queue[(l.head+i)&(len(l.queue)-1)]
 	}
 	l.queue, l.head = grown, 0
+}
+
+// release hands the link's ring to the next link that needs one, if no
+// packet waits in it.
+func (l *link) release() {
+	if l.n > 0 || len(l.queue) == 0 {
+		return
+	}
+	q := l.queue
+	l.queue, l.head = nil, 0
+	queuePool.Put(&q)
 }
 
 func (l *link) serveNext() {

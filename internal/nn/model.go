@@ -134,6 +134,16 @@ func (m *SequenceModel) NumParams() int {
 	return int(Header{Kind: m.Kind, In: in, Hidden: hidden, Layers: layers}.weightCount())
 }
 
+// ReserveSteps sizes the training workspace for sequences of up to T
+// steps, so that training on sequences of mixed lengths builds it once
+// instead of again at each new longest sequence.
+func (m *SequenceModel) ReserveSteps(T int) {
+	if m.ws == nil {
+		m.ws = &bptt{}
+	}
+	m.ws.grow(m.LSTM, T)
+}
+
 // TrainSequence accumulates gradients for one (xs, ys) sequence and
 // returns the mean per-step loss. mask[t]=false skips step t's loss (e.g.
 // lost packets whose delay is unobserved); a nil mask trains on every

@@ -210,6 +210,40 @@ func (inst Instance) Run(protocol string, dur sim.Time, runSeed int64) (*trace.T
 
 // RunSender is Run with a caller-constructed sender.
 func (inst Instance) RunSender(sender cc.Sender, dur sim.Time, runSeed int64) (*trace.Trace, error) {
+	flow, err := inst.run(sender, dur, runSeed, false)
+	if err != nil {
+		return nil, err
+	}
+	tr := flow.Trace()
+	tr.PathID = inst.ID
+	return tr, nil
+}
+
+// LendRun is Run for a caller that only reduces the trace to numbers: it
+// lends the trace to use instead of returning it. The flow records into
+// a packet array borrowed from the trace package (trace.Borrow), given
+// back when use returns, so the run allocates no trace of its own. use
+// must keep neither the trace nor its packets.
+func (inst Instance) LendRun(protocol string, dur sim.Time, runSeed int64, use func(*trace.Trace)) error {
+	sender, err := cc.NewSender(protocol, 1500)
+	if err != nil {
+		return err
+	}
+	flow, err := inst.run(sender, dur, runSeed, true)
+	if err != nil {
+		return err
+	}
+	tr := flow.Trace()
+	tr.PathID = inst.ID
+	use(tr)
+	trace.Return(tr.Packets)
+	return nil
+}
+
+// run drives sender over the instance's ground-truth path until the flow
+// has ended and returns the flow. A lent run's flow records into a
+// borrowed packet array (see LendRun).
+func (inst Instance) run(sender cc.Sender, dur sim.Time, runSeed int64, lent bool) (*cc.Flow, error) {
 	if dur <= 0 {
 		return nil, fmt.Errorf("pantheon: non-positive duration %v", dur)
 	}
@@ -226,11 +260,13 @@ func (inst Instance) RunSender(sender cc.Sender, dur sim.Time, runSeed int64) (*
 		Duration: dur,
 		AckDelay: cfg.PropDelay,
 	})
+	if lent {
+		flow.RecordInto(trace.Borrow(0))
+	}
 	flow.Start()
 	sched.RunUntil(dur + 3*sim.Second)
-	tr := flow.Trace()
-	tr.PathID = inst.ID
-	return tr, nil
+	path.Release()
+	return flow, nil
 }
 
 // Corpus is a set of instances and the traces of one protocol over them.

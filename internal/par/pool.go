@@ -42,6 +42,9 @@ type Pool struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
+	// calls holds Do's finished call records for reuse (see doCall).
+	calls chan *doCall
+
 	// waiting counts Do submitters whose job no worker has picked up yet
 	// (Waiting). It is kept whether or not observability is on: a lane's
 	// helper (TryGo) yields its worker when it is positive.
@@ -68,12 +71,27 @@ type workerState struct {
 }
 
 type poolJob struct {
-	fn    func()
+	fn    func() // a TryGo or PoolMap job; nil for a Do job
+	call  *doCall
 	enq   time.Time
 	inst  bool
 	waits bool // a Do job: counted in waiting until a worker picks it up
 	depth int  // PoolMap nesting depth of this job; 0 for Do jobs
 }
+
+// doCall is one Do job: the function and the channel its result comes
+// back on. The channel is buffered, so a job whose submitter gave up (ctx
+// expired while it ran) still finishes. A record is reused once its
+// submitter has taken the result, or once ctx expired before any worker
+// took the job; an abandoned one is left to the collector, since its job
+// may still be running.
+type doCall struct {
+	fn   func() error
+	done chan error
+}
+
+// maxFreeCalls bounds the call records a pool keeps for reuse.
+const maxFreeCalls = 64
 
 // goroutineID parses the current goroutine's id from its stack header
 // ("goroutine 123 [running]: …"). The same trick the net/http2 goroutine
@@ -106,6 +124,7 @@ func NewPool(workers int) *Pool {
 		workers:   workers,
 		workerIDs: make(map[uint64]*workerState, workers),
 		done:      make(chan struct{}),
+		calls:     make(chan *doCall, maxFreeCalls),
 	}
 	if r := obs.Get(); r != nil {
 		r.Gauge("par.pool_workers").Set(float64(workers))
@@ -141,20 +160,22 @@ func NewPool(workers int) *Pool {
 					if j.waits {
 						p.queue(-1)
 					}
+					// Instrumented, the pickup's one clock read ends the
+					// job's wait and starts its occupancy.
+					var t0 time.Time
 					if j.inst {
-						p.wait.Observe(int64(time.Since(j.enq)))
+						t0 = time.Now()
+						p.wait.Observe(int64(t0.Sub(j.enq)))
 					}
 					ws.depth = j.depth
-					var t0 time.Time
-					if p.busy != nil {
-						t0 = time.Now()
-					}
-					j.fn()
-					if p.busy != nil {
-						p.busy.ObserveSince(t0)
+					if j.call != nil {
+						j.call.done <- j.call.fn()
+					} else {
+						j.fn()
 					}
 					ws.depth = 0
 					if j.inst {
+						p.busy.ObserveSince(t0)
 						p.jobsC.Add(1)
 					}
 				case <-p.done:
@@ -185,33 +206,50 @@ func (p *Pool) queue(d int64) {
 // if it expires while fn is running, Do returns ctx.Err() immediately but
 // fn runs to completion on the worker (jobs are not preemptible — keep
 // them short and check ctx inside long jobs).
+//
+// On a warm pool a call allocates nothing: its call record is reused.
 func (p *Pool) Do(ctx context.Context, fn func() error) error {
-	inst := p.queued != nil
-	var enq time.Time
-	if inst {
-		enq = time.Now()
+	var c *doCall
+	select {
+	case c = <-p.calls:
+	default:
+		c = &doCall{done: make(chan error, 1)}
+	}
+	c.fn = fn
+	j := poolJob{call: c, inst: p.queued != nil, waits: true}
+	if j.inst {
+		j.enq = time.Now()
 	}
 	p.queue(1)
-	ran := make(chan error, 1)
-	j := poolJob{enq: enq, inst: inst, waits: true, fn: func() {
-		// The submitter may have given up (ctx expired after pickup);
-		// the buffered channel lets the job finish regardless.
-		ran <- fn()
-	}}
 	select {
 	case p.jobs <- j:
 	case <-ctx.Done():
 		p.queue(-1)
+		p.reuse(c)
 		return ctx.Err()
 	case <-p.done:
 		p.queue(-1)
+		p.reuse(c)
 		return ErrPoolClosed
 	}
 	select {
-	case err := <-ran:
+	case err := <-c.done:
+		p.reuse(c)
 		return err
 	case <-ctx.Done():
+		// The job is running; it finishes into c.done, which nothing
+		// reads, so c is not reused.
 		return ctx.Err()
+	}
+}
+
+// reuse keeps c, whose job either never started or has been collected,
+// for a later Do.
+func (p *Pool) reuse(c *doCall) {
+	c.fn = nil
+	select {
+	case p.calls <- c:
+	default:
 	}
 }
 

@@ -337,3 +337,54 @@ func TestPoolWorkers(t *testing.T) {
 		t.Fatalf("Workers() = %d, want 1 for non-positive request", q.Workers())
 	}
 }
+
+// TestPoolDoAllocs: a Do submission on a warm pool allocates nothing,
+// with observability off and on, and a call record whose submitter gave
+// up while its job ran is never handed to a later Do, which must get its
+// own job's result.
+func TestPoolDoAllocs(t *testing.T) {
+	errJob := errors.New("job")
+	for _, instrumented := range []bool{false, true} {
+		if instrumented {
+			obs.Enable()
+		}
+		p := NewPool(2)
+		ctx := context.Background()
+		fn := func() error { return errJob }
+		if err := p.Do(ctx, fn); err != errJob { // warm: makes the call record
+			t.Fatalf("Do = %v, want %v", err, errJob)
+		}
+		if a := testing.AllocsPerRun(1000, func() { _ = p.Do(ctx, fn) }); a != 0 {
+			t.Errorf("instrumented=%v: Do allocates %.2f times per call on a warm pool, want 0", instrumented, a)
+		}
+
+		// Give up on a running job, let it finish into its record, then
+		// check the next calls each see their own result.
+		release := make(chan struct{})
+		started := make(chan struct{})
+		cctx, cancel := context.WithCancel(ctx)
+		done := make(chan error)
+		go func() {
+			done <- p.Do(cctx, func() error {
+				close(started)
+				<-release
+				return errors.New("abandoned job")
+			})
+		}()
+		<-started
+		cancel()
+		if err := <-done; err != context.Canceled {
+			t.Fatalf("Do with ctx cancelled while running = %v, want %v", err, context.Canceled)
+		}
+		close(release)
+		for i := 0; i < 100; i++ {
+			if err := p.Do(ctx, fn); err != errJob {
+				t.Fatalf("Do after an abandoned call = %v, want %v", err, errJob)
+			}
+		}
+		p.Close()
+		if instrumented {
+			obs.Disable()
+		}
+	}
+}

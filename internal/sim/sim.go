@@ -8,7 +8,10 @@
 // drawn from explicitly seeded sources (see NewRand).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Time is a simulation timestamp in nanoseconds since the start of the run.
 // Using a fixed-point integer representation (rather than float64 seconds)
@@ -405,12 +408,36 @@ func (l *Line) pop() func() {
 }
 
 // grow doubles the ring, from eight, unrolling it to start at index 0.
+// A line without a ring first takes one a released line left (Release).
 func (l *Line) grow() {
+	if len(l.ring) == 0 {
+		if r, _ := ringPool.Get().(*[]lineEvent); r != nil {
+			l.ring, l.head = *r, 0
+			return
+		}
+	}
 	ring := make([]lineEvent, max(2*len(l.ring), 8))
 	for i := 0; i < l.n; i++ {
 		ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
 	}
 	l.ring, l.head = ring, 0
+}
+
+// ringPool holds the rings of released lines, each of a power-of-two
+// length and empty: a line that a finished run made large hands its ring
+// to the next run's line instead of that line growing one again.
+var ringPool sync.Pool
+
+// Release marks the end of the run the line belongs to. If nothing is
+// queued on it, its ring goes to the next line that needs one; the line
+// stays usable, and grows a ring again if more events are queued.
+func (l *Line) Release() {
+	if l.n > 0 || len(l.ring) == 0 {
+		return
+	}
+	ring := l.ring
+	l.ring, l.head = nil, 0
+	ringPool.Put(&ring)
 }
 
 // Timer is a re-armable one-shot event, such as a retransmission timeout

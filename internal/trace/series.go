@@ -175,14 +175,13 @@ func (t *Trace) PeakRecvRate(window sim.Time) float64 {
 		return 0
 	}
 	// Sort arrivals by receive time; a true sliding window over arrivals.
-	buf := arrivalScratch.get(len(t.Packets))
-	defer arrivalScratch.put(buf)
+	arr := arrivalScratch.get(len(t.Packets))
 	for _, p := range t.Packets {
 		if !p.Lost {
-			*buf = append(*buf, arrival{p.RecvTime, p.Size})
+			arr = append(arr, arrival{p.RecvTime, p.Size})
 		}
 	}
-	arr := *buf
+	defer arrivalScratch.put(arr)
 	for i := 1; i < len(arr); i++ {
 		for j := i; j > 0 && arr[j].recv < arr[j-1].recv; j-- {
 			arr[j], arr[j-1] = arr[j-1], arr[j]
@@ -211,7 +210,7 @@ type arrival struct {
 }
 
 // arrivalScratch holds PeakRecvRate's arrivals.
-var arrivalScratch scratch[arrival]
+var arrivalScratch = scratch[arrival]{max: scratchMax}
 
 // MinDelay returns the minimum delivered one-way delay (the paper's
 // propagation-delay estimator) and MaxDelay the maximum. Both return
