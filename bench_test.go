@@ -49,8 +49,8 @@ func benchScale() experiments.Scale {
 	return s
 }
 
-// benchSerialParallel runs the same experiment in serial (Workers=1) and
-// parallel (one worker per CPU) modes as paired sub-benchmarks, so the
+// benchSerialParallel runs the same experiment in serial and parallel
+// (a pool of one worker per CPU) modes as paired sub-benchmarks, so the
 // fan-out speedup is measured rather than claimed. Results are
 // byte-identical across modes (see internal/par and the determinism
 // tests); only wall-clock differs.
@@ -372,7 +372,7 @@ func BenchmarkRealism(b *testing.B) {
 
 // BenchmarkParMapObserved measures the observability layer's overhead on
 // the fan-out hot path: the same par.Map workload with the obs registry
-// disabled (the default: no clock reads, no atomics) and enabled (queue
+// disabled (the default: no clock reads, no atomics) and enabled (pool
 // wait + per-item histograms). Run with -benchmem: the disabled mode must
 // not allocate on behalf of obs, and the enabled/disabled gap is the whole
 // cost of instrumentation.
@@ -396,7 +396,7 @@ func BenchmarkParMapObserved(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := par.Map(items, par.Options{Workers: 4}, work); err != nil {
+				if _, err := par.Map(items, par.Options{}, work); err != nil {
 					b.Fatal(err)
 				}
 			}

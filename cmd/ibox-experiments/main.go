@@ -68,7 +68,7 @@ func main() {
 		plotDir   = flag.String("plot", "", "also write each figure's plottable series as CSV into this directory")
 		parallel  = flag.Bool("parallel", false, "run the selected experiments concurrently (results print in the usual order)")
 		serial    = flag.Bool("serial", false, "disable all intra-experiment parallelism (single goroutine; byte-identical results)")
-		workers   = flag.Int("workers", 0, "bound the fan-out width; 0 = one worker per CPU")
+		workers   = flag.Int("workers", 0, "width of the engine pool; 0 = one worker per CPU")
 		report    = flag.String("report", "", "write a structured end-of-run report (RUN_REPORT.json) to this path")
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this path")
 		debugAddr = flag.String("debug-addr", "", "serve expvar and net/http/pprof on this address (e.g. :6060) while running")
@@ -117,13 +117,12 @@ func main() {
 	}
 	scale.Seed = *seed
 	scale.Serial = *serial
-	scale.Workers = *workers
 
 	// One engine-wide worker pool for every fan-out in the process: the
 	// per-experiment nested maps (variants × traces, train/eval) and the
 	// -parallel whole-figure fan-out all share its concurrency budget
-	// instead of each par.Map spinning up its own goroutines (see
-	// par.PoolMap for the help-first nested-submission scheduler).
+	// instead of each par.Map making a pool of its own (see par.PoolMap
+	// for the help-first nested-submission scheduler).
 	// -serial bypasses it entirely.
 	var enginePool *par.Pool
 	if !*serial {
@@ -181,7 +180,7 @@ func main() {
 	// of each experiment's internal fan-out) but results are collected and
 	// printed in the canonical order, so the output is identical to a
 	// sequential invocation.
-	expOpts := par.Options{Serial: !*parallel, Workers: *workers, Pool: enginePool}
+	expOpts := par.Options{Serial: !*parallel, Pool: enginePool}
 	type outcome struct {
 		res     fmt.Stringer
 		err     error

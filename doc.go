@@ -24,7 +24,6 @@
 package ibox
 
 import (
-	"ibox/internal/abr"
 	"ibox/internal/core"
 	"ibox/internal/iboxml"
 	"ibox/internal/iboxnet"
@@ -128,37 +127,8 @@ func TrainReorderLinear(samples []TrainingSample, useCT bool, seed int64) (Reord
 	return iboxml.TrainLinearReorder(samples, useCT, seed)
 }
 
-// TrainReorderLSTM fits the LSTM reordering predictor of §5.1.
-func TrainReorderLSTM(samples []TrainingSample, cfg iboxml.LSTMReorderConfig) (ReorderPredictor, error) {
-	return iboxml.TrainLSTMReorder(samples, cfg)
-}
-
 // AugmentReordering grafts predicted reordering onto an (in-order)
 // iBoxNet-simulated trace — the §5.1 melding of network model and ML.
 func AugmentReordering(tr *Trace, pred ReorderPredictor, ct *Series, seed int64) *Trace {
 	return iboxml.AugmentReordering(tr, pred, ct, seed)
 }
-
-// MergeTraces aggregates concurrent flows over the same path into one
-// estimation input — §6's mitigation for the estimator's saturation and
-// empty-queue assumptions.
-func MergeTraces(traces []*Trace) (*Trace, error) { return trace.Merge(traces) }
-
-// MLLossModel predicts per-window packet-loss probability — the loss half
-// of Fig 6's "delay (or packet loss indicator)" output.
-type MLLossModel = iboxml.LossModel
-
-// TrainMLLoss fits the loss model on the same samples as TrainML.
-func TrainMLLoss(samples []TrainingSample, cfg MLConfig) (*MLLossModel, error) {
-	return iboxml.TrainLoss(samples, cfg)
-}
-
-// ABRConfig parameterizes an adaptive-bitrate video session (the §6
-// realism workload).
-type ABRConfig = abr.Config
-
-// ABRResult summarizes a session (bitrate, rebuffering, QoE).
-type ABRResult = abr.Result
-
-// ABRSession is a running adaptive-bitrate client.
-type ABRSession = abr.Session

@@ -9,7 +9,7 @@ import (
 	"ibox/internal/sim"
 )
 
-// tinyScale keeps the serial/parallel A/B runs fast: the point of these
+// tinyScale keeps the serial/pool A/B runs fast: the point of these
 // tests is bit-equality, not statistical fidelity.
 func tinyScale() Scale {
 	return Scale{
@@ -23,68 +23,6 @@ func tinyScale() Scale {
 		SpeedWarmup:    10,
 		SpeedSamples:   50,
 		Seed:           7,
-	}
-}
-
-// TestFig2SerialParallelIdentical is the tentpole's determinism contract:
-// the ensemble test must produce byte-identical output whether it runs on
-// one goroutine or fans out over eight. Every per-trace RNG seed is
-// derived from the trace index before dispatch, so goroutine scheduling
-// cannot perturb any stochastic component (race-safe RNG usage is the
-// thing being proven here; run with -race).
-func TestFig2SerialParallelIdentical(t *testing.T) {
-	serial := tinyScale()
-	serial.Serial = true
-	parallel := tinyScale()
-	parallel.Workers = 8
-
-	rs, err := Fig2(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := Fig2(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rp.String(), rs.String(); got != want {
-		t.Errorf("parallel Fig2 output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
-	}
-	// Compare the raw distributions too, not just the formatted table.
-	for i := range rs.Ensemble.SimTreatment {
-		if rs.Ensemble.SimTreatment[i] != rp.Ensemble.SimTreatment[i] {
-			t.Errorf("SimTreatment[%d]: serial %+v != parallel %+v",
-				i, rs.Ensemble.SimTreatment[i], rp.Ensemble.SimTreatment[i])
-		}
-	}
-}
-
-// TestTable1SerialParallelIdentical proves the same for the iBoxML
-// training pipeline: trace generation, the two model trainings and the
-// per-call evaluation all fan out, and the resulting table is identical
-// to a single-goroutine run on the same seed.
-func TestTable1SerialParallelIdentical(t *testing.T) {
-	serial := tinyScale()
-	serial.Serial = true
-	parallel := tinyScale()
-	parallel.Workers = 8
-
-	rs, err := Table1(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := Table1(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rp.String(), rs.String(); got != want {
-		t.Errorf("parallel Table1 output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
-	}
-	for i := range rs.GTP95 {
-		if rs.GTP95[i] != rp.GTP95[i] || rs.NoCTP95[i] != rp.NoCTP95[i] || rs.WithCTP95[i] != rp.WithCTP95[i] {
-			t.Errorf("call %d: serial (%.6f %.6f %.6f) != parallel (%.6f %.6f %.6f)",
-				i, rs.GTP95[i], rs.NoCTP95[i], rs.WithCTP95[i],
-				rp.GTP95[i], rp.NoCTP95[i], rp.WithCTP95[i])
-		}
 	}
 }
 
@@ -145,49 +83,31 @@ func TestTable1ObservedIdentical(t *testing.T) {
 	}
 }
 
-// TestFig3SerialParallelIdentical covers the variant-level fan-out layered
-// on the per-trace fan-out.
-func TestFig3SerialParallelIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	serial := tinyScale()
-	serial.Serial = true
-	parallel := tinyScale()
-	parallel.Workers = 8
-
-	rs, err := Fig3(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := Fig3(parallel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rp.String(), rs.String(); got != want {
-		t.Errorf("parallel Fig3 output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
-	}
-}
-
-// TestSharedPoolSerialIdentical is the scheduler half of the determinism
-// contract: running an experiment's fan-outs on one shared engine pool
-// (nested maps dispatched help-first through par.PoolMap, exactly as
-// ibox-experiments wires it) must produce output byte-identical to a
-// single-goroutine run. All four experiments with nested fan-outs share
-// ONE pool across subtests, so later experiments run against a pool
-// that earlier ones already exercised — the deployment shape.
+// TestSharedPoolSerialIdentical is the determinism contract: running an
+// experiment's fan-outs on one shared engine pool (nested maps
+// dispatched help-first through par.PoolMap, exactly as ibox-experiments
+// wires it) must produce output byte-identical to a single-goroutine
+// run. Every per-trace RNG seed is derived from the trace index before
+// dispatch, so goroutine scheduling cannot perturb any stochastic
+// component (race-safe RNG usage is part of what is proven here; run
+// with -race). The experiments share ONE pool across subtests, so later
+// experiments run against a pool that earlier ones already exercised —
+// the deployment shape. Where a row has raw results beyond its table,
+// same compares them too.
 func TestSharedPoolSerialIdentical(t *testing.T) {
 	pool := par.NewPool(8)
 	defer pool.Close()
 	for _, e := range []struct {
 		name string
 		run  func(Scale) (fmt.Stringer, error)
+		same func(serial, pooled fmt.Stringer) error
 		slow bool
 	}{
-		{"fig3", func(s Scale) (fmt.Stringer, error) { return Fig3(s) }, true},
-		{"fig5", func(s Scale) (fmt.Stringer, error) { return Fig5(s) }, true},
-		{"fig7", func(s Scale) (fmt.Stringer, error) { return Fig7(s) }, true},
-		{"table1", func(s Scale) (fmt.Stringer, error) { return Table1(s) }, false},
+		{"fig2", func(s Scale) (fmt.Stringer, error) { return Fig2(s) }, sameFig2, false},
+		{"fig3", func(s Scale) (fmt.Stringer, error) { return Fig3(s) }, nil, true},
+		{"fig5", func(s Scale) (fmt.Stringer, error) { return Fig5(s) }, nil, true},
+		{"fig7", func(s Scale) (fmt.Stringer, error) { return Fig7(s) }, nil, true},
+		{"table1", func(s Scale) (fmt.Stringer, error) { return Table1(s) }, sameTable1, false},
 	} {
 		t.Run(e.name, func(t *testing.T) {
 			if e.slow && testing.Short() {
@@ -208,8 +128,39 @@ func TestSharedPoolSerialIdentical(t *testing.T) {
 			if got, want := rp.String(), rs.String(); got != want {
 				t.Errorf("shared-pool %s output differs from serial:\n--- serial ---\n%s\n--- pool ---\n%s", e.name, want, got)
 			}
+			if e.same != nil {
+				if err := e.same(rs, rp); err != nil {
+					t.Error(err)
+				}
+			}
 		})
 	}
+}
+
+// sameFig2 compares the raw per-trace treatment metrics, not just the
+// formatted table.
+func sameFig2(serial, pooled fmt.Stringer) error {
+	rs, rp := serial.(*Fig2Result), pooled.(*Fig2Result)
+	for i := range rs.Ensemble.SimTreatment {
+		if rs.Ensemble.SimTreatment[i] != rp.Ensemble.SimTreatment[i] {
+			return fmt.Errorf("SimTreatment[%d]: serial %+v != pool %+v",
+				i, rs.Ensemble.SimTreatment[i], rp.Ensemble.SimTreatment[i])
+		}
+	}
+	return nil
+}
+
+// sameTable1 compares the raw per-call p95 delays.
+func sameTable1(serial, pooled fmt.Stringer) error {
+	rs, rp := serial.(*Table1Result), pooled.(*Table1Result)
+	for i := range rs.GTP95 {
+		if rs.GTP95[i] != rp.GTP95[i] || rs.NoCTP95[i] != rp.NoCTP95[i] || rs.WithCTP95[i] != rp.WithCTP95[i] {
+			return fmt.Errorf("call %d: serial (%.6f %.6f %.6f) != pool (%.6f %.6f %.6f)",
+				i, rs.GTP95[i], rs.NoCTP95[i], rs.WithCTP95[i],
+				rp.GTP95[i], rp.NoCTP95[i], rp.WithCTP95[i])
+		}
+	}
+	return nil
 }
 
 // TestSharedPoolRoutesFanouts proves Scale.Pool actually routes the

@@ -50,24 +50,21 @@ type Scale struct {
 	// either way; the knob exists for determinism tests and paired
 	// benchmarks). Serial also bypasses Pool.
 	Serial bool
-	// Workers bounds the fan-out width; 0 means one worker per CPU.
-	// Ignored when Pool is set.
-	Workers int
 	// Pool, when non-nil, runs every fan-out in the experiment — the
 	// corpus generation, the per-variant and per-trace maps, the model
-	// trainings — on one shared engine-wide worker pool instead of
-	// per-call goroutine pools, so nested fan-outs (Fig 3's variants ×
-	// traces) share a single concurrency budget rather than
-	// oversubscribing the cores. Results are byte-identical with or
-	// without it (see par.PoolMap); ibox-experiments and the bench/
-	// harness's offline_pipeline workload own the pool and set it here.
+	// trainings — on one shared engine-wide worker pool instead of a
+	// pool per fan-out, so nested fan-outs (Fig 3's variants × traces)
+	// share a single concurrency budget rather than oversubscribing the
+	// cores. Results are byte-identical with or without it (see
+	// par.PoolMap); ibox-experiments and the bench/ harness's
+	// offline_pipeline workload own the pool and set it here.
 	Pool *par.Pool
 }
 
 // Par resolves the scale's execution options for the par fan-out
 // primitive.
 func (s Scale) Par() par.Options {
-	return par.Options{Serial: s.Serial, Workers: s.Workers, Pool: s.Pool}
+	return par.Options{Serial: s.Serial, Pool: s.Pool}
 }
 
 // Quick returns a scale that runs every experiment in seconds.

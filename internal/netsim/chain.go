@@ -41,9 +41,6 @@ func NewChain(sched *sim.Scheduler, hops []HopConfig) *Chain {
 	return c
 }
 
-// Hops returns the number of hops.
-func (c *Chain) Hops() int { return len(c.hops) }
-
 // QueueBytes returns hop i's current backlog.
 func (c *Chain) QueueBytes(i int) int { return c.hops[i].queuedBytes }
 

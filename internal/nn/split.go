@@ -113,6 +113,9 @@ func (sp *Split) publish(t unitTask) {
 // has not claimed it, and otherwise waits for the helper, which is
 // running it now.
 func (sp *Split) finish() {
+	if beforeClaim != nil {
+		beforeClaim(sp)
+	}
 	if sp.state.CompareAndSwap(taskOpen, taskIdle) {
 		sp.task.run()
 		return
@@ -122,6 +125,11 @@ func (sp *Split) finish() {
 		pause()
 	}
 }
+
+// beforeClaim, set only by tests, runs in finish before the owner tries
+// to claim the published task back, so a test can hold the owner until
+// the helper has claimed.
+var beforeClaim func(sp *Split)
 
 // help is the helper job: it runs every task it claims until the Split
 // is released or leave reports work waiting for its worker.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // goTry hands a helper job to a fresh goroutine, standing in for
@@ -70,8 +71,12 @@ func splitMatchesStep(t *testing.T, what string, im *InferModel, xs [][]float64,
 // where nothing splits — whether the helper is there from the first
 // step, never comes, comes late or leaves partway, plain and resuming
 // from layer-0 partial sums. Which half the helper runs depends on
-// scheduling; the bits may not.
+// scheduling; the bits may not. So that a helper run is compared on
+// every machine and under any load, the owner of each unroll waits at
+// its first claim until an attached helper has claimed that half (or
+// left).
 func TestSplitStepMatchesStep(t *testing.T) {
+	holdFirstClaim(t)
 	helped := 0
 	for _, sh := range kernelShapes {
 		im := NewLSTM(sh.in, sh.hidden, sh.layers, 71)
@@ -91,11 +96,26 @@ func TestSplitStepMatchesStep(t *testing.T) {
 			}
 		}
 	}
-	// The 256-wide stack gives a running helper ≈100 µs per layer-step
-	// to claim its half, so with a second P some claims always land.
-	if runtime.GOMAXPROCS(0) > 1 && helped == 0 {
+	if helped == 0 {
 		t.Fatal("the helper ran no upper half in any unroll")
 	}
+}
+
+// holdFirstClaim makes the owner of every Split, until t ends, wait
+// before claiming back its first published half while a helper is
+// attached, until the helper has claimed it or left. A helper that
+// never claims fails t after ten seconds.
+func holdFirstClaim(t *testing.T) {
+	beforeClaim = func(sp *Split) {
+		deadline := time.Now().Add(10 * time.Second)
+		for sp.Helped == 0 && sp.helping.Load() && sp.state.Load() == taskOpen {
+			if time.Now().After(deadline) {
+				t.Fatal("an attached helper claimed no open half in 10s")
+			}
+			pause()
+		}
+	}
+	t.Cleanup(func() { beforeClaim = nil })
 }
 
 // TestSplitRecruitsOneHelper: Recruit with a helper attached attaches

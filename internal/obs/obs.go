@@ -311,8 +311,9 @@ func (h *Histogram) Sum() int64 {
 }
 
 // BucketCounts copies the current per-bucket observation counts into
-// dst (allocation-free; bucket b's bound is HistogramBound(b)). No-op
-// on a nil handle.
+// dst (allocation-free; bucket b's exclusive upper bound is
+// histFirstBound<<b, and the last bucket is unbounded). No-op on a nil
+// handle.
 func (h *Histogram) BucketCounts(dst *[histBuckets]int64) {
 	if h == nil {
 		return
@@ -324,11 +325,6 @@ func (h *Histogram) BucketCounts(dst *[histBuckets]int64) {
 
 // HistogramBuckets is the number of buckets every Histogram has.
 const HistogramBuckets = histBuckets
-
-// HistogramBound returns bucket b's exclusive upper bound in the
-// histogram's native unit (the last bucket is unbounded and reports the
-// largest finite bound).
-func HistogramBound(b int) int64 { return histBound(b) }
 
 // Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1) by linear
 // interpolation within the containing bucket. 0 on a nil or empty

@@ -20,15 +20,15 @@
 //     because dispatch is in input order (any item preceding a failure
 //     has already been dispatched and runs to completion).
 //
-// The Serial and Workers knobs exist so experiments can assert
-// serial ≡ parallel equality in tests and so benchmarks can measure the
-// speedup rather than claim it.
+// There is one scheduler, Pool with PoolMap; Map runs on a shared pool
+// when given one and on a pool of its own otherwise. The Serial knob is
+// the plain loop the determinism tests compare the pool against, so
+// experiments can assert serial ≡ pool equality and benchmarks can
+// measure the speedup rather than claim it.
 package par
 
 import (
 	"runtime"
-	"sync"
-	"time"
 
 	"ibox/internal/obs"
 )
@@ -37,13 +37,12 @@ import (
 // nil when observability is disabled (obs.Get() == nil), in which case
 // every record call below is a no-op and — crucially — no clock is ever
 // read, so a disabled run does literally the same work as before the
-// instrumentation existed. Handles are resolved once per Map call, never
-// per item.
+// instrumentation existed. Handles are resolved once per PoolMap call,
+// never per item.
 type metrics struct {
 	items    *obs.Counter   // work items completed
 	busy     *obs.Histogram // per-item fn duration, ns (sum = busy time)
-	wait     *obs.Histogram // queue wait: dispatch-ready → worker pickup, ns
-	capacity *obs.Counter   // Σ per-Map wall × workers, ns (utilization denominator)
+	capacity *obs.Counter   // Σ per-map wall × workers, ns (utilization denominator)
 }
 
 // parMetrics resolves the instrumentation handles, or all-nil when
@@ -58,7 +57,6 @@ func parMetrics(workers int) metrics {
 	return metrics{
 		items:    r.Counter("par.items"),
 		busy:     r.Histogram(obs.MetricParItemNs),
-		wait:     r.Histogram("par.queue_wait_ns"),
 		capacity: r.Counter(obs.MetricParCapacityNs),
 	}
 }
@@ -75,151 +73,48 @@ func logItemError(i int, err error) {
 }
 
 // Options control how a fan-out executes. The zero value is the default:
-// parallel with one worker per available CPU.
+// a pool of one worker per available CPU, made for the call.
 type Options struct {
 	// Serial forces in-place execution on the calling goroutine (exactly
 	// equivalent to a plain loop). It exists for A/B determinism tests
 	// and benchmarks; results are identical either way. Serial bypasses
 	// Pool entirely.
 	Serial bool
-	// Workers bounds the number of concurrent goroutines. Zero or
-	// negative selects runtime.GOMAXPROCS(0). Ignored when Pool is set —
-	// the pool's width is the budget.
-	Workers int
 	// Pool, when non-nil (and Serial is false), runs the fan-out on this
-	// shared worker pool via PoolMap instead of spawning per-call
-	// goroutines, so nested fan-outs across an entire process share one
-	// concurrency budget. Results are byte-identical to the per-call
-	// path — only scheduling changes.
+	// shared worker pool, so nested fan-outs across an entire process
+	// share one concurrency budget. Without it Map makes a pool for the
+	// call and closes it on return.
 	Pool *Pool
 }
 
-// WorkersFor resolves the effective worker count for n work items.
-func (o Options) WorkersFor(n int) int {
-	if o.Serial {
-		return 1
-	}
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Map applies fn to every index in [0, n) with bounded parallelism and
-// returns the results in input order: out[i] = fn(i). If any call fails,
-// Map returns a nil slice and the error of the lowest failing index —
-// the same error a serial loop would surface, since dispatch is in input
-// order and in-flight items run to completion. After a failure no new
-// items are dispatched.
+// Map applies fn to every index in [0, n) and returns the results in
+// input order: out[i] = fn(i). If any call fails, Map returns a nil
+// slice and the error of the lowest failing index — the same error a
+// serial loop would surface, since dispatch is in input order and
+// in-flight items run to completion. After a failure no new items are
+// dispatched. Unless opts.Serial is set, the items run through PoolMap:
+// on opts.Pool, or on a pool of min(GOMAXPROCS, n) workers made for the
+// call.
 func Map[R any](n int, opts Options, fn func(i int) (R, error)) ([]R, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	if opts.Pool != nil && !opts.Serial {
-		return PoolMap(opts.Pool, n, fn)
+	if !opts.Serial {
+		p := opts.Pool
+		if p == nil {
+			p = NewPool(min(runtime.GOMAXPROCS(0), n))
+			defer p.Close()
+		}
+		return PoolMap(p, n, fn)
 	}
 	out := make([]R, n)
-	workers := opts.WorkersFor(n)
-	m := parMetrics(workers)
-	instrumented := m.items != nil
-	if instrumented {
-		mapStart := time.Now()
-		defer func() {
-			m.capacity.Add(int64(time.Since(mapStart)) * int64(workers))
-		}()
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			var t0 time.Time
-			if instrumented {
-				t0 = time.Now()
-			}
-			r, err := fn(i)
-			if instrumented {
-				m.busy.ObserveSince(t0)
-				m.items.Add(1)
-			}
-			if err != nil {
-				logItemError(i, err)
-				return nil, err
-			}
-			out[i] = r
+	for i := range out {
+		r, err := fn(i)
+		if err != nil {
+			logItemError(i, err)
+			return nil, err
 		}
-		return out, nil
-	}
-
-	type failure struct {
-		idx int
-		err error
-	}
-	// job carries the dispatch-ready timestamp so workers can report how
-	// long the item waited for a free worker (zero when uninstrumented).
-	type job struct {
-		i   int
-		enq time.Time
-	}
-	jobCh := make(chan job)
-	// Buffered so workers never block reporting: each sends at most one
-	// failure before exiting.
-	failCh := make(chan failure, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobCh {
-				var t0 time.Time
-				if instrumented {
-					t0 = time.Now()
-					m.wait.Observe(int64(t0.Sub(j.enq)))
-				}
-				r, err := fn(j.i)
-				if instrumented {
-					m.busy.ObserveSince(t0)
-					m.items.Add(1)
-				}
-				if err != nil {
-					logItemError(j.i, err)
-					failCh <- failure{j.i, err}
-					return
-				}
-				out[j.i] = r
-			}
-		}()
-	}
-
-	failed := false
-	var first failure
-dispatch:
-	for i := 0; i < n; i++ {
-		var enq time.Time
-		if instrumented {
-			enq = time.Now()
-		}
-		select {
-		case jobCh <- job{i, enq}:
-		case f := <-failCh:
-			failed, first = true, f
-			break dispatch
-		}
-	}
-	close(jobCh)
-	wg.Wait()
-	close(failCh)
-	for f := range failCh {
-		if !failed || f.idx < first.idx {
-			failed, first = true, f
-		}
-	}
-	if failed {
-		return nil, first.err
+		out[i] = r
 	}
 	return out, nil
 }

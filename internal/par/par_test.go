@@ -3,36 +3,61 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ibox/internal/leakcheck"
 	"ibox/internal/sim"
 )
+
+// mapMode is one of the three ways Map runs, with the most items it may
+// run at once.
+type mapMode struct {
+	name  string
+	opts  Options
+	width int
+}
+
+// mapModes returns the serial reference loop, a pool Map makes for the
+// call, and a shared pool the caller owns (closed when t ends).
+func mapModes(t *testing.T) []mapMode {
+	shared := NewPool(4)
+	t.Cleanup(shared.Close)
+	return []mapMode{
+		{"serial", Options{Serial: true}, 1},
+		{"own pool", Options{}, runtime.GOMAXPROCS(0)},
+		{"shared pool", Options{Pool: shared}, shared.Workers()},
+	}
+}
 
 // TestMapOrder verifies results land at their input index regardless of
 // completion order (later items finish first via decreasing sleeps).
 func TestMapOrder(t *testing.T) {
 	n := 32
-	out, err := Map(n, Options{Workers: 8}, func(i int) (int, error) {
-		time.Sleep(time.Duration(n-i) * time.Millisecond / 4)
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != n {
-		t.Fatalf("got %d results, want %d", len(out), n)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Errorf("out[%d] = %d, want %d", i, v, i*i)
+	for _, m := range mapModes(t) {
+		out, err := Map(n, m.opts, func(i int) (int, error) {
+			time.Sleep(time.Duration(n-i) * time.Millisecond / 4)
+			return i * i, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != n {
+			t.Fatalf("%s: got %d results, want %d", m.name, len(out), n)
+		}
+		for i, v := range out {
+			if v != i*i {
+				t.Errorf("%s: out[%d] = %d, want %d", m.name, i, v, i*i)
+			}
 		}
 	}
 }
 
 // TestMapSerialParallelIdentical is the package's core contract: with
-// per-index derived seeds, serial and parallel runs are byte-identical.
+// per-index derived seeds, the serial loop and the pool are
+// byte-identical, whatever the pool's width.
 func TestMapSerialParallelIdentical(t *testing.T) {
 	work := func(i int) (float64, error) {
 		// Seed derived from the index before dispatch — the repository's
@@ -48,14 +73,20 @@ func TestMapSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	modes := mapModes(t)[1:]
 	for _, w := range []int{2, 3, 8, 64} {
-		parallel, err := Map(64, Options{Workers: w}, work)
+		p := NewPool(w)
+		defer p.Close()
+		modes = append(modes, mapMode{name: fmt.Sprintf("pool of %d", w), opts: Options{Pool: p}})
+	}
+	for _, m := range modes {
+		parallel, err := Map(64, m.opts, work)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range serial {
 			if serial[i] != parallel[i] {
-				t.Fatalf("workers=%d: out[%d] = %v, want %v", w, i, parallel[i], serial[i])
+				t.Fatalf("%s: out[%d] = %v, want %v", m.name, i, parallel[i], serial[i])
 			}
 		}
 	}
@@ -64,8 +95,8 @@ func TestMapSerialParallelIdentical(t *testing.T) {
 // TestMapLowestIndexError verifies the error contract: the returned error
 // is the one a serial loop would have stopped at.
 func TestMapLowestIndexError(t *testing.T) {
-	for _, opts := range []Options{{Serial: true}, {Workers: 4}, {Workers: 16}} {
-		out, err := Map(40, opts, func(i int) (int, error) {
+	for _, m := range mapModes(t) {
+		out, err := Map(40, m.opts, func(i int) (int, error) {
 			if i == 7 || i == 23 {
 				// The higher index fails faster; lowest must still win.
 				if i == 7 {
@@ -76,85 +107,102 @@ func TestMapLowestIndexError(t *testing.T) {
 			return i, nil
 		})
 		if out != nil {
-			t.Errorf("opts=%+v: expected nil results on error", opts)
+			t.Errorf("%s: expected nil results on error", m.name)
 		}
 		if err == nil || err.Error() != "item 7 failed" {
-			t.Errorf("opts=%+v: err = %v, want item 7's", opts, err)
+			t.Errorf("%s: err = %v, want item 7's", m.name, err)
 		}
 	}
 }
 
-// TestMapBoundedConcurrency verifies the pool never exceeds Workers
-// simultaneous calls.
+// TestMapBoundedConcurrency verifies Map never runs more items at once
+// than its mode allows: one serially, the pool's width otherwise.
 func TestMapBoundedConcurrency(t *testing.T) {
-	const workers = 3
-	var inFlight, peak atomic.Int64
-	_, err := Map(24, Options{Workers: workers}, func(i int) (struct{}, error) {
-		cur := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
+	for _, m := range mapModes(t) {
+		var inFlight, peak atomic.Int64
+		_, err := Map(24, m.opts, func(i int) (struct{}, error) {
+			cur := inFlight.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
 			}
+			time.Sleep(2 * time.Millisecond)
+			inFlight.Add(-1)
+			return struct{}{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
-		inFlight.Add(-1)
-		return struct{}{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > workers {
-		t.Errorf("peak concurrency %d exceeds Workers=%d", p, workers)
+		if p := peak.Load(); p > int64(m.width) {
+			t.Errorf("%s: peak concurrency %d exceeds %d", m.name, p, m.width)
+		}
 	}
 }
 
 // TestForEach verifies index-disjoint writes and error propagation.
 func TestForEach(t *testing.T) {
-	out := make([]int, 50)
-	if err := ForEach(50, Options{Workers: 5}, func(i int) error {
-		out[i] = i + 1
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i+1 {
-			t.Errorf("out[%d] = %d, want %d", i, v, i+1)
+	for _, m := range mapModes(t) {
+		out := make([]int, 50)
+		if err := ForEach(50, m.opts, func(i int) error {
+			out[i] = i + 1
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	sentinel := errors.New("boom")
-	if err := ForEach(10, Options{Workers: 2}, func(i int) error {
-		if i >= 4 {
-			return sentinel
+		for i, v := range out {
+			if v != i+1 {
+				t.Errorf("%s: out[%d] = %d, want %d", m.name, i, v, i+1)
+			}
 		}
-		return nil
-	}); !errors.Is(err, sentinel) {
-		t.Errorf("err = %v, want %v", err, sentinel)
+		sentinel := errors.New("boom")
+		if err := ForEach(10, m.opts, func(i int) error {
+			if i >= 4 {
+				return sentinel
+			}
+			return nil
+		}); !errors.Is(err, sentinel) {
+			t.Errorf("%s: err = %v, want %v", m.name, err, sentinel)
+		}
 	}
 }
 
 // TestMapEmpty covers the degenerate sizes.
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(0, Options{}, func(i int) (int, error) { return 0, nil })
-	if err != nil || out != nil {
-		t.Errorf("n=0: got (%v, %v), want (nil, nil)", out, err)
-	}
-	out, err = Map(1, Options{Workers: 8}, func(i int) (int, error) { return 9, nil })
-	if err != nil || len(out) != 1 || out[0] != 9 {
-		t.Errorf("n=1: got (%v, %v)", out, err)
+	for _, m := range mapModes(t) {
+		out, err := Map(0, m.opts, func(i int) (int, error) { return 0, nil })
+		if err != nil || out != nil {
+			t.Errorf("%s: n=0: got (%v, %v), want (nil, nil)", m.name, out, err)
+		}
+		out, err = Map(1, m.opts, func(i int) (int, error) { return 9, nil })
+		if err != nil || len(out) != 1 || out[0] != 9 {
+			t.Errorf("%s: n=1: got (%v, %v)", m.name, out, err)
+		}
 	}
 }
 
-// TestWorkersFor pins the knob semantics.
-func TestWorkersFor(t *testing.T) {
-	if w := (Options{Serial: true, Workers: 16}).WorkersFor(100); w != 1 {
-		t.Errorf("Serial: workers = %d, want 1", w)
+// TestMapOwnPoolLeavesNoGoroutine: the pool a Map without one makes is
+// closed before Map returns, on success, on failure and nested, so no
+// pool worker outlives the call.
+func TestMapOwnPoolLeavesNoGoroutine(t *testing.T) {
+	if _, err := Map(16, Options{}, func(i int) (int, error) {
+		inner, err := Map(4, Options{}, func(j int) (int, error) { return i + j, nil })
+		return len(inner), err
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if w := (Options{Workers: 4}).WorkersFor(2); w != 2 {
-		t.Errorf("n<workers: workers = %d, want 2", w)
+	if err := ForEach(16, Options{}, func(i int) error {
+		if i == 3 {
+			return errors.New("boom")
+		}
+		return nil
+	}); err == nil {
+		t.Fatal("failing ForEach returned no error")
 	}
-	if w := (Options{Workers: -3}).WorkersFor(8); w < 1 {
-		t.Errorf("negative Workers resolved to %d", w)
+	// Pool workers are the only goroutines this package starts; their
+	// stacks name NewPool.
+	if err := leakcheck.Check("ibox/internal/par.NewPool"); err != nil {
+		t.Fatal(err)
 	}
 }

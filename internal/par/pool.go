@@ -11,17 +11,16 @@ import (
 	"ibox/internal/obs"
 )
 
-// Pool is a long-lived shared worker pool for engine-wide concurrency
-// budgeting. Map/ForEach spin up goroutines per call, which is right for
-// one-shot batch scripts; a long-running process instead owns ONE Pool
-// sized to the machine and funnels every CPU-bound job through it, so
-// concurrent requests — and any nested fan-outs they trigger — share a
-// single concurrency budget instead of oversubscribing the cores. The
-// serving path submits individual jobs with Do and hands extra work to
-// idle workers with TryGo; the offline experiment drivers run whole
-// fan-outs on the pool with PoolMap (reached through Options.Pool), whose
-// help-first nested submission keeps recursive fan-outs deadlock-free
-// (see PoolMap).
+// Pool is the package's one scheduler: a worker pool for engine-wide
+// concurrency budgeting. A long-running process owns ONE Pool sized to
+// the machine and funnels every CPU-bound job through it, so concurrent
+// requests — and any nested fan-outs they trigger — share a single
+// concurrency budget instead of oversubscribing the cores; a Map without
+// a pool makes one for the call. The serving path submits individual
+// jobs with Do and hands extra work to idle workers with TryGo; the
+// offline experiments run whole fan-outs on the pool with PoolMap
+// (reached through Options.Pool), whose help-first nested submission
+// keeps recursive fan-outs deadlock-free (see PoolMap).
 //
 // Determinism note: a Pool schedules *independent* jobs; each job's
 // result must depend only on its own inputs (the same contract as Map).
@@ -278,12 +277,13 @@ func (p *Pool) tryGo(depth int, fn func()) bool {
 	}
 }
 
-// PoolMap applies fn to every index in [0, n) on the shared pool p, with
-// exactly Map's contract: results land in input order (out[i] = fn(i)),
-// a failure returns a nil slice and the error of the lowest failing
-// index, and after a failure no new items are dispatched. It would be a
-// method named Pool.Map if Go allowed generic methods; Options.Pool lets
-// existing par.Map call sites route here without changing shape.
+// PoolMap applies fn to every index in [0, n) on the pool p: results
+// land in input order (out[i] = fn(i)), a failure returns a nil slice
+// and the error of the lowest failing index, and after a failure no new
+// items are dispatched. It would be a method named Pool.Map if Go
+// allowed generic methods; Map reaches it for every fan-out that is not
+// Serial. A nil p runs the fan-out on a pool made for the call (Map with
+// zero Options).
 //
 // Scheduling is help-first: execution rights belong exclusively to the
 // pool's worker goroutines, so at most Workers() items run at any
@@ -307,7 +307,7 @@ func (p *Pool) tryGo(depth int, fn func()) bool {
 // worker goroutines, each runs one frame at a time, and a parent paused
 // inside a nested PoolMap is executing only through its inline child.
 //
-// Byte-determinism is Map's: out[i] depends only on fn(i), so whether an
+// Byte-determinism: out[i] depends only on fn(i), so whether an
 // item ran inline, on worker 3, or after its siblings is unobservable in
 // the results as long as items derive any randomness from their index
 // before dispatch (the repository's seed-derivation rule).
@@ -387,7 +387,7 @@ func poolMapDispatch[R any](p *Pool, ws *workerState, n int, fn func(i int) (R, 
 
 	for i := 0; i < n; i++ {
 		if failed.Load() {
-			// Same stop rule as Map: dispatch is in input order, so every
+			// Stop after a failure: dispatch is in input order, so every
 			// index below the eventual lowest failure has already been
 			// dispatched (or inlined) and runs to completion.
 			break

@@ -142,7 +142,7 @@ func TestPoolMapZeroAndNil(t *testing.T) {
 	if out, err := PoolMap(p, 0, func(i int) (int, error) { return i, nil }); out != nil || err != nil {
 		t.Fatalf("PoolMap(n=0) = %v, %v; want nil, nil", out, err)
 	}
-	// A nil pool falls back to the per-call Map, same contract.
+	// A nil pool runs on a pool made for the call, same contract.
 	out, err := PoolMap[int](nil, 5, func(i int) (int, error) { return i + 1, nil })
 	if err != nil {
 		t.Fatalf("PoolMap(nil pool): %v", err)

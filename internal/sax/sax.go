@@ -184,24 +184,6 @@ func (s *ArrivalSymbolizer) Symbols(xs []float64) []byte {
 	return out
 }
 
-// PatternFrequencies counts the relative frequency of every length-k
-// subsequence (the motif-finding step of Lin et al. 2002 specialized to
-// exhaustive counting, which is exact for the short patterns Fig 8 uses).
-func PatternFrequencies(sym []byte, k int) map[string]float64 {
-	out := map[string]float64{}
-	if k <= 0 || len(sym) < k {
-		return out
-	}
-	total := len(sym) - k + 1
-	for i := 0; i+k <= len(sym); i++ {
-		out[string(sym[i:i+k])]++
-	}
-	for key := range out {
-		out[key] /= float64(total)
-	}
-	return out
-}
-
 // MergeFrequencies averages pattern frequencies across multiple symbol
 // strings, weighting by each string's pattern count.
 func MergeFrequencies(syms [][]byte, k int) map[string]float64 {

@@ -169,18 +169,20 @@ func TestArrivalSymbolizerEmptyRef(t *testing.T) {
 	}
 }
 
+// TestPatternFrequencies: MergeFrequencies over one string counts the
+// relative frequency of its every length-k subsequence.
 func TestPatternFrequencies(t *testing.T) {
 	sym := []byte("ababab")
-	f1 := PatternFrequencies(sym, 1)
+	f1 := MergeFrequencies([][]byte{sym}, 1)
 	if math.Abs(f1["a"]-0.5) > 1e-12 || math.Abs(f1["b"]-0.5) > 1e-12 {
 		t.Errorf("length-1 frequencies: %v", f1)
 	}
-	f2 := PatternFrequencies(sym, 2)
+	f2 := MergeFrequencies([][]byte{sym}, 2)
 	// Subsequences: ab ba ab ba ab → ab:3/5, ba:2/5.
 	if math.Abs(f2["ab"]-0.6) > 1e-12 || math.Abs(f2["ba"]-0.4) > 1e-12 {
 		t.Errorf("length-2 frequencies: %v", f2)
 	}
-	if len(PatternFrequencies([]byte("a"), 2)) != 0 {
+	if len(MergeFrequencies([][]byte{[]byte("a")}, 2)) != 0 {
 		t.Error("too-short string should give empty map")
 	}
 	// Frequencies sum to 1.
@@ -245,8 +247,8 @@ func TestBehaviourDiscoveryScenario(t *testing.T) {
 		gt[i] = -1
 	}
 	s := FitArrivalSymbolizer(gt, 6)
-	fGT := PatternFrequencies(s.Symbols(gt), 1)
-	fSim := PatternFrequencies(s.Symbols(sim_), 1)
+	fGT := MergeFrequencies([][]byte{s.Symbols(gt)}, 1)
+	fSim := MergeFrequencies([][]byte{s.Symbols(sim_)}, 1)
 	res := Diff(fGT, fSim, 0.001)
 	if len(res.OnlyA) != 1 || res.OnlyA[0] != "a" {
 		t.Errorf("discovery failed: OnlyA=%v", res.OnlyA)

@@ -217,12 +217,19 @@ func TestUnpacedStepJob(t *testing.T) {
 // pool jobs step several ticks, from goroutines of their own while a
 // subscriber reads: every mutation lands and is echoed in order, pause
 // holds virtual time, and the stream stays contiguous to its end.
+//
+// An unpaced session publishes as fast as it steps, and a reader short
+// of CPU falls behind, so the stream is bounded to what the ring holds:
+// no packet events, and a summary every 100 virtual seconds — at most
+// Duration/Summary = 10,000 summaries, plus the mutations and state
+// changes, in a 65,536-event ring.
 func TestUnpacedPooledControl(t *testing.T) {
 	pool := par.NewPool(2)
 	defer pool.Close()
 	s, err := New(Config{
 		ID: "pooled", Kind: KindIBoxNet, Net: testNetParams(), Protocol: "cubic",
 		Seed: 5, Speed: -1, Duration: 1e6 * sim.Second, RingSize: 1 << 16, Pool: pool,
+		PacketEvery: -1, Summary: 100 * sim.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

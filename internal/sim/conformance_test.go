@@ -10,6 +10,7 @@ import (
 // oracle is the reference scheduler the real one is checked against: the
 // textbook container/heap over pointer events with a cancelled flag, which
 // is what Scheduler was before it grew a typed heap and a node free list.
+// A cancel on the oracle's side mirrors a Timer.Stop or Timer.Reset.
 // It lives here so the package itself no longer imports container/heap.
 type oracle struct {
 	now   Time
@@ -89,21 +90,21 @@ func (o *oracle) runUntil(deadline Time) {
 }
 
 // TestSchedulerMatchesHeapOracle drives the scheduler and the oracle with
-// the same random interleaving of At / After / Cancel / RunUntil, of
-// Line.At on a few delay lines and of Timer.Reset / Stop — with events
-// that themselves schedule, cancel and re-arm — and requires the same
-// firing order, clock and Pending() throughout. Times fall on a coarse
-// grid, so many events tie. On the oracle's side a line event is a plain
-// event and a timer Reset is Cancel plus At. Cancels deliberately target
-// fired, cancelled and recycled ids as well as live ones.
+// the same random interleaving of At / After / RunUntil, of Line.At on a
+// few delay lines and of Timer.Reset / Stop — with events that themselves
+// schedule and re-arm or stop timers — and requires the same firing
+// order, clock and Pending() throughout. Times fall on a coarse grid, so
+// many events tie. On the oracle's side a line event is a plain event and
+// a timer Reset is cancel plus At. The timers outnumber the lines, and
+// their deadlines spread over the grid, so Stop and an earlier Reset take
+// nodes out of (or re-key them at) every depth of the heap, not just the
+// root.
 func TestSchedulerMatchesHeapOracle(t *testing.T) {
-	const nLines, nTimers = 3, 2
+	const nLines, nTimers = 3, 6
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s, o := NewScheduler(), &oracle{}
 		var gotLog, wantLog []string
-		var ids []EventID
-		var refs []*oracleEvent
 		next := 0
 
 		var lines [nLines]*Line
@@ -154,22 +155,15 @@ func TestSchedulerMatchesHeapOracle(t *testing.T) {
 		}
 
 		// schedule adds the same event to both sides: with At when line is
-		// negative, else on that line (which has no id to cancel: its
-		// handle slot holds the zero EventID and a dead oracle event).
-		// When it fires it logs itself and, as decided here, cancels some
-		// earlier handle, schedules a plain child (itself a cancel target
-		// from then on), queues a child on a line, and re-arms or stops a
-		// timer. Events fire in the same order on both sides — that is the
-		// property under test — so the handle lists stay index-aligned.
+		// negative, else on that line. When it fires it logs itself and,
+		// as decided here, schedules a plain child, queues a child on a
+		// line, and re-arms or stops a timer.
 		schedule := func(at Time, line int) {
 			id := next
 			next++
-			cancelTarget, childDelay, childLine := -1, Time(-1), -1
+			childDelay, childLine := Time(-1), -1
 			var childLineDelay Time
 			timer, timerDelay := -1, Time(-1)
-			if rng.Intn(4) == 0 {
-				cancelTarget = rng.Intn(id + 1)
-			}
 			if rng.Intn(3) == 0 {
 				childDelay = 10 * Time(rng.Intn(5))
 			}
@@ -185,13 +179,10 @@ func TestSchedulerMatchesHeapOracle(t *testing.T) {
 			}
 			got := func() {
 				gotLog = append(gotLog, fmt.Sprintf("%d@%d", id, s.Now()))
-				if cancelTarget >= 0 {
-					s.Cancel(ids[cancelTarget])
-				}
 				if childDelay >= 0 {
-					ids = append(ids, s.After(childDelay, func() {
+					s.After(childDelay, func() {
 						gotLog = append(gotLog, fmt.Sprintf("child of %d@%d", id, s.Now()))
-					}))
+					})
 				}
 				if childLine >= 0 {
 					l := lines[childLine]
@@ -211,13 +202,10 @@ func TestSchedulerMatchesHeapOracle(t *testing.T) {
 			// for the children it queues.
 			want := func() {
 				wantLog = append(wantLog, fmt.Sprintf("%d@%d", id, o.now))
-				if cancelTarget >= 0 {
-					o.cancel(refs[cancelTarget])
-				}
 				if childDelay >= 0 {
-					refs = append(refs, o.at(o.now+childDelay, func() {
+					o.at(o.now+childDelay, func() {
 						wantLog = append(wantLog, fmt.Sprintf("child of %d@%d", id, o.now))
-					}))
+					})
 				}
 				if childLine >= 0 {
 					at := max(o.now, oracleLast[childLine]) + childLineDelay
@@ -236,15 +224,13 @@ func TestSchedulerMatchesHeapOracle(t *testing.T) {
 				}
 			}
 			if line < 0 {
-				ids = append(ids, s.At(at, got))
-				refs = append(refs, o.at(at, want))
+				s.At(at, got)
+				o.at(at, want)
 				return
 			}
 			lines[line].At(at, got)
 			oracleLast[line] = at
 			o.at(at, want)
-			ids = append(ids, EventID{})
-			refs = append(refs, &oracleEvent{dead: true, idx: -1})
 		}
 
 		checked := 0
@@ -255,17 +241,13 @@ func TestSchedulerMatchesHeapOracle(t *testing.T) {
 			case op < 7:
 				j := rng.Intn(nLines)
 				schedule(lineAt(j), j)
-			case op < 8:
+			case op < 10:
 				k := rng.Intn(nTimers)
 				if rng.Intn(3) > 0 {
 					reset(k, s.Now()+10*Time(rng.Intn(20)))
 				} else {
 					stop(k)
 				}
-			case op < 10 && len(ids) > 0:
-				k := rng.Intn(len(ids))
-				s.Cancel(ids[k])
-				o.cancel(refs[k])
 			case op < 12:
 				d := s.Now() + 10*Time(rng.Intn(12))
 				s.RunUntil(d)
@@ -275,9 +257,9 @@ func TestSchedulerMatchesHeapOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d: Step disagrees on whether an event remained", seed, step)
 				}
 			}
-			if s.Pending() != len(o.queue) || s.Now() != o.now || len(ids) != len(refs) {
-				t.Fatalf("seed %d step %d: pending %d/%d, now %v/%v, handles %d/%d",
-					seed, step, s.Pending(), len(o.queue), s.Now(), o.now, len(ids), len(refs))
+			if s.Pending() != len(o.queue) || s.Now() != o.now {
+				t.Fatalf("seed %d step %d: pending %d/%d, now %v/%v",
+					seed, step, s.Pending(), len(o.queue), s.Now(), o.now)
 			}
 			if len(gotLog) != len(wantLog) {
 				t.Fatalf("seed %d step %d: %d events fired, oracle fired %d", seed, step, len(gotLog), len(wantLog))
@@ -301,40 +283,31 @@ func TestSchedulerMatchesHeapOracle(t *testing.T) {
 	}
 }
 
-// TestSchedulerStaleHandle: an id whose node has fired and been reused
-// must not cancel the node's new occupant.
+// TestSchedulerStaleHandle: a timer that fired no longer names the node
+// it was queued on, so stopping it must not remove the event that node
+// now carries; neither must stopping a timer twice.
 func TestSchedulerStaleHandle(t *testing.T) {
 	s := NewScheduler()
 	fired := 0
-	old := s.At(1, func() {})
+	tm := s.NewTimer(func() {})
+	tm.Reset(1)
 	s.Run()
-	// The free list is LIFO, so this event takes over the node old named.
-	fresh := s.At(2, func() { fired++ })
-	if fresh.slot != old.slot {
-		t.Fatalf("test premise: the fired node was not reused")
-	}
-	s.Cancel(old)
+	// The free list is LIFO, so this event takes over the timer's node.
+	s.At(2, func() { fired++ })
+	tm.Stop()
 	if s.Pending() != 1 {
-		t.Fatalf("stale Cancel removed the node's new occupant")
+		t.Fatalf("Stop of a fired timer removed its node's new occupant")
 	}
 	s.Run()
-	if fired != 1 {
-		t.Fatalf("new occupant fired %d times, want 1", fired)
-	}
-	// Same for a cancelled (rather than fired) predecessor, and for
-	// cancelling twice.
-	a := s.At(5, func() { t.Error("cancelled event fired") })
-	s.Cancel(a)
-	b := s.At(6, func() { fired++ })
-	s.Cancel(a)
-	s.Cancel(a)
+	// Same for a stopped (rather than fired) timer, stopped again.
+	tm.Reset(5)
+	tm.Stop()
+	s.At(6, func() { fired++ })
+	tm.Stop()
 	s.Run()
 	if fired != 2 {
-		t.Fatalf("event after a cancelled predecessor fired %d times in total, want 2", fired)
+		t.Fatalf("events after a fired and a stopped timer fired %d times, want 2", fired)
 	}
-	s.Cancel(b)         // fired
-	s.Cancel(fresh)     // fired
-	s.Cancel(EventID{}) // zero value
 }
 
 // TestSchedulerReservedSeq: events scheduled one at a time from a reserved
@@ -374,19 +347,19 @@ func TestSchedulerReservedSeq(t *testing.T) {
 }
 
 // TestSchedulerSteadyStateAllocs: once the node pool, the heap and the
-// line's ring have grown, scheduling, queueing on a line, re-arming a
-// timer and firing allocate nothing.
+// line's ring have grown, scheduling, queueing on a line, arming,
+// stopping and re-arming a timer and firing allocate nothing.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler()
 	fn := func() {}
-	line, timer := s.NewLine(), s.NewTimer(fn)
+	line, timer, stopped := s.NewLine(), s.NewTimer(fn), s.NewTimer(fn)
 	for i := 0; i < 64; i++ { // a standing population, as in a simulation
 		s.After(1<<40+Time(i), fn)
 	}
 	churn := func() {
-		id := s.After(5, fn)
+		stopped.Reset(s.Now() + 5)
 		s.After(3, fn)
-		s.Cancel(id)
+		stopped.Stop()
 		s.After(7, fn)
 		line.After(4, fn)
 		line.After(6, fn)
@@ -395,13 +368,13 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 	churn()
 	if allocs := testing.AllocsPerRun(1000, churn); allocs != 0 || s.Pending() != 64+1 {
-		t.Fatalf("%d pending; After+Cancel+Line+Timer+Step allocates %.1f objects per round in steady state, want 0", s.Pending(), allocs)
+		t.Fatalf("%d pending; After+Line+Timer+Stop+Step allocates %.1f objects per round in steady state, want 0", s.Pending(), allocs)
 	}
 }
 
 // BenchmarkSchedulerChurn is the scheduler's steady state in a packet
 // simulation: a standing population of a few hundred events, each firing
-// event scheduling its successor, and a timer that is cancelled and
+// event scheduling its successor, and a timer that is stopped and
 // re-armed on every round (the transport's RTO).
 func BenchmarkSchedulerChurn(b *testing.B) { schedulerChurn(b) }
 
@@ -441,13 +414,13 @@ func schedulerChurn(b *testing.B) {
 	for i := 0; i < 256; i++ {
 		s.After(Time(1+rng.Intn(1000)), fn)
 	}
-	noop := func() {}
-	rto := s.After(5000, noop)
+	rto := s.NewTimer(func() {})
+	rto.Reset(5000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
-		s.Cancel(rto)
-		rto = s.After(5000, noop)
+		rto.Stop()
+		rto.Reset(s.Now() + 5000)
 	}
 }

@@ -39,10 +39,8 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // event is the node behind one scheduled callback. Nodes live in the
-// scheduler's node array and are recycled through its free list, so a node
-// outlives the event it carried: seq names its current (or, once fired or
-// cancelled, its last) occupant and doubles as the generation that
-// invalidates stale EventIDs.
+// scheduler's node array and are recycled through its free list; idx lets
+// Timer.Stop and Timer.Reset find a queued node's heap slot.
 //
 // A node may instead carry the head of a Line or a queued Timer; line or
 // timer is then set, and Step consults it when the node reaches the root.
@@ -50,18 +48,8 @@ type event struct {
 	fn    func()
 	line  *Line
 	timer *Timer
-	seq   uint64
 	idx   int32 // position in the heap, -1 when not queued
 	next  int32 // free-list link: the next free slot, -1 at the end
-}
-
-// EventID identifies a scheduled event so it can be cancelled. The zero
-// value identifies no event. An id goes stale when its event fires or is
-// cancelled; cancelling a stale id is a no-op even after the node behind
-// it has been reused for a later event.
-type EventID struct {
-	slot int32 // node index + 1, so the zero value names no node
-	seq  uint64
 }
 
 // entry is one heap slot. The ordering key (at, seq) lives in the slot by
@@ -109,16 +97,14 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a simulator bug rather than a recoverable condition.
-func (s *Scheduler) At(t Time, fn func()) EventID {
+func (s *Scheduler) At(t Time, fn func()) {
 	seq := s.seq
 	s.seq++
-	return s.schedule(t, seq, fn)
+	s.push(t, seq, fn)
 }
 
 // After schedules fn to run d nanoseconds from now.
-func (s *Scheduler) After(d Time, fn func()) EventID {
-	return s.At(s.now+d, fn)
-}
+func (s *Scheduler) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
 // ReserveSeq sets aside n consecutive tie-break sequence numbers and
 // returns the first. Together with AtSeq it lets a source that knows its
@@ -133,14 +119,7 @@ func (s *Scheduler) ReserveSeq(n int) uint64 {
 
 // AtSeq is At with an explicit tie-break sequence number, which must come
 // from a ReserveSeq block and be used at most once.
-func (s *Scheduler) AtSeq(t Time, seq uint64, fn func()) EventID {
-	return s.schedule(t, seq, fn)
-}
-
-func (s *Scheduler) schedule(t Time, seq uint64, fn func()) EventID {
-	slot := s.push(t, seq, fn)
-	return EventID{slot + 1, seq}
-}
+func (s *Scheduler) AtSeq(t Time, seq uint64, fn func()) { s.push(t, seq, fn) }
 
 // push queues fn at (t, seq) on a fresh node and returns the node.
 func (s *Scheduler) push(t Time, seq uint64, fn func()) int32 {
@@ -153,7 +132,7 @@ func (s *Scheduler) push(t Time, seq uint64, fn func()) int32 {
 	slot := s.free
 	ev := &s.nodes[slot]
 	s.free = ev.next
-	ev.fn, ev.seq, ev.next = fn, seq, -1
+	ev.fn, ev.next = fn, -1
 	s.heap = append(s.heap, entry{at: t, seq: seq, slot: slot})
 	s.up(len(s.heap) - 1)
 	return slot
@@ -171,30 +150,13 @@ func (s *Scheduler) grow() {
 	s.free = int32(n)
 }
 
-// release returns a fired or cancelled node to the free list. Its seq is
-// left in place: until the node is reused, a stale id still matches it and
-// is told apart by idx == -1.
+// release returns a fired or stopped node to the free list.
 func (s *Scheduler) release(slot int32) {
 	ev := &s.nodes[slot]
 	ev.fn = nil
 	ev.idx = -1
 	ev.next = s.free
 	s.free = slot
-}
-
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *Scheduler) Cancel(id EventID) {
-	slot := id.slot - 1
-	if slot < 0 {
-		return
-	}
-	ev := &s.nodes[slot]
-	if ev.seq != id.seq || ev.idx < 0 {
-		return
-	}
-	s.remove(int(ev.idx))
-	s.release(slot)
 }
 
 // Pending reports the number of live scheduled events, those waiting in
@@ -352,8 +314,7 @@ func (s *Scheduler) down(i int) bool {
 // each been scheduled with At: a line only saves the heap work.
 //
 // A line suits a delay that is monotone by construction (now plus a
-// constant, or a time clamped to follow the previous one). Line events
-// cannot be cancelled.
+// constant, or a time clamped to follow the previous one).
 type Line struct {
 	s       *Scheduler
 	ring    []lineEvent // power-of-two ring of n events from head
@@ -442,8 +403,8 @@ func (l *Line) Release() {
 
 // Timer is a re-armable one-shot event, such as a retransmission timeout
 // that every acknowledgment pushes back. Reset followed by the timer
-// firing behaves exactly as Cancel of the previous event and At of a new
-// one, but a Reset to a later deadline leaves the queued heap entry where
+// firing behaves exactly as removing the previous event and scheduling a
+// new one with At, but a Reset to a later deadline leaves the queued heap entry where
 // it is: only when that entry reaches the root is it moved to the key the
 // timer now fires at. Pushing a timer back therefore costs no heap work.
 type Timer struct {

@@ -63,29 +63,33 @@ func TestSchedulerAfter(t *testing.T) {
 	}
 }
 
+// TestSchedulerCancel: a stopped timer's event never fires, and stopping
+// it again, or after the run, is a no-op.
 func TestSchedulerCancel(t *testing.T) {
 	s := NewScheduler()
 	fired := false
-	id := s.At(Second, func() { fired = true })
-	s.Cancel(id)
+	tm := s.NewTimer(func() { fired = true })
+	tm.Reset(Second)
+	tm.Stop()
 	s.Run()
-	if fired {
-		t.Error("cancelled event fired")
+	if fired || s.Pending() != 0 {
+		t.Errorf("stopped timer fired = %v, %d pending", fired, s.Pending())
 	}
-	// Double-cancel and cancel-after-run are no-ops.
-	s.Cancel(id)
-	s.Cancel(EventID{})
+	tm.Stop()
 }
 
+// TestSchedulerCancelOneOfMany: stopping one of several queued timers
+// leaves the others to fire in order.
 func TestSchedulerCancelOneOfMany(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	var ids []EventID
+	var timers []*Timer
 	for i := 0; i < 5; i++ {
-		i := i
-		ids = append(ids, s.At(Time(i+1)*Millisecond, func() { order = append(order, i) }))
+		tm := s.NewTimer(func() { order = append(order, i) })
+		tm.Reset(Time(i+1) * Millisecond)
+		timers = append(timers, tm)
 	}
-	s.Cancel(ids[2])
+	timers[2].Stop()
 	s.Run()
 	want := []int{0, 1, 3, 4}
 	if len(order) != len(want) {

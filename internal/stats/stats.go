@@ -3,7 +3,7 @@
 // two-sample Kolmogorov–Smirnov test (used to verify iBoxNet's match with
 // ground truth in §3.1.1), k-means++ clustering and t-SNE embedding (the
 // instance-test analysis of Fig 4), normalized cross-correlation (the
-// clustering features), and histograms/CDFs (Figs 5 and 7).
+// clustering features), and empirical CDFs (Figs 5 and 7).
 package stats
 
 import (
@@ -37,21 +37,9 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Percentile returns the p-th percentile (p in [0,100]) using linear
-// interpolation between closest ranks. It does not modify xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return PercentileSorted(s, p)
-}
-
-// PercentileSorted is Percentile for an already-sorted slice.
+// PercentileSorted returns the p-th percentile (p in [0,100]) of an
+// already-sorted slice, interpolating linearly between closest ranks; NaN
+// for an empty slice.
 func PercentileSorted(sorted []float64, p float64) float64 {
 	n := len(sorted)
 	if n == 0 {
@@ -176,31 +164,6 @@ func ECDF(xs, at []float64) []float64 {
 	out := make([]float64, len(at))
 	for i, v := range at {
 		out[i] = float64(sort.SearchFloat64s(s, math.Nextafter(v, math.Inf(1)))) / float64(len(s))
-	}
-	return out
-}
-
-// Histogram bins xs into nbins equal-width bins over [lo, hi] and returns
-// the fraction of samples per bin (values outside the range clamp to the
-// edge bins).
-func Histogram(xs []float64, lo, hi float64, nbins int) []float64 {
-	out := make([]float64, nbins)
-	if len(xs) == 0 || nbins <= 0 || hi <= lo {
-		return out
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		out[b]++
-	}
-	for i := range out {
-		out[i] /= float64(len(xs))
 	}
 	return out
 }

@@ -89,27 +89,6 @@ func numWindows(start, end, step sim.Time) int {
 	return int((end-start+step-1)/step) + 1
 }
 
-// SendRateSeries returns the sender's offered rate in bits per second per
-// window: bytes sent during each window × 8 ÷ window length.
-func (t *Trace) SendRateSeries(step sim.Time) *Series {
-	if len(t.Packets) == 0 {
-		return NewSeries(0, step, 0)
-	}
-	start := t.Packets[0].SendTime
-	end := start + t.Duration()
-	s := NewSeries(start, step, numWindows(start, end, step))
-	for _, p := range t.Packets {
-		if i, ok := s.Index(p.SendTime); ok {
-			s.Vals[i] += float64(p.Size)
-		}
-	}
-	scale := 8 / step.Seconds()
-	for i := range s.Vals {
-		s.Vals[i] *= scale
-	}
-	return s
-}
-
 // RecvRateSeries returns the receiver's delivered rate in bits per second
 // per window.
 func (t *Trace) RecvRateSeries(step sim.Time) *Series {

@@ -190,17 +190,13 @@ func TestReorderingRateWindows(t *testing.T) {
 }
 
 func TestSendRecvRateSeries(t *testing.T) {
-	// 1250-byte packets every 10ms → 1 Mbps steady.
+	// 1250-byte packets sent every 10ms → 1 Mbps steady at the receiver.
 	tr := mkTrace(500, 1250, 10*sim.Millisecond, 20*sim.Millisecond)
-	s := tr.SendRateSeries(sim.Second)
-	if s.Len() < 5 {
-		t.Fatalf("series too short: %d", s.Len())
+	r := tr.RecvRateSeries(sim.Second)
+	if r.Len() < 5 {
+		t.Fatalf("series too short: %d", r.Len())
 	}
 	// Interior windows should be 1 Mbps.
-	if got := s.Vals[2]; math.Abs(got-1e6) > 1e5 {
-		t.Errorf("send rate window = %v, want ≈1e6", got)
-	}
-	r := tr.RecvRateSeries(sim.Second)
 	if got := r.Vals[2]; math.Abs(got-1e6) > 1e5 {
 		t.Errorf("recv rate window = %v, want ≈1e6", got)
 	}
@@ -335,7 +331,7 @@ func TestPercentileProperty(t *testing.T) {
 }
 
 // Property: rate series conserves bytes — the sum over windows of
-// rate*window equals total bytes sent (within float tolerance).
+// rate*window equals total bytes delivered (within float tolerance).
 func TestRateSeriesConservesBytes(t *testing.T) {
 	prop := func(sizes []uint16) bool {
 		if len(sizes) == 0 {
@@ -351,7 +347,7 @@ func TestRateSeriesConservesBytes(t *testing.T) {
 				Seq: int64(i), Size: size, SendTime: send, RecvTime: send + 5*sim.Millisecond,
 			})
 		}
-		s := tr.SendRateSeries(100 * sim.Millisecond)
+		s := tr.RecvRateSeries(100 * sim.Millisecond)
 		sum := 0.0
 		for _, v := range s.Vals {
 			sum += v * 0.1 / 8
