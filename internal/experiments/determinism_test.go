@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ibox/internal/obs"
@@ -23,6 +24,61 @@ func tinyScale() Scale {
 		SpeedWarmup:    10,
 		SpeedSamples:   50,
 		Seed:           7,
+	}
+}
+
+// parallelScale is tinyScale on the default fan-out path: neither Serial
+// nor Pool is set, so every par.Map makes its own pool of
+// min(GOMAXPROCS, n) workers. GOMAXPROCS is raised to 8 for the test so
+// those pools fan out even on a one-CPU machine.
+func parallelScale(t *testing.T) Scale {
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	return tinyScale()
+}
+
+// TestFig3SerialParallelIdentical covers the variant-level fan-out layered
+// on the per-trace fan-out, each on its own per-call pool.
+func TestFig3SerialParallelIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	serial := tinyScale()
+	serial.Serial = true
+	rs, err := Fig3(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := Fig3(parallelScale(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rp.String(), rs.String(); got != want {
+		t.Errorf("parallel Fig3 output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
+	}
+}
+
+// TestTable1SerialParallelIdentical proves the same for the iBoxML
+// training pipeline: trace generation, the two model trainings and the
+// per-call evaluation all fan out on per-call pools, and the resulting
+// table and raw per-call p95 delays are identical to a single-goroutine
+// run on the same seed.
+func TestTable1SerialParallelIdentical(t *testing.T) {
+	serial := tinyScale()
+	serial.Serial = true
+	rs, err := Table1(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := Table1(parallelScale(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rp.String(), rs.String(); got != want {
+		t.Errorf("parallel Table1 output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
+	}
+	if err := sameTable1(rs, rp); err != nil {
+		t.Error(err)
 	}
 }
 
